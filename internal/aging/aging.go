@@ -71,8 +71,6 @@ type Config struct {
 	// SettleEpochs is the number of daemon epochs ticked after every
 	// churn step (default 2).
 	SettleEpochs int
-	// NoRangeFault forwards to Env.NoRangeFault (per-page population).
-	NoRangeFault bool
 	// Pinned are frame extents the audits must treat as intentionally
 	// allocated outside any process (boot reservations).
 	Pinned []check.Extent
@@ -97,8 +95,9 @@ type Config struct {
 	// NewShardKernel builds one shard's kernel when Shards > 1: given
 	// the shard's zone view and index it returns the kernel (policy
 	// attached, no boot reservations — the parent kernel owns those)
-	// and the shard's private daemon set. Required when Shards > 1;
-	// experiments.RunAgingCampaign supplies the standard construction.
+	// and the shard's private daemon set. Required when Shards > 1
+	// (Run returns an error without it); experiments.RunAgingCampaign
+	// supplies the standard construction.
 	NewShardKernel func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon)
 }
 
@@ -235,6 +234,9 @@ type Campaign struct {
 	gaugeIDs struct {
 		tenants, rss, cache, free, frag, ufi2m int
 	}
+
+	// err is a configuration error found by New; Run reports it.
+	err error
 }
 
 // shard is one independently stepped tenant stream owning a zone
@@ -304,7 +306,8 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 	}
 	if c.cfg.Shards > 1 {
 		if cfg.NewShardKernel == nil {
-			panic("aging: Config.Shards > 1 requires NewShardKernel")
+			c.err = errors.New("aging: Config.Shards > 1 requires NewShardKernel")
+			return c
 		}
 		for s := 0; s < c.cfg.Shards; s++ {
 			var owned []int
@@ -329,9 +332,13 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 }
 
 // Run executes the campaign and returns its trajectory. A non-nil
-// error means a whole-machine audit failed (the trajectory up to the
-// failing snapshot is returned alongside it).
+// error means the configuration was invalid (nil trajectory) or a
+// whole-machine audit failed (the trajectory up to the failing
+// snapshot is returned alongside it).
 func (c *Campaign) Run() (*Trajectory, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
 	if len(c.shards) > 0 {
 		return c.runSharded()
 	}
@@ -430,7 +437,6 @@ func (c *Campaign) arrive() error {
 	c.arrivals++
 	env := workloads.NewNativeEnv(c.k, zone)
 	env.Daemons = c.ds
-	env.NoRangeFault = c.cfg.NoRangeFault
 	v, err := env.MMap(addr.PagesToBytes(pages))
 	if err != nil {
 		return err
@@ -677,7 +683,6 @@ func (c *Campaign) shardArrive(s *shard) error {
 	s.arrivals++
 	env := workloads.NewNativeEnv(s.k, zoneIdx)
 	env.Daemons = s.ds
-	env.NoRangeFault = c.cfg.NoRangeFault
 	v, err := env.MMap(addr.PagesToBytes(pages))
 	if errors.Is(err, osim.ErrOOM) {
 		s.pending = append(s.pending, pendingArrival{env: env, pages: pages})

@@ -146,6 +146,27 @@ func TestShardedCampaignClampsShards(t *testing.T) {
 	}
 }
 
+// TestShardedCampaignWithoutFactoryErrors pins the configuration
+// contract: Shards > 1 without NewShardKernel is reported by Run as an
+// error, never a panic.
+func TestShardedCampaignWithoutFactoryErrors(t *testing.T) {
+	k, ds := newKernel(t, "thp")
+	cfg := shardedConfig("thp", 1)
+	cfg.NewShardKernel = nil
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("bad config panicked: %v", r)
+		}
+	}()
+	tr, err := aging.New(k, ds, cfg).Run()
+	if err == nil || !strings.Contains(err.Error(), "NewShardKernel") {
+		t.Fatalf("Run error = %v, want a missing-NewShardKernel error", err)
+	}
+	if tr != nil {
+		t.Fatal("Run returned a trajectory for an invalid config")
+	}
+}
+
 // TestShardedCampaignTracesShardEvents checks the shard observability
 // contract: epoch spans per shard, barrier spans per step, and the
 // campaign's gauges all flow through an attached tracer.

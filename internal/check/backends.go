@@ -110,9 +110,8 @@ func (d *BackendDiffer) Finish() error { return d.m.CheckAll() }
 // must then serve stale translations that the next crossCheck catches;
 // the corruption test uses this to prove the differ is not vacuous.
 // The paged backend is exempt from the divergence expectation: it
-// subscribes to nothing (its walk memo is generation-checked), so its
-// staleness story is pinned by the translation package's own
-// corruption test instead.
+// subscribes to nothing and holds no derived translation state — every
+// TLB miss walks the live tables — so it has nothing to go stale.
 func (d *BackendDiffer) DetachInvalidation() {
 	for _, s := range d.backends {
 		s.be.Close()

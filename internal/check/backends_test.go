@@ -74,8 +74,8 @@ func TestBackendDifferentialNested(t *testing.T) {
 // keeps promoting, migrating, remapping and CoW-copying), every
 // derived-state backend must eventually serve a translation the oracle
 // disproves, and the differ must report it. The paged backend carries
-// no event-fed state, so it is covered by the translation package's
-// walk-cache corruption test instead.
+// no derived state — every miss walks the live tables — so it has
+// nothing to go stale and is left out.
 func TestBackendDifferCatchesStaleTranslations(t *testing.T) {
 	const (
 		cleanOps = 500

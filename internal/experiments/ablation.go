@@ -32,8 +32,6 @@ func AblationPlacement(p Params) (*Table, error) {
 		}
 		envA := workloads.NewNativeEnv(k, 0)
 		envB := workloads.NewNativeEnv(k, 0)
-		envA.NoRangeFault = p.NoRangeFault
-		envB.NoRangeFault = p.NoRangeFault
 		if err := interleavedSVMPair(envA, envB, workloads.NewSVM().FootprintBytes()); err != nil {
 			return nil, err
 		}
@@ -140,7 +138,6 @@ func AblationOffsetBudget(p Params) (*Table, error) {
 		k.OffsetBudget = budget
 		workloads.Hog(k.Machine, 0.35, rand.New(rand.NewSource(7)))
 		env := workloads.NewNativeEnv(k, 0)
-		env.NoRangeFault = p.NoRangeFault
 		// A 192 MiB VMA populated in *random* 2 MiB-region order: under
 		// fragmentation the VMA needs many sub-placements, and faults
 		// jumping between regions need the offsets of all of them — a
@@ -188,13 +185,11 @@ func AblationSpotConfidence(p Params) (*Table, error) {
 			return nil, err
 		}
 		env := workloads.NewVirtEnv(vm, 0)
-		env.NoRangeFault = p.NoRangeFault
 		w := workloads.NewSVM()
 		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return nil, err
 		}
 		cfg := v.cfg
-		cfg.NoWalkCache = p.NoWalkCache
 		cfg.Tracer = p.Tracer
 		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), cfg)
 		if err != nil {
@@ -229,13 +224,12 @@ func AblationSpotGeometry(p Params) (*Table, error) {
 			return nil, err
 		}
 		env := workloads.NewVirtEnv(vm, 0)
-		env.NoRangeFault = p.NoRangeFault
 		w := workloads.NewHashJoin()
 		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return nil, err
 		}
 		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen),
-			sim.Config{EnableSchemes: true, SpotEntries: geo.entries, SpotWays: geo.ways, NoWalkCache: p.NoWalkCache, Tracer: p.Tracer})
+			sim.Config{EnableSchemes: true, SpotEntries: geo.entries, SpotWays: geo.ways, Tracer: p.Tracer})
 		if err != nil {
 			return nil, err
 		}

@@ -86,7 +86,6 @@ func Fig8Sweep(p Params, pressures []float64, names []string, policies []PolicyN
 		workloads.Hog(k.Machine, pressure, rand.New(rand.NewSource(42)))
 		env := workloads.NewNativeEnv(k, 0)
 		env.Daemons = ds
-		env.NoRangeFault = p.NoRangeFault
 		w := workloads.ByName(name)
 		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return fmt.Errorf("fig8 %s/%s@%.0f%%: %w", name, pol, pressure*100, err)
@@ -145,7 +144,6 @@ func Fig9(p Params) (*Table, error) {
 		for _, w := range workloads.All() {
 			env := workloads.NewNativeEnv(k, 0)
 			env.Daemons = ds
-			env.NoRangeFault = p.NoRangeFault
 			if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 				return nil, fmt.Errorf("fig9 %s/%s: %w", w.Name(), pol, err)
 			}
@@ -212,8 +210,6 @@ func Fig10(p Params) (*Table, error) {
 		envB := workloads.NewNativeEnv(k, 0)
 		envA.Daemons = ds
 		envB.Daemons = ds
-		envA.NoRangeFault = p.NoRangeFault
-		envB.NoRangeFault = p.NoRangeFault
 		// Interleave the two setups burst-wise via goroutine-free
 		// stepping: run each setup whole but alternating would need
 		// coroutines; instead approximate the paper's concurrency by
@@ -292,7 +288,6 @@ func Fig1b(p Params) (*Table, error) {
 			workloads.HogFine(k.Machine, 0.03, rand.New(rand.NewSource(int64(run)*7+1)))
 			env := workloads.NewNativeEnv(k, 0)
 			env.Daemons = ds
-			env.NoRangeFault = p.NoRangeFault
 			w := workloads.NewPageRank()
 			if err := w.Setup(env, rand.New(rand.NewSource(p.Seed+int64(run)-1))); err != nil {
 				return nil, fmt.Errorf("fig1b %s run %d: %w", pol, run, err)
@@ -338,7 +333,6 @@ func Fig1c(p Params) (*Table, error) {
 		workloads.HogFine(k.Machine, 0.15, rand.New(rand.NewSource(5)))
 		env := workloads.NewNativeEnv(k, 0)
 		env.Daemons = ds
-		env.NoRangeFault = p.NoRangeFault
 		sampler := &coverageSampler{env: env}
 		env.Daemons = append(env.Daemons, sampler)
 		w := workloads.NewXSBench()

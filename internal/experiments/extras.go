@@ -87,12 +87,11 @@ func ExtraFiveLevel(p Params) (*Table, error) {
 		vm.Guest.PageTableLevels = levels
 		hostK.PageTableLevels = levels
 		env := workloads.NewVirtEnv(vm, 0)
-		env.NoRangeFault = p.NoRangeFault
 		w := workloads.NewPageRank()
 		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return nil, err
 		}
-		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: true, NoWalkCache: p.NoWalkCache, Tracer: p.Tracer})
+		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: true, Tracer: p.Tracer})
 		if err != nil {
 			return nil, err
 		}

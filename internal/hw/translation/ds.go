@@ -3,6 +3,7 @@ package translation
 import (
 	"repro/internal/hw/ds"
 	"repro/internal/hw/tlb"
+	"repro/internal/hw/walker"
 	"repro/internal/mem/addr"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -32,7 +33,7 @@ type dsBackend struct {
 
 func newDS(env *workloads.Env, cfg Config) *dsBackend {
 	b := &dsBackend{
-		core:  newCore(env, cfg.NoWalkCache),
+		core:  core{env: env},
 		tlb:   tlb.New(cfg.TLBEntries, cfg.TLBWays),
 		watch: watchTables(env),
 	}
@@ -98,7 +99,7 @@ func (b *dsBackend) Translate(va addr.VirtAddr) Walk {
 		// already serves covered addresses); priced like the hit it is.
 		return Walk{HPA: b.seg.Offset.Target(va), OK: true}
 	}
-	return b.translate(va)
+	return b.walk(va, b.wm)
 }
 
 func (b *dsBackend) Insert(va addr.VirtAddr, w Walk) {
@@ -109,20 +110,17 @@ func (b *dsBackend) Insert(va addr.VirtAddr, w Walk) {
 }
 
 // Resolve mirrors Lookup/Translate without mutating: segment targets
-// while the segment is known-fresh, the radix peek otherwise.
+// while the segment is known-fresh, an untraced radix walk otherwise.
 func (b *dsBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
 	if !b.watch.dirty && b.seg.Covers(va) {
 		return b.seg.Offset.Target(va), 0, true
 	}
-	w := b.peek(va)
+	w := b.walk(va, walker.Meter{})
 	return w.HPA, w.Cost, w.OK
 }
 
 func (b *dsBackend) Flush() {
 	b.tlb.Flush()
-	if b.wc != nil {
-		b.wc.flush()
-	}
 }
 
 func (b *dsBackend) Counters() Counters { return b.cnt }

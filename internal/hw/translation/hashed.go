@@ -3,6 +3,7 @@ package translation
 import (
 	"repro/internal/hw/hashpt"
 	"repro/internal/hw/tlb"
+	"repro/internal/hw/walker"
 	"repro/internal/mem/addr"
 	"repro/internal/osim/pagetable"
 	"repro/internal/trace"
@@ -39,10 +40,7 @@ type hashedBackend struct {
 
 func newHashed(env *workloads.Env, cfg Config) *hashedBackend {
 	b := &hashedBackend{
-		// The hashed table is itself the walk memo: the radix core runs
-		// uncached, or fills would be priced off the memo instead of
-		// the walk they model.
-		core: newCore(env, true),
+		core: core{env: env},
 		tlb:  tlb.New(cfg.TLBEntries, cfg.TLBWays),
 		ht:   hashpt.New(),
 	}
@@ -113,7 +111,7 @@ func (b *hashedBackend) Translate(va addr.VirtAddr) Walk {
 			OK:       true,
 		}
 	}
-	w := b.resolve(va)
+	w := b.walk(va, b.wm)
 	if w.OK {
 		b.ht.Insert(vpn, w.HPA-addr.PhysAddr(uint64(va)&addr.PageMask), w.LeafHuge)
 		b.HashFills++
@@ -130,7 +128,7 @@ func (b *hashedBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool)
 	if pa, _, probes, ok := b.ht.Lookup(vpn); ok {
 		return pa + addr.PhysAddr(uint64(va)&addr.PageMask), float64(probes) * hashedProbeCycles, true
 	}
-	w := b.peek(va)
+	w := b.walk(va, walker.Meter{})
 	return w.HPA, w.Cost, w.OK
 }
 

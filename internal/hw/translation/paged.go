@@ -11,59 +11,20 @@ import (
 )
 
 // core is the radix-walk machinery every backend falls back on: the
-// (memoized) native or nested page walk, priced through the walk
-// meter. It holds no fast-path state of its own — backends layer their
-// TLBs, ranges, segments, and hashed tables in front of it.
+// native or nested page walk, priced through the walk meter. It holds
+// no fast-path state of its own — backends layer their TLBs, ranges,
+// segments, and hashed tables in front of it.
 type core struct {
 	env *workloads.Env
-	wc  *walkCache
 	wm  walker.Meter
 }
 
-func newCore(env *workloads.Env, noWalkCache bool) core {
-	c := core{env: env}
-	if !noWalkCache {
-		if env.VM != nil {
-			c.wc = newWalkCache(env.VM.NestedTables(env.Proc))
-		} else {
-			c.wc = newWalkCache(env.Proc.PT, nil)
-		}
-	}
-	return c
-}
-
-// translate performs the baseline walk for va through the walk cache:
-// a hot miss is one array probe; only cold or invalidated VPNs pay the
-// full trie descent of resolve.
-func (c *core) translate(va addr.VirtAddr) Walk {
-	if c.wc == nil {
-		return c.resolve(va)
-	}
-	vpn := uint64(va) >> addr.PageShift
-	if e, hit := c.wc.probe(vpn); hit {
-		return Walk{
-			HPA:      e.hpa + addr.PhysAddr(uint64(va)&addr.PageMask),
-			Cost:     e.cost,
-			LeafHuge: e.leafHuge,
-			GContig:  e.gContig,
-			HContig:  e.hContig,
-			OK:       true,
-		}
-	}
-	w := c.resolve(va)
-	if w.OK {
-		// The in-page offset of HPA equals va's: caching the page-base
-		// hPA makes the entry valid for every offset within the VPN.
-		c.wc.fill(vpn, w.HPA-addr.PhysAddr(uint64(va)&addr.PageMask), w.LeafHuge, w.Cost, w.GContig, w.HContig)
-	}
-	return w
-}
-
-// resolve performs the baseline translation for va: a nested walk in a
+// walk performs the baseline translation for va: a nested walk in a
 // VM, a native walk otherwise. The native case reports the single PTE
-// contiguity bit in both positions. Costs route through the walk meter
-// so every priced walk becomes a trace span.
-func (c *core) resolve(va addr.VirtAddr) Walk {
+// contiguity bit in both positions. The cost is priced through m:
+// translations pass the core's meter so every priced walk becomes a
+// trace span, and side-effect-free probes pass a zero Meter.
+func (c *core) walk(va addr.VirtAddr, m walker.Meter) Walk {
 	env := c.env
 	if env.VM != nil {
 		w := env.VM.Walk(env.Proc, va)
@@ -72,7 +33,7 @@ func (c *core) resolve(va addr.VirtAddr) Walk {
 		}
 		return Walk{
 			HPA:      w.HPA,
-			Cost:     c.wm.Nested(va, w),
+			Cost:     m.Nested(va, w),
 			LeafHuge: w.GuestLevel == pagetable.HugeLevel && w.HostLevel == pagetable.HugeLevel,
 			GContig:  w.GuestContig,
 			HContig:  w.HostContig,
@@ -90,44 +51,7 @@ func (c *core) resolve(va addr.VirtAddr) Walk {
 	contig := pte.Flags.Has(pagetable.Contig)
 	return Walk{
 		HPA:      pte.PFN.Addr() + addr.PhysAddr(uint64(va)&(span-1)),
-		Cost:     c.wm.Native(va, level),
-		LeafHuge: level == pagetable.HugeLevel,
-		GContig:  contig,
-		HContig:  contig,
-		OK:       true,
-	}
-}
-
-// peek is resolve without side effects: no walk-cache fill, no trace
-// span. It backs the Resolve probe of every backend.
-func (c *core) peek(va addr.VirtAddr) Walk {
-	env := c.env
-	if env.VM != nil {
-		w := env.VM.Walk(env.Proc, va)
-		if !w.OK {
-			return Walk{}
-		}
-		return Walk{
-			HPA:      w.HPA,
-			Cost:     walker.NestedCost(w),
-			LeafHuge: w.GuestLevel == pagetable.HugeLevel && w.HostLevel == pagetable.HugeLevel,
-			GContig:  w.GuestContig,
-			HContig:  w.HostContig,
-			OK:       true,
-		}
-	}
-	pte, level, _, okWalk := env.Proc.PT.Walk(va)
-	if !okWalk {
-		return Walk{}
-	}
-	span := uint64(addr.PageSize)
-	if level == pagetable.HugeLevel {
-		span = addr.HugeSize
-	}
-	contig := pte.Flags.Has(pagetable.Contig)
-	return Walk{
-		HPA:      pte.PFN.Addr() + addr.PhysAddr(uint64(va)&(span-1)),
-		Cost:     walker.NativeCost(level),
+		Cost:     m.Native(va, level),
 		LeafHuge: level == pagetable.HugeLevel,
 		GContig:  contig,
 		HContig:  contig,
@@ -136,11 +60,11 @@ func (c *core) peek(va addr.VirtAddr) Walk {
 }
 
 // pagedBackend is the paper's baseline stack: L2 TLB in front of the
-// memoized radix walk, with optional shadow paging for virtualized
-// environments. It needs no mapping-event subscription — the walk
-// cache self-invalidates on table generations, and the TLB (like real
-// hardware without shootdowns) may carry stale *presence* but never
-// serves physical addresses.
+// radix walk, with optional shadow paging for virtualized
+// environments. It needs no mapping-event subscription — every miss
+// walks the live tables, and the TLB (like real hardware without
+// shootdowns) may carry stale *presence* but never serves physical
+// addresses.
 type pagedBackend struct {
 	core
 	tlb        *tlb.TLB
@@ -151,7 +75,7 @@ type pagedBackend struct {
 
 func newPaged(env *workloads.Env, cfg Config) *pagedBackend {
 	b := &pagedBackend{
-		core:       newCore(env, cfg.NoWalkCache),
+		core:       core{env: env},
 		tlb:        tlb.New(cfg.TLBEntries, cfg.TLBWays),
 		shadowExit: cfg.ShadowExitCycles,
 	}
@@ -175,7 +99,7 @@ func (b *pagedBackend) Lookup(va addr.VirtAddr) bool {
 }
 
 func (b *pagedBackend) Translate(va addr.VirtAddr) Walk {
-	w := b.translate(va)
+	w := b.walk(va, b.wm)
 	if b.shadow != nil {
 		if shpa, lvl, synced, sok := b.shadow.Walk(va); sok {
 			w.HPA, w.OK = shpa, true
@@ -199,15 +123,12 @@ func (b *pagedBackend) Insert(va addr.VirtAddr, w Walk) {
 // install entries (they mutate), and the shadow never diverges from
 // the composed translation it shadows.
 func (b *pagedBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
-	w := b.peek(va)
+	w := b.walk(va, walker.Meter{})
 	return w.HPA, w.Cost, w.OK
 }
 
 func (b *pagedBackend) Flush() {
 	b.tlb.Flush()
-	if b.wc != nil {
-		b.wc.flush()
-	}
 }
 
 func (b *pagedBackend) Counters() Counters { return b.cnt }
@@ -222,11 +143,3 @@ func (b *pagedBackend) Close() {}
 // Shadow exposes the shadow table (sim reads SyncExits; nil without
 // ShadowPaging).
 func (b *pagedBackend) Shadow() *virt.ShadowTable { return b.shadow }
-
-// WalkCacheStats reports the memo's hit/fill counters (benchmarks).
-func (b *pagedBackend) WalkCacheStats() (hits, fills uint64) {
-	if b.wc == nil {
-		return 0, 0
-	}
-	return b.wc.Hits, b.wc.Fills
-}

@@ -3,6 +3,7 @@ package translation
 import (
 	"repro/internal/hw/rmm"
 	"repro/internal/hw/tlb"
+	"repro/internal/hw/walker"
 	"repro/internal/mem/addr"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -29,7 +30,7 @@ type rmmBackend struct {
 
 func newRMM(env *workloads.Env, cfg Config) *rmmBackend {
 	b := &rmmBackend{
-		core:  newCore(env, cfg.NoWalkCache),
+		core:  core{env: env},
 		tlb:   tlb.New(cfg.TLBEntries, cfg.TLBWays),
 		rt:    rmm.NewRangeTLB(cfg.RangeTLBEntries),
 		rtab:  rmm.NewTable(ExtractMappings(env)),
@@ -72,7 +73,7 @@ func (b *rmmBackend) Translate(va addr.VirtAddr) Walk {
 		// the background, so no visible cycle cost accrues.
 		return Walk{HPA: pa, OK: true}
 	}
-	return b.translate(va)
+	return b.walk(va, b.wm)
 }
 
 func (b *rmmBackend) Insert(va addr.VirtAddr, w Walk) {
@@ -88,16 +89,13 @@ func (b *rmmBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
 			return rng.Offset.Target(va), 0, true
 		}
 	}
-	w := b.peek(va)
+	w := b.walk(va, walker.Meter{})
 	return w.HPA, w.Cost, w.OK
 }
 
 func (b *rmmBackend) Flush() {
 	b.tlb.Flush()
 	b.rt.Flush()
-	if b.wc != nil {
-		b.wc.flush()
-	}
 }
 
 func (b *rmmBackend) Counters() Counters { return b.cnt }

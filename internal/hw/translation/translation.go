@@ -2,7 +2,7 @@
 // interface behind sim's access loop, in the spirit of Virtuoso's
 // modular translation lab: many mechanisms, one loop, one cost
 // currency (walk cycles). The default backend is the paper's stack —
-// an L2 TLB in front of the (memoized) native/nested radix walk, with
+// an L2 TLB in front of the native/nested radix walk, with
 // optional shadow paging — and three alternates reuse the hardware
 // seeds: an RMM-style range table + RangeTLB, Direct Segments with
 // paged fallback, and a hashed/flattened page table.
@@ -112,8 +112,6 @@ type Backend interface {
 type Config struct {
 	TLBEntries, TLBWays int
 	RangeTLBEntries     int
-	// NoWalkCache disables the radix walk memo of the paged core.
-	NoWalkCache bool
 	// ShadowPaging/ShadowExitCycles configure the paged backend's
 	// shadow-paging mode (virtualized environments only).
 	ShadowPaging     bool

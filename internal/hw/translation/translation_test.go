@@ -69,7 +69,7 @@ func TestDSFallbackAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dsBE.Close()
-	pagedBE, err := New(BackendPaged, env, Config{NoWalkCache: true})
+	pagedBE, err := New(BackendPaged, env, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,64 +139,5 @@ func TestDSFallbackAgreement(t *testing.T) {
 		if d.seg.Covers(va) {
 			t.Fatalf("rebuilt segment still covers unmapped %s", va)
 		}
-	}
-}
-
-// TestWalkCacheCorruptionDetected pins the paged backend's staleness
-// observables, the counterpart of the detach-based corruption test the
-// derived-state backends get in internal/check. A hand-corrupted memo
-// entry is served verbatim while the table generations stand still —
-// and the divergence is exactly what a differ comparing the memoized
-// translate against the live tables (peek) must catch. Any table
-// mutation then moves the generation and the corrupt entry dies, which
-// is the self-invalidation that makes the memo safe without observer
-// events.
-func TestWalkCacheCorruptionDetected(t *testing.T) {
-	env := nativeEnv(t)
-	env.Kernel.THPEnabled = false
-	v, err := env.MMap(64 * addr.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.Populate(v); err != nil {
-		t.Fatal(err)
-	}
-	be, err := New(BackendPaged, env, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	p := be.(*pagedBackend)
-
-	va := v.Start.Add(5 * addr.PageSize)
-	w := p.Translate(va)
-	if !w.OK {
-		t.Fatal("populated page failed to translate")
-	}
-
-	vpn := uint64(va) >> addr.PageShift
-	e := &p.wc.entries[vpn&p.wc.mask]
-	if !e.valid || e.vpn != vpn {
-		t.Fatal("memo entry for the translated VPN missing")
-	}
-	e.hpa += addr.PageSize // inject stale-translation corruption
-
-	got := p.Translate(va)
-	want := p.peek(va)
-	if got.HPA == want.HPA {
-		t.Fatal("corrupt memo entry was not served — corruption test is vacuous")
-	}
-	if got.HPA != want.HPA+addr.PageSize {
-		t.Fatalf("translate = %s, want the injected %s", got.HPA, want.HPA+addr.PageSize)
-	}
-
-	// Any table mutation moves the generation; the corrupt entry must
-	// never be served again.
-	if _, _, ok := env.Proc.PT.Unmap(v.Start); !ok {
-		t.Fatal("unmap failed")
-	}
-	got = p.Translate(va)
-	if !got.OK || got.HPA != want.HPA {
-		t.Fatalf("generation bump did not kill the corrupt entry: got %s ok=%v, want %s", got.HPA, got.OK, want.HPA)
 	}
 }

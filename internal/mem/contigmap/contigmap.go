@@ -49,6 +49,7 @@ func (c *Cluster) String() string {
 // keeps one per NUMA node, mirroring the per-zone buddy instance.
 type Map struct {
 	frames    *frame.Table
+	b         *buddy.Buddy // the zone's allocator; bounds neighbour probes
 	byID      map[uint32]*Cluster
 	head      *Cluster // lowest-address cluster
 	nextID    uint32
@@ -62,6 +63,7 @@ type Map struct {
 func New(frames *frame.Table, b *buddy.Buddy) *Map {
 	m := &Map{
 		frames: frames,
+		b:      b,
 		byID:   make(map[uint32]*Cluster),
 		nextID: 1,
 	}
@@ -198,9 +200,11 @@ func (m *Map) advanceRover(start addr.PFN, pages uint64, clusterEnd addr.PFN) {
 // --- buddy hook handlers ---
 
 // clusterOfBlock returns the cluster owning the free MAX_ORDER block at
-// head, if any, via the frame back-pointer.
+// head, if any, via the frame back-pointer. Blocks outside the zone are
+// never ours: the frame table is machine-wide, and a neighbouring
+// zone's records may be mutated concurrently by its own shard.
 func (m *Map) clusterOfBlock(head addr.PFN) *Cluster {
-	if !m.frames.Contains(head) {
+	if !m.b.Contains(head) {
 		return nil
 	}
 	id := m.frames.Get(head).Cluster

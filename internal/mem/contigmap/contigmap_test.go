@@ -3,6 +3,7 @@ package contigmap
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,33 @@ func newMapped(t testing.TB, nblocks uint64) (*Map, *buddy.Buddy, *frame.Table) 
 	ft := frame.NewTable(0, n)
 	b := buddy.New(ft, 0, n)
 	return New(ft, b), b, ft
+}
+
+// TestAdjacentZonesShareNoFrameRecords pins zone isolation: a map reads
+// only its own zone's frame records, so two zones over one frame table
+// can churn their boundary blocks from different goroutines (the
+// sharded aging ownership model) without a data race under -race.
+func TestAdjacentZonesShareNoFrameRecords(t *testing.T) {
+	n := uint64(4 * addr.MaxOrderPages)
+	ft := frame.NewTable(0, 2*n)
+	left := buddy.New(ft, 0, n)
+	right := buddy.New(ft, addr.PFN(n), n)
+	New(ft, left)
+	New(ft, right)
+	churn := func(b *buddy.Buddy, pfn addr.PFN) {
+		for i := 0; i < 200; i++ {
+			if err := b.AllocBlockAt(pfn, addr.MaxOrder); err != nil {
+				t.Error(err)
+				return
+			}
+			b.FreeBlock(pfn, addr.MaxOrder)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); churn(left, addr.PFN(n-addr.MaxOrderPages)) }()
+	go func() { defer wg.Done(); churn(right, addr.PFN(n)) }()
+	wg.Wait()
 }
 
 func TestInitialScanMergesWholeZone(t *testing.T) {

@@ -97,9 +97,9 @@ type Table struct {
 	ContigBits uint64 // leaves currently carrying the Contig bit
 
 	// gen counts translation-visible mutations (Map4K/Map2M/Unmap/
-	// SetContig). Software caches of walk results — the simulator-side
-	// analogue of the hardware paging-structure caches — key their
-	// entries to this counter and self-invalidate when it moves.
+	// SetContig). Software memos of walk results (the fault path's
+	// last-leaf cache) key their entries to this counter and
+	// self-invalidate when it moves.
 	gen uint64
 
 	// lookups counts Lookup calls — the probe-cost observable the
@@ -426,8 +426,8 @@ func (t *Table) SetContig(v addr.VirtAddr, on bool) bool {
 
 // Redirect points the leaf covering v at a new frame, preserving its
 // flags and size — page migration. Unlike mutating the PTE through
-// Lookup's pointer, Redirect bumps the generation, so walk caches never
-// serve the pre-migration frame.
+// Lookup's pointer, Redirect bumps the generation, so generation-keyed
+// memos never serve the pre-migration frame.
 func (t *Table) Redirect(v addr.VirtAddr, pfn addr.PFN) bool {
 	pte, pages, ok := t.Lookup(v)
 	if !ok {

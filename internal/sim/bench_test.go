@@ -29,7 +29,7 @@ func benchAccesses(b testing.TB, w workloads.Workload, n uint64) []workloads.Acc
 }
 
 // warmMachine builds a machine and runs every access through it once,
-// resolving demand faults and filling the TLB, walk cache, and scheme
+// resolving demand faults and filling the TLB and scheme
 // state outside the benchmark timer.
 func warmMachine(b testing.TB, env *workloads.Env, cfg Config, accs []workloads.Access) *machine {
 	b.Helper()
@@ -46,7 +46,7 @@ func warmMachine(b testing.TB, env *workloads.Env, cfg Config, accs []workloads.
 }
 
 // BenchmarkRunNative measures the steady-state per-access cost of the
-// native hot loop (TLB probe + memoized walk + scheme emulation). It
+// native hot loop (TLB probe + radix walk + scheme emulation). It
 // must report 0 allocs/op.
 func BenchmarkRunNative(b *testing.B) {
 	env := nativeEnv(b, osim.CAPolicy{})
@@ -97,25 +97,5 @@ func BenchmarkTLBLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t.Lookup(vas[i%len(vas)])
-	}
-}
-
-// BenchmarkWalkCached isolates a warm walk-cache hit against the full
-// nested resolve it memoizes (run with -bench=WalkCached and compare
-// against NoWalkCache by flipping the config below).
-func BenchmarkWalkCached(b *testing.B) {
-	env := virtEnv(b, osim.CAPolicy{}, osim.CAPolicy{})
-	w := workloads.NewPageRank()
-	if err := w.Setup(env, rand.New(rand.NewSource(1))); err != nil {
-		b.Fatal(err)
-	}
-	accs := benchAccesses(b, w, 1<<16)
-	m := warmMachine(b, env, Config{}, accs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if w := m.be.Translate(accs[i%len(accs)].VA); !w.OK {
-			b.Fatal("unresolvable access in warmed benchmark")
-		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"repro/internal/hw/translation"
 	"repro/internal/mem/addr"
 	"repro/internal/osim"
+	"repro/internal/osim/vma"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
 // mutStream replays a fixed access list through the legacy Next
 // interface, running side-effect hooks before chosen indices — the
-// mid-stream page-table mutations the walk cache must observe.
+// mid-stream page-table mutations the walk path must observe.
 type mutStream struct {
 	accs  []workloads.Access
 	hooks map[int]func()
@@ -32,53 +33,84 @@ func (s *mutStream) Next() (workloads.Access, bool) {
 	return a, true
 }
 
-// TestWalkCacheInvalidation pins the self-invalidation contract: after
-// pages are unmapped mid-stream, the memoized walk must miss (the
-// generation moved) and the unmapped pages must surface as counted
-// demand faults on the retry path — a stale cache would keep serving
-// the old translations with Faults = 0. The cached and uncached runs
-// must agree on every counter.
+// sweepAccesses maps and populates `pages` 4K pages (THP off, so a sweep
+// exceeds TLB reach and every access exercises the translate path) and
+// returns the VMA with two full sweeps over it.
+func sweepAccesses(t *testing.T, env *workloads.Env, pages uint64) (*vma.VMA, []workloads.Access) {
+	t.Helper()
+	env.Kernel.THPEnabled = false
+	v, err := env.MMap(pages * addr.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.Populate(v); err != nil {
+		t.Fatal(err)
+	}
+	var accs []workloads.Access
+	for sweep := 0; sweep < 2; sweep++ {
+		for i := uint64(0); i < pages; i++ {
+			accs = append(accs, workloads.Access{VA: v.Start.Add(i * addr.PageSize)})
+		}
+	}
+	return v, accs
+}
+
+// TestWalkCacheInvalidation pins the invalidation contract of the walk
+// path: after pages are unmapped mid-stream, the next walk must see
+// the live tables, so the unmapped pages surface as exactly
+// len(unmapped) counted demand faults on the retry path — any stale
+// cached translation would keep serving them with Faults = 0.
 func TestWalkCacheInvalidation(t *testing.T) {
 	const pages = 512
 	unmapped := []uint64{3, 100, 200}
-	run := func(noCache bool) Result {
-		env := nativeEnv(t, osim.CAPolicy{})
-		// 4K mappings so the 512-page sweep exceeds TLB reach and every
-		// access exercises the translate path.
-		env.Kernel.THPEnabled = false
-		v, err := env.MMap(pages * addr.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := env.Populate(v); err != nil {
-			t.Fatal(err)
-		}
-		var accs []workloads.Access
-		for sweep := 0; sweep < 2; sweep++ {
-			for i := uint64(0); i < pages; i++ {
-				accs = append(accs, workloads.Access{VA: v.Start.Add(i * addr.PageSize)})
+	env := nativeEnv(t, osim.CAPolicy{})
+	v, accs := sweepAccesses(t, env, pages)
+	hooks := map[int]func(){pages: func() {
+		for _, i := range unmapped {
+			if _, _, ok := env.Proc.PT.Unmap(v.Start.Add(i * addr.PageSize)); !ok {
+				t.Fatal("unmap target not mapped")
 			}
 		}
-		hooks := map[int]func(){pages: func() {
-			for _, i := range unmapped {
-				if _, _, ok := env.Proc.PT.Unmap(v.Start.Add(i * addr.PageSize)); !ok {
-					t.Fatal("unmap target not mapped")
-				}
+	}}
+	res, err := Run(env, &mutStream{accs: accs, hooks: hooks}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults != uint64(len(unmapped)) {
+		t.Fatalf("faults = %d, want %d (a stale translation would still serve the unmapped pages)",
+			res.Faults, len(unmapped))
+	}
+}
+
+// TestWalkSpansCountEveryMiss pins trace accuracy: every TLB miss of a
+// paged run is priced by one radix walk, so the tracer must see exactly
+// one walk span per counted miss — native walks in a native
+// environment, 2D walks in a nested one — even when the stream
+// revisits pages it has walked before.
+func TestWalkSpansCountEveryMiss(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		env  func(testing.TB) *workloads.Env
+		kind trace.Kind
+	}{
+		{"native", func(t testing.TB) *workloads.Env { return nativeEnv(t, osim.CAPolicy{}) }, trace.EvWalkNative},
+		{"nested", func(t testing.TB) *workloads.Env { return virtEnv(t, osim.CAPolicy{}, osim.CAPolicy{}) }, trace.EvWalk2D},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := tc.env(t)
+			_, accs := sweepAccesses(t, env, 512)
+			tr := trace.New()
+			res, err := Run(env, &mutStream{accs: accs}, Config{Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}}
-		res, err := Run(env, &mutStream{accs: accs, hooks: hooks}, Config{NoWalkCache: noCache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	cached := run(false)
-	if cached.Faults != uint64(len(unmapped)) {
-		t.Fatalf("faults = %d, want %d (a stale walk cache would still serve the unmapped pages)",
-			cached.Faults, len(unmapped))
-	}
-	if uncached := run(true); cached != uncached {
-		t.Fatalf("cached and uncached results differ:\n%+v\n%+v", cached, uncached)
+			if res.Faults != 0 || res.Misses <= 512 {
+				t.Fatalf("vacuous run: %d faults, %d misses over two 512-page sweeps", res.Faults, res.Misses)
+			}
+			if got := tr.Count(tc.kind); got != res.Misses {
+				t.Fatalf("%s spans = %d, want one per miss (%d)", tc.kind, got, res.Misses)
+			}
+		})
 	}
 }
 

@@ -55,18 +55,9 @@ type Config struct {
 	// ShadowExitCycles is the cost of one shadow-sync hypervisor exit
 	// (default 1200 cycles, a VM-exit round trip).
 	ShadowExitCycles float64
-	// NoWalkCache disables the software walk-memoization cache (the
-	// simulator's paging-structure-cache analogue). Results are
-	// identical either way — the cache self-invalidates on page-table
-	// generation changes — so the toggle exists only for regression
-	// comparison and microbenchmarks.
-	NoWalkCache bool
 	// Tracer, when non-nil, receives per-batch spans, walk spans, TLB
 	// miss/evict events, and SpOT predict/mispredict events from the
 	// run. Nil keeps the access loop branch-only (zero allocations).
-	// Note the walk cache memoizes walk *costs* too: a hot walk-cache
-	// probe emits no walk span, so walk spans undercount misses unless
-	// NoWalkCache is set.
 	Tracer *trace.Tracer
 }
 
@@ -171,7 +162,6 @@ func newMachine(env *workloads.Env, cfg Config) (*machine, error) {
 		TLBEntries:       cfg.TLBEntries,
 		TLBWays:          cfg.TLBWays,
 		RangeTLBEntries:  cfg.RangeTLBEntries,
-		NoWalkCache:      cfg.NoWalkCache,
 		ShadowPaging:     cfg.ShadowPaging,
 		ShadowExitCycles: cfg.ShadowExitCycles,
 	})

@@ -49,10 +49,12 @@ type ReplayConfig struct {
 	// zone.Machine view with its own kernel (the internal/aging
 	// ownership model), and tenant t is pinned to shard t%Shards.
 	Shards int
-	// Jobs bounds how many shard streams apply concurrently: 1 is
-	// serial, 0 means GOMAXPROCS. Results are identical at any value —
-	// each shard applies its own sub-stream in trace order and shards
-	// share no mutable state (pinned by the differential replay test).
+	// Jobs selects how shard streams apply: 1 applies them serially on
+	// the replaying goroutine, any larger value runs one goroutine per
+	// shard (it is not a concurrency bound), and <=0 means GOMAXPROCS.
+	// Results are identical at any value — each shard applies its own
+	// sub-stream in trace order and shards share no mutable state
+	// (pinned by the differential replay test).
 	Jobs int
 	// Policy is the shard kernels' placement policy, in check's
 	// vocabulary: check.PolicyDefault, check.PolicyCA (sorted
@@ -190,7 +192,6 @@ type rshard struct {
 	hogs    [][]workloads.HogExtent
 	budget  uint64
 	mapped  uint64
-	live    uint64
 	walk    float64
 	rows    []Row
 
@@ -295,8 +296,8 @@ func (e *Engine) ReplayEvents(events []Event) error {
 }
 
 // Replay streams records from the decoder and applies each to its
-// tenant's shard (tenant % Shards), shard streams in parallel up to
-// Jobs. The outcome — rows, Result, final machine state — is
+// tenant's shard (tenant % Shards), shard streams in parallel unless
+// Jobs is 1. The outcome — rows, Result, final machine state — is
 // deterministic for a given trace and config, independent of Jobs.
 func (e *Engine) Replay(d *Decoder) error {
 	var ev Event
@@ -360,10 +361,9 @@ func (e *Engine) replaySerial(next func() (Event, error)) error {
 
 // replayParallel runs one applier goroutine per shard behind buffered
 // channels. Shard sub-streams are applied in trace order and share
-// nothing, so this is byte-equivalent to replaySerial; Jobs>len(shards)
-// buys nothing, Jobs<len(shards) is honoured by a semaphore only in
-// spirit — each shard is one goroutine, the channel backpressure keeps
-// memory bounded either way.
+// nothing, so this is byte-equivalent to replaySerial. Each shard is
+// one goroutine whatever Jobs says; the channel backpressure keeps
+// memory bounded.
 func (e *Engine) replayParallel(next func() (Event, error)) error {
 	chans := make([]chan Event, len(e.shards))
 	errs := make([]error, len(e.shards))
@@ -410,13 +410,9 @@ func (e *Engine) replayParallel(next func() (Event, error)) error {
 func (s *rshard) tenantFor(id uint32) *rtenant {
 	t := s.tenants[id]
 	if t == nil {
-		t = &rtenant{}
-		s.tenants[id] = t
-	}
-	if t.env == nil {
-		t.env = workloads.NewNativeEnv(s.kern, 0)
+		t = &rtenant{env: workloads.NewNativeEnv(s.kern, 0)}
 		t.env.Daemons = s.daemons
-		s.live++
+		s.tenants[id] = t
 	}
 	return t
 }
@@ -457,7 +453,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		s.mapped += pages
 	case KindMUnmap:
 		t := s.tenants[ev.Tenant]
-		if t == nil || t.env == nil || len(t.vmas) == 0 {
+		if t == nil || len(t.vmas) == 0 {
 			s.skipped.Add(1)
 			break
 		}
@@ -507,7 +503,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		}
 	case KindFork:
 		t := s.tenants[ev.Tenant]
-		if t == nil || t.env == nil {
+		if t == nil {
 			s.skipped.Add(1)
 			break
 		}
@@ -519,11 +515,11 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		}
 	case KindExit:
 		t := s.tenants[ev.Tenant]
-		if t == nil || t.env == nil {
+		if t == nil {
 			s.skipped.Add(1)
 			break
 		}
-		s.exitTenant(t)
+		s.exitTenant(ev.Tenant, t)
 	case KindHog:
 		if len(s.hogs) >= maxHogSets {
 			s.skipped.Add(1)
@@ -569,7 +565,7 @@ func (e *Engine) apply(s *rshard, ev Event) error { return s.apply(e, ev) }
 // has no mapping to act on.
 func (s *rshard) pickVMA(tenant uint32, arg uint64) (*rtenant, *vma.VMA) {
 	t := s.tenants[tenant]
-	if t == nil || t.env == nil || len(t.vmas) == 0 {
+	if t == nil || len(t.vmas) == 0 {
 		return nil, nil
 	}
 	return t, t.vmas[int(arg%uint64(len(t.vmas)))]
@@ -586,13 +582,7 @@ func (s *rshard) accessBurst(ev Event) error {
 		return nil
 	}
 	if t.eng == nil {
-		// NoWalkCache: costs and counters are identical either way
-		// (the cache only memoizes), but its 64K-entry array would be
-		// allocated and zeroed on every tenant respawn — under churn
-		// that one allocation dominated the whole replay profile.
-		eng, err := sim.NewEngine(t.env, sim.Config{
-			TLBEntries: tlbEntries, TLBWays: tlbWays, NoWalkCache: true,
-		})
+		eng, err := sim.NewEngine(t.env, sim.Config{TLBEntries: tlbEntries, TLBWays: tlbWays})
 		if err != nil {
 			return fmt.Errorf("tracein: shard %d sim engine: %w", s.idx, err)
 		}
@@ -623,23 +613,19 @@ func (s *rshard) accessBurst(ev Event) error {
 }
 
 // exitTenant tears the tenant down: forked child first, then the sim
-// engine (detaching its page-table observer), then the process. The
-// slot stays and respawns on the tenant's next event.
-func (s *rshard) exitTenant(t *rtenant) {
+// engine (detaching its page-table observer), then the process, and
+// frees the tenant's slot. tenantFor recreates a fresh slot on the
+// tenant's next event, so the table holds only live tenants.
+func (s *rshard) exitTenant(id uint32, t *rtenant) {
 	if t.child != nil {
 		t.child.Exit()
-		t.child = nil
 	}
 	if t.eng != nil {
 		t.eng.Close()
-		t.eng = nil
 	}
 	t.env.Exit()
-	t.env = nil
-	t.vmas = nil
 	s.mapped -= t.pages
-	t.pages = 0
-	s.live--
+	delete(s.tenants, id)
 }
 
 // sample appends one trajectory row and closes the tracer span for the
@@ -659,7 +645,7 @@ func (s *rshard) sample(e *Engine) {
 		Faults:     s.faults.Load(),
 		RSSPages:   rss,
 		FreePages:  s.kern.Machine.FreePages(),
-		Tenants:    s.live,
+		Tenants:    uint64(len(s.tenants)),
 		Accesses:   s.accesses.Load(),
 		Misses:     s.misses.Load(),
 		WalkCycles: uint64(s.walk),

@@ -104,6 +104,49 @@ func TestReplayDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestReplayFreesExitedTenants pins that a shard's tenant table holds
+// only live tenants: slots are freed on exit, so a stream of many
+// short-lived distinct tenant IDs cannot grow it without bound.
+func TestReplayFreesExitedTenants(t *testing.T) {
+	const tenants = 600
+	var evs []Event
+	live := map[uint32]bool{}
+	for id := uint32(0); id < tenants; id++ {
+		evs = append(evs, Event{Kind: KindMMap, Tenant: id, Arg0: uint64(id)})
+		if id%7 == 0 {
+			live[id] = true
+			continue
+		}
+		evs = append(evs, Event{Kind: KindExit, Tenant: id})
+	}
+	e, err := NewEngine(ReplayConfig{Shards: 3, Jobs: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	if err := e.ReplayEvents(evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, s := range e.shards {
+		for id, rt := range s.tenants {
+			if !live[id] || rt.env == nil {
+				t.Fatalf("shard %d holds exited tenant %d", s.idx, id)
+			}
+			if int(id)%len(e.shards) != s.idx {
+				t.Fatalf("shard %d holds tenant %d of another shard", s.idx, id)
+			}
+		}
+		total += len(s.tenants)
+	}
+	if total != len(live) {
+		t.Fatalf("shards hold %d tenants, want the %d live ones", total, len(live))
+	}
+}
+
 // TestReplayStreaming pins that decoding straight off the wire gives
 // the same outcome as replaying a decoded slice.
 func TestReplayStreaming(t *testing.T) {

@@ -276,9 +276,9 @@ func (vm *VM) Walk(p *osim.Process, gva addr.VirtAddr) NestedWalk {
 
 // NestedTables returns the two page tables a nested walk for p
 // consults: the guest table (gVA→gPA) and the host backing table
-// (host VA→hPA). Walk memoization keys its entries to these tables'
-// generation counters: a cached gVA→hPA composition is valid only
-// while *both* generations stand still.
+// (host VA→hPA). A gVA→hPA composition derived from them is valid only
+// while *both* tables stand still, so derived-state consumers observe
+// both.
 func (vm *VM) NestedTables(p *osim.Process) (guest, host *pagetable.Table) {
 	return p.PT, vm.HostProc.PT
 }

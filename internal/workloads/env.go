@@ -83,13 +83,6 @@ type Env struct {
 	// Daemons are polled after every touch; they self-gate on the
 	// kernel's logical clock.
 	Daemons []Daemon
-
-	// NoRangeFault disables the batched range-fault population path:
-	// PopulateRange degrades to the historical per-page Touch loop.
-	// Every experiment table is byte-identical either way (pinned by
-	// runner.TestRangeFaultToggleMatches); the toggle exists for
-	// regression comparison and debugging.
-	NoRangeFault bool
 }
 
 // NewNativeEnv creates a process on the given kernel.
@@ -192,14 +185,6 @@ func (e *Env) PopulatePrefix(v *vma.VMA, bytes uint64) error {
 // kernel's clock. Promotion, migration, and fault service all Tick.)
 func (e *Env) PopulateRange(v *vma.VMA, start addr.VirtAddr, bytes uint64) error {
 	pages := addr.BytesToPages(bytes)
-	if e.NoRangeFault {
-		for off := uint64(0); off < pages*addr.PageSize; off += addr.PageSize {
-			if err := e.Touch(start.Add(off), true); err != nil {
-				return fmt.Errorf("populate %v at +%d: %w", v, uint64(start.Add(off)-v.Start), err)
-			}
-		}
-		return nil
-	}
 	va := start
 	quiescent := false
 	for pages > 0 {

@@ -61,13 +61,61 @@ func nestedEnv(t testing.TB, pl func() osim.Placement) *Env {
 	return NewVirtEnv(vm, 0)
 }
 
+// touchLoop is the per-page reference for PopulateRange: one write
+// Touch per page, every daemon polled after every touch.
+func touchLoop(env *Env, v *vma.VMA, start addr.VirtAddr, bytes uint64) error {
+	for off := uint64(0); off < addr.BytesToPages(bytes)*addr.PageSize; off += addr.PageSize {
+		if err := env.Touch(start.Add(off), true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// populateLayout builds SVM's address-space layout — a slack feature
+// VMA populated in chunks interleaved with page-cache reads, then a
+// model VMA and the small auxiliary VMAs — populating every range
+// through populate.
+func populateLayout(env *Env, populate func(env *Env, v *vma.VMA, start addr.VirtAddr, bytes uint64) error) error {
+	f := env.Kernel.Cache.CreateFile(svmDatasetBytes)
+	feat, err := env.MMapSlack(svmFeatureBytes, svmSlack)
+	if err != nil {
+		return err
+	}
+	const chunk = 4 * MiB
+	for off := uint64(0); off < svmFeatureBytes; off += chunk {
+		if off < svmDatasetBytes {
+			if err := env.Kernel.Cache.Read(f, off, min(chunk, svmDatasetBytes-off)); err != nil {
+				return err
+			}
+		}
+		if err := populate(env, feat, feat.Start.Add(off), min(chunk, svmFeatureBytes-off)); err != nil {
+			return err
+		}
+	}
+	sizes := []uint64{svmModelBytes}
+	for i := 0; i < svmSmallVMACount; i++ {
+		sizes = append(sizes, svmSmallVMABytes)
+	}
+	for _, bytes := range sizes {
+		v, err := env.MMap(bytes)
+		if err != nil {
+			return err
+		}
+		if err := populate(env, v, v.Start, v.Size()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // TestPopulateRangeMatchesTouchLoop pins the range-fault batching
 // contract: populating through PopulateRange leaves the simulator in a
-// state indistinguishable from the historical per-page Touch loop —
-// same page-table leaves (flags included), same fault counters and
-// latency traces, same logical clocks, same VMA accounting — under
-// every placement policy, with and without clock-gated daemons, native
-// and nested.
+// state indistinguishable from the per-page Touch loop over the same
+// mmapped layout — same page-table leaves (flags included), same fault
+// counters and latency traces, same logical clocks, same VMA
+// accounting — under every placement policy, with and without
+// clock-gated daemons, native and nested.
 func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -109,15 +157,14 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			run := func(noRange bool) popSnapshot {
+			run := func(name string, populate func(*Env, *vma.VMA, addr.VirtAddr, uint64) error) popSnapshot {
 				env := c.build(t)
-				env.NoRangeFault = noRange
-				if err := NewSVM().Setup(env, rand.New(rand.NewSource(1))); err != nil {
-					t.Fatalf("setup (NoRangeFault=%v): %v", noRange, err)
+				if err := populateLayout(env, populate); err != nil {
+					t.Fatalf("%s layout: %v", name, err)
 				}
 				return snapshotEnv(env)
 			}
-			want, got := run(true), run(false)
+			want, got := run("per-page", touchLoop), run("range", (*Env).PopulateRange)
 			if want.clock != got.clock {
 				t.Errorf("guest clock: per-page %d, range %d", want.clock, got.clock)
 			}
