@@ -5,10 +5,10 @@
 // RSS) as CSV. Whole-machine audits run throughout; an audit failure
 // exits non-zero, which is what the CI aging-smoke step gates on.
 //
-// With -shards N the campaign splits the machine into N zone-owning
-// shards stepped concurrently by -shardjobs workers and merged at a
-// deterministic epoch barrier; the trajectory depends on -shards but
-// never on -shardjobs.
+// The campaign splits the machine into -shards zone-owning shards
+// (default 1: one shard owning every zone) stepped concurrently by
+// -shardjobs workers and merged at a deterministic epoch barrier; the
+// trajectory depends on -shards but never on -shardjobs.
 //
 //	agingsim -policy ranger -steps 360 -csv traj.csv -trace trace.json
 //	agingsim -policy ca -shards 2 -shardjobs 2 -audit 1

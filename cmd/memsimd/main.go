@@ -52,8 +52,9 @@ type stream struct {
 const streamBuf = 1024
 
 // openStreams builds the input set: one per trace file, or -streams
-// synthetic generators. Each gets a feeding goroutine.
-func openStreams(files []string, synth, streams, tenants int, seed int64) ([]*stream, error) {
+// synthetic generators. Each gets a feeding goroutine, which returns
+// early once done closes so no feeder outlives its consumer.
+func openStreams(files []string, synth, streams, tenants int, seed int64, done <-chan struct{}) ([]*stream, error) {
 	var out []*stream
 	if len(files) > 0 {
 		for _, path := range files {
@@ -81,7 +82,11 @@ func openStreams(files []string, synth, streams, tenants int, seed int64) ([]*st
 						s.err = fmt.Errorf("%s: %w", s.name, err)
 						return
 					}
-					s.ch <- ev
+					select {
+					case s.ch <- ev:
+					case <-done:
+						return
+					}
 				}
 			}(f, d, s)
 		}
@@ -100,7 +105,11 @@ func openStreams(files []string, synth, streams, tenants int, seed int64) ([]*st
 			for _, ev := range tracein.Synth(tracein.SynthConfig{
 				Seed: seed + int64(i), Events: n, Tenants: tenants,
 			}) {
-				s.ch <- ev
+				select {
+				case s.ch <- ev:
+				case <-done:
+					return
+				}
 			}
 		}(i, n, s)
 	}
@@ -239,7 +248,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer eng.Close()
 
-	ins, err := openStreams(fs.Args(), *synth, *streams, *tenants, *seed)
+	// done releases every goroutine run starts (stream feeders, the
+	// signal watcher) on every return path.
+	done := make(chan struct{})
+	defer close(done)
+	ins, err := openStreams(fs.Args(), *synth, *streams, *tenants, *seed, done)
 	if err != nil {
 		fmt.Fprintln(stderr, "memsimd:", err)
 		return 2
@@ -254,7 +267,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer signal.Stop(sigc)
 	stopc := make(chan struct{})
 	go func() {
-		<-sigc
+		select {
+		case <-sigc:
+		case <-done:
+			return
+		}
 		fmt.Fprintln(stderr, "memsimd: signal received, draining")
 		sv.draining.Store(true)
 		eng.Stop()

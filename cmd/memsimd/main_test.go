@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -107,6 +110,34 @@ func TestMinEPSFloor(t *testing.T) {
 	args := []string{"-synth", "500", "-oneshot", "-mineps", "1e18"}
 	if code := run(args, &out, &errb); code != 3 {
 		t.Fatalf("exit %d, want 3 (stderr: %s)", code, errb.String())
+	}
+}
+
+// TestFailedStatusRunLeaksNoGoroutines pins that run releases every
+// goroutine it started on an early-return path: a -status address that
+// cannot be bound fails after the stream feeders and the signal watcher
+// are already running, and they must all exit.
+func TestFailedStatusRunLeaksNoGoroutines(t *testing.T) {
+	// os/signal starts one process-wide watcher on first use and keeps
+	// it; start it before taking the baseline.
+	warm := make(chan os.Signal, 1)
+	signal.Notify(warm, syscall.SIGUSR1)
+	signal.Stop(warm)
+
+	before := runtime.NumGoroutine()
+	var out, errb bytes.Buffer
+	// Port 99999 is out of range, so the listen fails without any
+	// address lookup.
+	args := []string{"-synth", "20000", "-streams", "3", "-oneshot", "-status", "127.0.0.1:99999"}
+	if code := run(args, &out, &errb); code != 2 {
+		t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines: %d before the failed run, %d after", before, after)
 	}
 }
 

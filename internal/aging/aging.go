@@ -7,6 +7,12 @@
 // of snapshots, and periodically cross-checks the whole machine with
 // internal/check audits.
 //
+// A campaign is a set of shards, each owning a subset of the machine's
+// zones with its own kernel, daemons, rng stream, and tenants. Every
+// epoch steps the shards (concurrently, race-free) and then merges
+// their cross-shard effects at a serial barrier. Shards=1 is one shard
+// owning every zone, run by the same loop.
+//
 // The harness exists because the steady-state experiment drivers never
 // exercise the full process lifecycle: the Ranger plan leak and the
 // Ingens fork/promote CoW clobber (see the churn regression tests in
@@ -35,6 +41,18 @@ import (
 	"repro/internal/workloads"
 )
 
+// Fixed campaign constants.
+const (
+	// minFootprintPages is the smallest tenant footprint (1 MiB).
+	minFootprintPages = 256
+	// reclaimFreeFrac is the free-memory floor handed to the page
+	// cache's ReclaimUnder under memory pressure and after cache churn.
+	reclaimFreeFrac = 0.1
+	// settleEpochs is the number of daemon epochs a shard ticks after
+	// every churn step.
+	settleEpochs = 2
+)
+
 // Config parameterises one aging campaign. Zero values select the
 // defaults noted on each field.
 type Config struct {
@@ -52,10 +70,9 @@ type Config struct {
 	// MaxTenants caps the concurrently live tenant population
 	// (default 8).
 	MaxTenants int
-	// MinFootprintPages / MaxFootprintPages bound tenant footprints;
-	// draws are Min + Zipf(Max-Min), skewing small (defaults 256 and
-	// 16384 pages: 1 MiB to 64 MiB).
-	MinFootprintPages uint64
+	// MaxFootprintPages bounds tenant footprints; draws are
+	// minFootprintPages + Zipf(Max - minFootprintPages), skewing small
+	// (default 16384 pages: footprints span 1 MiB to 64 MiB).
 	MaxFootprintPages uint64
 	// ZipfS is the Zipf skew exponent (must be > 1; default 1.4).
 	ZipfS float64
@@ -65,39 +82,32 @@ type Config struct {
 	// CacheChurnEvery reads a fresh file every N steps (default 7;
 	// -1 disables cache churn).
 	CacheChurnEvery int
-	// ReclaimFreeFrac is the free-memory floor handed to the page
-	// cache's ReclaimUnder after cache churn (default 0.1).
-	ReclaimFreeFrac float64
-	// SettleEpochs is the number of daemon epochs ticked after every
-	// churn step (default 2).
-	SettleEpochs int
 	// Pinned are frame extents the audits must treat as intentionally
 	// allocated outside any process (boot reservations).
 	Pinned []check.Extent
 
 	// Shards splits the campaign into independently stepped tenant
-	// streams (default 1: the historical single-stream campaign,
-	// byte-identical to earlier releases). With N > 1 the machine's
-	// zones are dealt round-robin to N shards; each shard owns its
-	// zones outright through a zone view and steps with its own
-	// kernel, daemon set, RNG stream, and logical clock, so shards
-	// can run concurrently without sharing any mutable state. An
-	// explicit epoch barrier merges the cross-shard effects —
-	// OOM-driven reclaim of the parent's page cache, cache churn,
-	// snapshots, and whole-machine audits — in shard-index order.
-	// Shards is clamped to the zone count.
+	// streams (default 1, also for negative values: one shard owning
+	// every zone). The machine's zones are dealt round-robin to the
+	// shards; each shard owns its zones outright through a zone view
+	// and steps with its own kernel, daemon set, RNG stream, and
+	// logical clock, so shards can run concurrently without sharing
+	// any mutable state. An explicit epoch barrier merges the
+	// cross-shard effects — OOM-driven reclaim of the parent's page
+	// cache, cache churn, snapshots, and whole-machine audits — in
+	// shard-index order. Shards is clamped to the zone count.
 	Shards int
-	// ShardJobs bounds the workers stepping shards concurrently when
-	// Shards > 1 (<=0 selects GOMAXPROCS; 1 steps shards serially).
-	// Trajectories are deterministic in (Seed, Shards) and
-	// byte-identical at every ShardJobs value; only wall-clock moves.
+	// ShardJobs bounds the workers stepping shards concurrently
+	// (<=0 selects GOMAXPROCS; 1 steps shards serially). Trajectories
+	// are deterministic in (Seed, Shards) and byte-identical at every
+	// ShardJobs value; only wall-clock moves.
 	ShardJobs int
-	// NewShardKernel builds one shard's kernel when Shards > 1: given
-	// the shard's zone view and index it returns the kernel (policy
-	// attached, no boot reservations — the parent kernel owns those)
-	// and the shard's private daemon set. Required when Shards > 1
-	// (Run returns an error without it); experiments.RunAgingCampaign
-	// supplies the standard construction.
+	// NewShardKernel builds one shard's kernel: given the shard's zone
+	// view and index it returns the kernel (policy attached, no boot
+	// reservations — the parent kernel owns those) and the shard's
+	// private daemon set. Required at every shard count (Run returns
+	// an error without it); experiments.RunAgingCampaign supplies the
+	// standard construction.
 	NewShardKernel func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon)
 }
 
@@ -115,9 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxTenants == 0 {
 		c.MaxTenants = 8
 	}
-	if c.MinFootprintPages == 0 {
-		c.MinFootprintPages = 256
-	}
 	if c.MaxFootprintPages == 0 {
 		c.MaxFootprintPages = 16384
 	}
@@ -130,13 +137,7 @@ func (c Config) withDefaults() Config {
 	if c.CacheChurnEvery == 0 {
 		c.CacheChurnEvery = 7
 	}
-	if c.ReclaimFreeFrac == 0 {
-		c.ReclaimFreeFrac = 0.1
-	}
-	if c.SettleEpochs == 0 {
-		c.SettleEpochs = 2
-	}
-	if c.Shards == 0 {
+	if c.Shards <= 0 {
 		c.Shards = 1
 	}
 	return c
@@ -208,13 +209,14 @@ type tenant struct {
 	pages uint64 // footprint in base pages
 }
 
-// Campaign drives one aging run over a kernel and its daemons.
+// Campaign drives one aging run: the parent kernel k owns the shared
+// page cache and the machine-wide measurements, and the shards own
+// every tenant.
 type Campaign struct {
-	k    *osim.Kernel
-	ds   []workloads.Daemon
-	cfg  Config
-	rng  *rand.Rand
-	zipf *rand.Zipf
+	k   *osim.Kernel
+	cfg Config
+	// rng is the parent's stream; only cacheChurn draws from it.
+	rng *rand.Rand
 
 	// auditor is the campaign's reusable audit arena: one flat-array
 	// Auditor held for the whole run, so the periodic whole-machine
@@ -222,13 +224,8 @@ type Campaign struct {
 	// of rebuilding hash maps at every audit.
 	auditor *check.Auditor
 
-	tenants  []*tenant
-	arrivals int // total tenants ever admitted (round-robins zones)
-
-	// shards is non-empty when cfg.Shards > 1: the campaign steps the
-	// shards (concurrently up to cfg.ShardJobs) and merges their
-	// effects at epoch barriers; the parent kernel k then serves only
-	// the shared page cache and the machine-wide measurements.
+	// shards are stepped concurrently up to cfg.ShardJobs, and their
+	// effects are merged at epoch barriers.
 	shards []*shard
 
 	gaugeIDs struct {
@@ -275,19 +272,21 @@ type pendingArrival struct {
 	pages uint64
 }
 
-// New builds a campaign over an existing kernel and daemon set. The
-// kernel's policy and daemons define the anti-fragmentation regime
-// under test; the campaign only churns tenants and the page cache.
+// New builds a campaign over an existing kernel. The kernel's policy,
+// and the per-shard kernels and daemons cfg.NewShardKernel builds,
+// define the anti-fragmentation regime under test; the campaign only
+// churns tenants and the page cache. ds is the parent kernel's daemon
+// set and is never polled: the parent runs no tenants, every tenant
+// lives on a shard kernel with that shard's own daemons.
 func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	span := cfg.MaxFootprintPages - cfg.MinFootprintPages
+	if cfg.Shards > len(k.Machine.Zones) {
+		cfg.Shards = len(k.Machine.Zones)
+	}
 	c := &Campaign{
 		k:       k,
-		ds:      ds,
 		cfg:     cfg,
-		rng:     rng,
-		zipf:    rand.NewZipf(rng, cfg.ZipfS, 1, span),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		auditor: check.NewAuditor(k.Machine),
 	}
 	t := k.Tracer
@@ -298,62 +297,58 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 	c.gaugeIDs.frag = t.Gauge("aging.frag_permille")
 	c.gaugeIDs.ufi2m = t.Gauge("aging.ufi2m_permille")
 
-	if shards := c.cfg.Shards; shards > 1 {
-		if shards > len(k.Machine.Zones) {
-			shards = len(k.Machine.Zones)
-			c.cfg.Shards = shards
-		}
+	if cfg.NewShardKernel == nil {
+		c.err = errors.New("aging: Config.NewShardKernel is required")
+		return c
 	}
-	if c.cfg.Shards > 1 {
-		if cfg.NewShardKernel == nil {
-			c.err = errors.New("aging: Config.Shards > 1 requires NewShardKernel")
-			return c
+	span := cfg.MaxFootprintPages - minFootprintPages
+	for s := 0; s < cfg.Shards; s++ {
+		var owned []int
+		for z := s; z < len(k.Machine.Zones); z += cfg.Shards {
+			owned = append(owned, z)
 		}
-		for s := 0; s < c.cfg.Shards; s++ {
-			var owned []int
-			for z := s; z < len(k.Machine.Zones); z += c.cfg.Shards {
-				owned = append(owned, z)
-			}
-			sk, sds := cfg.NewShardKernel(k.Machine.View(owned...), s)
-			// Decorrelate the shard streams from each other and from
-			// the parent's cache-churn stream with a fixed odd-multiplier
-			// seed derivation (deterministic in Seed and shard index).
-			srng := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(s+1)*0x9E3779B97F4A7C15)))
-			c.shards = append(c.shards, &shard{
-				idx:  s,
-				k:    sk,
-				ds:   sds,
-				rng:  srng,
-				zipf: rand.NewZipf(srng, cfg.ZipfS, 1, span),
-			})
-		}
+		sk, sds := cfg.NewShardKernel(k.Machine.View(owned...), s)
+		// Decorrelate the shard streams from each other and from the
+		// parent's cache-churn stream with a fixed odd-multiplier seed
+		// derivation (deterministic in Seed and shard index).
+		srng := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(s+1)*0x9E3779B97F4A7C15)))
+		c.shards = append(c.shards, &shard{
+			idx:  s,
+			k:    sk,
+			ds:   sds,
+			rng:  srng,
+			zipf: rand.NewZipf(srng, cfg.ZipfS, 1, span),
+		})
 	}
 	return c
 }
 
 // Run executes the campaign and returns its trajectory. A non-nil
 // error means the configuration was invalid (nil trajectory) or a
-// whole-machine audit failed (the trajectory up to the failing
-// snapshot is returned alongside it).
+// step or whole-machine audit failed (the trajectory up to the
+// failure is returned alongside it).
+//
+// Each epoch has two phases. The parallel phase steps every shard
+// once — churn, then the shard's private daemon settle — touching only
+// shard-owned state (its kernel and clock, its view's zones and frame
+// records, its rng/zipf stream, its tenants), which makes the phase
+// race-free at any ShardJobs and its outcome independent of worker
+// interleaving. The serial barrier then merges the cross-shard effects
+// in shard-index order: deferred OOM handling against the parent's
+// page cache, periodic cache churn on the parent kernel (which may
+// allocate from any zone — safe, nothing else runs), snapshots over
+// the union machine, and multi-kernel audits.
 func (c *Campaign) Run() (*Trajectory, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
-	if len(c.shards) > 0 {
-		return c.runSharded()
-	}
 	tr := &Trajectory{Policy: c.k.Policy.Name()}
 	sinceSnap, snaps := 0, 0
 	for step := 1; step <= c.cfg.Steps; step++ {
-		if err := c.churnStep(); err != nil {
-			return tr, fmt.Errorf("aging: step %d: %w", step, err)
+		c.stepShards(step)
+		if err := c.barrier(step); err != nil {
+			return tr, err
 		}
-		if c.cfg.CacheChurnEvery > 0 && step%c.cfg.CacheChurnEvery == 0 {
-			if err := c.cacheChurn(); err != nil {
-				return tr, fmt.Errorf("aging: step %d cache churn: %w", step, err)
-			}
-		}
-		workloads.SettleDaemons(c.k, c.ds, c.cfg.SettleEpochs)
 
 		sinceSnap++
 		if sinceSnap < c.cfg.SnapshotEvery && step != c.cfg.Steps {
@@ -363,18 +358,20 @@ func (c *Campaign) Run() (*Trajectory, error) {
 		snaps++
 		tr.Snapshots = append(tr.Snapshots, c.snapshot(step))
 		if c.cfg.AuditEvery > 0 && snaps%c.cfg.AuditEvery == 0 {
-			if err := c.auditor.Audit(c.k, c.cfg.Pinned); err != nil {
+			if err := c.audit(); err != nil {
 				return tr, fmt.Errorf("aging: audit after step %d: %w", step, err)
 			}
 		}
 	}
-	// Drain the tenant population so the final audit also covers the
+	// Drain every shard's tenants so the final audit also covers the
 	// teardown path (where the lifecycle bugs lived).
-	for len(c.tenants) > 0 {
-		c.exitTenant(len(c.tenants) - 1)
+	for _, s := range c.shards {
+		for len(s.tenants) > 0 {
+			s.exit(len(s.tenants) - 1)
+		}
+		workloads.SettleDaemons(s.k, s.ds, settleEpochs)
 	}
-	workloads.SettleDaemons(c.k, c.ds, c.cfg.SettleEpochs)
-	if err := c.auditor.Audit(c.k, c.cfg.Pinned); err != nil {
+	if err := c.audit(); err != nil {
 		return tr, fmt.Errorf("aging: final audit: %w", err)
 	}
 	return tr, nil
@@ -398,8 +395,8 @@ const (
 // bounds: an empty population always arrives, a full one never does,
 // and the last live tenant never exits. It consumes exactly one rng
 // draw, so callers can interleave it with their own parameter draws and
-// stay deterministic. The campaigns' churnStep/shardChurn draw from it,
-// and tracein.Synth reuses it so synthesized serving traces mirror the
+// stay deterministic. Every campaign shard draws its churn from it, and
+// tracein.Synth reuses it so synthesized serving traces mirror the
 // aging campaigns' arrival/exit dynamics.
 func ChurnRoll(rng *rand.Rand, live, maxTenants int) ChurnAction {
 	roll := rng.Intn(10)
@@ -413,80 +410,6 @@ func ChurnRoll(rng *rand.Rand, live, maxTenants int) ChurnAction {
 	}
 }
 
-// churnStep performs one tenant lifecycle action, chosen from the
-// ChurnRoll mix.
-func (c *Campaign) churnStep() error {
-	switch ChurnRoll(c.rng, len(c.tenants), c.cfg.MaxTenants) {
-	case ChurnArrive:
-		return c.arrive()
-	case ChurnTouch:
-		return c.touch()
-	default:
-		c.exitTenant(c.rng.Intn(len(c.tenants)))
-		return nil
-	}
-}
-
-// arrive admits one tenant with a Zipf-skewed footprint and populates
-// it. Under memory pressure the page cache is squeezed first; a tenant
-// that still cannot fit is torn down again (the simulated OOM kill),
-// which is itself lifecycle churn worth exercising.
-func (c *Campaign) arrive() error {
-	pages := c.cfg.MinFootprintPages + c.zipf.Uint64()
-	zone := c.arrivals % len(c.k.Machine.Zones)
-	c.arrivals++
-	env := workloads.NewNativeEnv(c.k, zone)
-	env.Daemons = c.ds
-	v, err := env.MMap(addr.PagesToBytes(pages))
-	if err != nil {
-		return err
-	}
-	err = env.Populate(v)
-	if errors.Is(err, osim.ErrOOM) {
-		c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
-		err = env.Populate(v)
-	}
-	if errors.Is(err, osim.ErrOOM) {
-		env.Exit()
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	c.tenants = append(c.tenants, &tenant{env: env, vma: v, pages: pages})
-	return nil
-}
-
-// touch revisits a random contiguous chunk of a random tenant's
-// footprint, re-dirtying it (and faulting any pages an eager policy
-// left unmapped after migrations).
-func (c *Campaign) touch() error {
-	t := c.tenants[c.rng.Intn(len(c.tenants))]
-	v := t.vma
-	chunk := t.pages / 4
-	if chunk == 0 {
-		chunk = t.pages
-	}
-	start := uint64(0)
-	if t.pages > chunk {
-		start = uint64(c.rng.Int63n(int64(t.pages - chunk)))
-	}
-	err := t.env.PopulateRange(v, v.Start.Add(addr.PagesToBytes(start)), addr.PagesToBytes(chunk))
-	if errors.Is(err, osim.ErrOOM) {
-		// Pressure: squeeze the cache and move on; the next touch
-		// retries naturally.
-		c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
-		return nil
-	}
-	return err
-}
-
-// exitTenant tears down tenant i.
-func (c *Campaign) exitTenant(i int) {
-	c.tenants[i].env.Exit()
-	c.tenants = append(c.tenants[:i], c.tenants[i+1:]...)
-}
-
 // cacheChurn reads a fresh dataset file through the page cache and
 // applies eviction pressure, alternating DropOldest with the free-frac
 // reclaim sweep.
@@ -498,107 +421,8 @@ func (c *Campaign) cacheChurn() error {
 	if c.rng.Intn(2) == 0 {
 		c.k.Cache.DropOldest()
 	}
-	c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
+	c.k.Cache.ReclaimUnder(reclaimFreeFrac)
 	return nil
-}
-
-// snapshot measures the machine and records/emits one trajectory point.
-func (c *Campaign) snapshot(step int) Snapshot {
-	var rss uint64
-	for _, p := range c.k.Processes() {
-		rss += p.RSSPages
-	}
-	return c.emitSnapshot(Snapshot{
-		Step:     step,
-		ClockNs:  c.k.Clock,
-		Tenants:  len(c.tenants),
-		RSSPages: rss,
-		Faults:   c.k.Stats.TotalFaults(),
-	})
-}
-
-// emitSnapshot fills the machine-wide fields of a partially measured
-// snapshot (the caller provides the per-stream ones), refreshes the
-// campaign gauges, and emits the snapshot event plus a counter sample.
-func (c *Campaign) emitSnapshot(s Snapshot) Snapshot {
-	// Sum the buddies' per-order counters instead of walking every free
-	// block: snapshots are on the campaign hot path, and the counter read
-	// is O(orders) where the visitor was O(free blocks).
-	var hist [addr.MaxOrder + 1]uint64
-	for _, z := range c.k.Machine.Zones {
-		oc := z.Buddy.OrderCounts()
-		for o, n := range oc {
-			hist[o] += n
-		}
-	}
-	ufi2m := metrics.UnusableFreeIndex(hist, addr.HugeOrder)
-	s.CachePages = c.k.Cache.ResidentPages
-	s.FreePages = c.k.Machine.FreePages()
-	s.FragPermille = uint64(ufi2m*1000 + 0.5)
-	s.UFI2M = ufi2m
-	s.UFIMax = metrics.UnusableFreeIndex(hist, addr.MaxOrder)
-
-	t := c.k.Tracer
-	t.SetGauge(c.gaugeIDs.tenants, uint64(s.Tenants))
-	t.SetGauge(c.gaugeIDs.rss, s.RSSPages)
-	t.SetGauge(c.gaugeIDs.cache, s.CachePages)
-	t.SetGauge(c.gaugeIDs.free, s.FreePages)
-	t.SetGauge(c.gaugeIDs.frag, s.FragPermille)
-	t.SetGauge(c.gaugeIDs.ufi2m, uint64(s.UFI2M*1000+0.5))
-	t.Emit(trace.EvAgingSnapshot, uint64(s.Step), s.RSSPages, s.FragPermille)
-	c.k.Machine.TraceDepths()
-	t.Sample()
-	return s
-}
-
-// --- sharded campaign ---
-//
-// With cfg.Shards > 1 each epoch has two phases. The parallel phase
-// steps every shard once — churn, then the shard's private daemon
-// settle — touching only shard-owned state (its kernel and clock, its
-// view's zones and frame records, its rng/zipf stream, its tenants),
-// which makes the phase race-free at any ShardJobs and its outcome
-// independent of worker interleaving. The serial barrier then merges
-// the cross-shard effects in shard-index order: deferred OOM handling
-// against the parent's page cache, periodic cache churn on the parent
-// kernel (which may allocate from any zone — safe, nothing else runs),
-// snapshots over the union machine, and multi-kernel audits.
-
-// runSharded is Run for Shards > 1.
-func (c *Campaign) runSharded() (*Trajectory, error) {
-	tr := &Trajectory{Policy: c.k.Policy.Name()}
-	sinceSnap, snaps := 0, 0
-	for step := 1; step <= c.cfg.Steps; step++ {
-		c.stepShards(step)
-		if err := c.barrier(step); err != nil {
-			return tr, err
-		}
-
-		sinceSnap++
-		if sinceSnap < c.cfg.SnapshotEvery && step != c.cfg.Steps {
-			continue
-		}
-		sinceSnap = 0
-		snaps++
-		tr.Snapshots = append(tr.Snapshots, c.snapshotSharded(step))
-		if c.cfg.AuditEvery > 0 && snaps%c.cfg.AuditEvery == 0 {
-			if err := c.auditSharded(); err != nil {
-				return tr, fmt.Errorf("aging: audit after step %d: %w", step, err)
-			}
-		}
-	}
-	// Drain every shard's tenants so the final audit covers teardown,
-	// mirroring the single-stream campaign.
-	for _, s := range c.shards {
-		for len(s.tenants) > 0 {
-			s.exit(len(s.tenants) - 1)
-		}
-		workloads.SettleDaemons(s.k, s.ds, c.cfg.SettleEpochs)
-	}
-	if err := c.auditSharded(); err != nil {
-		return tr, fmt.Errorf("aging: final audit: %w", err)
-	}
-	return tr, nil
 }
 
 // shardJobs resolves the parallel-phase worker bound.
@@ -639,11 +463,11 @@ func (c *Campaign) stepShards(step int) {
 func (c *Campaign) shardStep(s *shard, step int) {
 	t := c.k.Tracer
 	start := t.Start()
-	if err := c.shardChurn(s); err != nil {
+	if err := c.churn(s); err != nil {
 		s.err = err
 		return
 	}
-	workloads.SettleDaemons(s.k, s.ds, c.cfg.SettleEpochs)
+	workloads.SettleDaemons(s.k, s.ds, settleEpochs)
 	t.EmitSpan(trace.EvShardEpoch, start, uint64(s.idx), uint64(step), s.k.Clock)
 }
 
@@ -660,25 +484,26 @@ func (c *Campaign) shardMaxTenants(idx int) int {
 	return n
 }
 
-// shardChurn is churnStep on one shard's private stream.
-func (c *Campaign) shardChurn(s *shard) error {
+// churn performs one tenant lifecycle action on the shard's private
+// stream, chosen from the ChurnRoll mix.
+func (c *Campaign) churn(s *shard) error {
 	switch ChurnRoll(s.rng, len(s.tenants), c.shardMaxTenants(s.idx)) {
 	case ChurnArrive:
-		return c.shardArrive(s)
+		return s.arrive()
 	case ChurnTouch:
-		return c.shardTouch(s)
+		return s.touch()
 	default:
 		s.exit(s.rng.Intn(len(s.tenants)))
 		return nil
 	}
 }
 
-// shardArrive admits one tenant into the shard's own zones. An OOM is
-// not resolved here — reclaiming the parent's page cache is a
-// cross-shard effect — so the admission parks on the pending list for
-// the barrier to retry.
-func (c *Campaign) shardArrive(s *shard) error {
-	pages := c.cfg.MinFootprintPages + s.zipf.Uint64()
+// arrive admits one tenant with a Zipf-skewed footprint into the
+// shard's own zones and populates it. An OOM is not resolved here —
+// reclaiming the parent's page cache is a cross-shard effect — so the
+// admission parks on the pending list for the barrier to retry.
+func (s *shard) arrive() error {
+	pages := minFootprintPages + s.zipf.Uint64()
 	zoneIdx := s.arrivals % len(s.k.Machine.Zones)
 	s.arrivals++
 	env := workloads.NewNativeEnv(s.k, zoneIdx)
@@ -703,9 +528,11 @@ func (c *Campaign) shardArrive(s *shard) error {
 	return nil
 }
 
-// shardTouch is touch on a shard tenant; OOM defers the cache squeeze
-// to the barrier and moves on (the next touch retries naturally).
-func (c *Campaign) shardTouch(s *shard) error {
+// touch revisits a random contiguous chunk of a random shard tenant's
+// footprint, re-dirtying it (and faulting any pages an eager policy
+// left unmapped after migrations). OOM defers the cache squeeze to the
+// barrier and moves on; the next touch retries naturally.
+func (s *shard) touch() error {
 	t := s.tenants[s.rng.Intn(len(s.tenants))]
 	v := t.vma
 	chunk := t.pages / 4
@@ -746,11 +573,11 @@ func (c *Campaign) barrier(step int) error {
 	for _, s := range c.shards {
 		if s.wantReclaim {
 			s.wantReclaim = false
-			c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
+			c.k.Cache.ReclaimUnder(reclaimFreeFrac)
 		}
 		for _, pa := range s.pending {
 			retried++
-			c.k.Cache.ReclaimUnder(c.cfg.ReclaimFreeFrac)
+			c.k.Cache.ReclaimUnder(reclaimFreeFrac)
 			v := pa.vma
 			if v == nil {
 				var err error
@@ -784,11 +611,12 @@ func (c *Campaign) barrier(step int) error {
 	return nil
 }
 
-// snapshotSharded measures across every shard kernel plus the parent.
-// ClockNs composes the parent's clock (cache churn, reclaim) with the
-// slowest shard's — logical time advanced in parallel, so the campaign
-// "took" as long as its slowest stream.
-func (c *Campaign) snapshotSharded(step int) Snapshot {
+// snapshot measures across every shard kernel plus the parent,
+// refreshes the campaign gauges, and emits the snapshot event plus a
+// counter sample. ClockNs composes the parent's clock (cache churn,
+// reclaim) with the slowest shard's — logical time advanced in
+// parallel, so the campaign "took" as long as its slowest stream.
+func (c *Campaign) snapshot(step int) Snapshot {
 	var rss, faults, maxClock uint64
 	tenants := 0
 	for _, s := range c.shards {
@@ -801,19 +629,47 @@ func (c *Campaign) snapshotSharded(step int) Snapshot {
 			maxClock = s.k.Clock
 		}
 	}
-	return c.emitSnapshot(Snapshot{
-		Step:     step,
-		ClockNs:  c.k.Clock + maxClock,
-		Tenants:  tenants,
-		RSSPages: rss,
-		Faults:   faults + c.k.Stats.TotalFaults(),
-	})
+	// Sum the buddies' per-order counters instead of walking every free
+	// block: snapshots are on the campaign hot path, and the counter read
+	// is O(orders) where the visitor was O(free blocks).
+	var hist [addr.MaxOrder + 1]uint64
+	for _, z := range c.k.Machine.Zones {
+		oc := z.Buddy.OrderCounts()
+		for o, n := range oc {
+			hist[o] += n
+		}
+	}
+	ufi2m := metrics.UnusableFreeIndex(hist, addr.HugeOrder)
+	s := Snapshot{
+		Step:         step,
+		ClockNs:      c.k.Clock + maxClock,
+		Tenants:      tenants,
+		RSSPages:     rss,
+		CachePages:   c.k.Cache.ResidentPages,
+		FreePages:    c.k.Machine.FreePages(),
+		FragPermille: uint64(ufi2m*1000 + 0.5),
+		UFI2M:        ufi2m,
+		UFIMax:       metrics.UnusableFreeIndex(hist, addr.MaxOrder),
+		Faults:       faults + c.k.Stats.TotalFaults(),
+	}
+
+	t := c.k.Tracer
+	t.SetGauge(c.gaugeIDs.tenants, uint64(s.Tenants))
+	t.SetGauge(c.gaugeIDs.rss, s.RSSPages)
+	t.SetGauge(c.gaugeIDs.cache, s.CachePages)
+	t.SetGauge(c.gaugeIDs.free, s.FreePages)
+	t.SetGauge(c.gaugeIDs.frag, s.FragPermille)
+	t.SetGauge(c.gaugeIDs.ufi2m, uint64(s.UFI2M*1000+0.5))
+	t.Emit(trace.EvAgingSnapshot, uint64(s.Step), s.RSSPages, s.FragPermille)
+	c.k.Machine.TraceDepths()
+	t.Sample()
+	return s
 }
 
-// auditSharded runs the multi-kernel whole-machine audit: references
-// are gathered from every shard's processes and the parent's page
-// cache before one frame sweep over the union machine.
-func (c *Campaign) auditSharded() error {
+// audit runs the multi-kernel whole-machine audit: references are
+// gathered from every shard's processes and the parent's page cache
+// before one frame sweep over the union machine.
+func (c *Campaign) audit() error {
 	ks := make([]*osim.Kernel, 0, len(c.shards)+1)
 	ks = append(ks, c.k)
 	for _, s := range c.shards {

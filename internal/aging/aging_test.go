@@ -2,6 +2,8 @@ package aging_test
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,8 +12,16 @@ import (
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
 	"repro/internal/osim/daemon"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
+
+// shardCounts are the shard counts every campaign contract is checked
+// at: one shard owning both test zones, and one shard per zone.
+var shardCounts = []int{1, 2}
+
+// policies are the placement policies every campaign gate covers.
+var policies = []string{"thp", "ingens", "ca", "eager", "ranger"}
 
 // newKernel builds a small two-zone machine under the named policy.
 func newKernel(t *testing.T, policy string) (*osim.Kernel, []workloads.Daemon) {
@@ -20,119 +30,276 @@ func newKernel(t *testing.T, policy string) (*osim.Kernel, []workloads.Daemon) {
 		ZonePages:      []uint64{48 * addr.MaxOrderPages, 48 * addr.MaxOrderPages},
 		SortedMaxOrder: policy == "ca",
 	})
-	var k *osim.Kernel
-	var ds []workloads.Daemon
-	switch policy {
-	case "thp":
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-	case "ingens":
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-		ds = append(ds, daemon.NewIngens(k))
-	case "ca":
-		k = osim.NewKernel(m, osim.CAPolicy{})
-	case "eager":
-		k = osim.NewKernel(m, osim.EagerPolicy{})
-	case "ranger":
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-		ds = append(ds, daemon.NewRanger(k))
-	default:
-		t.Fatalf("unknown policy %q", policy)
+	return shardFactory(policy)(m, 0)
+}
+
+// shardFactory mirrors experiments.shardKernelFactory for the test
+// policies: shard kernels share the parent's placement policy over
+// their zone view, with private daemon instances.
+func shardFactory(policy string) func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
+	return func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
+		var k *osim.Kernel
+		var ds []workloads.Daemon
+		switch policy {
+		case "thp":
+			k = osim.NewKernel(view, osim.DefaultPolicy{})
+		case "ingens":
+			k = osim.NewKernel(view, osim.DefaultPolicy{})
+			ds = append(ds, daemon.NewIngens(k))
+		case "ca":
+			k = osim.NewKernel(view, osim.CAPolicy{})
+		case "eager":
+			k = osim.NewKernel(view, osim.EagerPolicy{})
+		case "ranger":
+			k = osim.NewKernel(view, osim.DefaultPolicy{})
+			ds = append(ds, daemon.NewRanger(k))
+		default:
+			panic("unknown policy " + policy)
+		}
+		return k, ds
 	}
-	return k, ds
 }
 
 // smallConfig keeps campaigns quick while auditing at every snapshot.
-func smallConfig() aging.Config {
+func smallConfig(policy string, shards, shardJobs int) aging.Config {
 	return aging.Config{
 		Seed:              1,
 		Steps:             60,
 		SnapshotEvery:     5,
 		AuditEvery:        1,
 		MaxTenants:        6,
-		MinFootprintPages: 128,
 		MaxFootprintPages: 4096,
 		FilePages:         1024,
+		Shards:            shards,
+		ShardJobs:         shardJobs,
+		NewShardKernel:    shardFactory(policy),
 	}
 }
 
-// TestCampaignAuditCleanPerPolicy churns every policy through a full
-// campaign with a whole-machine audit at every snapshot: the lifecycle
-// leaks this harness was built to flush out all surface here as audit
-// or invariant failures.
+// render runs one campaign and returns its trajectory CSV.
+func render(t *testing.T, policy string, cfg aging.Config) string {
+	t.Helper()
+	k, ds := newKernel(t, policy)
+	tr, err := aging.New(k, ds, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+// auditCleanCampaign churns one policy through a full campaign at the
+// given shard count with a multi-kernel whole-machine audit at every
+// snapshot: the lifecycle leaks this harness was built to flush out
+// all surface here as audit or invariant failures. The shards step
+// concurrently, so under -race this also proves the parallel phase
+// shares no mutable state.
+func auditCleanCampaign(t *testing.T, policy string, shards int) {
+	t.Helper()
+	k, ds := newKernel(t, policy)
+	tr, err := aging.New(k, ds, smallConfig(policy, shards, runtime.GOMAXPROCS(0))).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Snapshots) != 60/5 {
+		t.Fatalf("campaign recorded %d snapshots, want %d", len(tr.Snapshots), 60/5)
+	}
+	final := tr.Final()
+	if final.Step != 60 {
+		t.Fatalf("final snapshot at step %d, want 60", final.Step)
+	}
+	if final.Faults == 0 {
+		t.Fatal("campaign took no faults — nothing was exercised")
+	}
+	if tr.PeakRSS() == 0 {
+		t.Fatal("no tenant RSS ever recorded")
+	}
+}
+
+// TestCampaignAuditCleanPerPolicy is the audit gate for the one-shard
+// campaign, whose single shard owns both test zones.
 func TestCampaignAuditCleanPerPolicy(t *testing.T) {
-	for _, policy := range []string{"thp", "ingens", "ca", "eager", "ranger"} {
-		t.Run(policy, func(t *testing.T) {
-			k, ds := newKernel(t, policy)
-			tr, err := aging.New(k, ds, smallConfig()).Run()
-			if err != nil {
-				t.Fatal(err)
+	for _, policy := range policies {
+		t.Run(policy, func(t *testing.T) { auditCleanCampaign(t, policy, 1) })
+	}
+}
+
+// TestShardedCampaignAuditCleanPerPolicy is the audit gate for two
+// concurrently stepped shards, one per test zone.
+func TestShardedCampaignAuditCleanPerPolicy(t *testing.T) {
+	for _, policy := range policies {
+		t.Run(policy, func(t *testing.T) { auditCleanCampaign(t, policy, 2) })
+	}
+}
+
+// TestShardedCampaignDrainsProcesses pins the teardown contract at
+// every shard count: the campaign builds one kernel per shard, and
+// after the final audit no process survives on any of them. (Tenants
+// live on the shard kernels; the parent kernel never runs one.)
+func TestShardedCampaignDrainsProcesses(t *testing.T) {
+	for _, shards := range shardCounts {
+		k, ds := newKernel(t, "ca")
+		var shardKernels []*osim.Kernel
+		cfg := smallConfig("ca", shards, 2)
+		cfg.NewShardKernel = func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
+			sk, sds := shardFactory("ca")(view, shard)
+			shardKernels = append(shardKernels, sk)
+			return sk, sds
+		}
+		if _, err := aging.New(k, ds, cfg).Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(shardKernels) != shards {
+			t.Fatalf("shards=%d: built %d shard kernels", shards, len(shardKernels))
+		}
+		for i, sk := range shardKernels {
+			if n := len(sk.Processes()); n != 0 {
+				t.Fatalf("shards=%d: shard %d: %d processes survived the drain", shards, i, n)
 			}
-			if len(tr.Snapshots) == 0 {
-				t.Fatal("campaign recorded no snapshots")
-			}
-			final := tr.Final()
-			if final.Step != 60 {
-				t.Fatalf("final snapshot at step %d, want 60", final.Step)
-			}
-			if final.Faults == 0 {
-				t.Fatal("campaign took no faults — nothing was exercised")
-			}
-			if tr.PeakRSS() == 0 {
-				t.Fatal("no tenant RSS ever recorded")
-			}
-			// The drain after the last step exits every tenant; the
-			// recorded snapshots are pre-drain, so RSS is whatever the
-			// surviving tenants held.
-			if len(k.Processes()) != 0 {
-				t.Fatalf("%d processes survived the drain", len(k.Processes()))
-			}
-		})
+		}
 	}
 }
 
 // TestCampaignDeterministic pins that a campaign is a pure function of
-// its seed: two independent runs produce byte-identical trajectory
-// CSVs, the property the figAging drivers and golden tables rely on.
+// its configuration: repeated runs produce byte-identical trajectory
+// CSVs at every shard count — the property the figAging drivers and
+// golden tables rely on.
 func TestCampaignDeterministic(t *testing.T) {
-	render := func() string {
-		k, ds := newKernel(t, "ranger")
-		tr, err := aging.New(k, ds, smallConfig()).Run()
-		if err != nil {
-			t.Fatal(err)
+	for _, shards := range shardCounts {
+		want := render(t, "ranger", smallConfig("ranger", shards, 1))
+		if strings.Count(want, "\n") != 60/5+1 {
+			t.Fatalf("shards=%d: unexpected CSV shape:\n%s", shards, want)
 		}
-		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
+		if got := render(t, "ranger", smallConfig("ranger", shards, 1)); got != want {
+			t.Fatalf("shards=%d: repeated runs differ:\n--- first\n%s\n--- second\n%s", shards, want, got)
 		}
-		return buf.String()
-	}
-	a, b := render(), render()
-	if a != b {
-		t.Fatalf("same seed, different trajectories:\n--- run 1\n%s\n--- run 2\n%s", a, b)
-	}
-	if strings.Count(a, "\n") != 60/5+1 {
-		t.Fatalf("unexpected CSV shape:\n%s", a)
 	}
 }
 
-// TestCampaignSeedsDiffer guards against the rng being ignored: two
-// different seeds must not produce the same trajectory.
-func TestCampaignSeedsDiffer(t *testing.T) {
-	render := func(seed int64) string {
-		k, ds := newKernel(t, "thp")
-		cfg := smallConfig()
-		cfg.Seed = seed
-		tr, err := aging.New(k, ds, cfg).Run()
-		if err != nil {
-			t.Fatal(err)
+// TestShardedCampaignShardJobsInvariance pins the stepping contract: a
+// trajectory is a pure function of (Seed, Shards) — byte-identical
+// whether shards step serially, two at a time, or on every core.
+func TestShardedCampaignShardJobsInvariance(t *testing.T) {
+	for _, shards := range shardCounts {
+		want := render(t, "ranger", smallConfig("ranger", shards, 1))
+		for _, jobs := range []int{2, runtime.GOMAXPROCS(0)} {
+			if got := render(t, "ranger", smallConfig("ranger", shards, jobs)); got != want {
+				t.Fatalf("shards=%d: trajectory depends on ShardJobs=%d:\n--- jobs=1\n%s\n--- jobs=%d\n%s",
+					shards, jobs, want, jobs, got)
+			}
 		}
-		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
 	}
-	if render(1) == render(2) {
-		t.Fatal("seeds 1 and 2 produced identical trajectories")
+}
+
+// seedsDiffer guards the per-shard rng derivation: seeds 1 and 2 must
+// not produce the same trajectory at the given shard count.
+func seedsDiffer(t *testing.T, shards int) {
+	t.Helper()
+	cfg := smallConfig("thp", shards, 1)
+	a := render(t, "thp", cfg)
+	cfg.Seed = 2
+	if a == render(t, "thp", cfg) {
+		t.Fatalf("shards=%d: seeds 1 and 2 produced identical trajectories", shards)
+	}
+}
+
+// TestCampaignSeedsDiffer checks the seed reaches the one-shard stream.
+func TestCampaignSeedsDiffer(t *testing.T) { seedsDiffer(t, 1) }
+
+// TestShardedCampaignSeedsDiffer checks the seed reaches every stream
+// of a two-shard campaign.
+func TestShardedCampaignSeedsDiffer(t *testing.T) { seedsDiffer(t, 2) }
+
+// TestShardCountChangesTrajectory documents that the shard count is
+// part of the campaign, not a re-ordering of it: Shards 1 and 2 give
+// different (each deterministic) trajectories, because the streams,
+// daemon schedules, and OOM handling are per shard.
+func TestShardCountChangesTrajectory(t *testing.T) {
+	if render(t, "thp", smallConfig("thp", 1, 1)) == render(t, "thp", smallConfig("thp", 2, 1)) {
+		t.Fatal("Shards 1 and 2 coincided — sharding is not being exercised")
+	}
+}
+
+// TestShardedCampaignClampsShards pins the shard-count normalisation:
+// asking for more shards than zones degrades to one shard per zone
+// rather than leaving zoneless shards spinning, and a zero or negative
+// count means one shard.
+func TestShardedCampaignClampsShards(t *testing.T) {
+	for _, c := range []struct{ shards, want int }{{16, 2}, {0, 1}, {-1, 1}} {
+		got := render(t, "thp", smallConfig("thp", c.shards, 1))
+		if want := render(t, "thp", smallConfig("thp", c.want, 1)); got != want {
+			t.Fatalf("Shards=%d on a two-zone machine differs from Shards=%d:\n--- %d\n%s\n--- %d\n%s",
+				c.shards, c.want, c.shards, got, c.want, want)
+		}
+	}
+}
+
+// TestShardedCampaignWithoutFactoryErrors pins the configuration
+// contract: a missing NewShardKernel is reported by Run as an error,
+// never a panic, at every shard count.
+func TestShardedCampaignWithoutFactoryErrors(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("bad config panicked: %v", r)
+		}
+	}()
+	for _, shards := range shardCounts {
+		k, ds := newKernel(t, "thp")
+		cfg := smallConfig("thp", shards, 1)
+		cfg.NewShardKernel = nil
+		tr, err := aging.New(k, ds, cfg).Run()
+		if err == nil || !strings.Contains(err.Error(), "NewShardKernel") {
+			t.Fatalf("shards=%d: Run error = %v, want a missing-NewShardKernel error", shards, err)
+		}
+		if tr != nil {
+			t.Fatalf("shards=%d: Run returned a trajectory for an invalid config", shards)
+		}
+	}
+}
+
+// TestShardedCampaignTracesShardEvents checks the shard observability
+// contract at every shard count, Shards=1 included: epoch spans per
+// shard per step, barrier spans per step, and epoch spans naming
+// exactly the campaign's shards.
+func TestShardedCampaignTracesShardEvents(t *testing.T) {
+	const steps = 60
+	for _, shards := range shardCounts {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			tr := trace.New()
+			k, ds := newKernel(t, "thp")
+			k.SetTracer(tr)
+			cfg := smallConfig("thp", shards, 2)
+			cfg.NewShardKernel = func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
+				sk, sds := shardFactory("thp")(view, shard)
+				sk.SetTracer(tr)
+				return sk, sds
+			}
+			if _, err := aging.New(k, ds, cfg).Run(); err != nil {
+				t.Fatal(err)
+			}
+			if n := tr.Count(trace.EvShardEpoch); n != uint64(shards*steps) {
+				t.Fatalf("EvShardEpoch count = %d, want %d (%d shards x %d steps)", n, shards*steps, shards, steps)
+			}
+			if n := tr.Count(trace.EvShardBarrier); n != steps {
+				t.Fatalf("EvShardBarrier count = %d, want %d (one per step)", n, steps)
+			}
+			named := map[uint64]bool{}
+			for _, e := range tr.Events() {
+				if e.Kind == trace.EvShardEpoch {
+					named[e.A] = true
+				}
+			}
+			for s := 0; s < shards; s++ {
+				if !named[uint64(s)] {
+					t.Fatalf("epoch spans name shards %v, want 0..%d", named, shards-1)
+				}
+			}
+			if len(named) != shards {
+				t.Fatalf("epoch spans name shards %v, want 0..%d", named, shards-1)
+			}
+		})
 	}
 }

@@ -35,20 +35,18 @@ func bootPinned(numaOff bool) []check.Extent {
 
 // RunAgingCampaign builds the standard host kernel under the named
 // policy and runs one aging campaign on it. cfg.Pinned is filled from
-// the kernel's boot reservations, and for sharded campaigns
-// (cfg.Shards > 1) the shard-kernel factory is supplied here so the
-// aging package stays decoupled from policy construction. cmd/agingsim
-// calls this directly; the figAging drivers fan it out over a policy x
-// horizon grid.
+// the kernel's boot reservations, and the shard-kernel factory is
+// supplied here so the aging package stays decoupled from policy
+// construction; an unset cfg.ShardJobs takes pr.ShardJobs.
+// cmd/agingsim calls this directly; the figAging drivers fan it out
+// over a policy x horizon grid.
 func RunAgingCampaign(pr Params, pol PolicyName, cfg aging.Config) (*aging.Trajectory, error) {
 	k, ds := newNativeKernel(pr, pol, false)
 	cfg.Pinned = bootPinned(false)
-	if cfg.Shards > 1 {
-		if cfg.ShardJobs == 0 {
-			cfg.ShardJobs = pr.ShardJobs
-		}
-		cfg.NewShardKernel = shardKernelFactory(pr, pol)
+	if cfg.ShardJobs == 0 {
+		cfg.ShardJobs = pr.ShardJobs
 	}
+	cfg.NewShardKernel = shardKernelFactory(pr, pol)
 	tr, err := aging.New(k, ds, cfg).Run()
 	if tr != nil {
 		tr.Policy = string(pol)
@@ -59,7 +57,7 @@ func RunAgingCampaign(pr Params, pol PolicyName, cfg aging.Config) (*aging.Traje
 	return tr, err
 }
 
-// shardKernelFactory builds a sharded campaign's per-shard kernels:
+// shardKernelFactory builds an aging campaign's per-shard kernels:
 // the campaign policy over the shard's zone view, with private daemon
 // instances (so rotors, memos, and scan state never cross shards) and
 // no boot reservations — the parent kernel placed those before the

@@ -284,7 +284,7 @@ func TestObserverEvents(t *testing.T) {
 	huge := addr.VirtAddr(addr.HugeSize)
 	pt.Map4K(0x1000, 7, 0)
 	pt.Map2M(huge, 512, 0)
-	pt.SetContig(0x1000, true) // flag-only: no event
+	pt.SetContig(0x1000, true)    // flag-only: no event
 	if !pt.Redirect(0x1800, 99) { // mid-page VA: event carries the page base
 		t.Fatal("Redirect failed")
 	}

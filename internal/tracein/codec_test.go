@@ -140,8 +140,8 @@ func TestDecoderErrors(t *testing.T) {
 
 	// Non-canonical varint (overlong zero) in the tenant field.
 	overlong := append([]byte(nil), noCRC[:7]...)
-	overlong = append(overlong, 0x80, 0x00)       // tenant = 0, two bytes
-	overlong = append(overlong, noCRC[8:]...)     // rest of the record
+	overlong = append(overlong, 0x80, 0x00)   // tenant = 0, two bytes
+	overlong = append(overlong, noCRC[8:]...) // rest of the record
 	if _, err := Decode(bytes.NewReader(overlong)); !errors.Is(err, ErrMalformed) {
 		t.Errorf("non-canonical varint: err = %v, want ErrMalformed", err)
 	}

@@ -285,7 +285,7 @@ func (e *Engine) Stop() { e.stop.Store(true) }
 // ReplayEvents drains a decoded event slice; see Replay.
 func (e *Engine) ReplayEvents(events []Event) error {
 	i := 0
-	return e.replay(func() (Event, error) {
+	return e.ReplayStream(func() (Event, error) {
 		if i == len(events) {
 			return Event{}, io.EOF
 		}
@@ -301,7 +301,7 @@ func (e *Engine) ReplayEvents(events []Event) error {
 // deterministic for a given trace and config, independent of Jobs.
 func (e *Engine) Replay(d *Decoder) error {
 	var ev Event
-	return e.replay(func() (Event, error) {
+	return e.ReplayStream(func() (Event, error) {
 		if err := d.Next(&ev); err != nil {
 			return Event{}, err
 		}
@@ -314,10 +314,6 @@ func (e *Engine) Replay(d *Decoder) error {
 // to feed a deterministic merge of several concurrent tenant streams
 // through the same shard-ordered replay path.
 func (e *Engine) ReplayStream(next func() (Event, error)) error {
-	return e.replay(next)
-}
-
-func (e *Engine) replay(next func() (Event, error)) error {
 	if e.closed {
 		return errors.New("tracein: replay on a closed engine")
 	}
@@ -352,7 +348,7 @@ func (e *Engine) replaySerial(next func() (Event, error)) error {
 			return err
 		}
 		s := e.shards[int(ev.Tenant)%len(e.shards)]
-		if err := e.apply(s, ev); err != nil {
+		if err := s.apply(e, ev); err != nil {
 			return err
 		}
 	}
@@ -377,7 +373,7 @@ func (e *Engine) replayParallel(next func() (Event, error)) error {
 				if errs[i] != nil {
 					continue // drain after failure
 				}
-				errs[i] = e.apply(s, ev)
+				errs[i] = s.apply(e, ev)
 			}
 		}(i, s)
 	}
@@ -556,10 +552,6 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 	}
 	return nil
 }
-
-// apply on the engine just forwards; kept as a method so the replay
-// loops read naturally.
-func (e *Engine) apply(s *rshard, ev Event) error { return s.apply(e, ev) }
 
 // pickVMA selects the tenant's VMA arg-indexed, nil when the tenant
 // has no mapping to act on.
