@@ -27,7 +27,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		name    = fs.String("workload", "pagerank", "svm|pagerank|hashjoin|xsbench|bt")
-		policy  = fs.String("policy", "ca", "default|ca|eager|ideal|ingens|ranger")
+		policy  = fs.String("policy", "ca", "default|thp|ca|eager|ideal|ingens|ranger (-virtual: default|thp|ca|eager|ideal; a VM runs no daemons)")
 		virtual = fs.Bool("virtual", false, "run inside a VM (policy applied in both dimensions)")
 		top     = fs.Int("top", 16, "print the N largest mappings")
 		seed    = fs.Int64("seed", 1, "workload seed")

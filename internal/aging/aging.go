@@ -82,8 +82,10 @@ type Config struct {
 	// CacheChurnEvery reads a fresh file every N steps (default 7;
 	// -1 disables cache churn).
 	CacheChurnEvery int
-	// Pinned are frame extents the audits must treat as intentionally
-	// allocated outside any process (boot reservations).
+	// Pinned are extra frame extents the audits must treat as
+	// intentionally allocated outside any process, such as hog chunks.
+	// The kernels' own boot reservations need no listing: the audits
+	// account for each kernel's BootReserve.
 	Pinned []check.Extent
 
 	// Shards splits the campaign into independently stepped tenant

@@ -8,10 +8,9 @@ import (
 	"testing"
 
 	"repro/internal/aging"
-	"repro/internal/mem/addr"
+	"repro/internal/core"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
-	"repro/internal/osim/daemon"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -23,38 +22,26 @@ var shardCounts = []int{1, 2}
 // policies are the placement policies every campaign gate covers.
 var policies = []string{"thp", "ingens", "ca", "eager", "ranger"}
 
-// newKernel builds a small two-zone machine under the named policy.
+// newKernel boots a small two-zone machine (48 MAX_ORDER blocks per
+// zone) under the named policy. Its boot reservations are not listed
+// in Config.Pinned: the audits account for them from the kernel.
 func newKernel(t *testing.T, policy string) (*osim.Kernel, []workloads.Daemon) {
 	t.Helper()
-	m := zone.NewMachine(zone.Config{
-		ZonePages:      []uint64{48 * addr.MaxOrderPages, 48 * addr.MaxOrderPages},
-		SortedMaxOrder: policy == "ca",
-	})
-	return shardFactory(policy)(m, 0)
+	sys, err := core.NewNativeSystem(core.Config{ZonesMiB: []int{192, 192}, Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys.Kernel, sys.Daemons
 }
 
-// shardFactory mirrors experiments.shardKernelFactory for the test
-// policies: shard kernels share the parent's placement policy over
-// their zone view, with private daemon instances.
+// shardFactory builds shard kernels as the experiment drivers do: the
+// parent's policy over the shard's zone view, with private daemon
+// instances.
 func shardFactory(policy string) func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
 	return func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
-		var k *osim.Kernel
-		var ds []workloads.Daemon
-		switch policy {
-		case "thp":
-			k = osim.NewKernel(view, osim.DefaultPolicy{})
-		case "ingens":
-			k = osim.NewKernel(view, osim.DefaultPolicy{})
-			ds = append(ds, daemon.NewIngens(k))
-		case "ca":
-			k = osim.NewKernel(view, osim.CAPolicy{})
-		case "eager":
-			k = osim.NewKernel(view, osim.EagerPolicy{})
-		case "ranger":
-			k = osim.NewKernel(view, osim.DefaultPolicy{})
-			ds = append(ds, daemon.NewRanger(k))
-		default:
-			panic("unknown policy " + policy)
+		k, ds, err := core.NewKernel(view, policy)
+		if err != nil {
+			panic(err)
 		}
 		return k, ds
 	}

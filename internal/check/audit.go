@@ -19,8 +19,9 @@ var auditors = sync.Pool{New: func() any { return &Auditor{} }}
 // per-layer invariants cannot see on their own — no frame is referenced
 // by more (or fewer) translations than its MapCount says, and no
 // allocated frame exists that nothing (mapping, page cache, or declared
-// pin) accounts for. pinned lists the extents intentionally held with no
-// mapping: boot reservations and memory-hog chunks.
+// pin) accounts for. Each kernel's own boot reservation (recorded by
+// osim.Kernel.BootReserve) counts as pinned; pinned lists any further
+// extents intentionally held with no mapping, such as memory-hog chunks.
 //
 // Audit only reads; it is safe to call between any two kernel
 // operations, from any test. Repeated callers (aging campaigns) should

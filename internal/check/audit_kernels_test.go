@@ -1,6 +1,7 @@
 package check
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,5 +78,46 @@ func TestAuditKernelsDetectsCrossShardDrift(t *testing.T) {
 	envs[1].Proc.RSSPages--
 	if err := AuditKernels(m, ks, nil); err != nil {
 		t.Fatalf("fixture no longer clean after revert: %v", err)
+	}
+}
+
+// TestAuditAccountsBootReserve checks that the audit takes a kernel's
+// boot reservation from the kernel itself: after BootReserve(1) the
+// machine audits clean with no pinned extents listed, the recorded
+// extents are exactly the first MAX_ORDER block of each zone, and a
+// frame allocated behind the kernel's back is still reported leaked.
+func TestAuditAccountsBootReserve(t *testing.T) {
+	m := zone.NewMachine(zone.Config{
+		ZonePages: []uint64{4 * addr.MaxOrderPages, 4 * addr.MaxOrderPages},
+	})
+	k := osim.NewKernel(m, osim.DefaultPolicy{})
+	if got := bootExtents(nil, k); len(got) != 0 {
+		t.Fatalf("unreserved kernel has boot extents %v", got)
+	}
+	k.BootReserve(1)
+	if err := Audit(k, nil); err != nil {
+		t.Fatalf("booted kernel failed audit with pinned == nil: %v", err)
+	}
+	want := []Extent{
+		{PFN: 0, Pages: addr.MaxOrderPages},
+		{PFN: 4 * addr.MaxOrderPages, Pages: addr.MaxOrderPages},
+	}
+	if got := bootExtents(nil, k); !slices.Equal(got, want) {
+		t.Fatalf("boot extents %v, want %v", got, want)
+	}
+	// A kernel over a zone view reserved nothing itself; the audit of
+	// the union machine takes the parent's reservation.
+	view := osim.NewKernel(m.View(1), osim.DefaultPolicy{})
+	if got := bootExtents(nil, view); len(got) != 0 {
+		t.Fatalf("view kernel has boot extents %v", got)
+	}
+	if err := AuditKernels(m, []*osim.Kernel{k, view}, nil); err != nil {
+		t.Fatalf("parent+view audit: %v", err)
+	}
+	if _, err := m.AllocBlock(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Audit(k, nil); err == nil || !strings.Contains(err.Error(), "leaked") {
+		t.Fatalf("audit missed leaked frame next to the boot pins: %v", err)
 	}
 }

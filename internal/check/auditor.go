@@ -49,7 +49,8 @@ type Auditor struct {
 	base addr.PFN // audited table's first PFN (per audit)
 	refs []int32  // per-frame gathered reference counts
 	span bitset   // frame is inside a leaf extent or cache-resident
-	pins bitset   // frame is inside a declared pinned extent
+	pins bitset   // frame is inside a boot or declared pinned extent
+	boot []Extent // one kernel's boot reservations (per audit)
 
 	// zscratch holds one borrowed structural-check bitset per zone
 	// index, so concurrently checked zones never share scratch words.
@@ -110,14 +111,15 @@ func (a *Auditor) Audit(k *osim.Kernel, pinned []Extent) error {
 // The pass structure is: (1) serially gather every software reference
 // the kernels hold on physical frames into the flat refs/span arrays —
 // per-process translation/VMA/RSS checks run inline here; (2) expand
-// the declared pinned extents into a bitset; (3) fan the per-zone work
-// out across one goroutine per zone — buddy and contigmap structural
-// invariants on borrowed scratch, then one merged linear pass over the
-// zone's frame records folding the frame-state count, the free/pinned
-// cross-checks, and the MapCount-vs-references sweep together. Zones
-// are disjoint frame ranges and the gathered arrays are read-only by
-// then, so the fan-out is race-free; errors are selected in zone-index
-// order, keeping multi-error machines deterministic.
+// every kernel's boot reservation and the declared pinned extents into
+// a bitset; (3) fan the per-zone work out across one goroutine per
+// zone — buddy and contigmap structural invariants on borrowed
+// scratch, then one merged linear pass over the zone's frame records
+// folding the frame-state count, the free/pinned cross-checks, and
+// the MapCount-vs-references sweep together. Zones are disjoint frame
+// ranges and the gathered arrays are read-only by then, so the fan-out
+// is race-free; errors are selected in zone-index order, keeping
+// multi-error machines deterministic.
 func (a *Auditor) AuditKernels(m *zone.Machine, ks []*osim.Kernel, pinned []Extent) error {
 	a.ensure(m)
 
@@ -139,19 +141,16 @@ func (a *Auditor) AuditKernels(m *zone.Machine, ks []*osim.Kernel, pinned []Exte
 		})
 	}
 
+	// Pins: every kernel's own boot reservation, then the caller's
+	// extents. Overlaps are harmless; the bitset holds their union.
+	for _, k := range ks {
+		a.boot = bootExtents(a.boot[:0], k)
+		for _, e := range a.boot {
+			a.pin(e, m)
+		}
+	}
 	for _, e := range pinned {
-		// Clamp to the table: an extent outside it can never match a
-		// swept frame, exactly as the map-based set never did.
-		lo, hi := e.PFN, e.PFN+e.Pages
-		if base := uint64(a.base); lo < base {
-			lo = base
-		}
-		if end := uint64(a.base) + m.Frames.Len(); hi > end {
-			hi = end
-		}
-		if lo < hi {
-			a.pins.setRange(lo-uint64(a.base), hi-lo)
-		}
+		a.pin(e, m)
 	}
 
 	// Per-zone structural checks plus the merged frame sweep, fanned
@@ -174,6 +173,34 @@ func (a *Auditor) AuditKernels(m *zone.Machine, ks []*osim.Kernel, pinned []Exte
 		}
 	}
 	return nil
+}
+
+// bootExtents appends k's boot reservations to dst: the first
+// k.BootBlocks() MAX_ORDER blocks of each zone of its machine.
+func bootExtents(dst []Extent, k *osim.Kernel) []Extent {
+	pages := uint64(k.BootBlocks()) * addr.MaxOrderPages
+	if pages == 0 {
+		return dst
+	}
+	for _, z := range k.Machine.Zones {
+		dst = append(dst, Extent{PFN: uint64(z.Base), Pages: pages})
+	}
+	return dst
+}
+
+// pin marks e in the pins bitset. An extent is clamped to m's frame
+// table: one outside it can never match a swept frame.
+func (a *Auditor) pin(e Extent, m *zone.Machine) {
+	lo, hi := e.PFN, e.PFN+e.Pages
+	if base := uint64(a.base); lo < base {
+		lo = base
+	}
+	if end := uint64(a.base) + m.Frames.Len(); hi > end {
+		hi = end
+	}
+	if lo < hi {
+		a.pins.setRange(lo-uint64(a.base), hi-lo)
+	}
 }
 
 func (a *Auditor) zoneWorker(m *zone.Machine, z *zone.Zone, i int) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/hw/tlb"
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
@@ -93,9 +94,7 @@ type Machine struct {
 	daemons []workloads.Daemon
 	ingens  *daemon.Ingens
 
-	basePinned []Extent                // boot reservations (kernel under test)
-	hostPinned []Extent                // host boot reservations (nested)
-	hogs       [][]workloads.HogExtent // outstanding hog pins
+	hogs [][]workloads.HogExtent // outstanding hog pins
 
 	tlb     *tlb.TLB
 	reftlb  *RefTLB
@@ -109,20 +108,16 @@ type Machine struct {
 	Stats RunStats
 }
 
-// PlacementFor resolves a Config.Policy name to the placement policy
-// it denotes plus whether the machine's MAX_ORDER free lists should be
-// sorted (CA paging's next-fit search wants them ordered, matching how
-// the experiments run it). Exported so the trace-replay engine
+// PlacementFor resolves a Config.Policy name — PolicyDefault (or
+// empty), PolicyCA, PolicyEager — through core's policy table to a
+// fresh placement plus whether the machine's MAX_ORDER free lists
+// should be sorted. Exported so the trace-replay engine
 // (internal/tracein) builds its shard kernels from the exact same
 // policy vocabulary the differential machine is checked under.
 func PlacementFor(name string) (osim.Placement, bool, error) {
 	switch name {
-	case "", PolicyDefault:
-		return osim.DefaultPolicy{}, false, nil
-	case PolicyCA:
-		return osim.CAPolicy{}, true, nil
-	case PolicyEager:
-		return osim.EagerPolicy{}, false, nil
+	case "", PolicyDefault, PolicyCA, PolicyEager:
+		return core.Placement(name)
 	}
 	return nil, false, fmt.Errorf("check: unknown policy %q", name)
 }
@@ -144,9 +139,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		})
 		host := osim.NewKernel(hostM, osim.DefaultPolicy{})
 		host.BootReserve(1)
-		for _, z := range hostM.Zones {
-			m.hostPinned = append(m.hostPinned, Extent{PFN: uint64(z.Base), Pages: addr.MaxOrderPages})
-		}
 		vm, err := virt.New(host, virt.Config{
 			MemBytes:         8 * addr.MaxOrderPages * addr.PageSize,
 			GuestZones:       []uint64{4 * addr.MaxOrderPages, 4 * addr.MaxOrderPages},
@@ -165,9 +157,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		})
 		m.kern = osim.NewKernel(zm, pol)
 		m.kern.BootReserve(1)
-	}
-	for _, z := range m.kern.Machine.Zones {
-		m.basePinned = append(m.basePinned, Extent{PFN: uint64(z.Base), Pages: addr.MaxOrderPages})
 	}
 	if cfg.Daemons {
 		m.ingens = daemon.NewIngens(m.kern)
@@ -512,7 +501,7 @@ func (m *Machine) CheckAll() error {
 			return fmt.Errorf("process %d: %w", mp.env.Proc.ID, err)
 		}
 	}
-	pinned := append([]Extent(nil), m.basePinned...)
+	var pinned []Extent
 	for _, set := range m.hogs {
 		for _, e := range set {
 			pinned = append(pinned, Extent{PFN: uint64(e.PFN), Pages: e.Pages})
@@ -522,7 +511,7 @@ func (m *Machine) CheckAll() error {
 		return fmt.Errorf("audit: %w", err)
 	}
 	if m.vm != nil {
-		if err := Audit(m.vm.Host, m.hostPinned); err != nil {
+		if err := Audit(m.vm.Host, nil); err != nil {
 			return fmt.Errorf("host audit: %w", err)
 		}
 		// No host daemons and nothing unmaps guest backing: the host

@@ -1,8 +1,11 @@
-// Package core is the library facade: it assembles the substrates —
-// zones/buddy/contiguity-map, the OS memory manager with a placement
-// policy, optionally a hypervisor with nested paging — into a ready
-// system and exposes the operations users need: run workloads, inspect
-// contiguity, and emulate the translation hardware (SpOT, vRMM, DS).
+// Package core assembles systems: it owns the table of the paper's
+// memory-management configurations (§VI-A: policy name -> placement,
+// sorted MAX_ORDER lists, daemon) and the evaluation machine fixtures
+// (DESIGN.md §5: the 2x640 MiB host, the 2x384 MiB VM, one boot block
+// per zone), and builds ready kernels, native systems, and VMs from
+// them. It also exposes the operations users need on a built system:
+// run workloads, inspect contiguity, and emulate the translation
+// hardware (SpOT, vRMM, DS).
 //
 // The paper's two contributions sit underneath:
 //
@@ -10,8 +13,10 @@
 //     (select Policy: "ca");
 //   - SpOT: hw/spot, driven through Simulate.
 //
-// Examples under examples/ and the cmd tools are written exclusively
-// against this package.
+// The examples and cmd tools are written against this package, and
+// the experiment drivers, the differential checker, and the replay
+// engine build their kernels through it, so a policy name means the
+// same thing everywhere.
 package core
 
 import (
@@ -29,25 +34,113 @@ import (
 	"repro/internal/workloads"
 )
 
-// Config describes one memory-management system (a kernel).
-type Config struct {
-	// ZonesMiB lists NUMA-zone sizes in MiB. Default: two 640 MiB
-	// zones. Each is rounded up to MAX_ORDER blocks.
-	ZonesMiB []int
-	// Policy selects physical placement: "default", "ca", "eager",
-	// "ideal", "ingens", "ranger". Default "default". "ingens" and
-	// "ranger" use default placement plus the corresponding daemon.
-	Policy string
-	// BootReserveBlocks pins this many MAX_ORDER blocks at each zone
-	// base (kernel image / firmware). Default 1.
-	BootReserveBlocks int
+// Machine fixtures (DESIGN.md §5): the paper's 2-socket host and its VM,
+// scaled ~1/512.
+const (
+	// HostZoneMiB is the size of each of the host's two NUMA zones.
+	HostZoneMiB = 640
+	// guestZoneMiB is the size of each of the VM's two guest NUMA
+	// zones; the guest's physical memory is their sum.
+	guestZoneMiB = 384
+	// bootReserveBlocks is how many MAX_ORDER blocks every booted
+	// machine pins at each zone base (kernel image, memmap, firmware).
+	bootReserveBlocks = 1
+)
+
+// policy is one row of the configuration table.
+type policy struct {
+	// placement builds a fresh placement. The table holds constructors,
+	// not instances: IdealPolicy keeps its plans behind a pointer, so a
+	// shared instance would leak plans across kernels.
+	placement func() osim.Placement
+	// sorted keeps the machine's MAX_ORDER free lists sorted, as the
+	// paper's CA prototype does for its next-fit search.
+	sorted bool
+	// daemon, when set, builds the background daemon the policy runs.
+	daemon func(*osim.Kernel) workloads.Daemon
 }
 
-func (c Config) zonesPages() []uint64 {
-	zonesMiB := c.ZonesMiB
-	if len(zonesMiB) == 0 {
-		zonesMiB = []int{640, 640}
+func defaultPlacement() osim.Placement { return osim.DefaultPolicy{} }
+
+// policies is the configuration table; "thp" is another name for
+// "default", and "ingens" and "ranger" are default placement plus
+// their daemon.
+var policies = map[string]policy{
+	"default": {placement: defaultPlacement},
+	"thp":     {placement: defaultPlacement},
+	"ca":      {placement: func() osim.Placement { return osim.CAPolicy{} }, sorted: true},
+	"eager":   {placement: func() osim.Placement { return osim.EagerPolicy{} }},
+	"ideal":   {placement: func() osim.Placement { return osim.NewIdealPolicy() }},
+	"ingens": {placement: defaultPlacement,
+		daemon: func(k *osim.Kernel) workloads.Daemon { return daemon.NewIngens(k) }},
+	"ranger": {placement: defaultPlacement,
+		daemon: func(k *osim.Kernel) workloads.Daemon { return daemon.NewRanger(k) }},
+}
+
+// lookup resolves a policy name; empty means "default".
+func lookup(name string) (policy, error) {
+	if name == "" {
+		name = "default"
 	}
+	p, ok := policies[name]
+	if !ok {
+		return policy{}, fmt.Errorf("core: unknown policy %q", name)
+	}
+	return p, nil
+}
+
+// kernel builds a kernel over m under p, with p's daemon attached.
+func (p policy) kernel(m *zone.Machine) (*osim.Kernel, []workloads.Daemon) {
+	k := osim.NewKernel(m, p.placement())
+	if p.daemon == nil {
+		return k, nil
+	}
+	return k, []workloads.Daemon{p.daemon(k)}
+}
+
+// Placement resolves a policy that runs no daemon — "default" (or
+// "thp", or empty), "ca", "eager", "ideal" — to a fresh placement and
+// whether its machine keeps MAX_ORDER free lists sorted. It rejects
+// "ingens" and "ranger", whose behaviour is their daemon: a VM polls
+// none, in either dimension.
+func Placement(name string) (osim.Placement, bool, error) {
+	p, err := lookup(name)
+	if err != nil {
+		return nil, false, err
+	}
+	if p.daemon != nil {
+		return nil, false, fmt.Errorf("core: policy %q needs a daemon, and a VM runs no daemons", name)
+	}
+	return p.placement(), p.sorted, nil
+}
+
+// NewKernel builds a kernel over m under the named policy (any name
+// Placement accepts, plus "ingens" and "ranger") together with the
+// policy's daemons. It reserves nothing: a whole machine is booted by
+// NewNativeSystem, and kernels over zone views share the reservation
+// their parent kernel made. The caller sorts m's MAX_ORDER lists.
+func NewKernel(m *zone.Machine, name string) (*osim.Kernel, []workloads.Daemon, error) {
+	p, err := lookup(name)
+	if err != nil {
+		return nil, nil, err
+	}
+	k, ds := p.kernel(m)
+	return k, ds, nil
+}
+
+// Config describes one memory-management system (a kernel).
+type Config struct {
+	// ZonesMiB lists NUMA-zone sizes in MiB. Default: the host's two
+	// HostZoneMiB zones. Each is rounded up to MAX_ORDER blocks.
+	ZonesMiB []int
+	// Policy selects the configuration: "default" (alias "thp"),
+	// "ca", "eager", "ideal", "ingens", "ranger". Default "default".
+	Policy string
+}
+
+// zonesPages converts zone sizes in MiB to page counts, each rounded
+// up to whole MAX_ORDER blocks.
+func zonesPages(zonesMiB []int) []uint64 {
 	out := make([]uint64, len(zonesMiB))
 	for i, m := range zonesMiB {
 		pages := uint64(m) << 20 / addr.PageSize
@@ -56,42 +149,14 @@ func (c Config) zonesPages() []uint64 {
 	return out
 }
 
-// buildKernel constructs the kernel + daemons for a config.
-func buildKernel(c Config) (*osim.Kernel, []workloads.Daemon, error) {
-	policy := c.Policy
-	if policy == "" {
-		policy = "default"
+// machine builds the configured zones, with sorted MAX_ORDER free
+// lists when the policy wants them.
+func (c Config) machine(sorted bool) *zone.Machine {
+	zonesMiB := c.ZonesMiB
+	if len(zonesMiB) == 0 {
+		zonesMiB = []int{HostZoneMiB, HostZoneMiB}
 	}
-	m := zone.NewMachine(zone.Config{
-		ZonePages:      c.zonesPages(),
-		SortedMaxOrder: policy == "ca",
-	})
-	var k *osim.Kernel
-	var ds []workloads.Daemon
-	switch policy {
-	case "default", "thp":
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-	case "ca":
-		k = osim.NewKernel(m, osim.CAPolicy{})
-	case "eager":
-		k = osim.NewKernel(m, osim.EagerPolicy{})
-	case "ideal":
-		k = osim.NewKernel(m, osim.NewIdealPolicy())
-	case "ingens":
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-		ds = append(ds, daemon.NewIngens(k))
-	case "ranger":
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-		ds = append(ds, daemon.NewRanger(k))
-	default:
-		return nil, nil, fmt.Errorf("core: unknown policy %q", policy)
-	}
-	reserve := c.BootReserveBlocks
-	if reserve == 0 {
-		reserve = 1
-	}
-	k.BootReserve(reserve)
-	return k, ds, nil
+	return zone.NewMachine(zone.Config{ZonePages: zonesPages(zonesMiB), SortedMaxOrder: sorted})
 }
 
 // NativeSystem is a bare-metal machine running one kernel.
@@ -100,12 +165,15 @@ type NativeSystem struct {
 	Daemons []workloads.Daemon
 }
 
-// NewNativeSystem boots a native system.
+// NewNativeSystem boots a native system: the machine, the policy's
+// kernel and daemons, and the boot reservation at each zone base.
 func NewNativeSystem(c Config) (*NativeSystem, error) {
-	k, ds, err := buildKernel(c)
+	p, err := lookup(c.Policy)
 	if err != nil {
 		return nil, err
 	}
+	k, ds := p.kernel(c.machine(p.sorted))
+	k.BootReserve(bootReserveBlocks)
 	return &NativeSystem{Kernel: k, Daemons: ds}, nil
 }
 
@@ -123,57 +191,39 @@ type VirtualSystem struct {
 	Host *osim.Kernel
 }
 
-// VirtualConfig describes the two-dimensional setup.
+// VirtualConfig describes the two-dimensional setup. The VM is the
+// fixture: two guestZoneMiB guest zones, with one boot block each.
+// Neither dimension runs a daemon, so both policies must be ones
+// Placement accepts.
 type VirtualConfig struct {
 	// Host configures the hypervisor-side kernel.
 	Host Config
-	// GuestPolicy and GuestZonesMiB configure the guest kernel
-	// (defaults: the host's policy; two 384 MiB zones).
-	GuestPolicy   string
-	GuestZonesMiB []int
-	// VMMemMiB is the guest physical memory (default: sum of guest
-	// zones).
-	VMMemMiB int
+	// GuestPolicy is the guest kernel's policy (default: the host's).
+	GuestPolicy string
 }
 
 // NewVirtualSystem boots a host and a VM.
 func NewVirtualSystem(c VirtualConfig) (*VirtualSystem, error) {
-	host, _, err := buildKernel(c.Host)
-	if err != nil {
-		return nil, err
-	}
 	guestPolicy := c.GuestPolicy
 	if guestPolicy == "" {
 		guestPolicy = c.Host.Policy
 	}
-	zonesMiB := c.GuestZonesMiB
-	if len(zonesMiB) == 0 {
-		zonesMiB = []int{384, 384}
+	hostPlacement, hostSorted, err := Placement(c.Host.Policy)
+	if err != nil {
+		return nil, err
 	}
-	guestZones := Config{ZonesMiB: zonesMiB}.zonesPages()
-	var memPages uint64
-	for _, z := range guestZones {
-		memPages += z
+	guestPlacement, guestSorted, err := Placement(guestPolicy)
+	if err != nil {
+		return nil, err
 	}
-	var guestPlacement osim.Placement
-	switch guestPolicy {
-	case "", "default", "thp":
-		guestPlacement = osim.DefaultPolicy{}
-	case "ca":
-		guestPlacement = osim.CAPolicy{}
-	case "eager":
-		guestPlacement = osim.EagerPolicy{}
-	case "ideal":
-		guestPlacement = osim.NewIdealPolicy()
-	default:
-		return nil, fmt.Errorf("core: unknown guest policy %q", guestPolicy)
-	}
+	host := osim.NewKernel(c.Host.machine(hostSorted), hostPlacement)
+	host.BootReserve(bootReserveBlocks)
 	vm, err := virt.New(host, virt.Config{
-		MemBytes:         memPages * addr.PageSize,
-		GuestZones:       guestZones,
+		MemBytes:         2 * guestZoneMiB << 20,
+		GuestZones:       zonesPages([]int{guestZoneMiB, guestZoneMiB}),
 		GuestPolicy:      guestPlacement,
-		GuestSorted:      guestPolicy == "ca",
-		GuestBootReserve: 1,
+		GuestSorted:      guestSorted,
+		GuestBootReserve: bootReserveBlocks,
 	})
 	if err != nil {
 		return nil, err

@@ -4,45 +4,21 @@ import (
 	"fmt"
 
 	"repro/internal/aging"
-	"repro/internal/check"
-	"repro/internal/mem/addr"
+	"repro/internal/core"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
-	"repro/internal/osim/daemon"
 	"repro/internal/workloads"
 )
 
-// bootPinned describes the BootReserve extents of the standard host
-// machine, so whole-machine audits can account for the frames no
-// process owns.
-func bootPinned(numaOff bool) []check.Extent {
-	zones := 2
-	if numaOff {
-		zones = 1
-	}
-	var out []check.Extent
-	for z := 0; z < zones; z++ {
-		base := uint64(z) * hostZoneBlocks * addr.MaxOrderPages
-		for b := 0; b < bootReserveBlocks; b++ {
-			out = append(out, check.Extent{
-				PFN:   base + uint64(b)*addr.MaxOrderPages,
-				Pages: addr.MaxOrderPages,
-			})
-		}
-	}
-	return out
-}
-
 // RunAgingCampaign builds the standard host kernel under the named
-// policy and runs one aging campaign on it. cfg.Pinned is filled from
-// the kernel's boot reservations, and the shard-kernel factory is
-// supplied here so the aging package stays decoupled from policy
-// construction; an unset cfg.ShardJobs takes pr.ShardJobs.
+// policy and runs one aging campaign on it. The audits account for
+// the kernel's boot reservations themselves, and the shard-kernel
+// factory is supplied here so the aging package stays decoupled from
+// policy construction; an unset cfg.ShardJobs takes pr.ShardJobs.
 // cmd/agingsim calls this directly; the figAging drivers fan it out
 // over a policy x horizon grid.
 func RunAgingCampaign(pr Params, pol PolicyName, cfg aging.Config) (*aging.Trajectory, error) {
 	k, ds := newNativeKernel(pr, pol, false)
-	cfg.Pinned = bootPinned(false)
 	if cfg.ShardJobs == 0 {
 		cfg.ShardJobs = pr.ShardJobs
 	}
@@ -52,7 +28,7 @@ func RunAgingCampaign(pr Params, pol PolicyName, cfg aging.Config) (*aging.Traje
 		tr.Policy = string(pol)
 	}
 	if err == nil {
-		recycleKernel(k)
+		k.Machine.Recycle()
 	}
 	return tr, err
 }
@@ -64,13 +40,9 @@ func RunAgingCampaign(pr Params, pol PolicyName, cfg aging.Config) (*aging.Traje
 // views were cut.
 func shardKernelFactory(pr Params, pol PolicyName) func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
 	return func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon) {
-		k := osim.NewKernel(view, placementFor(pol))
-		var ds []workloads.Daemon
-		switch pol {
-		case PolicyIngens:
-			ds = append(ds, daemon.NewIngens(k))
-		case PolicyRanger:
-			ds = append(ds, daemon.NewRanger(k))
+		k, ds, err := core.NewKernel(view, string(pol))
+		if err != nil {
+			panic("experiments: " + err.Error())
 		}
 		k.SetTracer(pr.Tracer)
 		return k, ds

@@ -97,7 +97,7 @@ func FigBackends(p Params) (*Table, error) {
 		if vm != nil {
 			recycleVM(vm)
 		} else {
-			recycleKernel(k)
+			k.Machine.Recycle()
 		}
 		results[c.wi*len(modes)*len(backends)+c.mi*len(backends)+c.bi] = res
 		return nil

@@ -40,7 +40,7 @@ func Fig7For(p Params, names []string, policies []PolicyName) (*Table, error) {
 			return err
 		}
 		env.Exit()
-		recycleKernel(k)
+		k.Machine.Recycle()
 		rows[i] = []string{
 			name, string(pol), f3(st.Cov32), f3(st.Cov128), fmt.Sprint(st.Maps99),
 		}
@@ -90,11 +90,11 @@ func Fig8Sweep(p Params, pressures []float64, names []string, policies []PolicyN
 		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 			return fmt.Errorf("fig8 %s/%s@%.0f%%: %w", name, pol, pressure*100, err)
 		}
-		settleDaemons(k, ds, p.SettleEpochs)
+		workloads.SettleDaemons(k, ds, p.SettleEpochs)
 		st := contigOf(metrics.FromPageTable(env.Proc.PT))
 		cells[i] = cell{c32: st.Cov32, c128: st.Cov128, m99: float64(st.Maps99)}
 		env.Exit()
-		recycleKernel(k)
+		k.Machine.Recycle()
 		return nil
 	})
 	if err != nil {
@@ -158,7 +158,7 @@ func Fig9(p Params) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			string(pol), f3(frac[0]), f3(frac[1]), f3(frac[2]), f3(frac[3]),
 		})
-		recycleKernel(k)
+		k.Machine.Recycle()
 	}
 	return t, nil
 }
@@ -218,7 +218,7 @@ func Fig10(p Params) (*Table, error) {
 		if err := interleavedSVMPair(envA, envB, workloads.NewSVM().FootprintBytes()); err != nil {
 			return nil, err
 		}
-		settleDaemons(k, ds, p.SettleEpochs)
+		workloads.SettleDaemons(k, ds, p.SettleEpochs)
 		// Measure after daemons settle (matters for ranger).
 		stA := contigOf(metrics.FromPageTable(envA.Proc.PT))
 		stB := contigOf(metrics.FromPageTable(envB.Proc.PT))
@@ -228,7 +228,7 @@ func Fig10(p Params) (*Table, error) {
 		})
 		envA.Exit()
 		envB.Exit()
-		recycleKernel(k)
+		k.Machine.Recycle()
 	}
 	return t, nil
 }
@@ -299,7 +299,7 @@ func Fig1b(p Params) (*Table, error) {
 			// cache would otherwise accumulate without bound.
 			k.Cache.ReclaimUnder(0.5)
 		}
-		recycleKernel(k)
+		k.Machine.Recycle()
 	}
 	for run := 0; run < 10; run++ {
 		t.Rows = append(t.Rows, []string{
@@ -341,7 +341,7 @@ func Fig1c(p Params) (*Table, error) {
 		}
 		// Execution window: daemons keep working (ranger catches up).
 		for i := 0; i < samples; i++ {
-			settleDaemons(k, ds, 40)
+			workloads.SettleDaemons(k, ds, 40)
 			sampler.force()
 		}
 		pts := sampler.resample(samples)
@@ -353,7 +353,7 @@ func Fig1c(p Params) (*Table, error) {
 			}
 		}
 		env.Exit()
-		recycleKernel(k)
+		k.Machine.Recycle()
 	}
 	for i, pt := range series {
 		t.Rows = append(t.Rows, []string{

@@ -17,11 +17,9 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/mem/addr"
-	"repro/internal/mem/zone"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/osim"
-	"repro/internal/osim/daemon"
 	"repro/internal/virt"
 	"repro/internal/workloads"
 )
@@ -78,34 +76,7 @@ func pad(s string, n int) string {
 	return s + strings.Repeat(" ", n-len(s))
 }
 
-// --- machine and configuration fixtures ---
-
-const (
-	// hostZoneBlocks is the per-zone size of the host machine in
-	// MAX_ORDER blocks: 2 zones x 640 MiB = 1.25 GiB, the paper's
-	// 2-socket 256 GB box scaled.
-	hostZoneBlocks = 160
-	// guestZoneBlocks: 2 x 384 MiB guest NUMA zones in a 768 MiB VM.
-	guestZoneBlocks = 96
-	// bootReserveBlocks models kernel/firmware reservations per zone.
-	bootReserveBlocks = 1
-	// vmBytes is the guest physical memory size.
-	vmBytes = 768 << 20
-)
-
-// newHostMachine builds the standard two-zone host.
-func newHostMachine(numaOff bool, sorted bool) *zone.Machine {
-	if numaOff {
-		return zone.NewMachine(zone.Config{
-			ZonePages:      []uint64{2 * hostZoneBlocks * addr.MaxOrderPages},
-			SortedMaxOrder: sorted,
-		})
-	}
-	return zone.NewMachine(zone.Config{
-		ZonePages:      []uint64{hostZoneBlocks * addr.MaxOrderPages, hostZoneBlocks * addr.MaxOrderPages},
-		SortedMaxOrder: sorted,
-	})
-}
+// --- configurations ---
 
 // PolicyName selects one of the paper's memory-management
 // configurations for native runs.
@@ -126,68 +97,35 @@ func AllPolicies() []PolicyName {
 	return []PolicyName{PolicyTHP, PolicyIngens, PolicyCA, PolicyEager, PolicyRanger, PolicyIdeal}
 }
 
-// newNativeKernel builds a kernel + daemons for the named policy.
-// The CA configuration also enables the sorted MAX_ORDER list, as the
-// paper's prototype does.
+// newNativeKernel boots core's host under the named policy (one
+// zone of both host zones' memory when numaOff) and attaches the
+// tracer.
 func newNativeKernel(pr Params, p PolicyName, numaOff bool) (*osim.Kernel, []workloads.Daemon) {
-	sorted := p == PolicyCA
-	m := newHostMachine(numaOff, sorted)
-	var k *osim.Kernel
-	var ds []workloads.Daemon
-	switch p {
-	case PolicyTHP:
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-	case PolicyIngens:
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-		ds = append(ds, daemon.NewIngens(k))
-	case PolicyCA:
-		k = osim.NewKernel(m, osim.CAPolicy{})
-	case PolicyEager:
-		k = osim.NewKernel(m, osim.EagerPolicy{})
-	case PolicyRanger:
-		k = osim.NewKernel(m, osim.DefaultPolicy{})
-		ds = append(ds, daemon.NewRanger(k))
-	case PolicyIdeal:
-		k = osim.NewKernel(m, osim.NewIdealPolicy())
-	default:
-		panic("experiments: unknown policy " + string(p))
+	c := core.Config{Policy: string(p)}
+	if numaOff {
+		c.ZonesMiB = []int{2 * core.HostZoneMiB}
 	}
-	k.BootReserve(bootReserveBlocks)
-	k.SetTracer(pr.Tracer)
-	return k, ds
+	sys, err := core.NewNativeSystem(c)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	sys.Kernel.SetTracer(pr.Tracer)
+	return sys.Kernel, sys.Daemons
 }
 
-// placementFor returns the osim placement for guest/host kernels.
-func placementFor(p PolicyName) osim.Placement {
-	switch p {
-	case PolicyCA:
-		return osim.CAPolicy{}
-	case PolicyEager:
-		return osim.EagerPolicy{}
-	case PolicyIdeal:
-		return osim.NewIdealPolicy()
-	default:
-		return osim.DefaultPolicy{}
-	}
-}
-
-// newVM builds the standard VM: guest and host kernels with the given
-// policies (the paper applies the same policy in both dimensions).
+// newVM boots core's host and VM with the given guest and host
+// policies (the paper applies the same policy in both dimensions) and
+// attaches the tracer.
 func newVM(pr Params, guest, host PolicyName) (*virt.VM, *osim.Kernel, error) {
-	hk := osim.NewKernel(newHostMachine(false, host == PolicyCA), placementFor(host))
-	hk.BootReserve(bootReserveBlocks)
-	vm, err := virt.New(hk, virt.Config{
-		MemBytes:         vmBytes,
-		GuestZones:       []uint64{guestZoneBlocks * addr.MaxOrderPages, guestZoneBlocks * addr.MaxOrderPages},
-		GuestPolicy:      placementFor(guest),
-		GuestSorted:      guest == PolicyCA,
-		GuestBootReserve: bootReserveBlocks,
+	sys, err := core.NewVirtualSystem(core.VirtualConfig{
+		Host:        core.Config{Policy: string(host)},
+		GuestPolicy: string(guest),
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	vm.SetTracer(pr.Tracer)
-	return vm, hk, nil
+	sys.VM.SetTracer(pr.Tracer)
+	return sys.VM, sys.Host, nil
 }
 
 // ContigStats is one configuration's contiguity measurement.
@@ -204,13 +142,6 @@ func contigOf(ms []metrics.Mapping) ContigStats {
 	}
 }
 
-// settleDaemons drives the background daemons through enough epochs of
-// logical time to converge (post-population execution window), as the
-// paper's measurements average over the application's execution.
-func settleDaemons(k *osim.Kernel, ds []workloads.Daemon, epochs int) {
-	workloads.SettleDaemons(k, ds, epochs)
-}
-
 // runNativeContig runs one workload under one policy and returns its
 // final contiguity plus the kernel for further inspection. The process
 // is left alive; callers may exit it.
@@ -225,18 +156,10 @@ func runNativeContig(p Params, w workloads.Workload, pol PolicyName) (ContigStat
 	}
 	tr.EmitPhase(string(pol)+"/"+w.Name()+"/setup", start)
 	start = tr.Start()
-	settleDaemons(k, ds, p.SettleEpochs)
+	workloads.SettleDaemons(k, ds, p.SettleEpochs)
 	tr.EmitPhase(string(pol)+"/"+w.Name()+"/settle", start)
 	ms := metrics.FromPageTable(env.Proc.PT)
 	return contigOf(ms), k, env, nil
-}
-
-// recycleKernel returns a finished cell's machine to the zone
-// construction pool. Only call once every reference into the machine —
-// processes, envs, the kernel itself — is dead to the caller; metrics
-// snapshots and table rows hold copies and are safe.
-func recycleKernel(k *osim.Kernel) {
-	k.Machine.Recycle()
 }
 
 // recycleVM pools both of a finished cell's machines (guest and host).

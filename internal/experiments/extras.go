@@ -55,7 +55,7 @@ func ExtraReservation(p Params) (*Table, error) {
 		t.Rows = append(t.Rows, []string{label, fmt.Sprint(stA.Maps99), fmt.Sprint(stB.Maps99)})
 		pa.Exit()
 		pb.Exit()
-		recycleKernel(k)
+		k.Machine.Recycle()
 		return nil
 	}
 	if err := run(osim.CAPolicy{}, "best-effort (paper)"); err != nil {

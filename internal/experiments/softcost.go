@@ -45,9 +45,9 @@ func Fig11For(p Params, names []string) (*Table, error) {
 		// Execution window: daemons (ranger migrations, Ingens
 		// promotions) keep running; their added time is the
 		// difference the model charges.
-		settleDaemons(k, ds, 60)
+		workloads.SettleDaemons(k, ds, 60)
 		daemonWork := k.Clock - clockAfterSetup
-		// settleDaemons advances the clock by the idle epochs
+		// SettleDaemons advances the clock by the idle epochs
 		// themselves; subtract that baseline so only the work time
 		// (migrations/promotions/faults) counts.
 		idle := uint64(60 * 2_100_000)
@@ -58,7 +58,7 @@ func Fig11For(p Params, names []string) (*Table, error) {
 		}
 		kernelNs[i] = clockAfterSetup + daemonWork
 		env.Exit()
-		recycleKernel(k)
+		k.Machine.Recycle()
 		return nil
 	})
 	if err != nil {
@@ -117,7 +117,7 @@ func Table5For(p Params, names []string) (*Table, error) {
 		// cells stays valid.
 		cells[i] = cellResult{faults: k.Stats.TotalFaults(), lats: k.Stats.FaultLatencies}
 		env.Exit()
-		recycleKernel(k)
+		k.Machine.Recycle()
 		return nil
 	})
 	if err != nil {
@@ -159,13 +159,13 @@ func Table6For(p Params, names []string) (*Table, error) {
 			if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 				return nil, fmt.Errorf("table6 %s/%s: %w", name, pol, err)
 			}
-			settleDaemons(k, ds, 30)
+			workloads.SettleDaemons(k, ds, 30)
 			mapped, touched := residency(env)
 			bloatBytes := (mapped - touched) * 4096
 			overheadPct := float64(bloatBytes) / float64(touched*4096) * 100
 			row = append(row, fmt.Sprintf("%.1f (%.1f%%)", float64(bloatBytes)/(1<<20), overheadPct))
 			env.Exit()
-			recycleKernel(k)
+			k.Machine.Recycle()
 		}
 		t.Rows = append(t.Rows, row)
 	}

@@ -57,7 +57,7 @@ func runTranslation(p Params, name string) (translationRun, error) {
 			if vm != nil {
 				recycleVM(vm)
 			} else {
-				recycleKernel(k)
+				k.Machine.Recycle()
 			}
 		}
 		return res, err

@@ -59,8 +59,6 @@ type Ingens struct {
 	// UtilThreshold is the fraction (0..1] of touched pages a 2 MiB
 	// region needs before promotion (paper default 0.9).
 	UtilThreshold float64
-	// NoFixpoint disables the settled-epoch skip (equivalence tests).
-	NoFixpoint bool
 
 	lastRun uint64
 	fp      fixpoint
@@ -107,7 +105,7 @@ func (d *Ingens) MaybeN(n uint64) {
 // (see fixpoint); this keeps long settle phases O(1) per epoch once
 // the address space stops changing.
 func (d *Ingens) Scan() {
-	if !d.NoFixpoint && d.fp.settled(d.Kernel) {
+	if d.fp.settled(d.Kernel) {
 		return
 	}
 	before := d.Kernel.Stats.Promotions
@@ -199,8 +197,6 @@ type Ranger struct {
 	Period uint64
 	// PagesPerEpoch bounds migration work per epoch (rate limiting).
 	PagesPerEpoch uint64
-	// NoFixpoint disables the settled-epoch skip (equivalence tests).
-	NoFixpoint bool
 
 	lastRun uint64
 	fp      fixpoint
@@ -257,7 +253,7 @@ func (d *Ranger) MaybeN(n uint64) {
 // behaviour the paper calls out as penalising Ranger's response time
 // (Fig. 10).
 func (d *Ranger) Epoch() {
-	if !d.NoFixpoint && d.fp.settled(d.Kernel) {
+	if d.fp.settled(d.Kernel) {
 		return
 	}
 	before := d.Kernel.Stats.Migrations

@@ -297,3 +297,70 @@ func TestMaybeNMatchesMaybeLoop(t *testing.T) {
 		})
 	}
 }
+
+// TestSettledEpochSkipIsExact pins the fixpoint memo's claim: once a
+// daemon's epoch changed nothing and no input moved since, running the
+// epoch in full again must change nothing either, so skipping it is
+// exact. Each daemon is settled on two interleaved processes (4K
+// regions for Ingens to promote, scattered frames for Ranger to
+// migrate), then the memo is cleared and one full epoch must leave
+// promotions, migrations, and both mutation counters as they were.
+func TestSettledEpochSkipIsExact(t *testing.T) {
+	cases := []struct {
+		name string
+		make func(k *osim.Kernel) (epoch func(), fp *fixpoint)
+	}{
+		{"ingens", func(k *osim.Kernel) (func(), *fixpoint) {
+			d := NewIngens(k)
+			return d.Scan, &d.fp
+		}},
+		{"ranger", func(k *osim.Kernel) (func(), *fixpoint) {
+			d := NewRanger(k)
+			return d.Epoch, &d.fp
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			k := newKernel(t, 64, osim.DefaultPolicy{})
+			epoch, fp := c.make(k)
+			p1, p2 := k.NewProcess(0), k.NewProcess(0)
+			v1, err := p1.MMap(4 * addr.HugeSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := p2.MMap(4 * addr.HugeSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := uint64(0); off < v1.Size(); off += addr.PageSize {
+				if _, err := p1.Touch(v1.Start.Add(off), true); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p2.Touch(v2.Start.Add(off), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 100 && !fp.valid; i++ {
+				epoch()
+			}
+			if !fp.valid {
+				t.Fatal("daemon did not settle in 100 epochs")
+			}
+			if k.Stats.Promotions+k.Stats.Migrations == 0 {
+				t.Fatal("daemon settled without doing any work")
+			}
+			promotions, migrations := k.Stats.Promotions, k.Stats.Migrations
+			seq, muts := k.StateSeq(), k.Machine.Mutations()
+			fp.valid = false
+			epoch()
+			if k.Stats.Promotions != promotions || k.Stats.Migrations != migrations {
+				t.Errorf("full epoch after settling: promotions %d -> %d, migrations %d -> %d",
+					promotions, k.Stats.Promotions, migrations, k.Stats.Migrations)
+			}
+			if k.StateSeq() != seq || k.Machine.Mutations() != muts {
+				t.Errorf("full epoch after settling: state seq %d -> %d, machine mutations %d -> %d",
+					seq, k.StateSeq(), muts, k.Machine.Mutations())
+			}
+		})
+	}
+}

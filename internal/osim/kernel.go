@@ -173,6 +173,10 @@ type Kernel struct {
 	// daemon's inputs cannot have changed (the fixed-point memo key).
 	mutSeq uint64
 
+	// bootBlocks is how many MAX_ORDER blocks BootReserve pinned at
+	// each zone base.
+	bootBlocks int
+
 	procs  []*Process
 	nextID int
 }
@@ -216,7 +220,10 @@ func (k *Kernel) SetTracer(t *trace.Tracer) {
 // pristine adjacent zones form one seamless physical run and workloads
 // cross NUMA boundaries "for free" — masking the boundary effects the
 // paper observes for hashjoin and BT. Call right after NewKernel.
+// The kernel records the count (BootBlocks), so audits account for
+// the reservation without being told.
 func (k *Kernel) BootReserve(blocks int) {
+	k.bootBlocks = blocks
 	for _, z := range k.Machine.Zones {
 		for b := 0; b < blocks; b++ {
 			if err := z.Buddy.Reserve(z.Base+addr.PFN(b*addr.MaxOrderPages), addr.MaxOrderPages); err != nil {
@@ -225,6 +232,11 @@ func (k *Kernel) BootReserve(blocks int) {
 		}
 	}
 }
+
+// BootBlocks reports how many MAX_ORDER blocks BootReserve pinned at
+// the base of each zone of k.Machine; 0 when it was never called, as
+// for kernels over zone views, whose parent made the reservation.
+func (k *Kernel) BootBlocks() int { return k.bootBlocks }
 
 // NewProcess creates a process homed on the given zone. homeZone must
 // name an existing zone: the zonelist would silently clamp an

@@ -217,7 +217,6 @@ type Engine struct {
 	cfg    ReplayConfig
 	mach   *zone.Machine
 	parent *osim.Kernel
-	pinned []check.Extent
 	shards []*rshard
 	gEvents, gFaults, gMisses,
 	gOOMs, gP99 int
@@ -241,12 +240,6 @@ func NewEngine(cfg ReplayConfig) (*Engine, error) {
 	parent := osim.NewKernel(mach, osim.DefaultPolicy{})
 	parent.BootReserve(1)
 	e := &Engine{cfg: cfg, mach: mach, parent: parent}
-	for z := 0; z < cfg.Shards; z++ {
-		e.pinned = append(e.pinned, check.Extent{
-			PFN:   uint64(z) * cfg.ZoneBlocks * addr.MaxOrderPages,
-			Pages: addr.MaxOrderPages,
-		})
-	}
 	for i := 0; i < cfg.Shards; i++ {
 		k := osim.NewKernel(mach.View(i), pol)
 		s := &rshard{
@@ -538,10 +531,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		workloads.Unhog(s.kern.Machine, s.hogs[i])
 		s.hogs = append(s.hogs[:i], s.hogs[i+1:]...)
 	case KindDaemonTick:
-		s.kern.Tick(2_100_000)
-		for _, d := range s.daemons {
-			d.Maybe()
-		}
+		workloads.SettleDaemons(s.kern, s.daemons, 1)
 	default:
 		return fmt.Errorf("%w: kind %d", ErrMalformed, ev.Kind)
 	}
@@ -740,7 +730,7 @@ func (e *Engine) SampleGauges() {
 // outstanding hog pins accounted as intentional. Call when quiesced
 // (after Replay returns).
 func (e *Engine) Audit() error {
-	pinned := append([]check.Extent(nil), e.pinned...)
+	var pinned []check.Extent
 	for _, s := range e.shards {
 		for _, set := range s.hogs {
 			for _, h := range set {
