@@ -7,11 +7,12 @@
 // of snapshots, and periodically cross-checks the whole machine with
 // internal/check audits.
 //
-// A campaign is a set of shards, each owning a subset of the machine's
-// zones with its own kernel, daemons, rng stream, and tenants. Every
-// epoch steps the shards (concurrently, race-free) and then merges
-// their cross-shard effects at a serial barrier. Shards=1 is one shard
-// owning every zone, run by the same loop.
+// A campaign is an internal/shard Set: each shard owns a subset of the
+// machine's zones with its own kernel and daemons, and the campaign
+// gives it an rng stream and tenants. Every epoch steps the shards
+// (concurrently, race-free) and then merges their cross-shard effects
+// at a serial barrier. Shards=1 is one shard owning every zone, run by
+// the same loop.
 //
 // The harness exists because the steady-state experiment drivers never
 // exercise the full process lifecycle: the Ranger plan leak and the
@@ -27,16 +28,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"strconv"
-	"sync"
 
 	"repro/internal/check"
 	"repro/internal/mem/addr"
-	"repro/internal/mem/zone"
 	"repro/internal/metrics"
 	"repro/internal/osim"
 	"repro/internal/osim/vma"
+	"repro/internal/shard"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -88,29 +87,22 @@ type Config struct {
 	// account for each kernel's BootReserve.
 	Pinned []check.Extent
 
-	// Shards splits the campaign into independently stepped tenant
-	// streams (default 1, also for negative values: one shard owning
-	// every zone). The machine's zones are dealt round-robin to the
-	// shards; each shard owns its zones outright through a zone view
-	// and steps with its own kernel, daemon set, RNG stream, and
-	// logical clock, so shards can run concurrently without sharing
-	// any mutable state. An explicit epoch barrier merges the
-	// cross-shard effects — OOM-driven reclaim of the parent's page
-	// cache, cache churn, snapshots, and whole-machine audits — in
-	// shard-index order. Shards is clamped to the zone count.
+	// Shards is the zone-shard count, dealt and clamped to [1, zone
+	// count] by shard.New. Each shard steps its own tenant stream with
+	// its own RNG; an epoch barrier merges the cross-shard effects —
+	// OOM-driven reclaim of the parent's page cache, cache churn,
+	// snapshots, and whole-machine audits — in shard-index order.
 	Shards int
 	// ShardJobs bounds the workers stepping shards concurrently
-	// (<=0 selects GOMAXPROCS; 1 steps shards serially). Trajectories
-	// are deterministic in (Seed, Shards) and byte-identical at every
-	// ShardJobs value; only wall-clock moves.
+	// (shard.Each: <=0 selects GOMAXPROCS; 1 steps shards serially).
+	// Trajectories are deterministic in (Seed, Shards) and
+	// byte-identical at every ShardJobs value.
 	ShardJobs int
-	// NewShardKernel builds one shard's kernel: given the shard's zone
-	// view and index it returns the kernel (policy attached, no boot
-	// reservations — the parent kernel owns those) and the shard's
-	// private daemon set. Required at every shard count (Run returns
-	// an error without it); experiments.RunAgingCampaign supplies the
-	// standard construction.
-	NewShardKernel func(view *zone.Machine, shard int) (*osim.Kernel, []workloads.Daemon)
+	// NewShardKernel builds each shard's kernel (policy attached, no
+	// boot reservations) and private daemon set. Required at every
+	// shard count (Run returns an error without it);
+	// experiments.RunAgingCampaign supplies the standard construction.
+	NewShardKernel shard.Build
 }
 
 // withDefaults fills zero fields.
@@ -138,9 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheChurnEvery == 0 {
 		c.CacheChurnEvery = 7
-	}
-	if c.Shards <= 0 {
-		c.Shards = 1
 	}
 	return c
 }
@@ -220,15 +209,12 @@ type Campaign struct {
 	// rng is the parent's stream; only cacheChurn draws from it.
 	rng *rand.Rand
 
-	// auditor is the campaign's reusable audit arena: one flat-array
-	// Auditor held for the whole run, so the periodic whole-machine
-	// audits reuse their PFN-indexed scratch across snapshots instead
-	// of rebuilding hash maps at every audit.
-	auditor *check.Auditor
-
-	// shards are stepped concurrently up to cfg.ShardJobs, and their
-	// effects are merged at epoch barriers.
-	shards []*shard
+	// set owns the zone shards and the whole-machine audit.
+	set *shard.Set
+	// streams are the shards' churn state, index-aligned with
+	// set.Shards; they are stepped concurrently up to cfg.ShardJobs,
+	// and their effects are merged at epoch barriers.
+	streams []*stream
 
 	gaugeIDs struct {
 		tenants, rss, cache, free, frag, ufi2m int
@@ -238,14 +224,12 @@ type Campaign struct {
 	err error
 }
 
-// shard is one independently stepped tenant stream owning a zone
-// subset. Everything a shard touches during its parallel step — its
-// kernel, its view's zones, its rng/zipf stream, its tenants — is
-// private to it; cross-shard effects are deferred to the barrier.
-type shard struct {
-	idx  int
-	k    *osim.Kernel
-	ds   []workloads.Daemon
+// stream is one shard's independently stepped tenant stream.
+// Everything it touches during its parallel step — the shard's kernel,
+// its view's zones, its rng/zipf stream, its tenants — is private to
+// it; cross-shard effects are deferred to the barrier.
+type stream struct {
+	*shard.Shard
 	rng  *rand.Rand
 	zipf *rand.Zipf
 
@@ -258,9 +242,6 @@ type shard struct {
 	// wantReclaim marks a touch-path OOM whose cache reclaim is
 	// deferred to the barrier.
 	wantReclaim bool
-	// err is the shard's step failure, reported at the barrier in
-	// shard-index order so failures are deterministic.
-	err error
 }
 
 // pendingArrival is a populated-as-far-as-it-got tenant admission
@@ -282,14 +263,10 @@ type pendingArrival struct {
 // lives on a shard kernel with that shard's own daemons.
 func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 	cfg = cfg.withDefaults()
-	if cfg.Shards > len(k.Machine.Zones) {
-		cfg.Shards = len(k.Machine.Zones)
-	}
 	c := &Campaign{
-		k:       k,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		auditor: check.NewAuditor(k.Machine),
+		k:   k,
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	t := k.Tracer
 	c.gaugeIDs.tenants = t.Gauge("aging.tenants")
@@ -303,23 +280,17 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 		c.err = errors.New("aging: Config.NewShardKernel is required")
 		return c
 	}
+	c.set = shard.New(k, cfg.Shards, cfg.NewShardKernel)
 	span := cfg.MaxFootprintPages - minFootprintPages
-	for s := 0; s < cfg.Shards; s++ {
-		var owned []int
-		for z := s; z < len(k.Machine.Zones); z += cfg.Shards {
-			owned = append(owned, z)
-		}
-		sk, sds := cfg.NewShardKernel(k.Machine.View(owned...), s)
+	for _, sh := range c.set.Shards {
 		// Decorrelate the shard streams from each other and from the
 		// parent's cache-churn stream with a fixed odd-multiplier seed
 		// derivation (deterministic in Seed and shard index).
-		srng := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(s+1)*0x9E3779B97F4A7C15)))
-		c.shards = append(c.shards, &shard{
-			idx:  s,
-			k:    sk,
-			ds:   sds,
-			rng:  srng,
-			zipf: rand.NewZipf(srng, cfg.ZipfS, 1, span),
+		srng := rand.New(rand.NewSource(cfg.Seed ^ int64(uint64(sh.Index+1)*0x9E3779B97F4A7C15)))
+		c.streams = append(c.streams, &stream{
+			Shard: sh,
+			rng:   srng,
+			zipf:  rand.NewZipf(srng, cfg.ZipfS, 1, span),
 		})
 	}
 	return c
@@ -332,10 +303,8 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 //
 // Each epoch has two phases. The parallel phase steps every shard
 // once — churn, then the shard's private daemon settle — touching only
-// shard-owned state (its kernel and clock, its view's zones and frame
-// records, its rng/zipf stream, its tenants), which makes the phase
-// race-free at any ShardJobs and its outcome independent of worker
-// interleaving. The serial barrier then merges the cross-shard effects
+// shard-owned state, so its outcome is independent of ShardJobs. The
+// serial barrier then merges the cross-shard effects
 // in shard-index order: deferred OOM handling against the parent's
 // page cache, periodic cache churn on the parent kernel (which may
 // allocate from any zone — safe, nothing else runs), snapshots over
@@ -347,7 +316,12 @@ func (c *Campaign) Run() (*Trajectory, error) {
 	tr := &Trajectory{Policy: c.k.Policy.Name()}
 	sinceSnap, snaps := 0, 0
 	for step := 1; step <= c.cfg.Steps; step++ {
-		c.stepShards(step)
+		err := shard.Each(len(c.streams), c.cfg.ShardJobs, func(i int) error {
+			return c.shardStep(c.streams[i], step)
+		})
+		if err != nil {
+			return tr, err
+		}
 		if err := c.barrier(step); err != nil {
 			return tr, err
 		}
@@ -360,20 +334,20 @@ func (c *Campaign) Run() (*Trajectory, error) {
 		snaps++
 		tr.Snapshots = append(tr.Snapshots, c.snapshot(step))
 		if c.cfg.AuditEvery > 0 && snaps%c.cfg.AuditEvery == 0 {
-			if err := c.audit(); err != nil {
+			if err := c.set.Audit(c.cfg.Pinned); err != nil {
 				return tr, fmt.Errorf("aging: audit after step %d: %w", step, err)
 			}
 		}
 	}
 	// Drain every shard's tenants so the final audit also covers the
 	// teardown path (where the lifecycle bugs lived).
-	for _, s := range c.shards {
+	for _, s := range c.streams {
 		for len(s.tenants) > 0 {
 			s.exit(len(s.tenants) - 1)
 		}
-		workloads.SettleDaemons(s.k, s.ds, settleEpochs)
+		workloads.SettleDaemons(s.Kernel, s.Daemons, settleEpochs)
 	}
-	if err := c.audit(); err != nil {
+	if err := c.set.Audit(c.cfg.Pinned); err != nil {
 		return tr, fmt.Errorf("aging: final audit: %w", err)
 	}
 	return tr, nil
@@ -427,57 +401,24 @@ func (c *Campaign) cacheChurn() error {
 	return nil
 }
 
-// shardJobs resolves the parallel-phase worker bound.
-func (c *Campaign) shardJobs() int {
-	if c.cfg.ShardJobs <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return c.cfg.ShardJobs
-}
-
-// stepShards runs every shard's epoch step, concurrently up to
-// ShardJobs workers. Failures land in shard.err; the barrier reports
-// the lowest-index one so errors are deterministic too.
-func (c *Campaign) stepShards(step int) {
-	jobs := c.shardJobs()
-	if jobs <= 1 {
-		for _, s := range c.shards {
-			c.shardStep(s, step)
-		}
-		return
-	}
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for _, s := range c.shards {
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			c.shardStep(s, step)
-		}(s)
-	}
-	wg.Wait()
-}
-
 // shardStep is one shard's parallel-phase work: one churn action plus
 // the shard's private daemon settle window.
-func (c *Campaign) shardStep(s *shard, step int) {
+func (c *Campaign) shardStep(s *stream, step int) error {
 	t := c.k.Tracer
 	start := t.Start()
 	if err := c.churn(s); err != nil {
-		s.err = err
-		return
+		return fmt.Errorf("aging: step %d shard %d: %w", step, s.Index, err)
 	}
-	workloads.SettleDaemons(s.k, s.ds, settleEpochs)
-	t.EmitSpan(trace.EvShardEpoch, start, uint64(s.idx), uint64(step), s.k.Clock)
+	workloads.SettleDaemons(s.Kernel, s.Daemons, settleEpochs)
+	t.EmitSpan(trace.EvShardEpoch, start, uint64(s.Index), uint64(step), s.Kernel.Clock)
+	return nil
 }
 
 // shardMaxTenants deals the population cap across shards (remainder to
 // the low indexes), never below one.
 func (c *Campaign) shardMaxTenants(idx int) int {
-	n := c.cfg.MaxTenants / len(c.shards)
-	if idx < c.cfg.MaxTenants%len(c.shards) {
+	n := c.cfg.MaxTenants / len(c.streams)
+	if idx < c.cfg.MaxTenants%len(c.streams) {
 		n++
 	}
 	if n < 1 {
@@ -488,8 +429,8 @@ func (c *Campaign) shardMaxTenants(idx int) int {
 
 // churn performs one tenant lifecycle action on the shard's private
 // stream, chosen from the ChurnRoll mix.
-func (c *Campaign) churn(s *shard) error {
-	switch ChurnRoll(s.rng, len(s.tenants), c.shardMaxTenants(s.idx)) {
+func (c *Campaign) churn(s *stream) error {
+	switch ChurnRoll(s.rng, len(s.tenants), c.shardMaxTenants(s.Index)) {
 	case ChurnArrive:
 		return s.arrive()
 	case ChurnTouch:
@@ -504,12 +445,12 @@ func (c *Campaign) churn(s *shard) error {
 // shard's own zones and populates it. An OOM is not resolved here —
 // reclaiming the parent's page cache is a cross-shard effect — so the
 // admission parks on the pending list for the barrier to retry.
-func (s *shard) arrive() error {
+func (s *stream) arrive() error {
 	pages := minFootprintPages + s.zipf.Uint64()
-	zoneIdx := s.arrivals % len(s.k.Machine.Zones)
+	zoneIdx := s.arrivals % len(s.Kernel.Machine.Zones)
 	s.arrivals++
-	env := workloads.NewNativeEnv(s.k, zoneIdx)
-	env.Daemons = s.ds
+	env := workloads.NewNativeEnv(s.Kernel, zoneIdx)
+	env.Daemons = s.Daemons
 	v, err := env.MMap(addr.PagesToBytes(pages))
 	if errors.Is(err, osim.ErrOOM) {
 		s.pending = append(s.pending, pendingArrival{env: env, pages: pages})
@@ -534,7 +475,7 @@ func (s *shard) arrive() error {
 // footprint, re-dirtying it (and faulting any pages an eager policy
 // left unmapped after migrations). OOM defers the cache squeeze to the
 // barrier and moves on; the next touch retries naturally.
-func (s *shard) touch() error {
+func (s *stream) touch() error {
 	t := s.tenants[s.rng.Intn(len(s.tenants))]
 	v := t.vma
 	chunk := t.pages / 4
@@ -554,25 +495,20 @@ func (s *shard) touch() error {
 }
 
 // exit tears down shard tenant i.
-func (s *shard) exit(i int) {
+func (s *stream) exit(i int) {
 	s.tenants[i].env.Exit()
 	s.tenants = append(s.tenants[:i], s.tenants[i+1:]...)
 }
 
 // barrier merges the epoch's cross-shard effects in shard-index order:
-// step errors, deferred reclaim, parked OOM admissions (squeeze the
-// shared cache, retry the populate, OOM-kill on a second failure), and
-// the periodic cache churn on the parent kernel.
+// deferred reclaim, parked OOM admissions (squeeze the shared cache,
+// retry the populate, OOM-kill on a second failure), and the periodic
+// cache churn on the parent kernel.
 func (c *Campaign) barrier(step int) error {
-	for _, s := range c.shards {
-		if s.err != nil {
-			return fmt.Errorf("aging: step %d shard %d: %w", step, s.idx, s.err)
-		}
-	}
 	t := c.k.Tracer
 	start := t.Start()
 	var retried uint64
-	for _, s := range c.shards {
+	for _, s := range c.streams {
 		if s.wantReclaim {
 			s.wantReclaim = false
 			c.k.Cache.ReclaimUnder(reclaimFreeFrac)
@@ -589,7 +525,7 @@ func (c *Campaign) barrier(step int) error {
 					continue
 				}
 				if err != nil {
-					return fmt.Errorf("aging: step %d shard %d OOM retry: %w", step, s.idx, err)
+					return fmt.Errorf("aging: step %d shard %d OOM retry: %w", step, s.Index, err)
 				}
 			}
 			err := pa.env.Populate(v)
@@ -598,7 +534,7 @@ func (c *Campaign) barrier(step int) error {
 				continue
 			}
 			if err != nil {
-				return fmt.Errorf("aging: step %d shard %d OOM retry: %w", step, s.idx, err)
+				return fmt.Errorf("aging: step %d shard %d OOM retry: %w", step, s.Index, err)
 			}
 			s.tenants = append(s.tenants, &tenant{env: pa.env, vma: v, pages: pa.pages})
 		}
@@ -621,14 +557,14 @@ func (c *Campaign) barrier(step int) error {
 func (c *Campaign) snapshot(step int) Snapshot {
 	var rss, faults, maxClock uint64
 	tenants := 0
-	for _, s := range c.shards {
-		for _, p := range s.k.Processes() {
+	for _, s := range c.streams {
+		for _, p := range s.Kernel.Processes() {
 			rss += p.RSSPages
 		}
-		faults += s.k.Stats.TotalFaults()
+		faults += s.Kernel.Stats.TotalFaults()
 		tenants += len(s.tenants)
-		if s.k.Clock > maxClock {
-			maxClock = s.k.Clock
+		if s.Kernel.Clock > maxClock {
+			maxClock = s.Kernel.Clock
 		}
 	}
 	// Sum the buddies' per-order counters instead of walking every free
@@ -666,16 +602,4 @@ func (c *Campaign) snapshot(step int) Snapshot {
 	c.k.Machine.TraceDepths()
 	t.Sample()
 	return s
-}
-
-// audit runs the multi-kernel whole-machine audit: references are
-// gathered from every shard's processes and the parent's page cache
-// before one frame sweep over the union machine.
-func (c *Campaign) audit() error {
-	ks := make([]*osim.Kernel, 0, len(c.shards)+1)
-	ks = append(ks, c.k)
-	for _, s := range c.shards {
-		ks = append(ks, s.k)
-	}
-	return c.auditor.AuditKernels(c.k.Machine, ks, c.cfg.Pinned)
 }

@@ -81,8 +81,8 @@ func NewBackendDiffer(cfg Config, names ...string) (*BackendDiffer, error) {
 	d := &BackendDiffer{m: m}
 	for _, n := range names {
 		be, err := translation.New(n, m.procs[0].env, translation.Config{
-			TLBEntries: tlbEntries,
-			TLBWays:    tlbWays,
+			TLBEntries: TLBEntries,
+			TLBWays:    TLBWays,
 		})
 		if err != nil {
 			return nil, err

@@ -26,18 +26,21 @@ const (
 // Machine geometry and driver bounds. Small on purpose: a few dozen
 // MAX_ORDER blocks keep full audits cheap enough to run every
 // CheckEvery ops under -race, while fragmentation, OOM-adjacent
-// pressure, and cross-zone fallback all still occur.
+// pressure, and cross-zone fallback all still occur. The exported
+// bounds are the trace replay engine's (internal/tracein) too, so both
+// consumers of one trace clamp it into the same regime.
 const (
 	defaultCheckEvery = 128
 	maxProcs          = 4
-	maxVMAPages       = 1024
-	minVMAPages       = 8
-	maxRangePages     = 512
-	budgetPct         = 45 // footprint cap, % of machine pages
-	maxHogSets        = 2
-	tlbEntries        = 64
-	tlbWays           = 8
-	tlbBurst          = 32
+	NativeZoneBlocks  = 8    // native zone size, MAX_ORDER blocks
+	MinVMAPages       = 8    // smallest mmap
+	MaxVMAPages       = 1024 // largest mmap
+	MaxRangePages     = 512  // longest range touch
+	BudgetPct         = 45   // footprint cap, % of machine pages
+	MaxHogSets        = 2    // outstanding hog pin sets
+	TLBEntries        = 64
+	TLBWays           = 8
+	TLBBurst          = 32 // accesses per TLB burst
 )
 
 // Config selects a Machine variant. The zero value is a native machine
@@ -152,7 +155,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.vm, m.kern = vm, vm.Guest
 	} else {
 		zm := zone.NewMachine(zone.Config{
-			ZonePages:      []uint64{8 * addr.MaxOrderPages, 8 * addr.MaxOrderPages},
+			ZonePages:      []uint64{NativeZoneBlocks * addr.MaxOrderPages, NativeZoneBlocks * addr.MaxOrderPages},
 			SortedMaxOrder: sorted,
 		})
 		m.kern = osim.NewKernel(zm, pol)
@@ -162,9 +165,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.ingens = daemon.NewIngens(m.kern)
 		m.daemons = append(m.daemons, m.ingens, daemon.NewRanger(m.kern))
 	}
-	m.budgetPages = m.kern.Machine.TotalPages() * budgetPct / 100
+	m.budgetPages = m.kern.Machine.TotalPages() * BudgetPct / 100
 
-	m.tlb = tlb.New(tlbEntries, tlbWays)
+	m.tlb = tlb.New(TLBEntries, TLBWays)
 	m.reftlb = NewRefTLB(m.tlb.Entries())
 	// Fix the hot access set once: exactly Ways distinct (tag, size)
 	// pairs, so no TLB set ever exceeds its associativity and the
@@ -274,7 +277,7 @@ func (m *Machine) Apply(op Op) error {
 	switch op.Kind {
 	case OpMMap:
 		mp := m.pick(r)
-		pages := minVMAPages + r.intn(maxVMAPages-minVMAPages+1)
+		pages := MinVMAPages + r.intn(MaxVMAPages-MinVMAPages+1)
 		if m.outstanding()+pages > m.budgetPages {
 			m.Stats.Skipped++
 			break
@@ -311,7 +314,7 @@ func (m *Machine) Apply(op Op) error {
 			break
 		}
 		startPage := r.intn(v.Pages())
-		n := 1 + r.intn(min(v.Pages()-startPage, maxRangePages))
+		n := 1 + r.intn(min(v.Pages()-startPage, MaxRangePages))
 		va := v.Start.Add(startPage * addr.PageSize)
 		if err := m.tolerate(mp.env.PopulateRange(v, va, n*addr.PageSize)); err != nil {
 			return fmt.Errorf("touch-range %s+%d: %w", va, n, err)
@@ -381,7 +384,7 @@ func (m *Machine) Apply(op Op) error {
 		}
 
 	case OpHog:
-		if len(m.hogs) >= maxHogSets {
+		if len(m.hogs) >= MaxHogSets {
 			m.Stats.Skipped++
 			break
 		}
@@ -404,10 +407,7 @@ func (m *Machine) Apply(op Op) error {
 		m.hogs = append(m.hogs[:i], m.hogs[i+1:]...)
 
 	case OpDaemonTick:
-		m.kern.Tick(2_000_001) // past the default daemon period
-		for _, d := range m.daemons {
-			d.Maybe()
-		}
+		workloads.SettleDaemons(m.kern, m.daemons, 1)
 
 	case OpPromote:
 		if m.ingens == nil {
@@ -417,7 +417,7 @@ func (m *Machine) Apply(op Op) error {
 		m.ingens.Scan()
 
 	case OpTLB:
-		for i := 0; i < tlbBurst; i++ {
+		for i := 0; i < TLBBurst; i++ {
 			if r.next()%64 == 0 {
 				m.tlb.Flush()
 				m.reftlb.Flush()

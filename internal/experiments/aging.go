@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
+	"repro/internal/shard"
 	"repro/internal/workloads"
 )
 
@@ -92,7 +93,7 @@ func FigAging(p Params) (*Table, error) {
 			cells = append(cells, cell{policy: pol, steps: steps})
 		}
 	}
-	err := forEach(len(cells), p.jobs(), func(i int) error {
+	err := shard.Each(len(cells), p.Jobs, func(i int) error {
 		c := &cells[i]
 		tr, err := RunAgingCampaign(p, c.policy, agingConfig(p, c.steps))
 		if err != nil {
@@ -138,7 +139,7 @@ func FigAgingTraj(p Params) (*Table, error) {
 	const steps = 240
 
 	trajs := make([]*aging.Trajectory, len(policies))
-	err := forEach(len(policies), p.jobs(), func(i int) error {
+	err := shard.Each(len(policies), p.Jobs, func(i int) error {
 		tr, err := RunAgingCampaign(p, policies[i], agingConfig(p, steps))
 		if err != nil {
 			return fmt.Errorf("figAgingTraj %s: %w", policies[i], err)

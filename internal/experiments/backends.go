@@ -7,6 +7,7 @@ import (
 	"repro/internal/hw/translation"
 	"repro/internal/osim"
 	"repro/internal/perfmodel"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/virt"
 	"repro/internal/workloads"
@@ -63,7 +64,7 @@ func FigBackends(p Params) (*Table, error) {
 		}
 	}
 	results := make([]sim.Result, len(cells))
-	if err := forEach(len(cells), p.jobs(), func(i int) error {
+	if err := shard.Each(len(cells), p.Jobs, func(i int) error {
 		c := cells[i]
 		name, backend := names[c.wi], backends[c.bi]
 		var env *workloads.Env

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mem/addr"
 	"repro/internal/metrics"
 	"repro/internal/osim"
+	"repro/internal/shard"
 	"repro/internal/workloads"
 )
 
@@ -32,7 +33,7 @@ func Fig7For(p Params, names []string, policies []PolicyName) (*Table, error) {
 	}
 	g := newGrid(len(names), len(policies))
 	rows := make([][]string, g.size())
-	err := forEach(len(rows), p.jobs(), func(i int) error {
+	err := shard.Each(len(rows), p.Jobs, func(i int) error {
 		name := names[g.at(i, 0)]
 		pol := policies[g.at(i, 1)]
 		st, k, env, err := runNativeContig(p, workloads.ByName(name), pol)
@@ -78,7 +79,7 @@ func Fig8Sweep(p Params, pressures []float64, names []string, policies []PolicyN
 	type cell struct{ c32, c128, m99 float64 }
 	g := newGrid(len(pressures), len(policies), len(names))
 	cells := make([]cell, g.size())
-	err := forEach(len(cells), p.jobs(), func(i int) error {
+	err := shard.Each(len(cells), p.Jobs, func(i int) error {
 		pressure := pressures[g.at(i, 0)]
 		pol := policies[g.at(i, 1)]
 		name := names[g.at(i, 2)]

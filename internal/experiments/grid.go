@@ -29,7 +29,7 @@ func newGrid(dims ...int) grid {
 	return grid{dims: dims}
 }
 
-// size is the number of cells — the n to pass to forEach.
+// size is the number of cells — the n to pass to shard.Each.
 func (g grid) size() int {
 	n := 1
 	for _, d := range g.dims {

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"runtime"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Params carries the run-scale knobs every driver receives. Drivers
 // take their configuration by value instead of reading package globals,
@@ -59,11 +55,3 @@ func (p Params) setupSeed() int64 { return p.Seed }
 
 // streamSeed is the seed access-stream generation uses.
 func (p Params) streamSeed() int64 { return p.Seed + 1 }
-
-// jobs resolves the intra-driver worker bound.
-func (p Params) jobs() int {
-	if p.Jobs <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p.Jobs
-}

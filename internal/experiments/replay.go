@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/check"
+	"repro/internal/shard"
 	"repro/internal/tracein"
 )
 
@@ -37,7 +38,7 @@ func FigReplay(p Params) (*Table, error) {
 		{2, check.PolicyCA},
 	}
 	results := make([]tracein.Result, len(grid))
-	if err := forEach(len(grid), p.jobs(), func(i int) error {
+	if err := shard.Each(len(grid), p.Jobs, func(i int) error {
 		c := grid[i]
 		e, err := tracein.NewEngine(tracein.ReplayConfig{
 			Shards: c.shards, Jobs: 1, Policy: c.policy, Tracer: p.Tracer,

@@ -13,11 +13,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/shard"
 )
 
 // Result is one experiment's outcome.
@@ -62,41 +61,26 @@ func RunDrivers(ctx context.Context, ids []string, drivers []experiments.Driver,
 	if len(ids) != len(drivers) {
 		return nil, fmt.Errorf("runner: %d ids but %d drivers", len(ids), len(drivers))
 	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > len(ids) {
-		jobs = len(ids)
-	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// Failures live in results, not Each's return: every index runs so
+	// that each ID gets a result slot, and the report below picks which
+	// error to surface.
 	results := make([]Result, len(ids))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{ID: ids[i], Err: err}
-					continue
-				}
-				start := time.Now()
-				tab, err := drivers[i](p)
-				results[i] = Result{ID: ids[i], Table: tab, Elapsed: time.Since(start), Err: err}
-				if err != nil {
-					cancel()
-				}
-			}
-		}()
-	}
-	for i := range ids {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	_ = shard.Each(len(ids), jobs, func(i int) error {
+		if err := ctx.Err(); err != nil {
+			results[i] = Result{ID: ids[i], Err: err}
+			return nil
+		}
+		start := time.Now()
+		tab, err := drivers[i](p)
+		results[i] = Result{ID: ids[i], Table: tab, Elapsed: time.Since(start), Err: err}
+		if err != nil {
+			cancel()
+		}
+		return nil
+	})
 
 	// Report a real driver failure over the cancellation noise it
 	// caused in experiments abandoned behind it.

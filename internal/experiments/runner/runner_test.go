@@ -130,12 +130,12 @@ func reducedParams() experiments.Params {
 	return experiments.Params{StreamLen: 30_000, SettleEpochs: 40, Seed: 1}
 }
 
-// TestFig8JobsInvariance pins the fan-out of the fragmentation sweep:
-// the (pressure, policy, workload) grid runs cell-per-worker now, and
-// the geomean rows assembled from the cells must be byte-identical at
-// any parallelism level.
+// TestFig8JobsInvariance pins the intra-driver fan-out: fig8's
+// (pressure, policy, workload) grid and figReplay's (shards, policy)
+// replay grid run cell-per-worker, and the rows assembled from the
+// cells must be byte-identical at any parallelism level.
 func TestFig8JobsInvariance(t *testing.T) {
-	ids := []string{"fig8"}
+	ids := []string{"fig8", "figReplay"}
 	p := reducedParams()
 	p.Jobs = 1
 	seq, err := Run(context.Background(), ids, p, 1)
@@ -148,7 +148,7 @@ func TestFig8JobsInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, b := render(t, seq), render(t, par); !bytes.Equal(a, b) {
-		t.Fatalf("fig8 output depends on Jobs:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", a, b)
+		t.Fatalf("output depends on Jobs:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s", a, b)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/osim/vma"
 	"repro/internal/perfmodel"
+	"repro/internal/shard"
 	"repro/internal/workloads"
 )
 
@@ -32,7 +33,7 @@ func Fig11For(p Params, names []string) (*Table, error) {
 	policies := []PolicyName{PolicyTHP, PolicyIngens, PolicyCA, PolicyEager, PolicyRanger}
 	g := newGrid(len(names), len(policies))
 	kernelNs := make([]uint64, g.size())
-	err := forEach(g.size(), p.jobs(), func(i int) error {
+	err := shard.Each(g.size(), p.Jobs, func(i int) error {
 		name := names[g.at(i, 0)]
 		pol := policies[g.at(i, 1)]
 		k, ds := newNativeKernel(p, pol, false)
@@ -103,7 +104,7 @@ func Table5For(p Params, names []string) (*Table, error) {
 	}
 	g := newGrid(len(policies), len(names))
 	cells := make([]cellResult, g.size())
-	err := forEach(len(cells), p.jobs(), func(i int) error {
+	err := shard.Each(len(cells), p.Jobs, func(i int) error {
 		pol := policies[g.at(i, 0)]
 		name := names[g.at(i, 1)]
 		k, ds := newNativeKernel(p, pol, false)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/osim"
 	"repro/internal/perfmodel"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/virt"
 	"repro/internal/workloads"
@@ -78,7 +79,7 @@ func runTranslation(p Params, name string) (translationRun, error) {
 		{&out.virtTHP, true, true, PolicyTHP, false},
 		{&out.caTHP, true, true, PolicyCA, true},
 	}
-	err := forEach(len(configs), p.jobs(), func(i int) error {
+	err := shard.Each(len(configs), p.Jobs, func(i int) error {
 		c := configs[i]
 		res, err := run(c.virtual, c.thp, c.policy, c.schemes)
 		if err != nil {
@@ -106,7 +107,7 @@ func Fig13For(p Params, names []string) (*Table, error) {
 		},
 	}
 	runs := make([]translationRun, len(names))
-	if err := forEach(len(names), p.jobs(), func(i int) error {
+	if err := shard.Each(len(names), p.Jobs, func(i int) error {
 		r, err := runTranslation(p, names[i])
 		if err != nil {
 			return err
@@ -171,7 +172,7 @@ func Fig14For(p Params, names []string) (*Table, error) {
 		},
 	}
 	results := make([]sim.Result, len(names))
-	if err := forEach(len(names), p.jobs(), func(i int) error {
+	if err := shard.Each(len(names), p.Jobs, func(i int) error {
 		name := names[i]
 		vm, _, err := newVM(p, PolicyCA, PolicyCA)
 		if err != nil {
@@ -223,7 +224,7 @@ func Table7For(p Params, names []string) (*Table, error) {
 		},
 	}
 	ests := make([]perfmodel.USLEstimate, len(names))
-	if err := forEach(len(names), p.jobs(), func(i int) error {
+	if err := shard.Each(len(names), p.Jobs, func(i int) error {
 		name := names[i]
 		vm, _, err := newVM(p, PolicyCA, PolicyCA)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/hw/hc"
 	"repro/internal/metrics"
+	"repro/internal/shard"
 	"repro/internal/workloads"
 )
 
@@ -30,7 +31,7 @@ func Fig12For(p Params, names []string) (*Table, error) {
 	}
 	policies := []PolicyName{PolicyTHP, PolicyCA, PolicyEager}
 	rows := make([][][]string, len(policies))
-	err := forEach(len(policies), p.jobs(), func(i int) error {
+	err := shard.Each(len(policies), p.Jobs, func(i int) error {
 		pol := policies[i]
 		vm, _, err := newVM(p, pol, pol)
 		if err != nil {

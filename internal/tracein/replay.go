@@ -9,9 +9,7 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/check"
@@ -20,41 +18,38 @@ import (
 	"repro/internal/osim"
 	"repro/internal/osim/daemon"
 	"repro/internal/osim/vma"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// Replay bounds, mirroring check.Machine's geometry so the two
-// consumers of one trace exercise comparable regimes.
+// Replay clamps events with check.Machine's op bounds (check.MaxVMAPages
+// and friends), so the two consumers of one trace exercise the same
+// regime.
 const (
-	maxVMAPages   = 1024
-	minVMAPages   = 8
-	maxRangePages = 512
-	maxHogSets    = 2
-	accessBurst   = 32
-	budgetPct     = 45
-	tlbEntries    = 64
-	tlbWays       = 8
-
 	// histBuckets is the translate-cost histogram size: log2 buckets
 	// over cycle counts, 64 covers any uint64 cost.
 	histBuckets = 65
+	// applyBuffer is each shard applier's channel depth at Jobs > 1:
+	// deep enough that the feeder rarely waits on one busy shard, and
+	// the bound on how far the feed runs ahead of an applier.
+	applyBuffer = 1024
 )
 
 // ReplayConfig shapes a replay Engine.
 type ReplayConfig struct {
 	// Shards is the zone-shard count (default 1): the machine gets one
-	// zone per shard, each shard owns its zone outright through a
-	// zone.Machine view with its own kernel (the internal/aging
-	// ownership model), and tenant t is pinned to shard t%Shards.
+	// check.NativeZoneBlocks zone per shard, each shard owns its zone
+	// outright (an internal/shard Set), and tenant t is pinned to shard
+	// t%Shards.
 	Shards int
 	// Jobs selects how shard streams apply: 1 applies them serially on
-	// the replaying goroutine, any larger value runs one goroutine per
-	// shard (it is not a concurrency bound), and <=0 means GOMAXPROCS.
-	// Results are identical at any value — each shard applies its own
-	// sub-stream in trace order and shards share no mutable state
-	// (pinned by the differential replay test).
+	// the replaying goroutine, any larger value runs one applier
+	// goroutine per shard (it is not a concurrency bound), and <=0
+	// means GOMAXPROCS. Results are identical at any value — each shard
+	// applies its own sub-stream in trace order and shards share no
+	// mutable state (pinned by the differential replay test).
 	Jobs int
 	// Policy is the shard kernels' placement policy, in check's
 	// vocabulary: check.PolicyDefault, check.PolicyCA (sorted
@@ -62,9 +57,6 @@ type ReplayConfig struct {
 	Policy string
 	// Daemons attaches Ingens and Ranger to every shard kernel.
 	Daemons bool
-	// ZoneBlocks is the per-shard zone size in MAX_ORDER blocks
-	// (default 8 — check.Machine's zone scale).
-	ZoneBlocks uint64
 	// SampleEvery is the per-shard gauge-row cadence in applied events
 	// (default 4096).
 	SampleEvery int
@@ -76,12 +68,6 @@ type ReplayConfig struct {
 func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if c.ZoneBlocks == 0 {
-		c.ZoneBlocks = 8
 	}
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 4096
@@ -180,14 +166,13 @@ type rtenant struct {
 	eng   *sim.Engine
 }
 
-// rshard owns one zone of the machine: its own kernel over a zone
-// view, daemons, tenants, and counters. All mutation happens on the
-// shard's applying goroutine; the atomic counters exist so concurrent
-// Snapshot readers see coherent values, not for cross-shard sharing.
+// rshard is one zone shard's replay state: tenants, hog pins, and
+// counters over the shard's own kernel and daemons. All mutation
+// happens on the shard's applying goroutine; the atomic counters exist
+// so concurrent Snapshot readers see coherent values, not for
+// cross-shard sharing.
 type rshard struct {
-	idx     int
-	kern    *osim.Kernel
-	daemons []workloads.Daemon
+	*shard.Shard
 	tenants map[uint32]*rtenant
 	hogs    [][]workloads.HogExtent
 	budget  uint64
@@ -215,9 +200,8 @@ type rshard struct {
 // replay; everything else is single-threaded.
 type Engine struct {
 	cfg    ReplayConfig
-	mach   *zone.Machine
-	parent *osim.Kernel
-	shards []*rshard
+	set    *shard.Set
+	shards []*rshard // index-aligned with set.Shards
 	gEvents, gFaults, gMisses,
 	gOOMs, gP99 int
 	stop   atomic.Bool
@@ -234,28 +218,30 @@ func NewEngine(cfg ReplayConfig) (*Engine, error) {
 	}
 	zones := make([]uint64, cfg.Shards)
 	for i := range zones {
-		zones[i] = cfg.ZoneBlocks * addr.MaxOrderPages
+		zones[i] = check.NativeZoneBlocks * addr.MaxOrderPages
 	}
 	mach := zone.NewMachine(zone.Config{ZonePages: zones, SortedMaxOrder: sorted})
 	parent := osim.NewKernel(mach, osim.DefaultPolicy{})
 	parent.BootReserve(1)
-	e := &Engine{cfg: cfg, mach: mach, parent: parent}
-	for i := 0; i < cfg.Shards; i++ {
-		k := osim.NewKernel(mach.View(i), pol)
-		s := &rshard{
-			idx:     i,
-			kern:    k,
-			tenants: make(map[uint32]*rtenant),
-			budget:  k.Machine.TotalPages() * budgetPct / 100,
-		}
+	e := &Engine{cfg: cfg}
+	e.set = shard.New(parent, cfg.Shards, func(view *zone.Machine, _ int) (*osim.Kernel, []workloads.Daemon) {
+		k := osim.NewKernel(view, pol)
+		var ds []workloads.Daemon
 		if cfg.Daemons {
-			s.daemons = []workloads.Daemon{daemon.NewIngens(k), daemon.NewRanger(k)}
+			ds = []workloads.Daemon{daemon.NewIngens(k), daemon.NewRanger(k)}
 		}
 		if cfg.Tracer != nil {
 			k.SetTracer(cfg.Tracer)
 		}
-		s.spanStart = cfg.Tracer.Start()
-		e.shards = append(e.shards, s)
+		return k, ds
+	})
+	for _, sh := range e.set.Shards {
+		e.shards = append(e.shards, &rshard{
+			Shard:     sh,
+			tenants:   make(map[uint32]*rtenant),
+			budget:    sh.Kernel.Machine.TotalPages() * check.BudgetPct / 100,
+			spanStart: cfg.Tracer.Start(),
+		})
 	}
 	if cfg.Tracer != nil {
 		e.gEvents = cfg.Tracer.Gauge("replay.events")
@@ -311,7 +297,7 @@ func (e *Engine) ReplayStream(next func() (Event, error)) error {
 		return errors.New("tracein: replay on a closed engine")
 	}
 	var err error
-	if e.cfg.Jobs == 1 || len(e.shards) == 1 {
+	if shard.Workers(e.cfg.Jobs) == 1 || len(e.shards) == 1 {
 		err = e.replaySerial(next)
 	} else {
 		err = e.replayParallel(next)
@@ -348,30 +334,37 @@ func (e *Engine) replaySerial(next func() (Event, error)) error {
 	return nil
 }
 
-// replayParallel runs one applier goroutine per shard behind buffered
-// channels. Shard sub-streams are applied in trace order and share
-// nothing, so this is byte-equivalent to replaySerial. Each shard is
-// one goroutine whatever Jobs says; the channel backpressure keeps
-// memory bounded.
+// replayParallel runs one applier per shard, each draining its own
+// buffered channel, while the calling goroutine feeds them. Shard
+// sub-streams are applied in trace order and share nothing, so this
+// is byte-equivalent to replaySerial; the channel backpressure keeps
+// memory bounded. The feed stops once any applier fails, so an
+// endless source still reports the error; the lowest-index shard's
+// error wins over a feed error.
 func (e *Engine) replayParallel(next func() (Event, error)) error {
-	chans := make([]chan Event, len(e.shards))
-	errs := make([]error, len(e.shards))
-	var wg sync.WaitGroup
-	for i, s := range e.shards {
-		chans[i] = make(chan Event, 1024)
-		wg.Add(1)
-		go func(i int, s *rshard) {
-			defer wg.Done()
-			for ev := range chans[i] {
-				if errs[i] != nil {
-					continue // drain after failure
-				}
-				errs[i] = s.apply(e, ev)
-			}
-		}(i, s)
+	n := len(e.shards)
+	chans := make([]chan Event, n)
+	for i := range chans {
+		chans[i] = make(chan Event, applyBuffer)
 	}
+	var failed atomic.Bool
+	applied := make(chan error, 1)
+	go func() {
+		applied <- shard.Each(n, n, func(i int) error {
+			var err error
+			for ev := range chans[i] {
+				if err != nil {
+					continue // drain so the feeder never blocks
+				}
+				if err = e.shards[i].apply(e, ev); err != nil {
+					failed.Store(true)
+				}
+			}
+			return err
+		})
+	}()
 	var feedErr error
-	for !e.stop.Load() {
+	for !e.stop.Load() && !failed.Load() {
 		ev, err := next()
 		if errors.Is(err, io.EOF) {
 			break
@@ -380,16 +373,13 @@ func (e *Engine) replayParallel(next func() (Event, error)) error {
 			feedErr = err
 			break
 		}
-		chans[int(ev.Tenant)%len(e.shards)] <- ev
+		chans[int(ev.Tenant)%n] <- ev
 	}
 	for _, c := range chans {
 		close(c)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	if err := <-applied; err != nil {
+		return err
 	}
 	return feedErr
 }
@@ -399,8 +389,8 @@ func (e *Engine) replayParallel(next func() (Event, error)) error {
 func (s *rshard) tenantFor(id uint32) *rtenant {
 	t := s.tenants[id]
 	if t == nil {
-		t = &rtenant{env: workloads.NewNativeEnv(s.kern, 0)}
-		t.env.Daemons = s.daemons
+		t = &rtenant{env: workloads.NewNativeEnv(s.Kernel, 0)}
+		t.env.Daemons = s.Daemons
 		s.tenants[id] = t
 	}
 	return t
@@ -424,7 +414,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 	switch ev.Kind {
 	case KindMMap:
 		t := s.tenantFor(ev.Tenant)
-		pages := minVMAPages + ev.Arg0%(maxVMAPages-minVMAPages+1)
+		pages := check.MinVMAPages + ev.Arg0%(check.MaxVMAPages-check.MinVMAPages+1)
 		if s.mapped+pages > s.budget {
 			s.skipped.Add(1)
 			break
@@ -435,7 +425,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 				s.ooms.Add(1)
 				break
 			}
-			return fmt.Errorf("tracein: shard %d mmap: %w", s.idx, err)
+			return fmt.Errorf("tracein: shard %d mmap: %w", s.Index, err)
 		}
 		t.vmas = append(t.vmas, v)
 		t.pages += pages
@@ -464,7 +454,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 				s.ooms.Add(1)
 				break
 			}
-			return fmt.Errorf("tracein: shard %d touch: %w", s.idx, err)
+			return fmt.Errorf("tracein: shard %d touch: %w", s.Index, err)
 		}
 	case KindTouchRange:
 		t, v := s.pickVMA(ev.Tenant, ev.Arg0)
@@ -474,8 +464,8 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		}
 		start := ev.Arg1 % v.Pages()
 		maxLen := v.Pages() - start
-		if maxLen > maxRangePages {
-			maxLen = maxRangePages
+		if maxLen > check.MaxRangePages {
+			maxLen = check.MaxRangePages
 		}
 		n := 1 + ev.Arg2%maxLen
 		err := t.env.PopulateRange(v, v.Start.Add(start*addr.PageSize), n*addr.PageSize)
@@ -484,7 +474,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 				s.ooms.Add(1)
 				break
 			}
-			return fmt.Errorf("tracein: shard %d touch-range: %w", s.idx, err)
+			return fmt.Errorf("tracein: shard %d touch-range: %w", s.Index, err)
 		}
 	case KindAccess:
 		if err := s.accessBurst(ev); err != nil {
@@ -510,13 +500,13 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		}
 		s.exitTenant(ev.Tenant, t)
 	case KindHog:
-		if len(s.hogs) >= maxHogSets {
+		if len(s.hogs) >= check.MaxHogSets {
 			s.skipped.Add(1)
 			break
 		}
 		frac := float64(2+ev.Arg0%9) / 100
 		rng := rand.New(rand.NewSource(int64(evMix(ev) >> 1)))
-		ext := workloads.Hog(s.kern.Machine, frac, rng)
+		ext := workloads.Hog(s.Kernel.Machine, frac, rng)
 		if len(ext) == 0 {
 			s.skipped.Add(1)
 			break
@@ -528,14 +518,14 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 			break
 		}
 		i := int(ev.Arg0 % uint64(len(s.hogs)))
-		workloads.Unhog(s.kern.Machine, s.hogs[i])
+		workloads.Unhog(s.Kernel.Machine, s.hogs[i])
 		s.hogs = append(s.hogs[:i], s.hogs[i+1:]...)
 	case KindDaemonTick:
-		workloads.SettleDaemons(s.kern, s.daemons, 1)
+		workloads.SettleDaemons(s.Kernel, s.Daemons, 1)
 	default:
 		return fmt.Errorf("%w: kind %d", ErrMalformed, ev.Kind)
 	}
-	s.faults.Store(s.kern.Stats.TotalFaults())
+	s.faults.Store(s.Kernel.Stats.TotalFaults())
 	n := s.events.Add(1)
 	if int(n)%e.cfg.SampleEvery == 0 {
 		s.sample(e)
@@ -564,13 +554,13 @@ func (s *rshard) accessBurst(ev Event) error {
 		return nil
 	}
 	if t.eng == nil {
-		eng, err := sim.NewEngine(t.env, sim.Config{TLBEntries: tlbEntries, TLBWays: tlbWays})
+		eng, err := sim.NewEngine(t.env, sim.Config{TLBEntries: check.TLBEntries, TLBWays: check.TLBWays})
 		if err != nil {
-			return fmt.Errorf("tracein: shard %d sim engine: %w", s.idx, err)
+			return fmt.Errorf("tracein: shard %d sim engine: %w", s.Index, err)
 		}
 		t.eng = eng
 	}
-	burst := 1 + ev.Arg2%accessBurst
+	burst := 1 + ev.Arg2%check.TLBBurst
 	stride := 1 + ev.Arg0%7
 	pc := 0x40_0000 + (ev.Arg0%64)*16
 	for j := uint64(0); j < burst; j++ {
@@ -582,7 +572,7 @@ func (s *rshard) accessBurst(ev Event) error {
 				s.ooms.Add(1)
 				break
 			}
-			return fmt.Errorf("tracein: shard %d access: %w", s.idx, err)
+			return fmt.Errorf("tracein: shard %d access: %w", s.Index, err)
 		}
 		s.accesses.Add(1)
 		if cost > 0 {
@@ -615,18 +605,18 @@ func (s *rshard) exitTenant(id uint32, t *rtenant) {
 // any Jobs setting.
 func (s *rshard) sample(e *Engine) {
 	var rss uint64
-	for _, p := range s.kern.Processes() {
+	for _, p := range s.Kernel.Processes() {
 		rss += p.RSSPages
 	}
 	s.lastRow = s.events.Load()
 	s.rows = append(s.rows, Row{
-		Shard:      s.idx,
+		Shard:      s.Index,
 		Events:     s.events.Load(),
 		Skipped:    s.skipped.Load(),
 		OOMs:       s.ooms.Load(),
 		Faults:     s.faults.Load(),
 		RSSPages:   rss,
-		FreePages:  s.kern.Machine.FreePages(),
+		FreePages:  s.Kernel.Machine.FreePages(),
 		Tenants:    uint64(len(s.tenants)),
 		Accesses:   s.accesses.Load(),
 		Misses:     s.misses.Load(),
@@ -634,7 +624,7 @@ func (s *rshard) sample(e *Engine) {
 	})
 	if tr := e.cfg.Tracer; tr != nil {
 		tr.EmitSpan(trace.EvReplayBatch, s.spanStart,
-			uint64(s.idx), s.events.Load(), s.faults.Load())
+			uint64(s.Index), s.events.Load(), s.faults.Load())
 		s.spanStart = tr.Start()
 	}
 }
@@ -738,11 +728,7 @@ func (e *Engine) Audit() error {
 			}
 		}
 	}
-	ks := []*osim.Kernel{e.parent}
-	for _, s := range e.shards {
-		ks = append(ks, s.kern)
-	}
-	return check.AuditKernels(e.mach, ks, pinned)
+	return e.set.Audit(pinned)
 }
 
 // CorruptForTest deliberately damages the frame table (one mapped
@@ -750,8 +736,9 @@ func (e *Engine) Audit() error {
 // end to end; cmd/memsimd's corrupted-shutdown test is the consumer.
 // Returns false if no mapped frame exists yet.
 func (e *Engine) CorruptForTest() bool {
-	for _, z := range e.mach.Zones {
-		frames := e.mach.Frames.Slice(z.Base, z.Pages)
+	m := e.set.Parent.Machine
+	for _, z := range m.Zones {
+		frames := m.Frames.Slice(z.Base, z.Pages)
 		for i := range frames {
 			if frames[i].MapCount > 0 {
 				frames[i].MapCount++
@@ -770,5 +757,5 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
-	e.mach.Recycle()
+	e.set.Parent.Machine.Recycle()
 }

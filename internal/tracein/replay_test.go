@@ -1,6 +1,8 @@
 package tracein
 
 import (
+	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -134,10 +136,10 @@ func TestReplayFreesExitedTenants(t *testing.T) {
 	for _, s := range e.shards {
 		for id, rt := range s.tenants {
 			if !live[id] || rt.env == nil {
-				t.Fatalf("shard %d holds exited tenant %d", s.idx, id)
+				t.Fatalf("shard %d holds exited tenant %d", s.Index, id)
 			}
-			if int(id)%len(e.shards) != s.idx {
-				t.Fatalf("shard %d holds tenant %d of another shard", s.idx, id)
+			if int(id)%len(e.shards) != s.Index {
+				t.Fatalf("shard %d holds tenant %d of another shard", s.Index, id)
 			}
 		}
 		total += len(s.tenants)
@@ -286,5 +288,39 @@ func TestReplayArbitraryEvents(t *testing.T) {
 	}
 	if err := e.Audit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplayFailureStopsFeed pins that a failed shard stops the feed:
+// every event is malformed, so each shard's first event fails, and the
+// source must see no more pulls than the events already queued — about
+// one channel buffer per shard. The source ends on its own only at a
+// cap far past that bound, so a feed that ignores the failure fails
+// the test instead of hanging.
+func TestReplayFailureStopsFeed(t *testing.T) {
+	const shards, limit = 2, 1 << 20
+	for _, c := range []struct{ jobs, maxPulls int }{
+		{1, 1},
+		{shards, shards*(applyBuffer+1) + 1},
+	} {
+		e, err := NewEngine(ReplayConfig{Shards: shards, Jobs: c.jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pulls := 0
+		err = e.ReplayStream(func() (Event, error) {
+			if pulls == limit {
+				return Event{}, io.EOF
+			}
+			pulls++
+			return Event{Kind: numKinds, Tenant: uint32(pulls)}, nil
+		})
+		e.Close()
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("jobs=%d: replay error = %v, want ErrMalformed", c.jobs, err)
+		}
+		if pulls > c.maxPulls {
+			t.Fatalf("jobs=%d: source pulled %d events after the first failed, want at most %d", c.jobs, pulls, c.maxPulls)
+		}
 	}
 }

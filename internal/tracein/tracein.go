@@ -2,8 +2,8 @@
 // streaming binary trace format for multi-tenant memory workloads,
 // a deterministic synthesizer producing reproducible million-event
 // inputs, and a replay engine that drains traces through the real
-// kernel/hardware stack (one zone shard per tenant group, reusing the
-// sharded-ownership model of internal/aging).
+// kernel/hardware stack (one zone shard per tenant group, built and
+// audited through internal/shard like the aging campaigns).
 //
 // The format carries the same operation vocabulary internal/check's
 // differential machine models — mmap/munmap/touch/range-touch/access/
