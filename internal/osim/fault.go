@@ -252,7 +252,7 @@ func (k *Kernel) markContiguity(pt *pagetable.Table, va addr.VirtAddr, pfn addr.
 	runPages := addr.OrderPages(order)
 	// Walk backwards over VA-adjacent leaves that are also physically
 	// adjacent (same offset).
-	var walked []addr.VirtAddr
+	walked := k.contigScratch[:0]
 	curVA, curPFN := va, pfn
 	thresholdMet := false
 	for {
@@ -282,6 +282,7 @@ func (k *Kernel) markContiguity(pt *pagetable.Table, va addr.VirtAddr, pfn addr.
 			break
 		}
 	}
+	k.contigScratch = walked
 	if runPages >= k.ContigThresholdPages {
 		thresholdMet = true
 	}

@@ -177,6 +177,14 @@ type Kernel struct {
 	// each zone base.
 	bootBlocks int
 
+	// ptPool recycles page-table nodes across this kernel's processes.
+	// A kernel is driven by one goroutine at a time (one shard owns
+	// it), so the pool needs no lock.
+	ptPool *pagetable.Pool
+
+	// contigScratch is markContiguity's reused list of walked leaves.
+	contigScratch []addr.VirtAddr
+
 	procs  []*Process
 	nextID int
 }
@@ -189,6 +197,7 @@ func NewKernel(m *zone.Machine, p Placement) *Kernel {
 		THPEnabled:           true,
 		ContigThresholdPages: 32,
 		PageTableLevels:      4,
+		ptPool:               new(pagetable.Pool),
 	}
 	k.Cache = newPageCache(k)
 	return k
@@ -251,7 +260,7 @@ func (k *Kernel) NewProcess(homeZone int) *Process {
 	p := &Process{
 		ID:       k.nextID,
 		HomeZone: homeZone,
-		PT:       pagetable.NewWithLevels(k.PageTableLevels),
+		PT:       pagetable.NewWithLevels(k.PageTableLevels, k.ptPool),
 		kernel:   k,
 		nextVA:   0x10_0000_0000, // 64 GiB: clear of null/low mappings
 	}
@@ -307,25 +316,20 @@ func (p *Process) mmap(size uint64, kind vma.Kind, fileID int, fileOff uint64) (
 func (p *Process) MUnmap(v *vma.VMA) {
 	k := p.kernel
 	k.mutSeq++
-	for va := v.Start; va < v.End; {
-		pte, pages, ok := p.PT.Unmap(va)
-		if !ok {
-			va = va.Add(addr.PageSize)
-			continue
-		}
-		f := k.Machine.Frames.Get(pte.PFN)
+	p.PT.UnmapRange(v.Start, v.End, func(l pagetable.Leaf) {
+		f := k.Machine.Frames.Get(l.PTE.PFN)
 		f.MapCount--
 		if f.MapCount <= 0 && v.Kind == vma.Anonymous {
-			k.Machine.FreeBlock(pte.PFN, addr.LeafOrder(pages))
+			k.Machine.FreeBlock(l.PTE.PFN, addr.LeafOrder(l.Pages))
 		}
-		p.RSSPages -= pages
-		va = va.Add(pages * addr.PageSize)
-	}
+		p.RSSPages -= l.Pages
+	})
 	v.MappedPages = 0
 	p.VMAs.Remove(v)
 }
 
-// Exit tears down every VMA of the process.
+// Exit tears down every VMA of the process and returns its page-table
+// root to the kernel's node pool; the process must not be used again.
 func (p *Process) Exit() {
 	p.kernel.mutSeq++
 	var all []*vma.VMA
@@ -333,6 +337,8 @@ func (p *Process) Exit() {
 	for _, v := range all {
 		p.MUnmap(v)
 	}
+	p.PT.Release()
+	p.lastLeaf = nil
 	k := p.kernel
 	for i, q := range k.procs {
 		if q == p {

@@ -54,12 +54,41 @@ const (
 
 // node is one 512-entry table. A slot is either a child pointer
 // (interior) or a leaf PTE (level 0 always; level 1 when huge).
+// Removing a leaf zeroes its slot and detaching a child nils it, so a
+// node whose live count is zero is the zero node and can be recycled
+// without clearing.
 type node struct {
 	children [fanout]*node
 	leaves   [fanout]PTE
 	huge     [fanout]bool // level HugeLevel: slot is a 2 MiB leaf
 	live     int          // populated slots, for reclaim
 }
+
+// Pool is a free list of empty page-table nodes. Tables draw every node
+// from their pool and return each table that empties, so a churning
+// workload reuses the same nodes instead of allocating ~12.5 KiB per
+// table. A pool is not safe for concurrent use: every table sharing one
+// must be mutated from one goroutine at a time (one kernel's processes,
+// which one shard owns). The zero Pool is empty and ready to use.
+type Pool struct {
+	free []*node
+}
+
+// Len returns the number of free nodes the pool holds.
+func (p *Pool) Len() int { return len(p.free) }
+
+// get hands out a zero node, reusing a freed one when it can.
+func (p *Pool) get() *node {
+	if n := len(p.free); n > 0 {
+		nd := p.free[n-1]
+		p.free = p.free[:n-1]
+		return nd
+	}
+	return &node{}
+}
+
+// put takes back an emptied node (live == 0, hence all zero).
+func (p *Pool) put(n *node) { p.free = append(p.free, n) }
 
 // Observer receives a table's translation-visible mutations — the
 // mapping-change events the kernel emits through Map4K/Map2M (demand
@@ -85,10 +114,14 @@ type Observer interface {
 	Redirected(va addr.VirtAddr, pages uint64)
 }
 
-// Table is a multi-level (4- or 5-level) page table.
+// Table is a multi-level (4- or 5-level) page table. Outside a single
+// Unmap, a non-root slot holds a child only while that child's subtree
+// has a live leaf: UnmapRange and Map2M's reclaim hand every emptied
+// table back to the pool, so a table with no leaves is just its root.
 type Table struct {
 	root *node
 	top  int // top level index: 3 for 4-level, 4 for 5-level
+	pool *Pool
 
 	obs []Observer // mapping-event subscribers (usually empty)
 
@@ -108,17 +141,28 @@ type Table struct {
 	lookups uint64
 }
 
-// New creates an empty 4-level table (PGD..PT).
-func New() *Table { return &Table{root: &node{}, top: 3} }
+// New creates an empty 4-level table (PGD..PT) with a private pool.
+func New() *Table { return NewWithLevels(4, new(Pool)) }
 
-// NewWithLevels creates a table with the given depth: 4 is today's
-// x86-64 layout, 5 the LA57 extension the paper's introduction cites as
-// further raising walk costs. Levels outside [4,5] panic.
-func NewWithLevels(levels int) *Table {
+// NewWithLevels creates a table with the given depth whose nodes come
+// from pool: 4 is today's x86-64 layout, 5 the LA57 extension the
+// paper's introduction cites as further raising walk costs. Levels
+// outside [4,5] panic.
+func NewWithLevels(levels int, pool *Pool) *Table {
 	if levels < 4 || levels > 5 {
 		panic(fmt.Sprintf("pagetable: unsupported depth %d", levels))
 	}
-	return &Table{root: &node{}, top: levels - 1}
+	return &Table{root: pool.get(), top: levels - 1, pool: pool}
+}
+
+// Release returns the root of a table that holds no leaves to the pool;
+// the table must not be used afterwards. A table that still maps
+// something keeps its nodes out of the pool (they are not zero).
+func (t *Table) Release() {
+	if t.root.live == 0 {
+		t.pool.put(t.root)
+	}
+	t.root = nil
 }
 
 // Levels returns the table depth.
@@ -201,7 +245,7 @@ func (t *Table) descend(v addr.VirtAddr, level int, create bool) *node {
 			if !create {
 				return nil
 			}
-			n.children[i] = &node{}
+			n.children[i] = t.pool.get()
 			n.live++
 		}
 		n = n.children[i]
@@ -248,11 +292,12 @@ func (t *Table) Map2M(v addr.VirtAddr, pfn addr.PFN, flags Flags) {
 		panic(fmt.Sprintf("pagetable: Map2M %v blocked", v))
 	}
 	i := index(v, HugeLevel)
-	if n.children[i] != nil && n.children[i].live == 0 {
+	if child := n.children[i]; child != nil && child.live == 0 {
 		// Reclaim an emptied PT-level table (e.g. after huge-page
 		// promotion unmapped all 512 base entries).
 		n.children[i] = nil
 		n.live--
+		t.pool.put(child)
 	}
 	if n.huge[i] || n.children[i] != nil {
 		panic(fmt.Sprintf("pagetable: Map2M double map at %v", v))
@@ -446,7 +491,9 @@ func (t *Table) Redirect(v addr.VirtAddr, pfn addr.PFN) bool {
 }
 
 // Unmap removes the leaf translation covering v (whatever its size) and
-// returns the entry it held along with its size in base pages.
+// returns the entry it held along with its size in base pages. A table
+// it empties stays in place: its callers (CoW remaps, promotion) map
+// into the same slot right away.
 func (t *Table) Unmap(v addr.VirtAddr) (PTE, uint64, bool) {
 	n := t.root
 	for l := t.top; l >= 0; l-- {
@@ -460,13 +507,7 @@ func (t *Table) Unmap(v addr.VirtAddr) (PTE, uint64, bool) {
 			n.leaves[i] = PTE{}
 			n.live--
 			t.mapped2M--
-			t.gen++
-			if e.Flags.Has(Contig) {
-				t.ContigBits--
-			}
-			for _, o := range t.obs {
-				o.Unmapped(v.HugeDown(), 512)
-			}
+			t.removed(v.HugeDown(), e, 512)
 			return e, 512, true
 		}
 		if l == 0 {
@@ -477,13 +518,7 @@ func (t *Table) Unmap(v addr.VirtAddr) (PTE, uint64, bool) {
 			n.leaves[i] = PTE{}
 			n.live--
 			t.mapped4K--
-			t.gen++
-			if e.Flags.Has(Contig) {
-				t.ContigBits--
-			}
-			for _, o := range t.obs {
-				o.Unmapped(v.PageDown(), 1)
-			}
+			t.removed(v.PageDown(), e, 1)
 			return e, 1, true
 		}
 		if n.children[i] == nil {
@@ -492,6 +527,65 @@ func (t *Table) Unmap(v addr.VirtAddr) (PTE, uint64, bool) {
 		n = n.children[i]
 	}
 	return PTE{}, 0, false
+}
+
+// UnmapRange removes every leaf overlapping [lo, hi) in ascending VA
+// order, descending only into populated subtrees. Each removal fires
+// the observers and moves the generation exactly as Unmap does, then
+// calls fn with the removed leaf (base VA, the entry it held, its size
+// in base pages). Every table the removals empty goes back to the pool;
+// the root stays. fn must not mutate the table.
+func (t *Table) UnmapRange(lo, hi addr.VirtAddr, fn func(Leaf)) {
+	if lo < hi {
+		t.unmapRange(t.root, t.top, 0, lo, hi, fn)
+	}
+}
+
+func (t *Table) unmapRange(n *node, level int, base, lo, hi addr.VirtAddr, fn func(Leaf)) {
+	span, first, last := window(level, base, lo, hi)
+	for i := first; i <= last && n.live > 0; i++ {
+		va := base + addr.VirtAddr(i)*span
+		switch {
+		case level == HugeLevel && n.huge[i]:
+			e := n.leaves[i]
+			n.huge[i] = false
+			n.leaves[i] = PTE{}
+			n.live--
+			t.mapped2M--
+			t.removed(va, e, 512)
+			fn(Leaf{VA: va, PTE: e, Pages: 512})
+		case level == 0:
+			e := n.leaves[i]
+			if !e.Present() {
+				continue
+			}
+			n.leaves[i] = PTE{}
+			n.live--
+			t.mapped4K--
+			t.removed(va, e, 1)
+			fn(Leaf{VA: va, PTE: e, Pages: 1})
+		case n.children[i] != nil:
+			child := n.children[i]
+			t.unmapRange(child, level-1, va, lo, hi, fn)
+			if child.live == 0 {
+				n.children[i] = nil
+				n.live--
+				t.pool.put(child)
+			}
+		}
+	}
+}
+
+// removed accounts for the leaf e, just cleared from its slot at va:
+// the generation and contiguity count move and the observers hear of it.
+func (t *Table) removed(va addr.VirtAddr, e PTE, pages uint64) {
+	t.gen++
+	if e.Flags.Has(Contig) {
+		t.ContigBits--
+	}
+	for _, o := range t.obs {
+		o.Unmapped(va, pages)
+	}
 }
 
 // Leaf is one mapped extent reported by Visit.
@@ -540,14 +634,7 @@ func (t *Table) VisitRange(lo, hi addr.VirtAddr, fn func(Leaf) bool) bool {
 }
 
 func (t *Table) visitRange(n *node, level int, base addr.VirtAddr, lo, hi addr.VirtAddr, fn func(Leaf) bool) bool {
-	span := addr.VirtAddr(1) << (addr.PageShift + uint(level)*fanoutBits)
-	first, last := 0, fanout-1
-	if lo > base {
-		first = int((lo - base) / span)
-	}
-	if end := base + addr.VirtAddr(fanout)*span; hi < end {
-		last = int((hi - 1 - base) / span)
-	}
+	span, first, last := window(level, base, lo, hi)
 	for i := first; i <= last; i++ {
 		va := base + addr.VirtAddr(i)*span
 		switch {
@@ -570,4 +657,19 @@ func (t *Table) visitRange(n *node, level int, base addr.VirtAddr, lo, hi addr.V
 		}
 	}
 	return true
+}
+
+// window returns the VA span of one slot of a node at the given level
+// based at base, and the first and last of its slots that overlap
+// [lo, hi).
+func window(level int, base, lo, hi addr.VirtAddr) (span addr.VirtAddr, first, last int) {
+	span = addr.VirtAddr(1) << (addr.PageShift + uint(level)*fanoutBits)
+	first, last = 0, fanout-1
+	if lo > base {
+		first = int((lo - base) / span)
+	}
+	if end := base + addr.VirtAddr(fanout)*span; hi < end {
+		last = int((hi - 1 - base) / span)
+	}
+	return span, first, last
 }

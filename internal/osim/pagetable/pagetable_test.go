@@ -317,3 +317,222 @@ func TestObserverEvents(t *testing.T) {
 	}
 	pt.RemoveObserver(rec) // double remove is a no-op
 }
+
+// mixedTops are the PGD slots randomMixedTable fills, 4 GiB under each.
+var mixedTops = []addr.VirtAddr{0, 1 << 39}
+
+// randomMixedTable fills a table of the given depth with 4 KiB and
+// 2 MiB leaves, some carrying the Contig bit, spread over 2 MiB regions
+// that sit under different PT, PMD, PUD, and PGD slots.
+func randomMixedTable(rng *rand.Rand, levels int) *Table {
+	pt := NewWithLevels(levels, new(Pool))
+	for _, top := range mixedTops {
+		for r := 0; r < 24; r++ {
+			base := top + addr.VirtAddr(rng.Intn(4))<<30 + addr.VirtAddr(rng.Intn(8))*addr.HugeSize
+			if !pt.HugeRegionEmpty(base) {
+				continue
+			}
+			flags := Writable
+			if rng.Intn(3) == 0 {
+				flags |= Contig
+			}
+			if rng.Intn(3) == 0 {
+				pt.Map2M(base, addr.PFN(rng.Intn(1<<12))*addr.HugePages, flags)
+				continue
+			}
+			for p := 0; p < addr.HugePages; p++ {
+				if rng.Intn(4) == 0 {
+					va := base + addr.VirtAddr(p)*addr.PageSize
+					pt.Map4K(va, addr.PFN(rng.Intn(1<<24)), flags)
+				}
+			}
+		}
+	}
+	return pt
+}
+
+// nodes returns every node reachable from the table's root, root first.
+func (t *Table) nodes() []*node {
+	var out []*node
+	var walk func(n *node, level int)
+	walk = func(n *node, level int) {
+		out = append(out, n)
+		if level == 0 {
+			return
+		}
+		for _, c := range n.children {
+			if c != nil {
+				walk(c, level-1)
+			}
+		}
+	}
+	walk(t.root, t.top)
+	return out
+}
+
+// unmapPerPage is the per-page teardown UnmapRange replaces: Unmap
+// every page of [lo, hi), skipping to the end of each removed leaf. It
+// steps over empty 2 MiB regions whole, where every per-page Unmap
+// would fail, to keep windows spanning PGD slots cheap.
+func unmapPerPage(pt *Table, lo, hi addr.VirtAddr) []Leaf {
+	var out []Leaf
+	for va := lo; va < hi; {
+		if pt.HugeRegionEmpty(va) {
+			va = va.HugeDown().Add(addr.HugeSize)
+			continue
+		}
+		e, pages, ok := pt.Unmap(va)
+		if !ok {
+			va += addr.PageSize
+			continue
+		}
+		base := va.PageDown()
+		if pages == addr.HugePages {
+			base = va.HugeDown()
+		}
+		out = append(out, Leaf{VA: base, PTE: e, Pages: pages})
+		va = base.Add(pages * addr.PageSize)
+	}
+	return out
+}
+
+// TestUnmapRangeMatchesPerPageUnmap pins UnmapRange to the per-page
+// Unmap loop over the same window, on twin tables built from one seed:
+// same removed leaves in the same order, same observer events, same
+// counters and generation, same surviving leaves. The range form also
+// hands every emptied table to the pool and loses no node.
+func TestUnmapRangeMatchesPerPageUnmap(t *testing.T) {
+	const span = 1<<39 + 4<<30 // covers every leaf randomMixedTable maps
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		levels := 4 + rng.Intn(2)
+		build := rng.Int63()
+		ref := randomMixedTable(rand.New(rand.NewSource(build)), levels)
+		got := randomMixedTable(rand.New(rand.NewSource(build)), levels)
+		refObs, gotObs := &recObserver{}, &recObserver{}
+		ref.AddObserver(refObs)
+		got.AddObserver(gotObs)
+
+		// A window starts anywhere in a filled 4 GiB or inside a mapped
+		// leaf, and runs for up to 4 GiB, or past the other PGD slot,
+		// or covers the whole table.
+		pages := func(bytes int64) addr.VirtAddr {
+			return addr.VirtAddr(rng.Int63n(bytes>>addr.PageShift)) << addr.PageShift
+		}
+		lo := mixedTops[rng.Intn(len(mixedTops))] + pages(4<<30)
+		var leaves []Leaf
+		got.Visit(func(l Leaf) { leaves = append(leaves, l) })
+		if len(leaves) > 0 && rng.Intn(2) == 0 {
+			l := leaves[rng.Intn(len(leaves))]
+			lo = l.VA + pages(int64(l.Pages*addr.PageSize))
+		}
+		hi := lo + pages(4<<30)
+		switch rng.Intn(4) {
+		case 0:
+			hi = lo + pages(span)
+		case 1:
+			lo, hi = 0, span
+		}
+
+		before := len(got.nodes()) + got.pool.Len()
+		want := unmapPerPage(ref, lo, hi)
+		var have []Leaf
+		got.UnmapRange(lo, hi, func(l Leaf) { have = append(have, l) })
+
+		if !reflect.DeepEqual(have, want) {
+			t.Logf("seed %d [%v,%v): removed %d leaves, want %d", seed, lo, hi, len(have), len(want))
+			return false
+		}
+		if !reflect.DeepEqual(gotObs.events, refObs.events) {
+			t.Logf("seed %d: observer events diverge", seed)
+			return false
+		}
+		if got.Mapped4K() != ref.Mapped4K() || got.Mapped2M() != ref.Mapped2M() ||
+			got.ContigBits != ref.ContigBits || got.Generation() != ref.Generation() {
+			t.Logf("seed %d: counters diverge", seed)
+			return false
+		}
+		var refLeft, gotLeft []Leaf
+		ref.Visit(func(l Leaf) { refLeft = append(refLeft, l) })
+		got.Visit(func(l Leaf) { gotLeft = append(gotLeft, l) })
+		if !reflect.DeepEqual(gotLeft, refLeft) {
+			t.Logf("seed %d: surviving leaves diverge", seed)
+			return false
+		}
+
+		live := got.nodes()
+		if len(live)+got.pool.Len() != before {
+			t.Logf("seed %d: %d nodes before, %d live + %d pooled after", seed, before, len(live), got.pool.Len())
+			return false
+		}
+		for _, n := range live[1:] {
+			if n.live == 0 {
+				t.Logf("seed %d: an empty table stayed linked", seed)
+				return false
+			}
+		}
+		for _, n := range got.pool.free {
+			if *n != (node{}) {
+				t.Logf("seed %d: a pooled node is not zero", seed)
+				return false
+			}
+		}
+		if len(gotLeft) == 0 && len(live) != 1 {
+			t.Logf("seed %d: an empty table holds %d nodes, want its root", seed, len(live))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPoolRecyclesNodes follows nodes through the pool: a full
+// UnmapRange returns all but the root, a rebuild takes them back
+// without allocating, Map2M's reclaim of an emptied PT table returns
+// it, and Release returns the root of an empty table.
+func TestPoolRecyclesNodes(t *testing.T) {
+	pool := new(Pool)
+	pt := NewWithLevels(4, pool)
+	pt.Map4K(0x1000, 1, 0)
+	if n := len(pt.nodes()); n != 4 {
+		t.Fatalf("one 4K leaf built %d nodes, want 4", n)
+	}
+	pt.UnmapRange(0, 1<<48, func(Leaf) {})
+	if n := len(pt.nodes()); n != 1 || pool.Len() != 3 {
+		t.Fatalf("after full unmap: %d nodes linked, %d pooled; want 1 and 3", n, pool.Len())
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		pt.Map4K(0x1000, 1, 0)
+		pt.UnmapRange(0, 1<<48, func(Leaf) {})
+	}); allocs != 0 {
+		t.Fatalf("map/unmap cycle on a warm pool allocated %v times", allocs)
+	}
+
+	// Promotion: unmap every base page one by one (emptied tables
+	// stay), then Map2M reclaims the PT table into the pool.
+	base := addr.VirtAddr(addr.HugeSize)
+	for p := uint64(0); p < addr.HugePages; p++ {
+		pt.Map4K(base.Add(p*addr.PageSize), addr.PFN(p), 0)
+	}
+	for p := uint64(0); p < addr.HugePages; p++ {
+		pt.Unmap(base.Add(p * addr.PageSize))
+	}
+	pooled := pool.Len()
+	pt.Map2M(base, 512, 0)
+	if pool.Len() != pooled+1 {
+		t.Fatalf("Map2M reclaim: pool %d, want %d", pool.Len(), pooled+1)
+	}
+
+	pt.Unmap(base)
+	pt.UnmapRange(0, 1<<48, func(Leaf) {})
+	pooled = pool.Len()
+	pt.Release()
+	if pool.Len() != pooled+1 {
+		t.Fatalf("Release: pool %d, want %d", pool.Len(), pooled+1)
+	}
+	if q := NewWithLevels(4, pool); pool.Len() != pooled || q.MappedPages() != 0 {
+		t.Fatal("a new table did not take its root from the pool")
+	}
+}
