@@ -13,10 +13,17 @@
 //     (select Policy: "ca");
 //   - SpOT: hw/spot, driven through Simulate.
 //
-// The examples and cmd tools are written against this package, and
-// the experiment drivers, the differential checker, and the replay
-// engine build their kernels through it, so a policy name means the
-// same thing everywhere.
+// What builds through core, so that a policy name and a machine mean
+// the same thing everywhere:
+//
+//   - the experiment drivers (and so cmd/reproduce and cmd/agingsim):
+//     every host through NewNativeSystem, every VM through
+//     NewVirtualSystem, and every aging shard kernel through NewKernel;
+//   - cmd/contigstat, cmd/fragmeter, cmd/spotsim, and the examples,
+//     which also run Setup, Contiguity, and Simulate on what they boot;
+//   - the differential checker (internal/check) and the replay engine
+//     (internal/tracein, cmd/memsimd) only resolve policy names through
+//     Placement; they size and build their own machines and kernels.
 package core
 
 import (
@@ -200,6 +207,10 @@ type VirtualConfig struct {
 	Host Config
 	// GuestPolicy is the guest kernel's policy (default: the host's).
 	GuestPolicy string
+	// Levels is the page-table depth in both dimensions: 4 (the
+	// default, when zero) or 5 (LA57). It reaches the host kernel
+	// before the VM's backing process exists.
+	Levels int
 }
 
 // NewVirtualSystem boots a host and a VM.
@@ -218,6 +229,9 @@ func NewVirtualSystem(c VirtualConfig) (*VirtualSystem, error) {
 	}
 	host := osim.NewKernel(c.Host.machine(hostSorted), hostPlacement)
 	host.BootReserve(bootReserveBlocks)
+	if c.Levels != 0 {
+		host.PageTableLevels = c.Levels
+	}
 	vm, err := virt.New(host, virt.Config{
 		MemBytes:         2 * guestZoneMiB << 20,
 		GuestZones:       zonesPages([]int{guestZoneMiB, guestZoneMiB}),
@@ -227,6 +241,9 @@ func NewVirtualSystem(c VirtualConfig) (*VirtualSystem, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	if c.Levels != 0 {
+		vm.Guest.PageTableLevels = c.Levels
 	}
 	return &VirtualSystem{VM: vm, Host: host}, nil
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/mem/addr"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -35,8 +35,7 @@ func AblationPlacement(p Params) (*Table, error) {
 		if err := interleavedSVMPair(envA, envB, workloads.NewSVM().FootprintBytes()); err != nil {
 			return nil, err
 		}
-		stA := contigOf(metrics.FromPageTable(envA.Proc.PT))
-		stB := contigOf(metrics.FromPageTable(envB.Proc.PT))
+		stA, stB := core.Contiguity(envA), core.Contiguity(envB)
 		name := "next-fit"
 		if firstFit {
 			name = "first-fit"
@@ -153,7 +152,7 @@ func AblationOffsetBudget(p Params) (*Table, error) {
 				return nil, err
 			}
 		}
-		st := contigOf(metrics.FromPageTable(env.Proc.PT))
+		st := core.Contiguity(env)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(budget), fmt.Sprint(st.Maps99), fmt.Sprint(k.Stats.CAFallbacks),
 		})
@@ -180,18 +179,7 @@ func AblationSpotConfidence(p Params) (*Table, error) {
 		{"no fill filter", sim.Config{EnableSchemes: true, SpotNoFilter: true}},
 	}
 	for _, v := range variants {
-		vm, _, err := newVM(p, PolicyCA, PolicyCA)
-		if err != nil {
-			return nil, err
-		}
-		env := workloads.NewVirtEnv(vm, 0)
-		w := workloads.NewSVM()
-		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return nil, err
-		}
-		cfg := v.cfg
-		cfg.Tracer = p.Tracer
-		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), cfg)
+		res, err := p.simulate(simCell{workload: "svm", policy: PolicyCA, virtual: true, cfg: v.cfg})
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +190,6 @@ func AblationSpotConfidence(p Params) (*Table, error) {
 			pct(float64(res.SpotMispredict) / total),
 			pct(float64(res.SpotNoPred) / total),
 		})
-		recycleVM(vm)
 	}
 	return t, nil
 }
@@ -219,17 +206,8 @@ func AblationSpotGeometry(p Params) (*Table, error) {
 	for _, geo := range []struct{ entries, ways int }{
 		{8, 2}, {16, 4}, {32, 4}, {64, 4}, {128, 8},
 	} {
-		vm, _, err := newVM(p, PolicyCA, PolicyCA)
-		if err != nil {
-			return nil, err
-		}
-		env := workloads.NewVirtEnv(vm, 0)
-		w := workloads.NewHashJoin()
-		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen),
-			sim.Config{EnableSchemes: true, SpotEntries: geo.entries, SpotWays: geo.ways, Tracer: p.Tracer})
+		res, err := p.simulate(simCell{workload: "hashjoin", policy: PolicyCA, virtual: true,
+			cfg: sim.Config{EnableSchemes: true, SpotEntries: geo.entries, SpotWays: geo.ways}})
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +217,6 @@ func AblationSpotGeometry(p Params) (*Table, error) {
 			pct(float64(res.SpotCorrect) / total),
 			pct(float64(res.SpotNoPred) / total),
 		})
-		recycleVM(vm)
 	}
 	return t, nil
 }

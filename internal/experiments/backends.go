@@ -2,15 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/hw/translation"
-	"repro/internal/osim"
 	"repro/internal/perfmodel"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/virt"
-	"repro/internal/workloads"
 )
 
 // backendSet resolves the backends the figBackends matrix runs: the
@@ -54,53 +50,16 @@ func FigBackends(p Params) (*Table, error) {
 	// One independent simulation per (workload, mode, backend) cell,
 	// fanned out on the shared worker pool; each writes an index-owned
 	// slot, so the rendered table is identical at any Jobs value.
-	type cellKey struct{ wi, mi, bi int }
-	cells := make([]cellKey, 0, len(names)*len(modes)*len(backends))
-	for wi := range names {
-		for mi := range modes {
-			for bi := range backends {
-				cells = append(cells, cellKey{wi, mi, bi})
-			}
-		}
-	}
-	results := make([]sim.Result, len(cells))
-	if err := shard.Each(len(cells), p.Jobs, func(i int) error {
-		c := cells[i]
-		name, backend := names[c.wi], backends[c.bi]
-		var env *workloads.Env
-		var vm *virt.VM
-		var k *osim.Kernel
-		if modes[c.mi] == "virt" {
-			var err error
-			vm, _, err = newVM(p, PolicyCA, PolicyCA)
-			if err != nil {
-				return err
-			}
-			env = workloads.NewVirtEnv(vm, 0)
-		} else {
-			k, _ = newNativeKernel(p, PolicyCA, false)
-			env = workloads.NewNativeEnv(k, 0)
-		}
-		wl := workloads.ByName(name)
-		tr := p.Tracer
-		start := tr.Start()
-		if err := wl.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return fmt.Errorf("figBackends %s/%s: %w", name, backend, err)
-		}
-		tr.EmitPhase(name+"/"+backend+"/setup", start)
-		start = tr.Start()
-		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen),
-			sim.Config{Backend: backend, Tracer: p.Tracer})
-		tr.EmitPhase(name+"/"+backend+"/measure", start)
+	g := newGrid(len(names), len(modes), len(backends))
+	results := make([]sim.Result, g.size())
+	if err := shard.Each(len(results), p.Jobs, func(i int) error {
+		name, mode, backend := names[g.at(i, 0)], modes[g.at(i, 1)], backends[g.at(i, 2)]
+		res, err := p.simulate(simCell{workload: name, policy: PolicyCA, virtual: mode == "virt",
+			cfg: sim.Config{Backend: backend}})
 		if err != nil {
-			return fmt.Errorf("figBackends %s/%s/%s: %w", name, modes[c.mi], backend, err)
+			return fmt.Errorf("figBackends %s/%s/%s: %w", name, mode, backend, err)
 		}
-		if vm != nil {
-			recycleVM(vm)
-		} else {
-			k.Machine.Recycle()
-		}
-		results[c.wi*len(modes)*len(backends)+c.mi*len(backends)+c.bi] = res
+		results[i] = res
 		return nil
 	}); err != nil {
 		return nil, err
@@ -113,8 +72,7 @@ func FigBackends(p Params) (*Table, error) {
 		for mi, mode := range modes {
 			row := []string{name, mode}
 			for bi := range backends {
-				res := results[wi*len(modes)*len(backends)+mi*len(backends)+bi]
-				o := perfmodel.BackendOverhead(res)
+				o := perfmodel.BackendOverhead(results[g.index(wi, mi, bi)])
 				row = append(row, pct(o))
 				sums[mi][bi] += o * 100
 			}

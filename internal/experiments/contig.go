@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/mem/addr"
 	"repro/internal/metrics"
 	"repro/internal/osim"
@@ -36,16 +37,13 @@ func Fig7For(p Params, names []string, policies []PolicyName) (*Table, error) {
 	err := shard.Each(len(rows), p.Jobs, func(i int) error {
 		name := names[g.at(i, 0)]
 		pol := policies[g.at(i, 1)]
-		st, k, env, err := runNativeContig(p, workloads.ByName(name), pol)
-		if err != nil {
-			return err
-		}
-		env.Exit()
-		k.Machine.Recycle()
-		rows[i] = []string{
-			name, string(pol), f3(st.Cov32), f3(st.Cov128), fmt.Sprint(st.Maps99),
-		}
-		return nil
+		return p.native(nativeCell{workload: name, policy: pol, settle: p.SettleEpochs},
+			func(_ *osim.Kernel, env *workloads.Env) {
+				st := core.Contiguity(env)
+				rows[i] = []string{
+					name, string(pol), f3(st.Cov32), f3(st.Cov128), fmt.Sprint(st.Maps99),
+				}
+			})
 	})
 	if err != nil {
 		return nil, err
@@ -83,20 +81,11 @@ func Fig8Sweep(p Params, pressures []float64, names []string, policies []PolicyN
 		pressure := pressures[g.at(i, 0)]
 		pol := policies[g.at(i, 1)]
 		name := names[g.at(i, 2)]
-		k, ds := newNativeKernel(p, pol, true /* numaOff */)
-		workloads.Hog(k.Machine, pressure, rand.New(rand.NewSource(42)))
-		env := workloads.NewNativeEnv(k, 0)
-		env.Daemons = ds
-		w := workloads.ByName(name)
-		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return fmt.Errorf("fig8 %s/%s@%.0f%%: %w", name, pol, pressure*100, err)
-		}
-		workloads.SettleDaemons(k, ds, p.SettleEpochs)
-		st := contigOf(metrics.FromPageTable(env.Proc.PT))
-		cells[i] = cell{c32: st.Cov32, c128: st.Cov128, m99: float64(st.Maps99)}
-		env.Exit()
-		k.Machine.Recycle()
-		return nil
+		c := nativeCell{workload: name, policy: pol, numaOff: true, hog: pressure, settle: p.SettleEpochs}
+		return p.native(c, func(_ *osim.Kernel, env *workloads.Env) {
+			st := core.Contiguity(env)
+			cells[i] = cell{c32: st.Cov32, c128: st.Cov128, m99: float64(st.Maps99)}
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -221,8 +210,7 @@ func Fig10(p Params) (*Table, error) {
 		}
 		workloads.SettleDaemons(k, ds, p.SettleEpochs)
 		// Measure after daemons settle (matters for ranger).
-		stA := contigOf(metrics.FromPageTable(envA.Proc.PT))
-		stB := contigOf(metrics.FromPageTable(envB.Proc.PT))
+		stA, stB := core.Contiguity(envA), core.Contiguity(envB)
 		t.Rows = append(t.Rows, []string{
 			string(pol), f3(stA.Cov32), f3(stB.Cov32),
 			fmt.Sprint(stA.Maps99), fmt.Sprint(stB.Maps99),
@@ -293,8 +281,7 @@ func Fig1b(p Params) (*Table, error) {
 			if err := w.Setup(env, rand.New(rand.NewSource(p.Seed+int64(run)-1))); err != nil {
 				return nil, fmt.Errorf("fig1b %s run %d: %w", pol, run, err)
 			}
-			st := contigOf(metrics.FromPageTable(env.Proc.PT))
-			results[pol] = append(results[pol], st.Cov32)
+			results[pol] = append(results[pol], core.Contiguity(env).Cov32)
 			env.Exit()
 			// Page-cache reclaim under pressure: each run's dataset
 			// cache would otherwise accumulate without bound.

@@ -14,11 +14,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/osim"
 	"repro/internal/virt"
 	"repro/internal/workloads"
@@ -113,59 +111,18 @@ func newNativeKernel(pr Params, p PolicyName, numaOff bool) (*osim.Kernel, []wor
 	return sys.Kernel, sys.Daemons
 }
 
-// newVM boots core's host and VM with the given guest and host
-// policies (the paper applies the same policy in both dimensions) and
-// attaches the tracer.
-func newVM(pr Params, guest, host PolicyName) (*virt.VM, *osim.Kernel, error) {
+// newVM boots core's host and VM under pol in both dimensions (as the
+// paper does), levels deep (0: 4), and attaches the tracer.
+func newVM(pr Params, pol PolicyName, levels int) (*virt.VM, error) {
 	sys, err := core.NewVirtualSystem(core.VirtualConfig{
-		Host:        core.Config{Policy: string(host)},
-		GuestPolicy: string(guest),
+		Host:   core.Config{Policy: string(pol)},
+		Levels: levels,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sys.VM.SetTracer(pr.Tracer)
-	return sys.VM, sys.Host, nil
-}
-
-// ContigStats is one configuration's contiguity measurement.
-type ContigStats struct {
-	Cov32, Cov128 float64
-	Maps99        int
-}
-
-func contigOf(ms []metrics.Mapping) ContigStats {
-	return ContigStats{
-		Cov32:  metrics.CoverageTopN(ms, 32),
-		Cov128: metrics.CoverageTopN(ms, 128),
-		Maps99: metrics.MappingsFor(ms, 0.99),
-	}
-}
-
-// runNativeContig runs one workload under one policy and returns its
-// final contiguity plus the kernel for further inspection. The process
-// is left alive; callers may exit it.
-func runNativeContig(p Params, w workloads.Workload, pol PolicyName) (ContigStats, *osim.Kernel, *workloads.Env, error) {
-	k, ds := newNativeKernel(p, pol, false)
-	env := workloads.NewNativeEnv(k, 0)
-	env.Daemons = ds
-	tr := p.Tracer
-	start := tr.Start()
-	if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-		return ContigStats{}, nil, nil, fmt.Errorf("%s/%s: %w", w.Name(), pol, err)
-	}
-	tr.EmitPhase(string(pol)+"/"+w.Name()+"/setup", start)
-	start = tr.Start()
-	workloads.SettleDaemons(k, ds, p.SettleEpochs)
-	tr.EmitPhase(string(pol)+"/"+w.Name()+"/settle", start)
-	ms := metrics.FromPageTable(env.Proc.PT)
-	return contigOf(ms), k, env, nil
-}
-
-// recycleVM pools both of a finished cell's machines (guest and host).
-func recycleVM(vm *virt.VM) {
-	vm.Guest.Machine.Recycle()
-	vm.Host.Machine.Recycle()
+	return sys.VM, nil
 }
 
 // workloadNames returns the five paper workload names in order.

@@ -50,9 +50,9 @@ func ExtraReservation(p Params) (*Table, error) {
 				return err
 			}
 		}
-		stA := contigOf(metrics.FromPageTable(pa.PT))
-		stB := contigOf(metrics.FromPageTable(pb.PT))
-		t.Rows = append(t.Rows, []string{label, fmt.Sprint(stA.Maps99), fmt.Sprint(stB.Maps99)})
+		t.Rows = append(t.Rows, []string{label,
+			fmt.Sprint(metrics.MappingsFor(metrics.FromPageTable(pa.PT), 0.99)),
+			fmt.Sprint(metrics.MappingsFor(metrics.FromPageTable(pb.PT), 0.99))})
 		pa.Exit()
 		pb.Exit()
 		k.Machine.Recycle()
@@ -80,18 +80,8 @@ func ExtraFiveLevel(p Params) (*Table, error) {
 		},
 	}
 	for _, levels := range []int{4, 5} {
-		vm, hostK, err := newVM(p, PolicyCA, PolicyCA)
-		if err != nil {
-			return nil, err
-		}
-		vm.Guest.PageTableLevels = levels
-		hostK.PageTableLevels = levels
-		env := workloads.NewVirtEnv(vm, 0)
-		w := workloads.NewPageRank()
-		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return nil, err
-		}
-		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: true, Tracer: p.Tracer})
+		res, err := p.simulate(simCell{workload: "pagerank", policy: PolicyCA, virtual: true,
+			levels: levels, cfg: sim.Config{EnableSchemes: true}})
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +90,6 @@ func ExtraFiveLevel(p Params) (*Table, error) {
 			pct(perfmodel.PagingOverhead(res)),
 			pct(perfmodel.SpotOverhead(res)),
 		})
-		recycleVM(vm)
 	}
 	return t, nil
 }

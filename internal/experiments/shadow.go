@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/perfmodel"
-	"repro/internal/sim"
-	"repro/internal/workloads"
 )
 
 // ExtraShadow compares nested paging against shadow paging (§VII: the
@@ -30,27 +27,15 @@ func ExtraShadowFor(p Params, names []string) (*Table, error) {
 		},
 	}
 	for _, name := range names {
-		w := workloads.ByName(name)
-		var nested, shadowed sim.Result
-		for i, shadow := range []bool{false, true} {
-			vm, _, err := newVM(p, PolicyCA, PolicyCA)
-			if err != nil {
-				return nil, err
-			}
-			env := workloads.NewVirtEnv(vm, 0)
-			if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-				return nil, fmt.Errorf("shadow %s: %w", name, err)
-			}
-			res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen),
-				sim.Config{ShadowPaging: shadow, Tracer: p.Tracer})
-			if err != nil {
-				return nil, err
-			}
-			if i == 0 {
-				nested = res
-			} else {
-				shadowed = res
-			}
+		cell := simCell{workload: name, policy: PolicyCA, virtual: true}
+		nested, err := p.simulate(cell)
+		if err != nil {
+			return nil, err
+		}
+		cell.cfg.ShadowPaging = true
+		shadowed, err := p.simulate(cell)
+		if err != nil {
+			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
 			name,

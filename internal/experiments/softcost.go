@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/metrics"
+	"repro/internal/osim"
 	"repro/internal/osim/vma"
 	"repro/internal/perfmodel"
 	"repro/internal/shard"
@@ -36,31 +36,24 @@ func Fig11For(p Params, names []string) (*Table, error) {
 	err := shard.Each(g.size(), p.Jobs, func(i int) error {
 		name := names[g.at(i, 0)]
 		pol := policies[g.at(i, 1)]
-		k, ds := newNativeKernel(p, pol, false)
-		env := workloads.NewNativeEnv(k, 0)
-		env.Daemons = ds
-		if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return fmt.Errorf("fig11 %s/%s: %w", name, pol, err)
-		}
-		clockAfterSetup := k.Clock
-		// Execution window: daemons (ranger migrations, Ingens
-		// promotions) keep running; their added time is the
-		// difference the model charges.
-		workloads.SettleDaemons(k, ds, 60)
-		daemonWork := k.Clock - clockAfterSetup
-		// SettleDaemons advances the clock by the idle epochs
-		// themselves; subtract that baseline so only the work time
-		// (migrations/promotions/faults) counts.
-		idle := uint64(60 * 2_100_000)
-		if daemonWork >= idle {
-			daemonWork -= idle
-		} else {
-			daemonWork = 0
-		}
-		kernelNs[i] = clockAfterSetup + daemonWork
-		env.Exit()
-		k.Machine.Recycle()
-		return nil
+		return p.native(nativeCell{workload: name, policy: pol}, func(k *osim.Kernel, env *workloads.Env) {
+			clockAfterSetup := k.Clock
+			// Execution window: daemons (ranger migrations, Ingens
+			// promotions) keep running; their added time is the
+			// difference the model charges.
+			workloads.SettleDaemons(k, env.Daemons, 60)
+			daemonWork := k.Clock - clockAfterSetup
+			// SettleDaemons advances the clock by the idle epochs
+			// themselves; subtract that baseline so only the work time
+			// (migrations/promotions/faults) counts.
+			idle := uint64(60 * 2_100_000)
+			if daemonWork >= idle {
+				daemonWork -= idle
+			} else {
+				daemonWork = 0
+			}
+			kernelNs[i] = clockAfterSetup + daemonWork
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -107,19 +100,12 @@ func Table5For(p Params, names []string) (*Table, error) {
 	err := shard.Each(len(cells), p.Jobs, func(i int) error {
 		pol := policies[g.at(i, 0)]
 		name := names[g.at(i, 1)]
-		k, ds := newNativeKernel(p, pol, false)
-		env := workloads.NewNativeEnv(k, 0)
-		env.Daemons = ds
-		if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return fmt.Errorf("table5 %s/%s: %w", name, pol, err)
-		}
 		// Stats (and the latency slice) live on the kernel, not the
 		// machine; recycling only pools the machine, so the reference in
 		// cells stays valid.
-		cells[i] = cellResult{faults: k.Stats.TotalFaults(), lats: k.Stats.FaultLatencies}
-		env.Exit()
-		k.Machine.Recycle()
-		return nil
+		return p.native(nativeCell{workload: name, policy: pol}, func(k *osim.Kernel, _ *workloads.Env) {
+			cells[i] = cellResult{faults: k.Stats.TotalFaults(), lats: k.Stats.FaultLatencies}
+		})
 	})
 	if err != nil {
 		return nil, err
@@ -154,19 +140,16 @@ func Table6For(p Params, names []string) (*Table, error) {
 	for _, pol := range []PolicyName{PolicyTHP, PolicyIngens, PolicyCA, PolicyEager} {
 		row := []string{string(pol)}
 		for _, name := range names {
-			k, ds := newNativeKernel(p, pol, false)
-			env := workloads.NewNativeEnv(k, 0)
-			env.Daemons = ds
-			if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-				return nil, fmt.Errorf("table6 %s/%s: %w", name, pol, err)
+			c := nativeCell{workload: name, policy: pol, settle: 30}
+			err := p.native(c, func(_ *osim.Kernel, env *workloads.Env) {
+				mapped, touched := residency(env)
+				bloatBytes := (mapped - touched) * 4096
+				overheadPct := float64(bloatBytes) / float64(touched*4096) * 100
+				row = append(row, fmt.Sprintf("%.1f (%.1f%%)", float64(bloatBytes)/(1<<20), overheadPct))
+			})
+			if err != nil {
+				return nil, err
 			}
-			workloads.SettleDaemons(k, ds, 30)
-			mapped, touched := residency(env)
-			bloatBytes := (mapped - touched) * 4096
-			overheadPct := float64(bloatBytes) / float64(touched*4096) * 100
-			row = append(row, fmt.Sprintf("%.1f (%.1f%%)", float64(bloatBytes)/(1<<20), overheadPct))
-			env.Exit()
-			k.Machine.Recycle()
 		}
 		t.Rows = append(t.Rows, row)
 	}

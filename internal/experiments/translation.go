@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/hw/walker"
 	"repro/internal/metrics"
-	"repro/internal/osim"
 	"repro/internal/perfmodel"
 	"repro/internal/shard"
 	"repro/internal/sim"
-	"repro/internal/virt"
-	"repro/internal/workloads"
 )
 
 // translationRun holds every measurement Fig. 13/14 and Table VII need
@@ -24,69 +20,25 @@ type translationRun struct {
 }
 
 // runTranslation measures one workload under all Fig. 13 configurations.
+// The five cells are independent simulations, so they run on the
+// shared worker pool, each writing an index-owned field.
 func runTranslation(p Params, name string) (translationRun, error) {
 	out := translationRun{name: name}
-	run := func(virtual bool, thp bool, policy PolicyName, schemes bool) (sim.Result, error) {
-		var env *workloads.Env
-		var vm *virt.VM
-		var k *osim.Kernel
-		if virtual {
-			var err error
-			vm, _, err = newVM(p, policy, policy)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			vm.Guest.THPEnabled = thp
-			vm.Host.THPEnabled = thp
-			env = workloads.NewVirtEnv(vm, 0)
-		} else {
-			k, _ = newNativeKernel(p, policy, false)
-			k.THPEnabled = thp
-			env = workloads.NewNativeEnv(k, 0)
-		}
-		w := workloads.ByName(name)
-		tr := p.Tracer
-		start := tr.Start()
-		if err := w.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return sim.Result{}, fmt.Errorf("%s setup: %w", name, err)
-		}
-		tr.EmitPhase(name+"/setup", start)
-		start = tr.Start()
-		res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: schemes, Tracer: p.Tracer})
-		tr.EmitPhase(name+"/measure", start)
-		if err == nil {
-			if vm != nil {
-				recycleVM(vm)
-			} else {
-				k.Machine.Recycle()
-			}
-		}
-		return res, err
-	}
-	// The five configurations are independent simulations (each builds
-	// its own kernel/VM), so they run on the shared worker pool. Each
-	// writes an index-owned field; identical output to the sequential
-	// original.
-	configs := []struct {
-		dst          *sim.Result
-		virtual, thp bool
-		policy       PolicyName
-		schemes      bool
+	cells := []struct {
+		dst  *sim.Result
+		cell simCell
 	}{
-		{&out.native4K, false, false, PolicyTHP, false},
-		{&out.nativeTHP, false, true, PolicyTHP, false},
-		{&out.virt4K, true, false, PolicyTHP, false},
-		{&out.virtTHP, true, true, PolicyTHP, false},
-		{&out.caTHP, true, true, PolicyCA, true},
+		{&out.native4K, simCell{workload: name, policy: PolicyTHP, noTHP: true}},
+		{&out.nativeTHP, simCell{workload: name, policy: PolicyTHP}},
+		{&out.virt4K, simCell{workload: name, policy: PolicyTHP, virtual: true, noTHP: true}},
+		{&out.virtTHP, simCell{workload: name, policy: PolicyTHP, virtual: true}},
+		{&out.caTHP, simCell{workload: name, policy: PolicyCA, virtual: true,
+			cfg: sim.Config{EnableSchemes: true}}},
 	}
-	err := shard.Each(len(configs), p.Jobs, func(i int) error {
-		c := configs[i]
-		res, err := run(c.virtual, c.thp, c.policy, c.schemes)
-		if err != nil {
-			return err
-		}
-		*c.dst = res
-		return nil
+	err := shard.Each(len(cells), p.Jobs, func(i int) error {
+		res, err := p.simulate(cells[i].cell)
+		*cells[i].dst = res
+		return err
 	})
 	return out, err
 }
@@ -173,23 +125,10 @@ func Fig14For(p Params, names []string) (*Table, error) {
 	}
 	results := make([]sim.Result, len(names))
 	if err := shard.Each(len(names), p.Jobs, func(i int) error {
-		name := names[i]
-		vm, _, err := newVM(p, PolicyCA, PolicyCA)
-		if err != nil {
-			return err
-		}
-		env := workloads.NewVirtEnv(vm, 0)
-		wl := workloads.ByName(name)
-		if err := wl.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return fmt.Errorf("fig14 %s: %w", name, err)
-		}
-		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{EnableSchemes: true, Tracer: p.Tracer})
-		if err != nil {
-			return err
-		}
+		res, err := p.simulate(simCell{workload: names[i], policy: PolicyCA, virtual: true,
+			cfg: sim.Config{EnableSchemes: true}})
 		results[i] = res
-		recycleVM(vm)
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -225,23 +164,9 @@ func Table7For(p Params, names []string) (*Table, error) {
 	}
 	ests := make([]perfmodel.USLEstimate, len(names))
 	if err := shard.Each(len(names), p.Jobs, func(i int) error {
-		name := names[i]
-		vm, _, err := newVM(p, PolicyCA, PolicyCA)
-		if err != nil {
-			return err
-		}
-		env := workloads.NewVirtEnv(vm, 0)
-		wl := workloads.ByName(name)
-		if err := wl.Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
-			return fmt.Errorf("table7 %s: %w", name, err)
-		}
-		res, err := sim.Run(env, wl.Stream(rand.New(rand.NewSource(p.streamSeed())), p.StreamLen), sim.Config{Tracer: p.Tracer})
-		if err != nil {
-			return err
-		}
+		res, err := p.simulate(simCell{workload: names[i], policy: PolicyCA, virtual: true})
 		ests[i] = perfmodel.EstimateUSL(res)
-		recycleVM(vm)
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/hw/hc"
 	"repro/internal/metrics"
 	"repro/internal/shard"
@@ -33,7 +34,7 @@ func Fig12For(p Params, names []string) (*Table, error) {
 	rows := make([][][]string, len(policies))
 	err := shard.Each(len(policies), p.Jobs, func(i int) error {
 		pol := policies[i]
-		vm, _, err := newVM(p, pol, pol)
+		vm, err := newVM(p, pol, 0)
 		if err != nil {
 			return err
 		}
@@ -42,7 +43,7 @@ func Fig12For(p Params, names []string) (*Table, error) {
 			if err := workloads.ByName(name).Setup(env, rand.New(rand.NewSource(p.setupSeed()))); err != nil {
 				return fmt.Errorf("fig12 %s/%s: %w", name, pol, err)
 			}
-			st := contigOf(vm.Mappings2D(env.Proc))
+			st := core.Contiguity(env)
 			rows[i] = append(rows[i], []string{
 				name, string(pol), f3(st.Cov32), f3(st.Cov128), fmt.Sprint(st.Maps99),
 			})
@@ -77,7 +78,7 @@ func Table1For(p Params, names []string) (*Table, error) {
 	type counts struct{ ranges, anchors int }
 	results := map[string]map[PolicyName]counts{}
 	for _, pol := range []PolicyName{PolicyTHP, PolicyCA} {
-		vm, _, err := newVM(p, pol, pol)
+		vm, err := newVM(p, pol, 0)
 		if err != nil {
 			return nil, err
 		}

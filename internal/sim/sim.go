@@ -175,8 +175,9 @@ func newMachine(env *workloads.Env, cfg Config) (*machine, error) {
 		m.sp.DisableConfidence = cfg.SpotNoConfidence
 		m.sp.IgnoreFilter = cfg.SpotNoFilter
 		m.rt = rmm.NewRangeTLB(cfg.RangeTLBEntries)
-		m.rtab = rmm.NewTable(extractMappings(env))
-		m.seg = buildSegment(env)
+		ms := translation.ExtractMappings(env)
+		m.rtab = rmm.NewTable(ms)
+		m.seg = segmentFor(ms)
 	}
 	return m, nil
 }
@@ -291,27 +292,16 @@ func (m *machine) step(a workloads.Access) error {
 	return nil
 }
 
-// extractMappings pulls the current contiguous mappings of the
-// environment's process: full 2D mappings in a VM, native mappings
-// otherwise. These feed the vRMM range table and the DS segment.
-func extractMappings(env *workloads.Env) []metrics.Mapping {
-	return translation.ExtractMappings(env)
-}
-
-// buildSegment models Direct Segments' dual direct mode: one segment
+// segmentFor models Direct Segments' dual direct mode: one segment
 // sized to cover the process's populated span. DS pre-reserves its
-// memory at boot, so the emulated segment covers the whole virtual
-// extent with the offset of its first mapping — accesses whose actual
-// translation differs would, on real DS hardware, have been *placed*
-// at the segment target; for overhead accounting only in/out of the
-// segment range matters. (The ds *backend* instead sizes its segment
-// to the largest real contiguous mapping, because it must return
-// exact physical addresses; see translation.BackendDS.)
-func buildSegment(env *workloads.Env) *ds.Segment {
-	return segmentFor(extractMappings(env))
-}
-
-// segmentFor sizes the segment over the mappings' full virtual extent.
+// memory at boot, so the emulated segment covers the mappings' whole
+// virtual extent with the offset of its lowest mapping — accesses whose
+// actual translation differs would, on real DS hardware, have been
+// *placed* at the segment target; for overhead accounting only in/out
+// of the segment range matters. (The ds *backend* instead sizes its
+// segment to the largest real contiguous mapping, because it must
+// return exact physical addresses; see translation.BackendDS.)
+//
 // The segment's offset must belong to the lowest-VA mapping — the one
 // whose start defines the segment base — not to whichever mapping
 // happens to be listed first, or base and offset would describe

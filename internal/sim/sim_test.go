@@ -209,7 +209,41 @@ func TestShadowPagingScheme(t *testing.T) {
 	}
 }
 
-// TestSegmentForOutOfOrderMappings pins the buildSegment fix: the
+// TestSchemesDoNotSteerMissStream pins the claim the package doc
+// rests on: SpOT, vRMM, and DS only observe the miss stream. Two
+// identically set-up environments, one run with the schemes and one
+// without, must see the same accesses, misses, walk cost, and demand
+// faults, natively and nested.
+func TestSchemesDoNotSteerMissStream(t *testing.T) {
+	modes := []struct {
+		name string
+		env  func() *workloads.Env
+	}{
+		{"native", func() *workloads.Env { return nativeEnv(t, osim.CAPolicy{}) }},
+		{"nested", func() *workloads.Env { return virtEnv(t, osim.CAPolicy{}, osim.CAPolicy{}) }},
+	}
+	for _, mode := range modes {
+		for _, name := range []string{"pagerank", "hashjoin", "xsbench"} {
+			var res [2]Result
+			for i, schemes := range []bool{false, true} {
+				res[i] = setupAndRun(t, mode.env(), workloads.ByName(name), 50_000,
+					Config{EnableSchemes: schemes})
+			}
+			off, on := res[0], res[1]
+			if off.Accesses != on.Accesses || off.Misses != on.Misses ||
+				off.WalkCycles != on.WalkCycles || off.Faults != on.Faults {
+				t.Errorf("%s/%s: schemes steered the run: off %d/%d/%.0f/%d, on %d/%d/%.0f/%d (accesses/misses/walk/faults)",
+					mode.name, name, off.Accesses, off.Misses, off.WalkCycles, off.Faults,
+					on.Accesses, on.Misses, on.WalkCycles, on.Faults)
+			}
+			if on.SpotCorrect+on.SpotMispredict+on.SpotNoPred == 0 {
+				t.Errorf("%s/%s: schemes on, yet SpOT saw no misses", mode.name, name)
+			}
+		}
+	}
+}
+
+// TestSegmentForOutOfOrderMappings pins the segment-offset fix: the
 // segment offset must come from the lowest-VA mapping, not from
 // whichever mapping is listed first, so the segment translates its own
 // base correctly.

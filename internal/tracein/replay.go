@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/check"
@@ -652,27 +651,22 @@ func percentile(hist *[histBuckets]uint64, total uint64, q float64) uint64 {
 	return 1 << 63
 }
 
-// Result assembles the deterministic outcome of a finished replay.
-// Call only after Replay/ReplayEvents has returned.
+// Result assembles the deterministic outcome of a finished replay:
+// Snapshot's totals plus the walk cost and the trajectory rows, which
+// only a quiesced engine may read. Shards are in index order, so the
+// rows come out shard 0's first. Call only after Replay/ReplayEvents
+// has returned.
 func (e *Engine) Result() Result {
-	var r Result
-	var hist [histBuckets]uint64
+	sn := e.Snapshot()
+	r := Result{
+		Events: sn.Events, Skipped: sn.Skipped, OOMs: sn.OOMs, Faults: sn.Faults,
+		Accesses: sn.Accesses, Misses: sn.Misses,
+		P50Cycles: sn.P50Cycles, P99Cycles: sn.P99Cycles,
+	}
 	for _, s := range e.shards {
-		r.Events += s.events.Load()
-		r.Skipped += s.skipped.Load()
-		r.OOMs += s.ooms.Load()
-		r.Faults += s.faults.Load()
-		r.Accesses += s.accesses.Load()
-		r.Misses += s.misses.Load()
 		r.WalkCycles += uint64(s.walk)
-		for b := range hist {
-			hist[b] += s.hist[b].Load()
-		}
 		r.Rows = append(r.Rows, s.rows...)
 	}
-	sort.SliceStable(r.Rows, func(i, j int) bool { return r.Rows[i].Shard < r.Rows[j].Shard })
-	r.P50Cycles = percentile(&hist, r.Misses, 0.50)
-	r.P99Cycles = percentile(&hist, r.Misses, 0.99)
 	return r
 }
 

@@ -1,7 +1,6 @@
 package tracein
 
 import (
-	"io"
 	"math/rand"
 
 	"repro/internal/aging"
@@ -110,9 +109,4 @@ func Synth(cfg SynthConfig) []Event {
 		out = append(out, ev)
 	}
 	return out
-}
-
-// WriteSynth encodes a synthesized trace straight to w.
-func WriteSynth(w io.Writer, cfg SynthConfig, crc bool) error {
-	return Encode(w, Synth(cfg), crc)
 }
