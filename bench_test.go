@@ -336,6 +336,27 @@ func TestAuditorZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAuditorMultiZoneAllocs bounds the multi-zone audit's garbage: on
+// a two-zone machine with mappings and page-cache residency in every
+// zone, a warm Auditor allocates at most one object per zone per audit,
+// the runtime's cost of starting the per-zone goroutines. The frame
+// sweep itself must add none.
+func TestAuditorMultiZoneAllocs(t *testing.T) {
+	m, k := auditFixture(t, []uint64{8, 8})
+	a := check.NewAuditor(m)
+	if err := a.Audit(k, nil); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		if err := a.Audit(k, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if max := float64(len(m.Zones)); avg > max {
+		t.Fatalf("warm two-zone Auditor.Audit allocates %v per run, want at most %v", avg, max)
+	}
+}
+
 // BenchmarkAuditKernels measures the audit engine itself on a small
 // machine and on one the size of the figAging campaign host (2 NUMA
 // zones x 160 MAX_ORDER blocks), where the flat-array sweep replaced

@@ -54,6 +54,9 @@ func firstMappedPFN(t *testing.T, ks []*osim.Kernel, want int32) addr.PFN {
 // state-Free frames to listed coverage and listed coverage to the
 // counter, so any drift fires a buddy error first).
 func TestAuditCorruptionBranches(t *testing.T) {
+	// located, when a corruption sets it, is the frame the error must
+	// name ("frame N "), for messages whose fixed text does not.
+	var located string
 	tests := []struct {
 		name    string
 		corrupt func(t *testing.T, m *zone.Machine, ks []*osim.Kernel, envs []*workloads.Env) []Extent
@@ -94,6 +97,7 @@ func TestAuditCorruptionBranches(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.Frames.Get(pfn).State = frame.Reserved
+			located = fmt.Sprintf("frame %d ", pfn)
 			return nil
 		}, "Reserved state inside a zone"},
 		{"pfn-outside-machine", func(t *testing.T, m *zone.Machine, _ []*osim.Kernel, envs []*workloads.Env) []Extent {
@@ -181,10 +185,14 @@ func TestAuditCorruptionBranches(t *testing.T) {
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			m, ks, envs := shardedFixture(t)
+			located = ""
 			pinned := tc.corrupt(t, m, ks, envs)
 			err := AuditKernels(m, ks, pinned)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("AuditKernels = %v, want error containing %q", err, tc.want)
+			}
+			if !strings.Contains(err.Error(), located) {
+				t.Fatalf("AuditKernels = %v, want it to name %q", err, located)
 			}
 			// The campaign shape — a held, reused Auditor — must report
 			// the identical error.

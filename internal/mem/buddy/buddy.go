@@ -536,24 +536,50 @@ func (b *Buddy) LargestAlignedFree() int {
 	return bits.Len32(b.nonEmpty) - 1
 }
 
-// ScratchWords returns the length a borrowed scratch bitset must have to
-// cover this allocator's managed range, one bit per frame.
+// ScratchWords returns the length a borrowed coverage bitset must have
+// to cover this allocator's managed range, one bit per frame. The range
+// is a whole number of MAX_ORDER blocks, so every word is full.
 func (b *Buddy) ScratchWords() int { return int((b.npages + 63) / 64) }
 
-// CheckInvariants validates the allocator's internal consistency. It is
-// exercised by tests (including property-based ones) and is deliberately
-// thorough rather than fast. It allocates its own coverage scratch; the
-// audit engine calls CheckInvariantsScratch with a reused arena instead.
+// CheckInvariants validates the allocator's internal consistency: the
+// free-list structure (CheckLists) and the coverage rule, that the
+// frames the lists cover are exactly the Free-state frames
+// (CoverageError, one word of frames at a time). It is exercised by
+// tests (including property-based ones) and allocates its own coverage
+// bitset; the audit engine calls CheckLists on a reused arena and
+// applies the coverage rule inside its own frame sweep instead.
 func (b *Buddy) CheckInvariants() error {
-	return b.CheckInvariantsScratch(make([]uint64, b.ScratchWords()))
+	covered := make([]uint64, b.ScratchWords())
+	if err := b.CheckLists(covered); err != nil {
+		return err
+	}
+	for w := range covered {
+		var free uint64
+		for k, f := range b.fs[w<<6 : w<<6+64] {
+			if f.State == frame.Free {
+				free |= 1 << k
+			}
+		}
+		if err := b.CoverageError(w, covered[w], free); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// CheckInvariantsScratch is CheckInvariants over a borrowed coverage
-// bitset (one bit per managed frame, at least ScratchWords words). The
-// scratch is cleared word-at-a-time on entry, so callers can hand the
-// same arena to successive checks without zeroing it between them; its
-// contents on return are unspecified.
-func (b *Buddy) CheckInvariantsScratch(covered []uint64) error {
+// CheckLists validates the free lists without reading the frame
+// records' states: per listed block its alignment, head marking, back
+// link, and canonical coalescing; per order the recorded count and
+// non-empty bit; the free-page counter; and the address order of a
+// sorted MAX_ORDER list. It records every listed block's frames in
+// covered (one bit per managed frame, at least ScratchWords words),
+// which it clears on entry, and reports a frame two listed blocks share.
+// Blocks of order 6 and up fill whole words; a smaller block is aligned
+// to its size, so it sits inside one word as a mask, and an overlap is
+// one word AND either way. On success covered holds the listed
+// coverage, ready for CoverageError; on failure its contents are
+// unspecified.
+func (b *Buddy) CheckLists(covered []uint64) error {
 	covered = covered[:b.ScratchWords()]
 	clear(covered)
 	var listedFree uint64
@@ -572,16 +598,8 @@ func (b *Buddy) CheckInvariantsScratch(covered []uint64) error {
 			if b.prev[i] != prev {
 				return fmt.Errorf("order %d block %d prev-link broken", o, pfn)
 			}
-			n := addr.OrderPages(o)
-			for j := uint64(0); j < n; j++ {
-				rel := uint64(i) + j
-				if covered[rel>>6]&(1<<(rel&63)) != 0 {
-					return fmt.Errorf("frame %d covered by two free blocks", pfn+addr.PFN(j))
-				}
-				covered[rel>>6] |= 1 << (rel & 63)
-				if b.fs[rel].State != frame.Free {
-					return fmt.Errorf("frame %d on free list but state %v", pfn+addr.PFN(j), b.fs[rel].State)
-				}
+			if err := b.cover(covered, uint64(i), addr.OrderPages(o)); err != nil {
+				return err
 			}
 			// Canonical coalescing: a listed block's buddy must not
 			// also be listed at the same order.
@@ -604,12 +622,6 @@ func (b *Buddy) CheckInvariantsScratch(covered []uint64) error {
 	if listedFree != b.freePages {
 		return fmt.Errorf("listed free pages %d != counter %d", listedFree, b.freePages)
 	}
-	// Every Free-state frame in range must be covered by a listed block.
-	for rel := uint64(0); rel < b.npages; rel++ {
-		if b.fs[rel].State == frame.Free && covered[rel>>6]&(1<<(rel&63)) == 0 {
-			return fmt.Errorf("frame %d free but not on any list", b.base+addr.PFN(rel))
-		}
-	}
 	if b.sorted {
 		prev := nilLink
 		for i := b.heads[addr.MaxOrder]; i != nilLink; i = b.next[i] {
@@ -620,4 +632,51 @@ func (b *Buddy) CheckInvariantsScratch(covered []uint64) error {
 		}
 	}
 	return nil
+}
+
+// cover marks the n aligned frames starting at index rel in covered,
+// reporting the lowest frame already marked by another listed block.
+func (b *Buddy) cover(covered []uint64, rel, n uint64) error {
+	w := rel >> 6
+	if n >= 64 {
+		for end := (rel + n) >> 6; w < end; w++ {
+			if c := covered[w]; c != 0 {
+				return b.doubleCover(w, c)
+			}
+			covered[w] = ^uint64(0)
+		}
+		return nil
+	}
+	mask := (uint64(1)<<n - 1) << (rel & 63)
+	if c := covered[w] & mask; c != 0 {
+		return b.doubleCover(w, c)
+	}
+	covered[w] |= mask
+	return nil
+}
+
+// doubleCover reports the lowest frame of word w set in overlap.
+func (b *Buddy) doubleCover(w, overlap uint64) error {
+	return fmt.Errorf("frame %d covered by two free blocks", b.base+addr.PFN(w<<6)+addr.PFN(bits.TrailingZeros64(overlap)))
+}
+
+// CoverageError applies the coverage rule to word w of the managed
+// range (frames [64w, 64w+64) from the base): covered is the word
+// CheckLists recorded and free has bit k set iff frame 64w+k is in the
+// Free state. Every Free frame must be covered by a listed block and
+// every covered frame must be Free. It returns nil when the two words
+// agree, and otherwise the error for the lowest frame where they
+// differ.
+func (b *Buddy) CoverageError(w int, covered, free uint64) error {
+	diff := covered ^ free
+	if diff == 0 {
+		return nil
+	}
+	k := bits.TrailingZeros64(diff)
+	rel := uint64(w)<<6 + uint64(k)
+	pfn := b.base + addr.PFN(rel)
+	if free&(1<<k) != 0 {
+		return fmt.Errorf("frame %d free but not on any list", pfn)
+	}
+	return fmt.Errorf("frame %d on free list but state %v", pfn, b.fs[rel].State)
 }

@@ -558,6 +558,22 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			// order 0 as well: two listed blocks now cover it.
 			b.listInsert(3, 0)
 		}, "covered by two free blocks"},
+		{"double-cover-whole-word", func(t *testing.T, b *Buddy) {
+			// An order-6 block fills word 1 of the intact MAX_ORDER
+			// block: the whole-word marking path finds the overlap.
+			b.listInsert(64, 6)
+		}, "frame 64 covered by two free blocks"},
+		{"double-cover-inside-word", func(t *testing.T, b *Buddy) {
+			// Two small blocks share frames 12-15 of word 0: the
+			// in-word mask path finds the overlap.
+			b.listInsert(8, 3)
+			b.listInsert(12, 2)
+		}, "frame 12 covered by two free blocks"},
+		{"listed-but-not-free-word-edge", func(t *testing.T, b *Buddy) {
+			// Bit 63 of word 0 and bit 0 of word 1: the lowest wins.
+			b.fs[63].State = frame.Allocated
+			b.fs[64].State = frame.Allocated
+		}, "frame 63 on free list but state allocated"},
 		{"listed-but-not-free", func(t *testing.T, b *Buddy) {
 			// An interior frame of a listed block flips to Allocated.
 			b.fs[1].State = frame.Allocated

@@ -330,22 +330,21 @@ func (m *Map) unlink(c *Cluster) {
 // It allocates its own membership scratch; the audit engine calls
 // CheckInvariantsScratch with a reused arena instead.
 func (m *Map) CheckInvariants(b *buddy.Buddy) error {
-	return m.CheckInvariantsScratch(b, make([]uint64, scratchWords(b)))
+	return m.CheckInvariantsScratch(b, make([]uint64, ScratchWords(b)))
 }
 
-// scratchWords is the borrowed-bitset length CheckInvariantsScratch
+// ScratchWords is the borrowed-bitset length CheckInvariantsScratch
 // needs: one bit per MAX_ORDER block of the allocator's managed range.
-func scratchWords(b *buddy.Buddy) int {
+func ScratchWords(b *buddy.Buddy) int {
 	return int((b.Pages()/addr.MaxOrderPages + 63) / 64)
 }
 
 // CheckInvariantsScratch is CheckInvariants over a borrowed membership
-// bitset (one bit per MAX_ORDER block of b's range; buddy.ScratchWords
-// words are always enough). The scratch is cleared word-at-a-time on
-// entry; its contents on return are unspecified.
+// bitset of at least ScratchWords(b) words. The scratch is cleared
+// word-at-a-time on entry; its contents on return are unspecified.
 func (m *Map) CheckInvariantsScratch(b *buddy.Buddy, scratch []uint64) error {
 	// Collect buddy MAX_ORDER membership, one bit per block index.
-	onList := scratch[:scratchWords(b)]
+	onList := scratch[:ScratchWords(b)]
 	clear(onList)
 	base := b.Base()
 	var listed uint64

@@ -66,10 +66,6 @@ type PageCache struct {
 	nextID int
 	// ResidentPages counts cached frames across all files.
 	ResidentPages uint64
-
-	// visitIDs is VisitCached's reused sort scratch, so the audit
-	// engine's per-snapshot cache walk stays allocation-free once warm.
-	visitIDs []int
 }
 
 func newPageCache(k *Kernel) *PageCache {
@@ -87,23 +83,16 @@ func (c *PageCache) CreateFile(bytes uint64) *File {
 // File returns the file with the given ID, or nil.
 func (c *PageCache) File(id int) *File { return c.files[id] }
 
-// VisitCached calls fn for every resident cache page, in file-ID then
-// file-page order. Auditors use it to account for the cache's base
-// reference on each resident frame when reconciling MapCount against
-// page-table leaves.
-func (c *PageCache) VisitCached(fn func(f *File, pageIdx uint64, pfn addr.PFN)) {
-	ids := c.visitIDs[:0]
-	for id := range c.files {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	c.visitIDs = ids
-	for _, id := range ids {
-		f := c.files[id]
-		for idx := uint64(0); idx < f.Pages(); idx++ {
-			if pfn, ok := f.cachedPFN(idx); ok {
-				fn(f, idx, pfn)
-			}
+// VisitFiles calls fn once for every file with resident pages, in no
+// particular order, with that file's page slots: slots[i] is the frame
+// caching file page i plus one, or 0 when that page is not resident.
+// The audit engine loops over the slots inline to account for the
+// cache's base reference on each resident frame; fn must not keep or
+// modify them.
+func (c *PageCache) VisitFiles(fn func(slots []addr.PFN)) {
+	for _, f := range c.files {
+		if f.cached != 0 {
+			fn(f.pages)
 		}
 	}
 }
