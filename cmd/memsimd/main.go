@@ -7,9 +7,13 @@
 //
 // Input is either positional trace files (each file is one concurrent
 // tenant stream) or -synth N synthetic events split across -streams
-// generated streams. Concurrent streams are merged deterministically
-// by (timestamp, stream index), so a given set of inputs replays to
-// one canonical digest at any -jobs setting.
+// generated streams. Both kinds are tracein.Sources: the replay pulls
+// the merge, and the merge pulls each input inline on the replaying
+// goroutine, so no input has a goroutine or channel of its own and a
+// synthetic stream is generated as it is consumed. Concurrent streams
+// are merged deterministically by (timestamp, stream index), so a given
+// set of inputs replays to one canonical digest at any -jobs setting.
+// A failing input is reported as "<stream>: record <n>: <cause>".
 //
 // Usage:
 //
@@ -22,6 +26,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -37,60 +42,46 @@ import (
 	"repro/internal/tracein"
 )
 
-// stream is one workload input: a goroutine decodes (or generates)
-// events into ch; the merger pulls from ch. Tenant IDs are remapped to
-// tenant*streams+idx so concurrent streams never collide on a tenant.
-type stream struct {
+// input is one workload stream: a trace-file decoder or a synthesizer.
+// Tenant IDs are remapped to tenant*streams+idx so concurrent streams
+// never collide on a tenant.
+type input struct {
 	name string
-	ch   chan tracein.Event
-	err  error // set before ch closes
-	done bool
+	src  tracein.Source
+	file *os.File // nil for a synthesizer
+	n    int      // records pulled so far
 	head tracein.Event
 	ok   bool // head holds a pending event
+	done bool
 }
 
-const streamBuf = 1024
+// merged is the deterministic k-way merge of the inputs by
+// (timestamp, stream index), itself a Source. Each Next refills only
+// the heads that are empty by calling that input's own Next inline, so
+// the merged order is a pure function of the inputs.
+type merged struct{ ins []input }
 
-// openStreams builds the input set: one per trace file, or -streams
-// synthetic generators. Each gets a feeding goroutine, which returns
-// early once done closes so no feeder outlives its consumer.
-func openStreams(files []string, synth, streams, tenants int, seed int64, done <-chan struct{}) ([]*stream, error) {
-	var out []*stream
-	if len(files) > 0 {
-		for _, path := range files {
-			f, err := os.Open(path)
-			if err != nil {
-				return nil, err
-			}
-			d, err := tracein.NewDecoder(f)
-			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("%s: %w", path, err)
-			}
-			s := &stream{name: path, ch: make(chan tracein.Event, streamBuf)}
-			out = append(out, s)
-			go func(f *os.File, d *tracein.Decoder, s *stream) {
-				defer close(s.ch)
-				defer f.Close()
-				var ev tracein.Event
-				for {
-					err := d.Next(&ev)
-					if err == io.EOF {
-						return
-					}
-					if err != nil {
-						s.err = fmt.Errorf("%s: %w", s.name, err)
-						return
-					}
-					select {
-					case s.ch <- ev:
-					case <-done:
-						return
-					}
-				}
-			}(f, d, s)
+// openStreams builds the input set: one decoder per trace file, or
+// -streams synthesizers. On error every file opened so far is closed;
+// otherwise the caller closes them with merged.Close.
+func openStreams(files []string, synth, streams, tenants int, seed int64) (*merged, error) {
+	m := &merged{}
+	for _, path := range files {
+		f, err := os.Open(path)
+		if err != nil {
+			m.Close()
+			return nil, err
 		}
-		return out, nil
+		d, err := tracein.NewDecoder(f)
+		if err != nil {
+			f.Close()
+			m.Close()
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		m.ins = append(m.ins, input{name: path, src: d, file: f})
+	}
+	if len(files) > 0 {
+		return m, nil
 	}
 	per := synth / streams
 	for i := 0; i < streams; i++ {
@@ -98,58 +89,55 @@ func openStreams(files []string, synth, streams, tenants int, seed int64, done <
 		if i == streams-1 {
 			n = synth - per*(streams-1)
 		}
-		s := &stream{name: fmt.Sprintf("synth[%d]", i), ch: make(chan tracein.Event, streamBuf)}
-		out = append(out, s)
-		go func(i, n int, s *stream) {
-			defer close(s.ch)
-			for _, ev := range tracein.Synth(tracein.SynthConfig{
-				Seed: seed + int64(i), Events: n, Tenants: tenants,
-			}) {
-				select {
-				case s.ch <- ev:
-				case <-done:
-					return
-				}
-			}
-		}(i, n, s)
+		m.ins = append(m.ins, input{
+			name: fmt.Sprintf("synth[%d]", i),
+			src:  tracein.NewSynth(tracein.SynthConfig{Seed: seed + int64(i), Events: n, Tenants: tenants}),
+		})
 	}
-	return out, nil
+	return m, nil
 }
 
-// merge returns a next() function performing a deterministic k-way
-// merge by (timestamp, stream index): each refill blocks on the one
-// stream that needs a new head, never on a racy select, so the merged
-// order is a pure function of the inputs. Tenants are remapped to
-// tenant*k+idx, keeping concurrent streams' tenants disjoint.
-func merge(streams []*stream) func() (tracein.Event, error) {
-	k := uint32(len(streams))
-	return func() (tracein.Event, error) {
-		best := -1
-		for i, s := range streams {
-			if !s.ok && !s.done {
-				ev, open := <-s.ch
-				if !open {
-					s.done = true
-					if s.err != nil {
-						return tracein.Event{}, s.err
-					}
-				} else {
-					s.head, s.ok = ev, true
-				}
-			}
-			if s.ok && (best < 0 || s.head.TS < streams[best].head.TS) {
-				best = i
-			}
+// Close closes the inputs' trace files.
+func (m *merged) Close() {
+	for _, in := range m.ins {
+		if in.file != nil {
+			in.file.Close()
 		}
-		if best < 0 {
-			return tracein.Event{}, io.EOF
-		}
-		s := streams[best]
-		ev := s.head
-		s.ok = false
-		ev.Tenant = (ev.Tenant*k + uint32(best)) % (tracein.MaxTenant + 1)
-		return ev, nil
 	}
+}
+
+// Next fills ev with the earliest pending event, its tenant remapped
+// to tenant*k+idx to keep concurrent streams' tenants disjoint. A
+// failing input's error names the stream and the 1-based record.
+func (m *merged) Next(ev *tracein.Event) error {
+	k := uint32(len(m.ins))
+	best := -1
+	for i := range m.ins {
+		in := &m.ins[i]
+		if !in.ok && !in.done {
+			switch err := in.src.Next(&in.head); {
+			case err == nil:
+				in.ok = true
+				in.n++
+			case errors.Is(err, io.EOF):
+				in.done = true
+			default:
+				in.done = true
+				return fmt.Errorf("%s: record %d: %w", in.name, in.n+1, err)
+			}
+		}
+		if in.ok && (best < 0 || in.head.TS < m.ins[best].head.TS) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return io.EOF
+	}
+	in := &m.ins[best]
+	in.ok = false
+	*ev = in.head
+	ev.Tenant = (ev.Tenant*k + uint32(best)) % (tracein.MaxTenant + 1)
+	return nil
 }
 
 // status is the -status endpoint's JSON document: the engine snapshot
@@ -248,17 +236,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer eng.Close()
 
-	// done releases every goroutine run starts (stream feeders, the
-	// signal watcher) on every return path.
-	done := make(chan struct{})
-	defer close(done)
-	ins, err := openStreams(fs.Args(), *synth, *streams, *tenants, *seed, done)
+	src, err := openStreams(fs.Args(), *synth, *streams, *tenants, *seed)
 	if err != nil {
 		fmt.Fprintln(stderr, "memsimd:", err)
 		return 2
 	}
+	defer src.Close()
 
-	sv := &server{eng: eng, streams: len(ins), start: time.Now()}
+	sv := &server{eng: eng, streams: len(src.ins), start: time.Now()}
 
 	// Graceful drain: first signal stops the replay at the next event
 	// boundary; the drain-then-audit path below still runs.
@@ -266,6 +251,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	defer signal.Stop(sigc)
 	stopc := make(chan struct{})
+	// done releases the signal watcher on every return path.
+	done := make(chan struct{})
+	defer close(done)
 	go func() {
 		select {
 		case <-sigc:
@@ -311,7 +299,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	replayErr := eng.ReplayStream(merge(ins))
+	replayErr := eng.Replay(src)
 	elapsed := time.Since(sv.start)
 	sv.draining.Store(true)
 

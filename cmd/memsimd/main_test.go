@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http/httptest"
 	"os"
 	"os/signal"
@@ -59,23 +61,11 @@ func TestOneshotCleanAndDeterministic(t *testing.T) {
 
 func TestTraceFileInput(t *testing.T) {
 	dir := t.TempDir()
-	for i, seed := range []int64{10, 11} {
-		var buf bytes.Buffer
-		err := tracein.Encode(&buf, tracein.Synth(tracein.SynthConfig{
-			Seed: seed, Events: 1500, Tenants: 2,
-		}), true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, []string{"a.mtrc", "b.mtrc"}[i])
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	a := writeTrace(t, dir, "a.mtrc", tracein.SynthConfig{Seed: 10, Events: 1500, Tenants: 2}, true)
+	b := writeTrace(t, dir, "b.mtrc", tracein.SynthConfig{Seed: 11, Events: 1500, Tenants: 2}, true)
 	csv := filepath.Join(dir, "counters.csv")
 	var out, errb bytes.Buffer
-	args := []string{"-shards", "2", "-oneshot", "-csv", csv,
-		"-interval", "10ms", filepath.Join(dir, "a.mtrc"), filepath.Join(dir, "b.mtrc")}
+	args := []string{"-shards", "2", "-oneshot", "-csv", csv, "-interval", "10ms", a, b}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
@@ -115,8 +105,8 @@ func TestMinEPSFloor(t *testing.T) {
 
 // TestFailedStatusRunLeaksNoGoroutines pins that run releases every
 // goroutine it started on an early-return path: a -status address that
-// cannot be bound fails after the stream feeders and the signal watcher
-// are already running, and they must all exit.
+// cannot be bound fails after the signal watcher is already running,
+// and it must exit. The inputs themselves start no goroutines.
 func TestFailedStatusRunLeaksNoGoroutines(t *testing.T) {
 	// os/signal starts one process-wide watcher on first use and keeps
 	// it; start it before taking the baseline.
@@ -149,7 +139,7 @@ func TestStatusHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := eng.ReplayEvents(tracein.Synth(tracein.SynthConfig{Seed: 3, Events: 2000, Tenants: 2})); err != nil {
+	if err := eng.Replay(tracein.NewSynth(tracein.SynthConfig{Seed: 3, Events: 2000, Tenants: 2})); err != nil {
 		t.Fatal(err)
 	}
 	sv := &server{eng: eng, streams: 2, start: time.Now().Add(-time.Second)}
@@ -185,19 +175,26 @@ func TestStatusHandler(t *testing.T) {
 	}
 }
 
-// TestStreamMergeDeterministic pins that the same inputs merge to the
-// same digest whether presented as one file or split across two.
-func TestStreamMergeDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	evs := tracein.Synth(tracein.SynthConfig{Seed: 9, Events: 2000, Tenants: 2})
+// writeTrace encodes Synth(cfg) to dir/name and returns the path.
+func writeTrace(t *testing.T, dir, name string, cfg tracein.SynthConfig, crc bool) string {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := tracein.Encode(&buf, evs, false); err != nil {
+	if err := tracein.Encode(&buf, tracein.Synth(cfg), crc); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "one.mtrc")
+	path := filepath.Join(dir, name)
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return path
+}
+
+// TestStreamMergeDeterministic pins that the same inputs merge to the
+// same digest whether presented as one file or split across two, and
+// whether the streams come from trace files or from -synth.
+func TestStreamMergeDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTrace(t, dir, "one.mtrc", tracein.SynthConfig{Seed: 9, Events: 2000, Tenants: 2}, false)
 	digest := func(args ...string) string {
 		t.Helper()
 		var out, errb bytes.Buffer
@@ -215,5 +212,85 @@ func TestStreamMergeDeterministic(t *testing.T) {
 	b := digest("-shards", "2", "-jobs", "4", path)
 	if a != b {
 		t.Fatal("file replay digest differs across -jobs")
+	}
+
+	// -synth 4000 -streams 2 -seed 9 generates seeds 9 and 10, 2000
+	// events each: the same two streams as these files.
+	files := []string{
+		writeTrace(t, dir, "s9.mtrc", tracein.SynthConfig{Seed: 9, Events: 2000, Tenants: 2}, true),
+		writeTrace(t, dir, "s10.mtrc", tracein.SynthConfig{Seed: 10, Events: 2000, Tenants: 2}, true),
+	}
+	for _, jobs := range []string{"1", "4"} {
+		synth := digest("-synth", "4000", "-streams", "2", "-tenants", "2", "-seed", "9", "-shards", "2", "-jobs", jobs)
+		fromFiles := digest(append([]string{"-shards", "2", "-jobs", jobs}, files...)...)
+		if synth != fromFiles {
+			t.Fatalf("-jobs %s: -synth digest %s, trace files digest %s", jobs, synth, fromFiles)
+		}
+	}
+}
+
+// TestStreamErrorLocated pins that a failing input is reported with its
+// stream name and the 1-based record that failed: record 3 of the
+// second file carries a damaged CRC trailer.
+func TestStreamErrorLocated(t *testing.T) {
+	dir := t.TempDir()
+	cfg := tracein.SynthConfig{Seed: 11, Events: 1500, Tenants: 2}
+	a := writeTrace(t, dir, "a.mtrc", tracein.SynthConfig{Seed: 10, Events: 1500, Tenants: 2}, true)
+	b := writeTrace(t, dir, "b.mtrc", cfg, true)
+
+	// Records 1-3 alone end where record 3's CRC trailer ends.
+	var head bytes.Buffer
+	if err := tracein.Encode(&head, tracein.Synth(cfg)[:3], true); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := os.ReadFile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire[head.Len()-1] ^= 0xff
+	if err := os.WriteFile(b, wire, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"-oneshot", a, b}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if msg := errb.String(); !strings.Contains(msg, "b.mtrc: record 3:") || !strings.Contains(msg, tracein.ErrCRC.Error()) {
+		t.Fatalf("stream error not located: %s", msg)
+	}
+}
+
+// TestMergedSourceAllocs pins that the input path streams: draining the
+// merge over two million-event synthesizers allocates a small constant,
+// not the traces.
+func TestMergedSourceAllocs(t *testing.T) {
+	const events = 2_000_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	src, err := openStreams(nil, events, 2, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev tracein.Event
+	n := 0
+	for {
+		err := src.Next(&ev)
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	runtime.ReadMemStats(&after)
+	if n != events {
+		t.Fatalf("merged %d events, want %d", n, events)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated", got)
+	if got >= 64<<10 {
+		t.Fatalf("draining %d merged events allocated %d bytes, want < 64 KiB", events, got)
 	}
 }

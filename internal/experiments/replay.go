@@ -9,8 +9,9 @@ import (
 )
 
 // FigReplay drives the trace-replay serving path (DESIGN.md §14) as an
-// experiment: one synthesized multi-tenant trace drained through the
-// sharded replay engine across a shards × policy grid. Every cell
+// experiment: one synthesized multi-tenant trace, generated afresh by
+// each cell, drained through the sharded replay engine across a
+// shards × policy grid. Every cell
 // audits the whole machine at drain and reports only deterministic
 // counters — event/fault/access totals, translate-cost percentiles,
 // and the trajectory digest prefix — so the table is golden-hashable
@@ -23,9 +24,7 @@ func FigReplay(p Params) (*Table, error) {
 	if events < 1000 {
 		events = 1000
 	}
-	trc := tracein.Synth(tracein.SynthConfig{
-		Seed: p.Seed, Events: events, Tenants: 4,
-	})
+	synth := tracein.SynthConfig{Seed: p.Seed, Events: events, Tenants: 4}
 
 	type cell struct {
 		shards int
@@ -47,7 +46,7 @@ func FigReplay(p Params) (*Table, error) {
 			return fmt.Errorf("figReplay %d/%s: %w", c.shards, c.policy, err)
 		}
 		defer e.Close()
-		if err := e.ReplayEvents(trc); err != nil {
+		if err := e.Replay(tracein.NewSynth(synth)); err != nil {
 			return fmt.Errorf("figReplay %d/%s: replay: %w", c.shards, c.policy, err)
 		}
 		if err := e.Audit(); err != nil {

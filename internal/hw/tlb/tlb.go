@@ -78,9 +78,6 @@ func (t *TLB) Entries() int { return int(t.nsets) * t.ways }
 // capacity agree exactly on streams with at most Ways distinct tags.
 func (t *TLB) Ways() int { return t.ways }
 
-// Sets returns the effective set count (a power of two).
-func (t *TLB) Sets() int { return int(t.nsets) }
-
 // Lookups returns the number of lookups performed.
 func (t *TLB) Lookups() uint64 { return t.lookups }
 

@@ -139,7 +139,3 @@ func (b *pagedBackend) SetTracer(t *trace.Tracer) {
 }
 
 func (b *pagedBackend) Close() {}
-
-// Shadow exposes the shadow table (sim reads SyncExits; nil without
-// ShadowPaging).
-func (b *pagedBackend) Shadow() *virt.ShadowTable { return b.shadow }

@@ -63,9 +63,6 @@ type PFN uint64
 // VPN is a virtual page number: VirtAddr >> PageShift.
 type VPN uint64
 
-// NoPFN is a sentinel for "no frame".
-const NoPFN = PFN(^uint64(0))
-
 // PageNumber returns the virtual page number containing v.
 func (v VirtAddr) PageNumber() VPN { return VPN(v >> PageShift) }
 

@@ -201,37 +201,3 @@ func UnusableFreeIndex(counts [addr.MaxOrder + 1]uint64, order int) float64 {
 	}
 	return float64(free-usable) / float64(free)
 }
-
-// SizeBuckets buckets a free-block histogram (pages -> count) into the
-// paper's Fig. 9 size classes, returning the fraction of total free
-// memory per class. Classes: <=2MiB, <=64MiB, <=1GiB, >1GiB.
-func SizeBuckets(hist map[uint64]uint64) (frac [4]float64) {
-	bounds := [3]uint64{
-		addr.HugeSize / addr.PageSize, // 2 MiB
-		64 << 20 / addr.PageSize,      // 64 MiB
-		1 << 30 / addr.PageSize,       // 1 GiB
-	}
-	var per [4]uint64
-	var total uint64
-	for size, count := range hist {
-		pages := size * count
-		total += pages
-		switch {
-		case size <= bounds[0]:
-			per[0] += pages
-		case size <= bounds[1]:
-			per[1] += pages
-		case size <= bounds[2]:
-			per[2] += pages
-		default:
-			per[3] += pages
-		}
-	}
-	if total == 0 {
-		return
-	}
-	for i := range per {
-		frac[i] = float64(per[i]) / float64(total)
-	}
-	return
-}

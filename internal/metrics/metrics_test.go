@@ -143,30 +143,6 @@ func TestMeanGeoMean(t *testing.T) {
 	}
 }
 
-func TestSizeBuckets(t *testing.T) {
-	hist := map[uint64]uint64{
-		512:        1, // 2 MiB -> bucket 0
-		16384:      1, // 64 MiB -> bucket 1
-		262144:     1, // 1 GiB -> bucket 2
-		262144 + 1: 1, // just over 1 GiB -> bucket 3
-	}
-	frac := SizeBuckets(hist)
-	var sum float64
-	for _, f := range frac {
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("fractions sum to %f", sum)
-	}
-	if frac[3] < frac[0] {
-		t.Fatal("the >1GiB bucket holds the most pages here")
-	}
-	empty := SizeBuckets(nil)
-	if empty != [4]float64{} {
-		t.Fatal("empty histogram should be all zeros")
-	}
-}
-
 func TestMappingAccessors(t *testing.T) {
 	m := mk(100, 200, 5)
 	if m.End() != m.VA.Add(5*addr.PageSize) {

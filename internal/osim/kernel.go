@@ -208,13 +208,11 @@ func (k *Kernel) Tick(ns uint64) { k.Clock += ns }
 
 // StateSeq returns the kernel's mutation counter. Two equal readings
 // (combined with equal Machine buddy mutation counts) bracket a window
-// in which no process state a daemon reads can have changed.
+// in which no process state a daemon reads can have changed. Daemon
+// promotions do not advance it: a promotion's buddy alloc and free
+// change Machine.Mutations, which invalidates the daemons'
+// fixed-point memo on its own.
 func (k *Kernel) StateSeq() uint64 { return k.mutSeq }
-
-// BumpStateSeq advances the mutation counter; external mutators (daemon
-// promotions writing page tables directly) call it so fixed-point memos
-// never cache across their changes.
-func (k *Kernel) BumpStateSeq() { k.mutSeq++ }
 
 // SetTracer attaches (or, with nil, detaches) an event tracer to the
 // kernel and its machine (buddy allocators, depth gauges).

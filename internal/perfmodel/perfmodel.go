@@ -26,9 +26,6 @@ const (
 	// of the walk for a wrong prediction (paper §V: 20 cycles).
 	MispredictPenaltyCycles = 20.0
 
-	// CPUGHz converts cycles to nanoseconds (Broadwell 2.2 GHz).
-	CPUGHz = 2.2
-
 	// InstrPerAccess is the instruction count one access stands for.
 	InstrPerAccess = 5.0
 

@@ -26,7 +26,7 @@ func TestReplayHeapBytesPerEvent(t *testing.T) {
 	defer e.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := e.ReplayEvents(evs); err != nil {
+	if err := replaySlice(e, evs); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

@@ -139,13 +139,12 @@ func Encode(w io.Writer, events []Event, crc bool) error {
 // TestDecoderZeroAlloc); construction allocates the read buffer once,
 // Reset reuses it for the next stream. Not safe for concurrent use.
 type Decoder struct {
-	r       *bufio.Reader
-	crc     bool
-	version uint64
-	lastTS  uint64
-	events  int
-	crcAcc  uint32
-	one     [1]byte
+	r      *bufio.Reader
+	crc    bool
+	lastTS uint64
+	events int
+	crcAcc uint32
+	one    [1]byte
 }
 
 // NewDecoder reads and validates the stream header.
@@ -162,7 +161,6 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 func (d *Decoder) Reset(r io.Reader) error {
 	d.r.Reset(r)
 	d.crc = false
-	d.version = 0
 	d.lastTS = 0
 	d.events = 0
 	return d.readHeader()
@@ -170,9 +168,6 @@ func (d *Decoder) Reset(r io.Reader) error {
 
 // CRC reports whether the stream carries per-record CRCs.
 func (d *Decoder) CRC() bool { return d.crc }
-
-// TraceVersion returns the stream's wire version.
-func (d *Decoder) TraceVersion() uint64 { return d.version }
 
 // Events returns how many records have been decoded so far.
 func (d *Decoder) Events() int { return d.events }
@@ -206,7 +201,6 @@ func (d *Decoder) readHeader() error {
 	if flags&^uint64(FlagCRC) != 0 {
 		return fmt.Errorf("%w: unknown flag bits %#x", ErrVersion, flags&^uint64(FlagCRC))
 	}
-	d.version = ver
 	d.crc = flags&FlagCRC != 0
 	return nil
 }

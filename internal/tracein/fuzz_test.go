@@ -102,7 +102,7 @@ func FuzzTraceReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer e.Close()
-		if err := e.ReplayEvents(evs); err != nil {
+		if err := replaySlice(e, evs); err != nil {
 			t.Fatalf("replay of decodable events failed: %v", err)
 		}
 		if err := e.Audit(); err != nil {

@@ -75,7 +75,7 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ReplayEvents(events); err != nil {
+	if err := replaySlice(e, events); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Audit(); err != nil {

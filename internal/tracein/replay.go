@@ -193,7 +193,7 @@ type rshard struct {
 }
 
 // Engine replays traces against a sharded machine. Build one with
-// NewEngine, feed it one trace via Replay/ReplayEvents, read Result
+// NewEngine, feed it one event source via Replay, read Result
 // after the replay returns, and Audit before discarding it. Snapshot
 // and SampleGauges are safe to call concurrently with a running
 // replay; everything else is single-threaded.
@@ -260,46 +260,19 @@ func (e *Engine) Shards() int { return e.cfg.Shards }
 // they already accepted. Safe from any goroutine.
 func (e *Engine) Stop() { e.stop.Store(true) }
 
-// ReplayEvents drains a decoded event slice; see Replay.
-func (e *Engine) ReplayEvents(events []Event) error {
-	i := 0
-	return e.ReplayStream(func() (Event, error) {
-		if i == len(events) {
-			return Event{}, io.EOF
-		}
-		ev := events[i]
-		i++
-		return ev, nil
-	})
-}
-
-// Replay streams records from the decoder and applies each to its
-// tenant's shard (tenant % Shards), shard streams in parallel unless
-// Jobs is 1. The outcome — rows, Result, final machine state — is
-// deterministic for a given trace and config, independent of Jobs.
-func (e *Engine) Replay(d *Decoder) error {
-	var ev Event
-	return e.ReplayStream(func() (Event, error) {
-		if err := d.Next(&ev); err != nil {
-			return Event{}, err
-		}
-		return ev, nil
-	})
-}
-
-// ReplayStream drains an arbitrary event source: next returns one
-// event per call and io.EOF at end of stream. Serving mode uses this
-// to feed a deterministic merge of several concurrent tenant streams
-// through the same shard-ordered replay path.
-func (e *Engine) ReplayStream(next func() (Event, error)) error {
+// Replay drains src and applies each event to its tenant's shard
+// (tenant % Shards), shard streams in parallel unless Jobs is 1. The
+// outcome — rows, Result, final machine state — is deterministic for
+// a given event sequence and config, independent of Jobs.
+func (e *Engine) Replay(src Source) error {
 	if e.closed {
 		return errors.New("tracein: replay on a closed engine")
 	}
 	var err error
 	if shard.Workers(e.cfg.Jobs) == 1 || len(e.shards) == 1 {
-		err = e.replaySerial(next)
+		err = e.replaySerial(src)
 	} else {
-		err = e.replayParallel(next)
+		err = e.replayParallel(src)
 	}
 	if err != nil {
 		return err
@@ -316,9 +289,25 @@ func (e *Engine) ReplayStream(next func() (Event, error)) error {
 	return nil
 }
 
-func (e *Engine) replaySerial(next func() (Event, error)) error {
+// ReplayStream replays a pull function as a Source: next returns one
+// event per call and io.EOF at end of stream.
+func (e *Engine) ReplayStream(next func() (Event, error)) error { return e.Replay(sourceFunc(next)) }
+
+// sourceFunc adapts a pull function to Source.
+type sourceFunc func() (Event, error)
+
+func (f sourceFunc) Next(ev *Event) error {
+	e, err := f()
+	if err == nil {
+		*ev = e
+	}
+	return err
+}
+
+func (e *Engine) replaySerial(src Source) error {
+	var ev Event
 	for !e.stop.Load() {
-		ev, err := next()
+		err := src.Next(&ev)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
@@ -340,7 +329,7 @@ func (e *Engine) replaySerial(next func() (Event, error)) error {
 // memory bounded. The feed stops once any applier fails, so an
 // endless source still reports the error; the lowest-index shard's
 // error wins over a feed error.
-func (e *Engine) replayParallel(next func() (Event, error)) error {
+func (e *Engine) replayParallel(src Source) error {
 	n := len(e.shards)
 	chans := make([]chan Event, n)
 	for i := range chans {
@@ -363,8 +352,9 @@ func (e *Engine) replayParallel(next func() (Event, error)) error {
 		})
 	}()
 	var feedErr error
+	var ev Event
 	for !e.stop.Load() && !failed.Load() {
-		ev, err := next()
+		err := src.Next(&ev)
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -654,8 +644,7 @@ func percentile(hist *[histBuckets]uint64, total uint64, q float64) uint64 {
 // Result assembles the deterministic outcome of a finished replay:
 // Snapshot's totals plus the walk cost and the trajectory rows, which
 // only a quiesced engine may read. Shards are in index order, so the
-// rows come out shard 0's first. Call only after Replay/ReplayEvents
-// has returned.
+// rows come out shard 0's first. Call only after Replay has returned.
 func (e *Engine) Result() Result {
 	sn := e.Snapshot()
 	r := Result{

@@ -11,6 +11,25 @@ import (
 	"repro/internal/trace"
 )
 
+// eventSlice is a Source over a decoded event slice, for tests that
+// replay one trace several times.
+type eventSlice []Event
+
+func (s *eventSlice) Next(ev *Event) error {
+	if len(*s) == 0 {
+		return io.EOF
+	}
+	*ev = (*s)[0]
+	*s = (*s)[1:]
+	return nil
+}
+
+// replaySlice drains evs through e.
+func replaySlice(e *Engine, evs []Event) error {
+	s := eventSlice(evs)
+	return e.Replay(&s)
+}
+
 // TestDifferentialReplay is the replay net's anchor: one synthesized
 // trace drains through the real sharded machine at several shard
 // counts — whole-machine audit at drain, byte-identical trajectories
@@ -39,7 +58,7 @@ func TestDifferentialReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := e.ReplayEvents(evs); err != nil {
+			if err := replaySlice(e, evs); err != nil {
 				t.Fatalf("shards=%d jobs=%d: replay: %v", tc.shards, jobs, err)
 			}
 			if err := e.Audit(); err != nil {
@@ -95,7 +114,7 @@ func TestReplayDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.ReplayEvents(evs); err != nil {
+		if err := replaySlice(e, evs); err != nil {
 			t.Fatal(err)
 		}
 		digests = append(digests, e.Result().Digest())
@@ -126,7 +145,7 @@ func TestReplayFreesExitedTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ReplayEvents(evs); err != nil {
+	if err := replaySlice(e, evs); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Audit(); err != nil {
@@ -149,10 +168,12 @@ func TestReplayFreesExitedTenants(t *testing.T) {
 	}
 }
 
-// TestReplayStreaming pins that decoding straight off the wire gives
-// the same outcome as replaying a decoded slice.
+// TestReplayStreaming pins that decoding straight off the wire, and
+// generating through the streaming synthesizer, give the same outcome
+// as replaying a decoded slice.
 func TestReplayStreaming(t *testing.T) {
-	evs := Synth(SynthConfig{Seed: 8, Events: 2000, Tenants: 4})
+	cfg := SynthConfig{Seed: 8, Events: 2000, Tenants: 4}
+	evs := Synth(cfg)
 	var buf strings.Builder
 	if err := Encode(&buf, evs, true); err != nil {
 		t.Fatal(err)
@@ -162,7 +183,7 @@ func TestReplayStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e1.ReplayEvents(evs); err != nil {
+	if err := replaySlice(e1, evs); err != nil {
 		t.Fatal(err)
 	}
 	want := e1.Result().Digest()
@@ -186,6 +207,18 @@ func TestReplayStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2.Close()
+
+	e3, err := NewEngine(ReplayConfig{Shards: 2, Jobs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e3.Close()
+	if err := e3.Replay(NewSynth(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	if got := e3.Result().Digest(); got != want {
+		t.Fatalf("synthesizer replay digest %s, want %s", got, want)
+	}
 }
 
 // TestAuditCatchesCorruption keeps the drain-then-audit gate honest:
@@ -196,7 +229,7 @@ func TestAuditCatchesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ReplayEvents(Synth(SynthConfig{Seed: 2, Events: 500, Tenants: 2})); err != nil {
+	if err := e.Replay(NewSynth(SynthConfig{Seed: 2, Events: 500, Tenants: 2})); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Audit(); err != nil {
@@ -219,7 +252,7 @@ func TestReplayStop(t *testing.T) {
 	}
 	defer e.Close()
 	e.Stop()
-	if err := e.ReplayEvents(Synth(SynthConfig{Seed: 4, Events: 1000})); err != nil {
+	if err := e.Replay(NewSynth(SynthConfig{Seed: 4, Events: 1000})); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.Result().Events; got != 0 {
@@ -239,7 +272,7 @@ func TestReplayGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bare.ReplayEvents(evs); err != nil {
+	if err := replaySlice(bare, evs); err != nil {
 		t.Fatal(err)
 	}
 	want := bare.Result().Digest()
@@ -251,7 +284,7 @@ func TestReplayGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ReplayEvents(evs); err != nil {
+	if err := replaySlice(e, evs); err != nil {
 		t.Fatal(err)
 	}
 	e.SampleGauges()
@@ -283,7 +316,7 @@ func TestReplayArbitraryEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.ReplayEvents(evs); err != nil {
+	if err := replaySlice(e, evs); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Audit(); err != nil {

@@ -5,6 +5,10 @@
 // kernel/hardware stack (one zone shard per tenant group, built and
 // audited through internal/shard like the aging campaigns).
 //
+// Decoder and Synthesizer are both a Source — one event per Next, then
+// io.EOF — and Engine.Replay drains any Source, so a trace file and a
+// synthetic trace stream through the same path in constant memory.
+//
 // The format carries the same operation vocabulary internal/check's
 // differential machine models — mmap/munmap/touch/range-touch/access/
 // fork/exit/hog/unhog/daemon-tick — so every trace has two consumers:
@@ -94,6 +98,14 @@ type Event struct {
 	Arg0   uint64
 	Arg1   uint64
 	Arg2   uint64
+}
+
+// Source is a stream of trace events: Next fills ev with the next
+// event and returns io.EOF at a clean end of stream. *Decoder reads
+// one off the wire, *Synthesizer generates one, and Engine.Replay
+// drains any of them.
+type Source interface {
+	Next(ev *Event) error
 }
 
 // opKinds is the canonical Event→check.Op kind mapping. KindExit maps

@@ -251,16 +251,6 @@ func (e *Env) clockSum() uint64 {
 	return c
 }
 
-// ReadDataset reads a file of the given size through the page cache
-// (creating it), modelling dataset ingestion. Returns the file.
-func (e *Env) ReadDataset(bytes uint64) (*osim.File, error) {
-	f := e.Kernel.Cache.CreateFile(bytes)
-	if err := e.Kernel.Cache.Read(f, 0, bytes); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // Exit tears the process down (the VM's nested backing persists).
 func (e *Env) Exit() { e.Proc.Exit() }
 
