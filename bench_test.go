@@ -289,8 +289,10 @@ func BenchmarkExtraFiveLevel(b *testing.B) {
 // auditFixture builds a machine with populated anonymous mappings and
 // page-cache residency in every zone — the state the flat-array audit
 // engine gathers and sweeps. zoneBlocks gives each zone's size in
-// MAX_ORDER blocks.
-func auditFixture(tb testing.TB, zoneBlocks []uint64) (*zone.Machine, *osim.Kernel) {
+// MAX_ORDER blocks. forked forks every zone's tenant, so its frames
+// carry two references each (copy-on-write sharing) and the audit
+// takes its duplicate-reference path.
+func auditFixture(tb testing.TB, zoneBlocks []uint64, forked bool) (*zone.Machine, *osim.Kernel) {
 	tb.Helper()
 	zp := make([]uint64, len(zoneBlocks))
 	for i, n := range zoneBlocks {
@@ -307,6 +309,9 @@ func auditFixture(tb testing.TB, zoneBlocks []uint64) (*zone.Machine, *osim.Kern
 		if err := env.Populate(v); err != nil {
 			tb.Fatal(err)
 		}
+		if forked {
+			env.Proc.Fork()
+		}
 	}
 	f := k.Cache.CreateFile(2 << 20)
 	if err := k.Cache.Read(f, 0, 2<<20); err != nil {
@@ -317,11 +322,12 @@ func auditFixture(tb testing.TB, zoneBlocks []uint64) (*zone.Machine, *osim.Kern
 
 // TestAuditorZeroAllocs pins the audit arena's steady-state contract: a
 // warm Auditor re-auditing a settled machine performs zero heap
-// allocations. The single-zone machine keeps the check strict — the
-// multi-zone fan-out spawns goroutines, whose stacks the runtime may
-// count as allocations.
+// allocations, duplicate references included (the arena reuses their
+// list and sorts it in place). The single-zone machine keeps the check
+// strict — the multi-zone fan-out spawns goroutines, whose stacks the
+// runtime may count as allocations.
 func TestAuditorZeroAllocs(t *testing.T) {
-	m, k := auditFixture(t, []uint64{8})
+	m, k := auditFixture(t, []uint64{8}, true)
 	a := check.NewAuditor(m)
 	if err := a.Audit(k, nil); err != nil {
 		t.Fatal(err)
@@ -337,12 +343,12 @@ func TestAuditorZeroAllocs(t *testing.T) {
 }
 
 // TestAuditorMultiZoneAllocs bounds the multi-zone audit's garbage: on
-// a two-zone machine with mappings and page-cache residency in every
-// zone, a warm Auditor allocates at most one object per zone per audit,
-// the runtime's cost of starting the per-zone goroutines. The frame
-// sweep itself must add none.
+// a two-zone machine with mappings, page-cache residency and forked
+// tenants in every zone, a warm Auditor allocates at most one object
+// per zone per audit, the runtime's cost of starting the per-zone
+// goroutines. The frame sweep itself must add none.
 func TestAuditorMultiZoneAllocs(t *testing.T) {
-	m, k := auditFixture(t, []uint64{8, 8})
+	m, k := auditFixture(t, []uint64{8, 8}, true)
 	a := check.NewAuditor(m)
 	if err := a.Audit(k, nil); err != nil {
 		t.Fatal(err)
@@ -360,17 +366,20 @@ func TestAuditorMultiZoneAllocs(t *testing.T) {
 // BenchmarkAuditKernels measures the audit engine itself on a small
 // machine and on one the size of the figAging campaign host (2 NUMA
 // zones x 160 MAX_ORDER blocks), where the flat-array sweep replaced
-// the map-based accounting that dominated campaign runtime.
+// the map-based accounting that dominated campaign runtime; the forked
+// campaign machine adds words holding duplicate references.
 func BenchmarkAuditKernels(b *testing.B) {
 	for _, tc := range []struct {
 		name   string
 		blocks []uint64
+		forked bool
 	}{
-		{"small-1x8", []uint64{8}},
-		{"campaign-2x160", []uint64{160, 160}},
+		{"small-1x8", []uint64{8}, false},
+		{"campaign-2x160", []uint64{160, 160}, false},
+		{"campaign-2x160-forked", []uint64{160, 160}, true},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			m, k := auditFixture(b, tc.blocks)
+			m, k := auditFixture(b, tc.blocks, tc.forked)
 			a := check.NewAuditor(m)
 			if err := a.Audit(k, nil); err != nil {
 				b.Fatal(err)

@@ -2,7 +2,9 @@ package check
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/mem/addr"
@@ -44,20 +46,28 @@ func (b bitset) setRange(i, n uint64) {
 // one from an internal pool, so one-shot callers get the same engine
 // without managing a lifetime.
 //
+// The gathered references cost one bit per frame: seen marks every
+// frame holding at least one, and the rare references after a frame's
+// first (CoW-shared pages after a fork, file pages both cached and
+// mapped) are listed in dups, with multi marking the 64-frame words
+// that hold such a frame. refCount recovers a frame's exact count.
+//
 // The frame table must start on a multiple of 64 frames (zone.NewMachine
 // starts it at PFN 0): zone bases are MAX_ORDER aligned, so every zone
 // then begins on a bitset word boundary and the frame sweep can read
-// span, pins and the buddy's coverage one aligned word at a time.
+// seen, span, pins and the buddy's coverage one aligned word at a time.
 //
 // An Auditor is NOT safe for concurrent use; each concurrent audit
 // needs its own. The machine handed to successive audits may differ —
 // the arena regrows to the largest frame table seen.
 type Auditor struct {
-	base addr.PFN // audited table's first PFN (per audit)
-	refs []int32  // per-frame gathered reference counts
-	span bitset   // frame is inside a page-table leaf's extent
-	pins bitset   // frame is inside a boot or declared pinned extent
-	boot []Extent // one kernel's boot reservations (per audit)
+	base  addr.PFN // audited table's first PFN (per audit)
+	seen  bitset   // frame holds at least one gathered reference
+	dups  []uint32 // arena offset of each reference after a frame's first, sorted
+	multi bitset   // one bit per 64-frame word: the word holds a frame in dups
+	span  bitset   // frame is inside a page-table leaf's extent
+	pins  bitset   // frame is inside a boot or declared pinned extent
+	boot  []Extent // one kernel's boot reservations (per audit)
 
 	// covered and contig hold one scratch bitset per zone index, so
 	// concurrently checked zones never share words. covered receives
@@ -93,13 +103,18 @@ func (a *Auditor) ensure(m *zone.Machine) {
 	if a.base&63 != 0 {
 		panic(fmt.Sprintf("check: frame table base %d is not a multiple of 64", a.base))
 	}
-	if uint64(len(a.refs)) < n {
-		a.refs = make([]int32, n)
-		words := (n + 63) / 64
+	if n > math.MaxUint32+1 {
+		panic(fmt.Sprintf("check: frame table of %d frames overflows the arena's 32-bit offsets", n))
+	}
+	if words := (n + 63) / 64; uint64(len(a.seen)) < words {
+		a.seen = make(bitset, words)
+		a.multi = make(bitset, (words+63)/64)
 		a.span = make(bitset, words)
 		a.pins = make(bitset, words)
 	}
-	clear(a.refs)
+	clear(a.seen)
+	a.dups = a.dups[:0]
+	clear(a.multi)
 	clear(a.span)
 	clear(a.pins)
 	if len(a.covered) < len(m.Zones) {
@@ -124,18 +139,18 @@ func (a *Auditor) Audit(k *osim.Kernel, pinned []Extent) error {
 // Auditor's arena; see the package-level AuditKernels for the contract.
 //
 // The pass structure is: (1) serially gather every software reference
-// the kernels hold on physical frames into the flat refs/span arrays —
-// per-process translation/VMA/RSS checks run inline here — and expand
-// every kernel's boot reservation and the declared pinned extents into
-// the pins bitset; (2) check each zone on its own goroutine (zone 0 on
-// the caller's): the buddy's free lists, recording their coverage, then
-// one pass over the zone's frame records and refs that decides 64
-// frames per step with word operations — the buddy's coverage rule,
-// MapCount against references, the free/pinned cross-checks and the
-// free count — then the contigmap check. Zones are disjoint, word
-// aligned frame ranges and the gathered arrays are read-only by then,
-// so the fan-out is race-free; errors are selected in zone-index order,
-// keeping multi-error machines deterministic.
+// the kernels hold on physical frames into the seen/dups/multi and span
+// arrays — per-process translation/VMA/RSS checks run inline here —
+// and expand every kernel's boot reservation and the declared pinned
+// extents into the pins bitset; (2) check each zone on its own
+// goroutine (zone 0 on the caller's): the buddy's free lists, recording
+// their coverage, then one pass over the zone's frame records that
+// settles 64 frames per step with word operations — the buddy's
+// coverage rule, MapCount against references, the free/pinned
+// cross-checks and the free count — then the contigmap check. Zones
+// are disjoint, word aligned frame ranges and the gathered arrays are
+// read-only by then, so the fan-out is race-free; errors are selected
+// in zone-index order, keeping multi-error machines deterministic.
 func (a *Auditor) AuditKernels(m *zone.Machine, ks []*osim.Kernel, pinned []Extent) error {
 	if err := a.gather(m, ks, pinned); err != nil {
 		return err
@@ -173,15 +188,9 @@ func (a *Auditor) gather(m *zone.Machine, ks []*osim.Kernel, pinned []Extent) er
 				return fmt.Errorf("process %d: %w", p.ID, err)
 			}
 		}
-		refs, base := a.refs, a.base
-		k.Cache.VisitFiles(func(slots []addr.PFN) {
-			for _, v := range slots {
-				if v != 0 {
-					refs[v-1-base]++
-				}
-			}
-		})
+		k.Cache.VisitFiles(a.refSlots)
 	}
+	a.indexDups()
 	for _, k := range ks {
 		a.boot = bootExtents(a.boot[:0], k)
 		for _, e := range a.boot {
@@ -192,6 +201,73 @@ func (a *Auditor) gather(m *zone.Machine, ks []*osim.Kernel, pinned []Extent) er
 		a.pin(e, m)
 	}
 	return nil
+}
+
+// refSlots records the page cache's reference on every resident frame
+// of one file: slots[i] is a frame plus one, 0 when not resident. A
+// file is mostly cached in runs of consecutive frames, so refSlots
+// finds each run and records it a word at a time. Setting one bit
+// per slot instead chains each slot's read-modify-write of its seen
+// word to the previous slot's.
+func (a *Auditor) refSlots(slots []addr.PFN) {
+	off := a.base + 1
+	for i := 0; i < len(slots); {
+		v := slots[i]
+		if v == 0 {
+			i++
+			continue
+		}
+		n := 1
+		for i+n < len(slots) && slots[i+n] == v+addr.PFN(n) {
+			n++
+		}
+		a.refRun(uint64(v-off), uint64(n))
+		i += n
+	}
+}
+
+// refRun records one reference on each of the n frames from arena
+// offset rel, one seen word at a time: a frame whose seen bit is
+// already set is listed in dups.
+func (a *Auditor) refRun(rel, n uint64) {
+	for n > 0 {
+		w, k := rel>>6, rel&63
+		c := min(n, 64-k)
+		m := ^uint64(0) >> (64 - c) << k
+		for d := a.seen[w] & m; d != 0; d &= d - 1 {
+			a.dups = append(a.dups, uint32(w<<6|uint64(bits.TrailingZeros64(d))))
+		}
+		a.seen[w] |= m
+		rel += c
+		n -= c
+	}
+}
+
+// indexDups ends the gather: it sorts dups, so a frame's extra
+// references sit together and a zone's in one run, and marks their
+// words in multi.
+func (a *Auditor) indexDups() {
+	slices.Sort(a.dups)
+	for _, d := range a.dups {
+		a.multi.set(uint64(d >> 6))
+	}
+}
+
+// refCount returns the number of references gathered on the frame at
+// arena offset rel.
+func (a *Auditor) refCount(rel uint64) int32 {
+	if !a.seen.get(rel) {
+		return 0
+	}
+	if !a.multi.get(rel >> 6) {
+		return 1
+	}
+	i, _ := slices.BinarySearch(a.dups, uint32(rel))
+	n := int32(1)
+	for ; i < len(a.dups) && uint64(a.dups[i]) == rel; i++ {
+		n++
+	}
+	return n
 }
 
 // bootExtents appends k's boot reservations to dst: the first
@@ -234,14 +310,25 @@ func (a *Auditor) zoneWorker(m *zone.Machine, z *zone.Zone, i int) {
 // the contiguity map riding the MAX_ORDER lists; the per-frame
 // accounting below; the frame table's free count against the buddy's.
 //
-// The frame pass reads each 64-frame word of records and refs once
-// (wordMasks) and checks the accounting with word operations against
-// the span and pins words: MapCount must equal the gathered reference
-// count; a free frame must be unreferenced, unspanned and unpinned; an
-// allocated frame must be a declared pin exactly when nothing
-// references or spans it (a leak one way, a pin handed out the other);
-// no frame may be Reserved. Only the first word that fails this test
-// is rescanned frame by frame, for its exact error.
+// The per-frame accounting is: MapCount must equal the gathered
+// reference count; a free frame must be unreferenced, unspanned and
+// unpinned; an allocated frame must be a declared pin exactly when
+// nothing references or spans it (a leak one way, a pin handed out the
+// other); no frame may be Reserved. The frame pass folds each 64-frame
+// word of records into the OR and AND of their states and MapCounts
+// (foldWord) and settles most words from those four summaries and the
+// seen, span and pins words:
+//   - every frame Free: no MapCount, and nothing seen, spanned or
+//     pinned;
+//   - every frame Allocated, none or all seen, no duplicate
+//     references: every MapCount is 0 if none is seen and 1 if all
+//     are, and each frame is either touched (seen or spanned) or
+//     pinned, never both.
+//
+// Any other word gets per-frame masks (wordMasks) against the seen
+// bits, corrected to exact counts for the frames listed in dups when
+// multi marks the word. Only the first word that fails is rescanned
+// frame by frame, for its exact error.
 func (a *Auditor) zoneCheck(m *zone.Machine, z *zone.Zone, i int) error {
 	words := z.Buddy.ScratchWords()
 	if len(a.covered[i]) < words {
@@ -254,22 +341,43 @@ func (a *Auditor) zoneCheck(m *zone.Machine, z *zone.Zone, i int) error {
 
 	relBase := uint64(z.Base - a.base)
 	fs := m.Frames.Slice(z.Base, z.Pages)
-	refs := a.refs[relBase : relBase+z.Pages]
+	seen := a.seen[relBase>>6:][:words]
 	span := a.span[relBase>>6:][:words]
 	pins := a.pins[relBase>>6:][:words]
 	var free uint64
 	var accErr error
 	for w, c := range covered {
-		isFree, isRef, fails := wordMasks(fs[w<<6:w<<6+64], refs[w<<6:w<<6+64])
+		fw := fs[w<<6 : w<<6+64]
+		sw, pn := seen[w], pins[w]
+		touched := sw | span[w]
+		multi := a.multi.get(relBase>>6 + uint64(w))
+		stOr, stAnd, mcOr, mcAnd := foldWord(fw)
+		var isFree uint64
+		var ok bool
+		switch {
+		case stOr == frame.Free:
+			isFree = ^uint64(0)
+			ok = mcOr == 0 && touched|pn == 0
+		case stOr == frame.Allocated && stAnd == frame.Allocated && !multi && (sw == 0 || sw == ^uint64(0)):
+			want := int32(sw & 1)
+			ok = mcOr == want && mcAnd == want && touched^pn == ^uint64(0)
+		default:
+			var fails uint64
+			isFree, fails = wordMasks(fw, sw)
+			if multi {
+				fails = a.exactFails(fw, fails, relBase+uint64(w)<<6)
+			}
+			// Frames outside the Free state count as allocated here:
+			// a Reserved one already fails, and one in a state the
+			// checks do not know can flag a word the rescan then
+			// clears.
+			ok = fails|isFree&(touched|pn)|^isFree&^(touched^pn) == 0
+		}
 		if c != isFree {
 			return fmt.Errorf("zone %d: buddy: %w", z.ID, z.Buddy.CoverageError(w, c, isFree))
 		}
 		free += uint64(bits.OnesCount64(isFree))
-		// Frames outside the Free state count as allocated here: a
-		// Reserved one already fails, and one in a state the checks
-		// do not know can flag a word the rescan then clears.
-		touched, pn := isRef|span[w], pins[w]
-		if accErr == nil && fails|isFree&(touched|pn)|^isFree&^(touched^pn) != 0 {
+		if accErr == nil && !ok {
 			accErr = a.frameError(z, fs, relBase, w)
 		}
 	}
@@ -298,7 +406,7 @@ func (a *Auditor) frameError(z *zone.Zone, fs []frame.Frame, relBase uint64, w i
 		rel := relBase + uint64(j)
 		pfn := z.Base + addr.PFN(j)
 		f := &fs[j]
-		r := a.refs[rel]
+		r := a.refCount(rel)
 		if f.MapCount != r {
 			return fmt.Errorf("frame %d: MapCount %d but %d live references", pfn, f.MapCount, r)
 		}
@@ -328,21 +436,53 @@ func (a *Auditor) frameError(z *zone.Zone, fs []frame.Frame, relBase uint64, w i
 	return nil
 }
 
-// wordMasks reads one word's 64 frame records fw and gathered
-// reference counts rw, and returns which frames are Free, which are
-// referenced, and which fail outright because MapCount differs from
-// the references or the state is Reserved. Bit k is frame k. Each mask
-// is shifted right as a frame's bit enters at the top, so every shift
-// is constant and the masks stay in registers.
-func wordMasks(fw []frame.Frame, rw []int32) (isFree, isRef, fails uint64) {
-	rw = rw[:len(fw)]
+// foldWord folds one word's 64 frame records into the OR and AND of
+// their states and of their MapCounts. It stays out of line: inlined
+// into the sweep loop, its four accumulators spill to the stack.
+//
+//go:noinline
+func foldWord(fw []frame.Frame) (stOr, stAnd frame.State, mcOr, mcAnd int32) {
+	stAnd, mcAnd = ^frame.State(0), -1
 	for k := range fw {
-		f, r := &fw[k], rw[k]
+		f := &fw[k]
+		stOr |= f.State
+		stAnd &= f.State
+		mcOr |= f.MapCount
+		mcAnd &= f.MapCount
+	}
+	return
+}
+
+// wordMasks reads one word's 64 frame records fw against its seen word
+// and returns which frames are Free and which fail outright because
+// MapCount differs from the seen bit (the count, unless the word holds
+// duplicate references) or the state is Reserved. Bit k is frame k.
+// Each mask is shifted right as a frame's bit enters at the top, so
+// every shift is constant and the masks stay in registers.
+func wordMasks(fw []frame.Frame, seen uint64) (isFree, fails uint64) {
+	for k := range fw {
+		f, r := &fw[k], int32(seen&1)
+		seen >>= 1
 		isFree = isFree>>1 | b2u(f.State == frame.Free)<<63
-		isRef = isRef>>1 | b2u(r != 0)<<63
 		fails = fails>>1 | (b2u(f.MapCount != r)|b2u(f.State == frame.Reserved))<<63
 	}
 	return
+}
+
+// exactFails redoes the fails bit of every frame in the word at arena
+// offset rel that holds duplicate references, against its exact count.
+func (a *Auditor) exactFails(fw []frame.Frame, fails, rel uint64) uint64 {
+	i, _ := slices.BinarySearch(a.dups, uint32(rel))
+	for i < len(a.dups) && uint64(a.dups[i]) < rel+64 {
+		d, n := a.dups[i], int32(1)
+		for ; i < len(a.dups) && a.dups[i] == d; i++ {
+			n++
+		}
+		k := uint64(d) - rel
+		f := &fw[k]
+		fails = fails&^(1<<k) | (b2u(f.MapCount != n)|b2u(f.State == frame.Reserved))<<k
+	}
+	return fails
 }
 
 // b2u is 1 for true and 0 for false; the compiler lowers it to a flag
@@ -355,7 +495,7 @@ func b2u(b bool) uint64 {
 }
 
 // auditProcess checks one process's translation/VMA/RSS accounting and
-// accumulates its frame references into the arena. m is the union
+// records its frame references in the arena. m is the union
 // machine, which may be wider than the process's own kernel's view.
 func (a *Auditor) auditProcess(m *zone.Machine, p *osim.Process) error {
 	perVMA := a.perVMA
@@ -372,7 +512,7 @@ func (a *Auditor) auditProcess(m *zone.Machine, p *osim.Process) error {
 			return
 		}
 		rel := uint64(l.PTE.PFN - a.base)
-		a.refs[rel]++
+		a.refRun(rel, 1)
 		n := l.Pages
 		if max := tableLen - rel; n > max {
 			// A huge leaf overhanging the table end spans only the

@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mem/addr"
@@ -30,7 +31,7 @@ func frameSweepOracle(a *Auditor, m *zone.Machine) error {
 		for j := range fs {
 			rel := relBase + uint64(j)
 			f := &fs[j]
-			r := a.refs[rel]
+			r := a.refCount(rel)
 			if f.MapCount != r {
 				return fmt.Errorf("frame %d: MapCount %d but %d live references", z.Base+addr.PFN(j), f.MapCount, r)
 			}
@@ -79,6 +80,12 @@ var sweepCorruptions = []sweepCorruption{
 		m.Frames.Get(pfn).MapCount--
 		return nil, true
 	}},
+	{"mapcount+2", func(m *zone.Machine, pfn addr.PFN) ([]Extent, bool) {
+		// From 1 to 3 keeps the low bit: only the MapCount OR of a
+		// word of single references sees it.
+		m.Frames.Get(pfn).MapCount += 2
+		return nil, true
+	}},
 	{"free-allocated-flip", func(m *zone.Machine, pfn addr.PFN) ([]Extent, bool) {
 		f := m.Frames.Get(pfn)
 		switch f.State {
@@ -112,6 +119,20 @@ var sweepCorruptions = []sweepCorruption{
 		m.Frames.Get(pfn).MapCount = mc
 		return nil, true
 	}},
+	{"word-freed-behind-back", func(m *zone.Machine, pfn addr.PFN) ([]Extent, bool) {
+		// Every allocated frame of pfn's word, which the free leaves
+		// without a MapCount: a wholly free word that only the
+		// gathered seen or span bits contradict.
+		w := pfn &^ 63
+		freed := false
+		for p := w; p < w+64; p++ {
+			if m.Frames.Get(p).State == frame.Allocated {
+				m.FreeBlock(p, 0)
+				freed = true
+			}
+		}
+		return nil, freed
+	}},
 	{"allocated-behind-back", func(m *zone.Machine, pfn addr.PFN) ([]Extent, bool) {
 		return nil, m.AllocBlockAt(pfn, 0) == nil
 	}},
@@ -139,17 +160,38 @@ var sweepCorruptions = []sweepCorruption{
 	}},
 }
 
+// fixtureWords names, per zone, the first frame of the words
+// TestWordSweepMatchesFrameSweep corrupts pairs from.
+type fixtureWords struct {
+	// referenced holds the zone's lowest frame with a MapCount, which
+	// the fork shares copy-on-write.
+	referenced []addr.PFN
+	// interior is inside a huge leaf: allocated frames, no MapCount.
+	interior []addr.PFN
+	// forked is the lowest word of the forked tenant's 4K run: every
+	// frame mapped twice.
+	forked []addr.PFN
+	// cached is the lowest word whose 64 frames are all cached, and
+	// nothing else.
+	cached []addr.PFN
+	// shared is the next wholly cached word; its last frame is also
+	// mapped, so it holds two references.
+	shared []addr.PFN
+}
+
 // wordSweepFixture is shardedFixture with a THP-backed 4 MiB mapping and
-// page-cache residency added in every zone, so corrupted frames can be
-// free, mapped, inside a huge leaf, cached, or allocated at order 0
-// inside a populated run. Per zone it returns the first frame of three
-// words: one holding the lowest frame with a MapCount, one inside a
-// huge leaf (allocated frames without a MapCount), and the lowest word
-// whose 64 frames are all cached.
-func wordSweepFixture(t *testing.T) (m *zone.Machine, ks []*osim.Kernel, referenced, interior, cached []addr.PFN) {
+// page-cache residency added in every zone and each zone's process
+// forked, so corrupted frames can be free, mapped, inside a huge leaf,
+// cached, allocated at order 0 inside a populated run, or hold two
+// references: CoW-shared after the fork, or both cached and mapped.
+func wordSweepFixture(t *testing.T) (*zone.Machine, []*osim.Kernel, fixtureWords) {
 	t.Helper()
 	m, ks, envs := shardedFixture(t)
-	inCache := map[addr.PFN]bool{}
+	type filePage struct {
+		f   *osim.File
+		idx uint64
+	}
+	inCache := map[addr.PFN]filePage{}
 	for i, env := range envs {
 		v, err := env.MMap(4 << 20)
 		if err != nil {
@@ -158,22 +200,26 @@ func wordSweepFixture(t *testing.T) (m *zone.Machine, ks []*osim.Kernel, referen
 		if err := env.Populate(v); err != nil {
 			t.Fatal(err)
 		}
+		env.Proc.Fork()
 		k := ks[1+i]
 		f := k.Cache.CreateFile(512 << 12)
 		if err := k.Cache.Read(f, 0, 512<<12); err != nil {
 			t.Fatal(err)
 		}
 		k.Cache.VisitFiles(func(slots []addr.PFN) {
-			for _, v := range slots {
+			for idx, v := range slots {
 				if v != 0 {
-					inCache[v-1] = true
+					inCache[v-1] = filePage{f, uint64(idx)}
 				}
 			}
 		})
 	}
+	var words fixtureWords
 	for i, z := range m.Zones {
-		ref, in, cw := addr.PFN(0), addr.PFN(0), addr.PFN(0)
-		for j, f := range m.Frames.Slice(z.Base, z.Pages) {
+		var ref, in, forked addr.PFN
+		var cached []addr.PFN
+		fs := m.Frames.Slice(z.Base, z.Pages)
+		for j, f := range fs {
 			pfn := z.Base + addr.PFN(j)
 			if ref == 0 && f.MapCount != 0 {
 				ref = pfn &^ 63
@@ -181,24 +227,49 @@ func wordSweepFixture(t *testing.T) (m *zone.Machine, ks []*osim.Kernel, referen
 			if in == 0 && f.State == frame.Allocated && f.MapCount == 0 {
 				in = pfn&^63 + 64
 			}
-			if cw == 0 && pfn&63 == 63 {
-				all := true
-				for p := pfn - 63; p <= pfn && all; p++ {
-					all = inCache[p]
-				}
-				if all {
-					cw = pfn - 63
-				}
+			if pfn&63 != 63 {
+				continue
+			}
+			word := fs[j-63 : j+1]
+			if forked == 0 && !slices.ContainsFunc(word, func(f frame.Frame) bool { return f.MapCount != 2 }) {
+				forked = pfn - 63
+			}
+			all := true
+			for p := pfn - 63; p <= pfn && all; p++ {
+				_, all = inCache[p]
+			}
+			if all && len(cached) < 2 {
+				cached = append(cached, pfn-63)
 			}
 		}
-		if ref == 0 || in == 0 || cw == 0 {
-			t.Fatalf("zone %d: referenced word %d, huge-leaf word %d, cached word %d", i, ref, in, cw)
+		if ref == 0 || in == 0 || forked == 0 || len(cached) < 2 {
+			t.Fatalf("zone %d: referenced word %d, huge-leaf word %d, forked word %d, wholly cached words %v", i, ref, in, forked, cached)
 		}
-		referenced = append(referenced, ref)
-		interior = append(interior, in)
-		cached = append(cached, cw)
+		if !slices.ContainsFunc(m.Frames.Slice(ref, 64), func(f frame.Frame) bool { return f.MapCount == 2 }) {
+			t.Fatalf("zone %d: the fork shares no frame of word %d", i, ref)
+		}
+		// Map the second cached word's last frame into the zone's
+		// process.
+		shared := cached[1]
+		fp := inCache[shared+63]
+		env := envs[i]
+		v, err := env.Proc.MMapFile(fp.f, 0, fp.f.Bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Touch(v.Start.Add(fp.idx*addr.PageSize), false); err != nil {
+			t.Fatal(err)
+		}
+		if mc := m.Frames.Get(shared + 63).MapCount; mc != 2 {
+			t.Fatalf("zone %d: mapped cached frame %d has MapCount %d", i, shared+63, mc)
+		}
+		words.referenced = append(words.referenced, ref)
+		words.interior = append(words.interior, in)
+		words.forked = append(words.forked, forked)
+		words.cached = append(words.cached, cached[0])
+		words.shared = append(words.shared, shared)
 	}
-	return m, ks, referenced, interior, cached
+	return m, ks, words
 }
 
 // compareSweeps audits m with the word sweep and with the per-frame
@@ -224,13 +295,14 @@ func compareSweeps(t *testing.T, m *zone.Machine, ks []*osim.Kernel, pinned []Ex
 // and each zone's first and last frame — and requires the word sweep
 // to report exactly the per-frame oracle's error, or nil exactly when
 // the oracle does. Each zone contributes word pairs starting at its
-// first referenced frame's word, inside a huge leaf, at a wholly
-// cached word, and at random (fixed seed), so the corrupted frames are
-// free, mapped, spanned, cached and allocated. A second round applies two
-// corruptions at once, which pins the order in which the audit selects
-// among several errors.
+// first referenced frame's word, inside a huge leaf, in a forked
+// tenant's 4K run, at a wholly cached word, at one that also holds a
+// mapped page, and at random (fixed seed), so the corrupted frames are
+// free, mapped, spanned, cached, allocated, and held by one reference
+// or two. A second round applies two corruptions at once, which pins
+// the order in which the audit selects among several errors.
 func TestWordSweepMatchesFrameSweep(t *testing.T) {
-	m, ks, referenced, interior, cached := wordSweepFixture(t)
+	m, ks, words := wordSweepFixture(t)
 	if compareSweeps(t, m, ks, nil, "clean") {
 		t.FailNow()
 	}
@@ -240,9 +312,11 @@ func TestWordSweepMatchesFrameSweep(t *testing.T) {
 	for i, z := range m.Zones {
 		sites = append(sites, z.Base, z.Base+addr.PFN(z.Pages)-1)
 		pairs := []addr.PFN{
-			referenced[i],
-			interior[i],
-			cached[i],
+			words.referenced[i],
+			words.interior[i],
+			words.forked[i],
+			words.cached[i],
+			words.shared[i],
 			z.Base + addr.PFN(rng.Intn(int(z.Pages/128))*128),
 		}
 		for _, p := range pairs {
@@ -253,7 +327,7 @@ func TestWordSweepMatchesFrameSweep(t *testing.T) {
 	cases := 0
 	for _, pfn := range sites {
 		for _, c := range sweepCorruptions {
-			m, ks, _, _, _ := wordSweepFixture(t)
+			m, ks, _ := wordSweepFixture(t)
 			pinned, ok := c.apply(m, pfn)
 			if !ok {
 				continue
@@ -269,7 +343,7 @@ func TestWordSweepMatchesFrameSweep(t *testing.T) {
 	}
 
 	for n := 0; n < 100; n++ {
-		m, ks, _, _, _ := wordSweepFixture(t)
+		m, ks, _ := wordSweepFixture(t)
 		var pinned []Extent
 		what := ""
 		for k := 0; k < 2; k++ {
@@ -282,6 +356,69 @@ func TestWordSweepMatchesFrameSweep(t *testing.T) {
 		}
 		if compareSweeps(t, m, ks, pinned, what) {
 			return
+		}
+	}
+}
+
+// TestRefCountMatchesNaiveCount records random multisets of
+// references on a small machine, through both gather paths — one
+// reference at a time as page-table leaves are, and as page-cache
+// slot arrays whose runs of consecutive frames break, skip slots and
+// wander back into words already seen — and
+// requires refCount to equal a naive per-frame count for every frame,
+// with multi marking exactly the words that hold a repeated frame.
+func TestRefCountMatchesNaiveCount(t *testing.T) {
+	m := zone.NewMachine(zone.Config{ZonePages: []uint64{2 * addr.MaxOrderPages, addr.MaxOrderPages}})
+	n := m.Frames.Len()
+	a := NewAuditor(m)
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 200; round++ {
+		a.ensure(m)
+		want := make([]int32, n)
+		refs := rng.Intn(4 * int(n))
+		if round%4 == 0 {
+			refs = rng.Intn(64) // sparse: most words hold no repeat
+		}
+		for refs > 0 {
+			if rng.Intn(2) == 0 {
+				rel := uint64(rng.Int63n(int64(n)))
+				a.refRun(rel, 1)
+				want[rel]++
+				refs--
+				continue
+			}
+			slots := make([]addr.PFN, 1+rng.Intn(300))
+			rel := uint64(rng.Int63n(int64(n)))
+			for i := range slots {
+				switch r := rng.Intn(20); {
+				case r == 0:
+					rel = uint64(rng.Int63n(int64(n))) // jump anywhere
+				case r < 3:
+					continue // not resident
+				case r < 5:
+					rel = (rel + n - 64) % n // back into the previous word
+				case r < 6:
+					rel = (rel + 1 + uint64(rng.Intn(3))) % n // a short gap
+				default:
+					rel = (rel + 1) % n
+				}
+				slots[i] = a.base + addr.PFN(rel) + 1
+				want[rel]++
+				refs--
+			}
+			a.refSlots(slots)
+		}
+		a.indexDups()
+		for rel := uint64(0); rel < n; rel++ {
+			if got := a.refCount(rel); got != want[rel] {
+				t.Fatalf("round %d: frame %d: refCount %d, naive count %d", round, rel, got, want[rel])
+			}
+		}
+		for w := uint64(0); w < n/64; w++ {
+			repeat := slices.ContainsFunc(want[w*64:w*64+64], func(c int32) bool { return c > 1 })
+			if a.multi.get(w) != repeat {
+				t.Fatalf("round %d: word %d: multi %v, holds a repeated frame %v", round, w, a.multi.get(w), repeat)
+			}
 		}
 	}
 }

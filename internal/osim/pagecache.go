@@ -1,8 +1,9 @@
 package osim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mem/addr"
 	"repro/internal/osim/pagetable"
@@ -25,7 +26,9 @@ type File struct {
 	// pages holds the cached frame of each file page, indexed by file
 	// page number and encoded as PFN+1 (0 = not resident): a dense
 	// array beats a map in the readahead fill loop, and the +1
-	// encoding makes a fresh zeroed slice mean "nothing cached".
+	// encoding makes a fresh zeroed slice mean "nothing cached". It is
+	// nil while no page is cached: the cache makes it on a file's first
+	// fill and releases it when the file's last page goes.
 	pages  []addr.PFN
 	cached uint64
 
@@ -42,6 +45,9 @@ func (f *File) CachedPages() uint64 { return f.cached }
 
 // cachedPFN returns the frame caching file page idx, if resident.
 func (f *File) cachedPFN(idx uint64) (addr.PFN, bool) {
+	if f.cached == 0 {
+		return 0, false
+	}
 	v := f.pages[idx]
 	if v == 0 {
 		return 0, false
@@ -49,21 +55,16 @@ func (f *File) cachedPFN(idx uint64) (addr.PFN, bool) {
 	return v - 1, true
 }
 
-func (f *File) setCached(idx uint64, pfn addr.PFN) {
-	f.pages[idx] = pfn + 1
-	f.cached++
-}
-
-func (f *File) dropCached(idx uint64) {
-	f.pages[idx] = 0
-	f.cached--
-}
-
 // PageCache is the system-wide cache of file pages.
 type PageCache struct {
 	kernel *Kernel
 	files  map[int]*File
-	nextID int
+	// resident holds the files with cached pages in ascending ID
+	// order. Eviction, DropAll and VisitFiles walk only these, so
+	// files whose pages are all gone cost nothing however many a long
+	// run creates.
+	resident []*File
+	nextID   int
 	// ResidentPages counts cached frames across all files.
 	ResidentPages uint64
 }
@@ -75,7 +76,7 @@ func newPageCache(k *Kernel) *PageCache {
 // CreateFile registers a file of the given size.
 func (c *PageCache) CreateFile(bytes uint64) *File {
 	c.nextID++
-	f := &File{ID: c.nextID, Bytes: bytes, pages: make([]addr.PFN, addr.BytesToPages(bytes))}
+	f := &File{ID: c.nextID, Bytes: bytes}
 	c.files[f.ID] = f
 	return f
 }
@@ -83,18 +84,29 @@ func (c *PageCache) CreateFile(bytes uint64) *File {
 // File returns the file with the given ID, or nil.
 func (c *PageCache) File(id int) *File { return c.files[id] }
 
-// VisitFiles calls fn once for every file with resident pages, in no
-// particular order, with that file's page slots: slots[i] is the frame
+// VisitFiles calls fn once for every file with resident pages, in
+// ascending file ID order, with that file's page slots: slots[i] is the frame
 // caching file page i plus one, or 0 when that page is not resident.
 // The audit engine loops over the slots inline to account for the
 // cache's base reference on each resident frame; fn must not keep or
 // modify them.
 func (c *PageCache) VisitFiles(fn func(slots []addr.PFN)) {
-	for _, f := range c.files {
-		if f.cached != 0 {
-			fn(f.pages)
-		}
+	for _, f := range c.resident {
+		fn(f.pages)
 	}
+}
+
+// setCached records pfn as the frame caching file page idx, making the
+// file's slots and entering it in the resident set on its first page.
+func (c *PageCache) setCached(f *File, idx uint64, pfn addr.PFN) {
+	if f.cached == 0 {
+		f.pages = make([]addr.PFN, f.Pages())
+		i, _ := slices.BinarySearchFunc(c.resident, f.ID, func(r *File, id int) int { return cmp.Compare(r.ID, id) })
+		c.resident = slices.Insert(c.resident, i, f)
+	}
+	f.pages[idx] = pfn + 1
+	f.cached++
+	c.ResidentPages++
 }
 
 // lookupOrFill returns the frame caching the file page, populating a
@@ -119,8 +131,7 @@ func (c *PageCache) lookupOrFill(f *File, pageIdx uint64) (addr.PFN, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.setCached(i, pfn)
-		c.ResidentPages++
+		c.setCached(f, i, pfn)
 		// Cache frames are owned by the cache: one base reference.
 		k.Machine.Frames.Get(pfn).MapCount++
 		k.Tick(k.faultLatency(0, placed))
@@ -148,53 +159,44 @@ func (c *PageCache) Read(f *File, off, n uint64) error {
 // free sequence feeds the buddy free lists, so any other order would
 // make every later allocation run-to-run nondeterministic.
 func (c *PageCache) DropFile(f *File) {
+	f.placedOffset = false
+	if f.cached == 0 {
+		return
+	}
 	k := c.kernel
-	for idx := uint64(0); idx < f.Pages(); idx++ {
-		pfn, ok := f.cachedPFN(idx)
-		if !ok {
+	for _, v := range f.pages {
+		if v == 0 {
 			continue
 		}
-		fr := k.Machine.Frames.Get(pfn)
+		fr := k.Machine.Frames.Get(v - 1)
 		fr.MapCount--
 		if fr.MapCount <= 0 {
-			k.Machine.FreeBlock(pfn, 0)
+			k.Machine.FreeBlock(v-1, 0)
 		}
-		f.dropCached(idx)
-		c.ResidentPages--
 	}
-	f.placedOffset = false
+	c.ResidentPages -= f.cached
+	f.cached = 0
+	f.pages = nil
+	c.resident = slices.DeleteFunc(c.resident, func(r *File) bool { return r == f })
 }
 
 // DropAll evicts the whole cache (echo 3 > drop_caches) in file-ID
 // order, for the same determinism reason as DropFile.
 func (c *PageCache) DropAll() {
-	ids := make([]int, 0, len(c.files))
-	for id := range c.files {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		c.DropFile(c.files[id])
+	for len(c.resident) != 0 {
+		c.DropFile(c.resident[0])
 	}
 }
 
 // DropOldest evicts the oldest file still holding cache pages (LRU at
-// file granularity — the reclaim kernels run under memory pressure).
-// Reports whether anything was evicted.
+// file granularity — the reclaim kernels run under memory pressure):
+// the resident file with the lowest ID. Reports whether anything was
+// evicted.
 func (c *PageCache) DropOldest() bool {
-	best := 0
-	for id, f := range c.files {
-		if f.CachedPages() == 0 {
-			continue
-		}
-		if best == 0 || id < best {
-			best = id
-		}
-	}
-	if best == 0 {
+	if len(c.resident) == 0 {
 		return false
 	}
-	c.DropFile(c.files[best])
+	c.DropFile(c.resident[0])
 	return true
 }
 

@@ -149,3 +149,51 @@ func TestMMapFileBeyondEOFSegfaults(t *testing.T) {
 		t.Fatalf("want ErrSegfault past EOF, got %v", err)
 	}
 }
+
+// TestDropOldestEvictsLowestResidentID fills files out of ID order,
+// drops one, and refills another after eviction: DropOldest must
+// always take the lowest-ID file still holding pages, a dropped file
+// must release its slots, and a refill must make them again.
+func TestDropOldestEvictsLowestResidentID(t *testing.T) {
+	k := newKernel(t, 16, DefaultPolicy{})
+	var fs []*File
+	for i := 0; i < 4; i++ {
+		fs = append(fs, k.Cache.CreateFile(ReadaheadPages*addr.PageSize))
+	}
+	read := func(f *File) {
+		t.Helper()
+		if err := k.Cache.Read(f, 0, addr.PageSize); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, i := range []int{3, 1, 0, 2} {
+		read(fs[i])
+	}
+	k.Cache.DropFile(fs[2])
+	if fs[2].pages != nil || fs[2].CachedPages() != 0 {
+		t.Fatal("dropped file keeps its slots")
+	}
+	evict := func(want *File) {
+		t.Helper()
+		if !k.Cache.DropOldest() {
+			t.Fatalf("DropOldest found nothing, want file %d", want.ID)
+		}
+		if want.CachedPages() != 0 || want.pages != nil {
+			t.Fatalf("DropOldest did not evict file %d", want.ID)
+		}
+	}
+	evict(fs[0])
+	read(fs[0]) // refilled: the lowest resident ID again
+	if fs[0].pages == nil || fs[0].CachedPages() != ReadaheadPages {
+		t.Fatal("refill did not make the file's slots again")
+	}
+	evict(fs[0])
+	evict(fs[1])
+	evict(fs[3])
+	if k.Cache.DropOldest() {
+		t.Fatal("DropOldest evicted from an empty cache")
+	}
+	if k.Cache.ResidentPages != 0 || k.Machine.FreePages() != k.Machine.TotalPages() {
+		t.Fatal("eviction leaked frames")
+	}
+}
