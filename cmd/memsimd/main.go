@@ -44,7 +44,8 @@ import (
 
 // input is one workload stream: a trace-file decoder or a synthesizer.
 // Tenant IDs are remapped to tenant*streams+idx so concurrent streams
-// never collide on a tenant.
+// never collide on a tenant; a tenant whose remapped ID would pass
+// tracein.MaxTenant is a located error.
 type input struct {
 	name string
 	src  tracein.Source
@@ -110,7 +111,7 @@ func (m *merged) Close() {
 // to tenant*k+idx to keep concurrent streams' tenants disjoint. A
 // failing input's error names the stream and the 1-based record.
 func (m *merged) Next(ev *tracein.Event) error {
-	k := uint32(len(m.ins))
+	k := uint64(len(m.ins))
 	best := -1
 	for i := range m.ins {
 		in := &m.ins[i]
@@ -135,8 +136,13 @@ func (m *merged) Next(ev *tracein.Event) error {
 	}
 	in := &m.ins[best]
 	in.ok = false
+	tenant := uint64(in.head.Tenant)*k + uint64(best)
+	if tenant > tracein.MaxTenant {
+		in.done = true
+		return fmt.Errorf("%s: record %d: tenant %d does not fit %d streams", in.name, in.n, in.head.Tenant, k)
+	}
 	*ev = in.head
-	ev.Tenant = (ev.Tenant*k + uint32(best)) % (tracein.MaxTenant + 1)
+	ev.Tenant = uint32(tenant)
 	return nil
 }
 

@@ -261,6 +261,39 @@ func TestStreamErrorLocated(t *testing.T) {
 	}
 }
 
+// TestStreamTenantOverflowLocated pins that a tenant whose remapped ID
+// (tenant*streams+idx) would pass tracein.MaxTenant is a located error
+// rather than a wrap onto another tenant: with two streams, tenant 1<<19
+// of stream 0 would land on machine tenant 0, which stream 0's tenant 0
+// already owns.
+func TestStreamTenantOverflowLocated(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, evs []tracein.Event) string {
+		var buf bytes.Buffer
+		if err := tracein.Encode(&buf, evs, true); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	a := write("a.mtrc", []tracein.Event{
+		{Kind: tracein.KindMMap, Tenant: 0, TS: 1, Arg0: 4},
+		{Kind: tracein.KindMMap, Tenant: 1 << 19, TS: 2, Arg0: 4},
+	})
+	b := write("b.mtrc", []tracein.Event{{Kind: tracein.KindMMap, Tenant: 0, TS: 3, Arg0: 4}})
+
+	var out, errb bytes.Buffer
+	if code := run([]string{"-oneshot", a, b}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1 (stderr: %s)", code, errb.String())
+	}
+	if msg := errb.String(); !strings.Contains(msg, "a.mtrc: record 2:") {
+		t.Fatalf("tenant overflow not located: %s", msg)
+	}
+}
+
 // TestMergedSourceAllocs pins that the input path streams: draining the
 // merge over two million-event synthesizers allocates a small constant,
 // not the traces.

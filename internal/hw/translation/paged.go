@@ -67,17 +67,15 @@ func (c *core) walk(va addr.VirtAddr, m walker.Meter) Walk {
 // addresses.
 type pagedBackend struct {
 	core
-	tlb        *tlb.TLB
-	shadow     *virt.ShadowTable
-	shadowExit float64
-	cnt        Counters
+	tlb    *tlb.TLB
+	shadow *virt.ShadowTable
+	cnt    Counters
 }
 
 func newPaged(env *workloads.Env, cfg Config) *pagedBackend {
 	b := &pagedBackend{
-		core:       core{env: env},
-		tlb:        tlb.New(cfg.TLBEntries, cfg.TLBWays),
-		shadowExit: cfg.ShadowExitCycles,
+		core: core{env: env},
+		tlb:  tlb.New(cfg.TLBEntries, cfg.TLBWays),
 	}
 	if cfg.ShadowPaging && env.VM != nil {
 		b.shadow = env.VM.NewShadow(env.Proc)
@@ -106,7 +104,7 @@ func (b *pagedBackend) Translate(va addr.VirtAddr) Walk {
 			w.LeafHuge = lvl == pagetable.HugeLevel
 			w.Cost = walker.NativeCost(lvl)
 			if synced {
-				w.Cost += b.shadowExit
+				w.Cost += ShadowExitCycles
 				w.ShadowSynced = true
 			}
 		}

@@ -32,7 +32,7 @@ func newRMM(env *workloads.Env, cfg Config) *rmmBackend {
 	b := &rmmBackend{
 		core:  core{env: env},
 		tlb:   tlb.New(cfg.TLBEntries, cfg.TLBWays),
-		rt:    rmm.NewRangeTLB(cfg.RangeTLBEntries),
+		rt:    rmm.NewRangeTLB(RangeTLBEntries),
 		rtab:  rmm.NewTable(ExtractMappings(env)),
 		watch: watchTables(env),
 	}

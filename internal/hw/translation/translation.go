@@ -107,16 +107,22 @@ type Backend interface {
 	Close()
 }
 
+const (
+	// RangeTLBEntries is the vRMM range TLB capacity (paper: 32).
+	RangeTLBEntries = 32
+	// ShadowExitCycles is the cost of one shadow-sync hypervisor exit,
+	// a VM-exit round trip.
+	ShadowExitCycles = 1200
+)
+
 // Config carries the hardware parameters backends consume. Zero fields
 // default to the paper's scaled Table II values (see sim.Config).
 type Config struct {
 	TLBEntries, TLBWays int
-	RangeTLBEntries     int
-	// ShadowPaging/ShadowExitCycles configure the paged backend's
-	// shadow-paging mode (virtualized environments only).
-	ShadowPaging     bool
-	ShadowExitCycles float64
-	Tracer           *trace.Tracer
+	// ShadowPaging selects the paged backend's shadow-paging mode
+	// (virtualized environments only).
+	ShadowPaging bool
+	Tracer       *trace.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -125,12 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TLBWays == 0 {
 		c.TLBWays = 4
-	}
-	if c.RangeTLBEntries == 0 {
-		c.RangeTLBEntries = 32
-	}
-	if c.ShadowExitCycles == 0 {
-		c.ShadowExitCycles = 1200
 	}
 	return c
 }

@@ -514,28 +514,6 @@ func (b *Buddy) FragScore() uint64 {
 	return 1000 - huge*1000/b.freePages
 }
 
-// UnusableFreePages returns the number of free base pages that cannot
-// satisfy an allocation of the given order: free memory sitting in
-// blocks strictly smaller than 2^order pages. It is the numerator of
-// Gorman's unusable free space index (Mel Gorman, "Measuring the
-// Impact of Memory Fragmentation"), which internal/metrics normalises
-// to [0,1]; the raw page count is exposed here so callers can aggregate
-// across zones before dividing.
-func (b *Buddy) UnusableFreePages(order int) uint64 {
-	var usable uint64
-	for o := order; o <= addr.MaxOrder; o++ {
-		usable += b.perOrderCount[o] * addr.OrderPages(o)
-	}
-	return b.freePages - usable
-}
-
-// LargestAlignedFree returns the order of the largest free block
-// available (possibly after coalescing state already reflected in the
-// lists), or -1 if memory is exhausted.
-func (b *Buddy) LargestAlignedFree() int {
-	return bits.Len32(b.nonEmpty) - 1
-}
-
 // ScratchWords returns the length a borrowed coverage bitset must have
 // to cover this allocator's managed range, one bit per frame. The range
 // is a whole number of MAX_ORDER blocks, so every word is full.

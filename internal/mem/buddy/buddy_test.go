@@ -304,22 +304,6 @@ func TestVisitMaxOrder(t *testing.T) {
 	}
 }
 
-func TestLargestAlignedFree(t *testing.T) {
-	b, _ := newBuddy(t, 1)
-	if b.LargestAlignedFree() != addr.MaxOrder {
-		t.Fatal("fresh allocator should have MAX_ORDER block")
-	}
-	// Exhaust, check -1.
-	for {
-		if _, err := b.AllocBlock(0); err != nil {
-			break
-		}
-	}
-	if b.LargestAlignedFree() != -1 {
-		t.Fatal("exhausted allocator should report -1")
-	}
-}
-
 // TestRandomOpsProperty drives a random alloc/free workload and checks
 // invariants throughout — the central property test for the allocator.
 func TestRandomOpsProperty(t *testing.T) {
@@ -414,76 +398,6 @@ func BenchmarkTargetedAlloc(b *testing.B) {
 		target := addr.PFN(i % (64 * addr.MaxOrderPages))
 		if err := bd.AllocBlockAt(target, 0); err == nil {
 			bd.FreeBlock(target, 0)
-		}
-	}
-}
-
-// TestUnusableFreePages pins the Gorman unusable-free numerator against
-// a hand-built fragmentation state and a randomised cross-check versus
-// the free-list visitor.
-func TestUnusableFreePages(t *testing.T) {
-	b, _ := newBuddy(t, 4)
-
-	// Pristine machine: everything coalesced, nothing unusable.
-	for o := 0; o <= addr.MaxOrder; o++ {
-		if got := b.UnusableFreePages(o); got != 0 {
-			t.Fatalf("pristine UnusableFreePages(%d) = %d, want 0", o, got)
-		}
-	}
-
-	// Shatter one MAX_ORDER block into singles by allocating every
-	// other base page of it: the 512 still-free 4 KiB frames can never
-	// serve an order >= 1 request.
-	for pg := uint64(0); pg < addr.MaxOrderPages; pg += 2 {
-		if err := b.AllocBlockAt(addr.PFN(pg), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.UnusableFreePages(0); got != 0 {
-		t.Fatalf("order 0 is always usable, got %d", got)
-	}
-	const confetti = addr.MaxOrderPages / 2
-	for o := 1; o <= addr.MaxOrder; o++ {
-		if got := b.UnusableFreePages(o); got != confetti {
-			t.Fatalf("UnusableFreePages(%d) = %d, want %d", o, got, confetti)
-		}
-	}
-
-	// Cross-check against the free-list visitor under random churn.
-	rng := rand.New(rand.NewSource(7))
-	type block struct {
-		pfn   addr.PFN
-		order int
-	}
-	var live []block
-	for i := 0; i < 500; i++ {
-		if rng.Intn(2) == 0 {
-			order := rng.Intn(4)
-			if pfn, err := b.AllocBlock(order); err == nil {
-				live = append(live, block{pfn, order})
-			}
-		} else if len(live) > 0 {
-			j := rng.Intn(len(live))
-			b.FreeBlock(live[j].pfn, live[j].order)
-			live = append(live[:j], live[j+1:]...)
-		}
-	}
-	if err := b.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for order := 0; order <= addr.MaxOrder; order++ {
-		var usable uint64
-		b.VisitFreeBlocks(func(_ addr.PFN, o int) {
-			if o >= order {
-				usable += addr.OrderPages(o)
-			}
-		})
-		want := b.FreePages() - usable
-		if got := b.UnusableFreePages(order); got != want {
-			t.Fatalf("order %d: UnusableFreePages %d != visitor-derived %d", order, got, want)
 		}
 	}
 }

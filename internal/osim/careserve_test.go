@@ -101,8 +101,8 @@ func TestFiveLevelPageTables(t *testing.T) {
 		t.Fatalf("5-level huge walk = (level %d, steps %d, ok %v), want 4 steps", level, steps, ok)
 	}
 	// Translation correctness is unchanged.
-	pa1, _ := p.Translate(v.Start)
-	pa2, _ := p.Translate(v.Start.Add(addr.PageSize))
+	pa1, _ := p.PT.Translate(v.Start)
+	pa2, _ := p.PT.Translate(v.Start.Add(addr.PageSize))
 	if pa2 != pa1+addr.PageSize {
 		t.Fatal("5-level translation broken")
 	}

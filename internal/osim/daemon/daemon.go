@@ -121,7 +121,6 @@ func (d *Ingens) Scan() {
 }
 
 func (d *Ingens) scanVMA(p *osim.Process, v *vma.VMA) {
-	k := d.Kernel
 	start := v.Start.HugeUp()
 	for base := start; base.Add(addr.HugeSize) <= v.End; base = base.Add(addr.HugeSize) {
 		pageIdx := uint64(base-v.Start) / addr.PageSize
@@ -129,12 +128,10 @@ func (d *Ingens) scanVMA(p *osim.Process, v *vma.VMA) {
 		if util < d.UtilThreshold {
 			continue
 		}
-		// Already huge?
-		if _, pages, ok := p.PT.Lookup(base); ok && pages == addr.HugePages {
-			continue
-		}
-		// Fully 4K-mapped? Promotion needs every page present.
-		if !regionFullyMapped(p.PT, base) {
+		// Fully 4K-mapped? Promotion needs every page present, and a
+		// region that is already huge is not 4K-mapped. The leaf
+		// table's live count answers this in one descent.
+		if !p.PT.HugeRegionFull4K(base) {
 			continue
 		}
 		// CoW guard, as khugepaged's page_mapcount == 1 check: promote
@@ -148,16 +145,7 @@ func (d *Ingens) scanVMA(p *osim.Process, v *vma.VMA) {
 			continue
 		}
 		d.promote(p, v, base)
-		_ = k
 	}
-}
-
-// regionFullyMapped reports whether every base page of the 2 MiB region
-// is mapped 4K. The leaf table's live count answers this in one
-// descent; probing all 512 slots per region made the scan cost of
-// every settle epoch quadratic in footprint.
-func regionFullyMapped(pt *pagetable.Table, base addr.VirtAddr) bool {
-	return pt.HugeRegionFull4K(base)
 }
 
 // promote replaces the region's 512 base mappings with one huge
@@ -391,7 +379,7 @@ func (d *Ranger) choosePlan(p *osim.Process, v *vma.VMA) []rangerSegment {
 	}
 	if len(plan) == 0 {
 		// No free clusters: leave the footprint where it is.
-		if pa, ok := p.Translate(v.Start); ok {
+		if pa, ok := p.PT.Translate(v.Start); ok {
 			plan = append(plan, rangerSegment{startPage: 0, pages: v.Pages(), target: pa.Frame()})
 		}
 	}

@@ -40,16 +40,16 @@ func TestCoWChainGrandchild(t *testing.T) {
 	touchRange(t, gp, v.Start, v.Size(), addr.PageSize)
 	parent := gp.Fork()
 	child := parent.Fork()
-	pa0, _ := gp.Translate(v.Start)
-	if pa, _ := child.Translate(v.Start); pa != pa0 {
+	pa0, _ := gp.PT.Translate(v.Start)
+	if pa, _ := child.PT.Translate(v.Start); pa != pa0 {
 		t.Fatal("grandchild should share the original frame")
 	}
 	if _, err := child.Touch(v.Start, true); err != nil {
 		t.Fatal(err)
 	}
-	cpa, _ := child.Translate(v.Start)
-	ppa, _ := parent.Translate(v.Start)
-	gpa, _ := gp.Translate(v.Start)
+	cpa, _ := child.PT.Translate(v.Start)
+	ppa, _ := parent.PT.Translate(v.Start)
+	gpa, _ := gp.PT.Translate(v.Start)
 	if cpa == pa0 {
 		t.Fatal("grandchild write did not copy")
 	}

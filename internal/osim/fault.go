@@ -27,46 +27,18 @@ func (p *Process) TouchAt(v *vma.VMA, va addr.VirtAddr, write bool) (bool, error
 	// probe, so even faultless touches invalidate daemon memos.
 	p.kernel.mutSeq++
 	v.MarkTouched(uint64(va-v.Start) / addr.PageSize)
-	pte := p.lastLeaf
-	if pte == nil || p.lastLeafGen != p.PT.Generation() ||
-		uint64(va-p.lastLeafBase) >= p.lastLeafSpan {
-		var pages uint64
-		var ok bool
-		pte, pages, ok = p.PT.Lookup(va)
-		if !ok {
-			p.lastLeaf = nil
-			return true, p.kernel.demandFault(p, v, va, write)
-		}
-		span := pages * addr.PageSize
-		p.lastLeaf = pte
-		p.lastLeafBase = addr.VirtAddr(uint64(va) &^ (span - 1))
-		p.lastLeafSpan = span
-		p.lastLeafGen = p.PT.Generation()
+	pte, pages, ok := p.PT.Lookup(va)
+	if !ok {
+		return true, p.kernel.demandFault(p, v, va, write)
 	}
 	if write && pte.Flags.Has(pagetable.CoW) {
-		// cowFault remaps the page; drop the memo so the next touch
-		// re-resolves (the generation bump would catch it anyway).
-		p.lastLeaf = nil
-		return true, p.kernel.cowFault(p, v, va)
+		return true, p.kernel.cowFault(p, v, va, pte, pages)
 	}
 	pte.Flags |= pagetable.Accessed
 	if write {
 		pte.Flags |= pagetable.Dirty
 	}
 	return false, nil
-}
-
-// Translate resolves va through the process page table (no fault). The
-// last-leaf memo serves the common populate pattern (Touch immediately
-// followed by Translate of the same page) without a second descend; the
-// memo only ever holds a present leaf and is invalidated by the
-// generation check on any structural table change.
-func (p *Process) Translate(va addr.VirtAddr) (addr.PhysAddr, bool) {
-	if p.lastLeaf != nil && p.lastLeafGen == p.PT.Generation() &&
-		uint64(va-p.lastLeafBase) < p.lastLeafSpan {
-		return p.lastLeaf.PFN.Addr() + addr.PhysAddr(uint64(va-p.lastLeafBase)), true
-	}
-	return p.PT.Translate(va)
 }
 
 // demandFault handles a not-present fault: anonymous (4K or THP) or
@@ -162,12 +134,9 @@ func (k *Kernel) faultLatency(order int, placed bool) uint64 {
 }
 
 // cowFault resolves a write to a CoW mapping: allocate a private copy,
-// remap, and drop the reference on the shared frame.
-func (k *Kernel) cowFault(p *Process, v *vma.VMA, va addr.VirtAddr) error {
-	pte, pages, ok := p.PT.Lookup(va)
-	if !ok || !pte.Flags.Has(pagetable.CoW) {
-		return nil
-	}
+// remap, and drop the reference on the shared frame. pte is the CoW
+// leaf mapping va and pages its size, as TouchAt's lookup found them.
+func (k *Kernel) cowFault(p *Process, v *vma.VMA, va addr.VirtAddr, pte *pagetable.PTE, pages uint64) error {
 	order := addr.LeafOrder(pages)
 	base := va.PageDown()
 	if order == addr.HugeOrder {
@@ -307,7 +276,7 @@ func (k *Kernel) MigratePage(p *Process, va addr.VirtAddr, dst addr.PFN) bool {
 	old := pte.PFN
 	order := addr.LeafOrder(pages)
 	// Redirect (not a raw pte.PFN write): migration changes the
-	// translation, so the table generation must move with it.
+	// translation, so the table's observers must hear of it.
 	p.PT.Redirect(va, dst)
 	f := k.Machine.Frames.Get(old)
 	f.MapCount--

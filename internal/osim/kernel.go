@@ -114,18 +114,6 @@ type Process struct {
 	kernel   *Kernel
 	nextVA   addr.VirtAddr
 	vmaSeq   uint64
-
-	// Last-leaf translation memo: the leaf PTE the previous Touch
-	// resolved, valid while the page-table generation is unchanged.
-	// Sequential population touches the 512 pages of a THP leaf back
-	// to back, so this short-circuits the radix descend on all but the
-	// first; flag reads/writes go through the live pointer, so
-	// in-place flag changes (Accessed/Dirty/CoW downgrades) stay
-	// visible without invalidation.
-	lastLeaf     *pagetable.PTE
-	lastLeafBase addr.VirtAddr
-	lastLeafSpan uint64
-	lastLeafGen  uint64
 }
 
 // Kernel bundles the machine, the placement policy, the page cache, and
@@ -336,7 +324,6 @@ func (p *Process) Exit() {
 		p.MUnmap(v)
 	}
 	p.PT.Release()
-	p.lastLeaf = nil
 	k := p.kernel
 	for i, q := range k.procs {
 		if q == p {

@@ -146,8 +146,8 @@ func TestTranslateMatchesTouchOrder(t *testing.T) {
 	p := k.NewProcess(0)
 	v, _ := p.MMap(addr.HugeSize)
 	touchRange(t, p, v.Start, v.Size(), addr.PageSize)
-	pa1, ok1 := p.Translate(v.Start)
-	pa2, ok2 := p.Translate(v.Start.Add(addr.PageSize))
+	pa1, ok1 := p.PT.Translate(v.Start)
+	pa2, ok2 := p.PT.Translate(v.Start.Add(addr.PageSize))
 	if !ok1 || !ok2 {
 		t.Fatal("translate failed")
 	}
@@ -169,8 +169,8 @@ func TestForkCoW(t *testing.T) {
 		t.Fatalf("child RSS = %d, want %d", child.RSSPages, rssBefore)
 	}
 	// Shared frame: same translation in both.
-	pp, _ := parent.Translate(v.Start)
-	cp, _ := child.Translate(v.Start)
+	pp, _ := parent.PT.Translate(v.Start)
+	cp, _ := child.PT.Translate(v.Start)
 	if pp != cp {
 		t.Fatal("fork should share frames")
 	}
@@ -178,7 +178,7 @@ func TestForkCoW(t *testing.T) {
 	if _, err := child.Touch(v.Start, false); err != nil {
 		t.Fatal(err)
 	}
-	if cp2, _ := child.Translate(v.Start); cp2 != cp {
+	if cp2, _ := child.PT.Translate(v.Start); cp2 != cp {
 		t.Fatal("read should not break CoW")
 	}
 	// A write in the child copies.
@@ -189,7 +189,7 @@ func TestForkCoW(t *testing.T) {
 	if k.Stats.Faults[FaultCoW] == 0 {
 		t.Fatal("no CoW fault recorded")
 	}
-	cp3, _ := child.Translate(v.Start)
+	cp3, _ := child.PT.Translate(v.Start)
 	if cp3 == pp {
 		t.Fatal("CoW write did not copy")
 	}
@@ -197,7 +197,7 @@ func TestForkCoW(t *testing.T) {
 		t.Fatal("CoW copy did not allocate")
 	}
 	// Parent's view unchanged.
-	if pp2, _ := parent.Translate(v.Start); pp2 != pp {
+	if pp2, _ := parent.PT.Translate(v.Start); pp2 != pp {
 		t.Fatal("parent translation changed")
 	}
 	// Parent write to the same (now exclusively owned after child
@@ -241,11 +241,11 @@ func TestMigratePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldPA, _ := p.Translate(v.Start)
+	oldPA, _ := p.PT.Translate(v.Start)
 	if !k.MigratePage(p, v.Start, dst) {
 		t.Fatal("migrate failed")
 	}
-	newPA, _ := p.Translate(v.Start)
+	newPA, _ := p.PT.Translate(v.Start)
 	if newPA != dst.Addr() || newPA == oldPA {
 		t.Fatalf("migration translation wrong: %v", newPA)
 	}

@@ -90,8 +90,8 @@ func TestPageCacheSharedFrames(t *testing.T) {
 	v2, _ := p2.MMapFile(f, 0, f.Bytes)
 	touchRange(t, p1, v1.Start, v1.Size(), addr.PageSize)
 	touchRange(t, p2, v2.Start, v2.Size(), addr.PageSize)
-	pa1, _ := p1.Translate(v1.Start)
-	pa2, _ := p2.Translate(v2.Start)
+	pa1, _ := p1.PT.Translate(v1.Start)
+	pa2, _ := p2.PT.Translate(v2.Start)
 	if pa1 != pa2 {
 		t.Fatal("file page not shared between processes")
 	}

@@ -95,11 +95,9 @@ func (p *Pool) put(n *node) { p.free = append(p.free, n) }
 // faults, promotion re-mapping, CoW copies), Unmap (teardown, promotion
 // tear-down, CoW remaps), and Redirect (migration). Translation
 // backends subscribe to keep derived structures (range tables, direct
-// segments, hashed mirrors) exactly invalidated; the generation counter
-// carries the same signal in aggregate for callers that only need a
-// staleness check. SetContig moves the generation but emits no event:
-// it changes walk metadata (the contiguity bit), never where a virtual
-// page translates to.
+// segments, hashed mirrors) exactly invalidated. SetContig emits no
+// event: it changes walk metadata (the contiguity bit), never where a
+// virtual page translates to.
 //
 // Callbacks run synchronously inside the mutation; they must not mutate
 // the table.
@@ -128,12 +126,6 @@ type Table struct {
 	mapped4K   uint64 // live 4 KiB leaves
 	mapped2M   uint64 // live 2 MiB leaves
 	ContigBits uint64 // leaves currently carrying the Contig bit
-
-	// gen counts translation-visible mutations (Map4K/Map2M/Unmap/
-	// SetContig). Software memos of walk results (the fault path's
-	// last-leaf cache) key their entries to this counter and
-	// self-invalidate when it moves.
-	gen uint64
 
 	// lookups counts Lookup calls — the probe-cost observable the
 	// canMapHuge regression test pins (a 512-probe emptiness scan shows
@@ -168,12 +160,6 @@ func (t *Table) Release() {
 // Levels returns the table depth.
 func (t *Table) Levels() int { return t.top + 1 }
 
-// Generation returns the table's mutation counter. It increases
-// monotonically on every Map4K, Map2M, Unmap, and effective SetContig;
-// a cached walk result is valid only while the generation it was
-// filled under still matches.
-func (t *Table) Generation() uint64 { return t.gen }
-
 // Mapped4K returns the number of live 4 KiB leaf entries.
 func (t *Table) Mapped4K() uint64 { return t.mapped4K }
 
@@ -187,35 +173,41 @@ func index(v addr.VirtAddr, level int) int {
 	return int(uint64(v)>>(addr.PageShift+uint(level)*fanoutBits)) & (fanout - 1)
 }
 
+// leafPages returns the extent in base pages of a leaf at level.
+func leafPages(level int) uint64 { return 1 << (uint(level) * fanoutBits) }
+
+// find descends v's path to the slot holding its leaf: slot i of node n
+// at level (0 for 4 KiB, HugeLevel for 2 MiB). n is nil when v is
+// unmapped; level is then the one whose slot was empty. Walk, Lookup
+// and Unmap all reach a leaf through find.
+func (t *Table) find(v addr.VirtAddr) (n *node, i, level int) {
+	n = t.root
+	for level = t.top; ; level-- {
+		i = index(v, level)
+		if level == 0 || (level == HugeLevel && n.huge[i]) {
+			if !n.leaves[i].Present() {
+				return nil, i, level
+			}
+			return n, i, level
+		}
+		if n.children[i] == nil {
+			return nil, i, level
+		}
+		n = n.children[i]
+	}
+}
+
 // Walk translates v. It returns the leaf entry, the leaf's level (0 for
 // 4 KiB, HugeLevel for 2 MiB), and the number of table references the
 // walk touched (1 per level descended) — the quantity the hardware walk
 // cost model consumes.
 func (t *Table) Walk(v addr.VirtAddr) (pte PTE, level int, steps int, ok bool) {
-	n := t.root
-	for l := t.top; l >= 0; l-- {
-		steps++
-		i := index(v, l)
-		if l == HugeLevel && n.huge[i] {
-			e := n.leaves[i]
-			if !e.Present() {
-				return PTE{}, 0, steps, false
-			}
-			return e, HugeLevel, steps, true
-		}
-		if l == 0 {
-			e := n.leaves[i]
-			if !e.Present() {
-				return PTE{}, 0, steps, false
-			}
-			return e, 0, steps, true
-		}
-		if n.children[i] == nil {
-			return PTE{}, 0, steps, false
-		}
-		n = n.children[i]
+	n, i, level := t.find(v)
+	steps = t.top - level + 1 // every level down to the one find stopped at
+	if n == nil {
+		return PTE{}, 0, steps, false
 	}
-	panic("unreachable")
+	return n.leaves[i], level, steps, true
 }
 
 // Translate resolves a virtual address to a physical address, honouring
@@ -270,7 +262,6 @@ func (t *Table) Map4K(v addr.VirtAddr, pfn addr.PFN, flags Flags) {
 	n.leaves[i] = PTE{PFN: pfn, Flags: flags | Present}
 	n.live++
 	t.mapped4K++
-	t.gen++
 	if flags.Has(Contig) {
 		t.ContigBits++
 	}
@@ -306,7 +297,6 @@ func (t *Table) Map2M(v addr.VirtAddr, pfn addr.PFN, flags Flags) {
 	n.leaves[i] = PTE{PFN: pfn, Flags: flags | Present}
 	n.live++
 	t.mapped2M++
-	t.gen++
 	if flags.Has(Contig) {
 		t.ContigBits++
 	}
@@ -342,27 +332,11 @@ func (t *Table) Lookups() uint64 { return t.lookups }
 // Returns the leaf size in base pages.
 func (t *Table) Lookup(v addr.VirtAddr) (pte *PTE, pages uint64, ok bool) {
 	t.lookups++
-	n := t.root
-	for l := t.top; l >= 0; l-- {
-		i := index(v, l)
-		if l == HugeLevel && n.huge[i] {
-			if !n.leaves[i].Present() {
-				return nil, 0, false
-			}
-			return &n.leaves[i], 512, true
-		}
-		if l == 0 {
-			if !n.leaves[i].Present() {
-				return nil, 0, false
-			}
-			return &n.leaves[i], 1, true
-		}
-		if n.children[i] == nil {
-			return nil, 0, false
-		}
-		n = n.children[i]
+	n, i, level := t.find(v)
+	if n == nil {
+		return nil, 0, false
 	}
-	return nil, 0, false
+	return &n.leaves[i], leafPages(level), true
 }
 
 // HugeRegionEmpty reports whether the 2 MiB region containing v has no
@@ -407,9 +381,8 @@ func (t *Table) HugeRegionFull4K(v addr.VirtAddr) bool {
 // in stop, the end of the current leaf extent's table span, or limit —
 // whichever comes first. A huge leaf counts as its whole remaining
 // 512-page extent (one flag write covers it, exactly as per-page
-// touches of the same PTE would). Flag writes through FlagRun do not
-// bump the generation, matching in-place flag updates elsewhere. With
-// set == 0 it is a pure presence probe.
+// touches of the same PTE would). Like every in-place flag write, it
+// fires no observer event. With set == 0 it is a pure presence probe.
 //
 // This is the steady-state inner loop of the range-fault path: one
 // descent per leaf-table span, then a linear walk of the table's slots.
@@ -460,26 +433,23 @@ func (t *Table) SetContig(v addr.VirtAddr, on bool) bool {
 	if on && !had {
 		pte.Flags |= Contig
 		t.ContigBits++
-		t.gen++
 	} else if !on && had {
 		pte.Flags &^= Contig
 		t.ContigBits--
-		t.gen++
 	}
 	return true
 }
 
 // Redirect points the leaf covering v at a new frame, preserving its
-// flags and size — page migration. Unlike mutating the PTE through
-// Lookup's pointer, Redirect bumps the generation, so generation-keyed
-// memos never serve the pre-migration frame.
+// flags and size — page migration. Unlike writing the PFN through
+// Lookup's pointer, Redirect fires the observers' Redirected event, so
+// derived translation structures never serve the pre-migration frame.
 func (t *Table) Redirect(v addr.VirtAddr, pfn addr.PFN) bool {
 	pte, pages, ok := t.Lookup(v)
 	if !ok {
 		return false
 	}
 	pte.PFN = pfn
-	t.gen++
 	base := v.PageDown()
 	if pages == 512 {
 		base = v.HugeDown()
@@ -495,43 +465,29 @@ func (t *Table) Redirect(v addr.VirtAddr, pfn addr.PFN) bool {
 // it empties stays in place: its callers (CoW remaps, promotion) map
 // into the same slot right away.
 func (t *Table) Unmap(v addr.VirtAddr) (PTE, uint64, bool) {
-	n := t.root
-	for l := t.top; l >= 0; l-- {
-		i := index(v, l)
-		if l == HugeLevel && n.huge[i] {
-			e := n.leaves[i]
-			if !e.Present() {
-				return PTE{}, 0, false
-			}
-			n.huge[i] = false
-			n.leaves[i] = PTE{}
-			n.live--
-			t.mapped2M--
-			t.removed(v.HugeDown(), e, 512)
-			return e, 512, true
-		}
-		if l == 0 {
-			e := n.leaves[i]
-			if !e.Present() {
-				return PTE{}, 0, false
-			}
-			n.leaves[i] = PTE{}
-			n.live--
-			t.mapped4K--
-			t.removed(v.PageDown(), e, 1)
-			return e, 1, true
-		}
-		if n.children[i] == nil {
-			return PTE{}, 0, false
-		}
-		n = n.children[i]
+	n, i, level := t.find(v)
+	if n == nil {
+		return PTE{}, 0, false
 	}
-	return PTE{}, 0, false
+	e := n.leaves[i]
+	n.leaves[i] = PTE{}
+	n.live--
+	base := v.PageDown()
+	if level == HugeLevel {
+		n.huge[i] = false
+		t.mapped2M--
+		base = v.HugeDown()
+	} else {
+		t.mapped4K--
+	}
+	pages := leafPages(level)
+	t.removed(base, e, pages)
+	return e, pages, true
 }
 
 // UnmapRange removes every leaf overlapping [lo, hi) in ascending VA
 // order, descending only into populated subtrees. Each removal fires
-// the observers and moves the generation exactly as Unmap does, then
+// the observers and moves the counters exactly as Unmap does, then
 // calls fn with the removed leaf (base VA, the entry it held, its size
 // in base pages). Every table the removals empty goes back to the pool;
 // the root stays. fn must not mutate the table.
@@ -577,9 +533,8 @@ func (t *Table) unmapRange(n *node, level int, base, lo, hi addr.VirtAddr, fn fu
 }
 
 // removed accounts for the leaf e, just cleared from its slot at va:
-// the generation and contiguity count move and the observers hear of it.
+// the contiguity count moves and the observers hear of it.
 func (t *Table) removed(va addr.VirtAddr, e PTE, pages uint64) {
-	t.gen++
 	if e.Flags.Has(Contig) {
 		t.ContigBits--
 	}
@@ -597,26 +552,8 @@ type Leaf struct {
 
 // Visit walks all leaves in ascending virtual-address order.
 func (t *Table) Visit(fn func(Leaf)) {
-	t.visit(t.root, t.top, 0, fn)
-}
-
-func (t *Table) visit(n *node, level int, base addr.VirtAddr, fn func(Leaf)) {
-	span := addr.VirtAddr(1) << (addr.PageShift + uint(level)*fanoutBits)
-	for i := 0; i < fanout; i++ {
-		va := base + addr.VirtAddr(i)*span
-		switch {
-		case level == HugeLevel && n.huge[i]:
-			if n.leaves[i].Present() {
-				fn(Leaf{VA: va, PTE: n.leaves[i], Pages: 512})
-			}
-		case level == 0:
-			if n.leaves[i].Present() {
-				fn(Leaf{VA: va, PTE: n.leaves[i], Pages: 1})
-			}
-		case n.children[i] != nil:
-			t.visit(n.children[i], level-1, va, fn)
-		}
-	}
+	end := addr.VirtAddr(1) << (addr.PageShift + uint(t.top+1)*fanoutBits)
+	t.visitRange(t.root, t.top, 0, 0, end, func(l Leaf) bool { fn(l); return true })
 }
 
 // VisitRange walks the leaves whose start VA falls in [lo, hi), in

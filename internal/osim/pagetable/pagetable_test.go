@@ -212,48 +212,6 @@ func BenchmarkWalk(b *testing.B) {
 	}
 }
 
-// TestGenerationBumps pins the generation-counter contract the walk
-// cache builds on: every translation-visible mutation must move the
-// counter; pure reads and no-op mutations must not.
-func TestGenerationBumps(t *testing.T) {
-	pt := New()
-	g := pt.Generation()
-	bump := func(what string, fn func()) {
-		t.Helper()
-		fn()
-		if pt.Generation() == g {
-			t.Fatalf("%s did not bump the generation", what)
-		}
-		g = pt.Generation()
-	}
-	same := func(what string, fn func()) {
-		t.Helper()
-		fn()
-		if pt.Generation() != g {
-			t.Fatalf("%s bumped the generation but changed no translation", what)
-		}
-	}
-	bump("Map4K", func() { pt.Map4K(0x1000, 7, 0) })
-	bump("Map2M", func() { pt.Map2M(addr.VirtAddr(addr.HugeSize), 512, 0) })
-	bump("SetContig on", func() { pt.SetContig(0x1000, true) })
-	same("idempotent SetContig", func() { pt.SetContig(0x1000, true) })
-	bump("SetContig off", func() { pt.SetContig(0x1000, false) })
-	bump("Redirect", func() {
-		if !pt.Redirect(0x1000, 99) {
-			t.Fatal("Redirect of a mapped page failed")
-		}
-	})
-	same("failed Redirect", func() { pt.Redirect(0xdead000, 1) })
-	same("reads", func() {
-		pt.Lookup(0x1000)
-		pt.Translate(0x1000)
-		pt.Walk(0x1000)
-	})
-	bump("Unmap 4K", func() { pt.Unmap(0x1000) })
-	bump("Unmap 2M", func() { pt.Unmap(addr.VirtAddr(addr.HugeSize)) })
-	same("failed Unmap", func() { pt.Unmap(0x1000) })
-}
-
 // recObserver records every mapping event for assertion.
 type recObserver struct {
 	events []string
@@ -399,7 +357,7 @@ func unmapPerPage(pt *Table, lo, hi addr.VirtAddr) []Leaf {
 // TestUnmapRangeMatchesPerPageUnmap pins UnmapRange to the per-page
 // Unmap loop over the same window, on twin tables built from one seed:
 // same removed leaves in the same order, same observer events, same
-// counters and generation, same surviving leaves. The range form also
+// counters, same surviving leaves. The range form also
 // hands every emptied table to the pool and loses no node.
 func TestUnmapRangeMatchesPerPageUnmap(t *testing.T) {
 	const span = 1<<39 + 4<<30 // covers every leaf randomMixedTable maps
@@ -448,7 +406,7 @@ func TestUnmapRangeMatchesPerPageUnmap(t *testing.T) {
 			return false
 		}
 		if got.Mapped4K() != ref.Mapped4K() || got.Mapped2M() != ref.Mapped2M() ||
-			got.ContigBits != ref.ContigBits || got.Generation() != ref.Generation() {
+			got.ContigBits != ref.ContigBits {
 			t.Logf("seed %d: counters diverge", seed)
 			return false
 		}
@@ -484,6 +442,95 @@ func TestUnmapRangeMatchesPerPageUnmap(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneDescentAgrees pins the per-address operations against the
+// whole-table walk on random mixed 4K/2M tables of both depths, each
+// with leaves at VA 0 and in the top 2 MiB of the address space: Visit
+// yields exactly VisitRange over the whole space; Walk, Lookup and
+// Translate agree with every visited leaf at its first and last page
+// and miss the page after it when that page is unmapped; and Unmap
+// removes that same leaf.
+func TestOneDescentAgrees(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		levels := 4 + rng.Intn(2)
+		pt := randomMixedTable(rng, levels)
+		end := addr.VirtAddr(1) << (addr.PageShift + uint(levels)*fanoutBits)
+		for _, va := range []addr.VirtAddr{0, end - addr.PageSize} {
+			if _, _, _, ok := pt.Walk(va); ok {
+				continue
+			}
+			if pt.HugeRegionEmpty(va) && rng.Intn(2) == 0 {
+				pt.Map2M(va.HugeDown(), addr.PFN(rng.Intn(1<<12))*addr.HugePages, Writable)
+			} else {
+				pt.Map4K(va, addr.PFN(rng.Intn(1<<24)), Writable|Contig)
+			}
+		}
+
+		var leaves, ranged []Leaf
+		pt.Visit(func(l Leaf) { leaves = append(leaves, l) })
+		pt.VisitRange(0, end, func(l Leaf) bool { ranged = append(ranged, l); return true })
+		if !reflect.DeepEqual(leaves, ranged) {
+			t.Logf("seed %d: Visit yields %d leaves, VisitRange(0, %v) %d", seed, len(leaves), end, len(ranged))
+			return false
+		}
+		last := leaves[len(leaves)-1]
+		if leaves[0].VA != 0 || last.VA.Add(last.Pages*addr.PageSize) != end {
+			t.Logf("seed %d: Visit misses the leaf at VA 0 or at the top (%v, %v)", seed, leaves[0].VA, last.VA)
+			return false
+		}
+
+		for j, l := range leaves {
+			level := 0
+			if l.Pages == addr.HugePages {
+				level = HugeLevel
+			}
+			extent := l.VA.Add(l.Pages * addr.PageSize)
+			for _, va := range []addr.VirtAddr{l.VA, extent - addr.PageSize} {
+				pte, lvl, steps, ok := pt.Walk(va)
+				if !ok || pte != l.PTE || lvl != level || steps != levels-level {
+					t.Logf("seed %d: Walk(%v) = %v level %d, %d steps, %v; want leaf %+v", seed, va, pte, lvl, steps, ok, l)
+					return false
+				}
+				if p, pages, ok := pt.Lookup(va); !ok || *p != l.PTE || pages != l.Pages {
+					t.Logf("seed %d: Lookup(%v) disagrees with leaf %+v", seed, va, l)
+					return false
+				}
+				in := va + 0xabc
+				if pa, ok := pt.Translate(in); !ok || pa != l.PTE.PFN.Addr()+addr.PhysAddr(in-l.VA) {
+					t.Logf("seed %d: Translate(%v) = %v, %v; want leaf %+v", seed, in, pa, ok, l)
+					return false
+				}
+			}
+			if extent == end || (j+1 < len(leaves) && leaves[j+1].VA == extent) {
+				continue
+			}
+			_, _, steps, walked := pt.Walk(extent)
+			_, _, looked := pt.Lookup(extent)
+			_, translated := pt.Translate(extent)
+			if walked || looked || translated || steps < 1 || steps > levels {
+				t.Logf("seed %d: unmapped %v resolves (%v %v %v, %d steps)", seed, extent, walked, looked, translated, steps)
+				return false
+			}
+		}
+
+		for _, l := range leaves {
+			va := l.VA.Add(uint64(rng.Int63n(int64(l.Pages))) * addr.PageSize)
+			if e, pages, ok := pt.Unmap(va); !ok || e != l.PTE || pages != l.Pages {
+				t.Logf("seed %d: Unmap(%v) = %v, %d, %v; want leaf %+v", seed, va, e, pages, ok, l)
+				return false
+			}
+		}
+		if pt.MappedPages() != 0 || pt.ContigBits != 0 {
+			t.Logf("seed %d: %d pages, %d contig bits left after unmapping every leaf", seed, pt.MappedPages(), pt.ContigBits)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -205,7 +205,7 @@ func TestIdealBestFitPicksSmallestFittingHole(t *testing.T) {
 	// 6 blocks worth: best-fit should choose the 8-block hole.
 	v, _ := p.MMap(6 * addr.MaxOrderSize)
 	touchRange(t, p, v.Start, v.Size(), addr.PageSize)
-	pa, ok := p.Translate(v.Start)
+	pa, ok := p.PT.Translate(v.Start)
 	if !ok {
 		t.Fatal("unmapped")
 	}

@@ -37,8 +37,6 @@ type Config struct {
 	// SpotEntries/SpotWays describe the SpOT prediction table
 	// (paper evaluation: 32 entries, 4-way).
 	SpotEntries, SpotWays int
-	// RangeTLBEntries is the vRMM range TLB capacity (paper: 32).
-	RangeTLBEntries int
 	// EnableSchemes toggles SpOT/vRMM/DS emulation (they need the
 	// mapping state of a populated process). Schemes emulate against
 	// the baseline walk, so they require the default paged backend.
@@ -49,12 +47,9 @@ type Config struct {
 	SpotNoFilter     bool
 	// ShadowPaging replaces the nested-walk baseline with shadow
 	// paging for virtualized environments: hits walk the composite
-	// table at native cost; shadow misses add a hypervisor exit.
-	// Paged backend only.
+	// table at native cost; shadow misses add a hypervisor exit
+	// (translation.ShadowExitCycles). Paged backend only.
 	ShadowPaging bool
-	// ShadowExitCycles is the cost of one shadow-sync hypervisor exit
-	// (default 1200 cycles, a VM-exit round trip).
-	ShadowExitCycles float64
 	// Tracer, when non-nil, receives per-batch spans, walk spans, TLB
 	// miss/evict events, and SpOT predict/mispredict events from the
 	// run. Nil keeps the access loop branch-only (zero allocations).
@@ -74,12 +69,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SpotWays == 0 {
 		c.SpotWays = 4
-	}
-	if c.RangeTLBEntries == 0 {
-		c.RangeTLBEntries = 32
-	}
-	if c.ShadowExitCycles == 0 {
-		c.ShadowExitCycles = 1200
 	}
 	return c
 }
@@ -159,11 +148,9 @@ func newMachine(env *workloads.Env, cfg Config) (*machine, error) {
 		}
 	}
 	be, err := translation.New(cfg.Backend, env, translation.Config{
-		TLBEntries:       cfg.TLBEntries,
-		TLBWays:          cfg.TLBWays,
-		RangeTLBEntries:  cfg.RangeTLBEntries,
-		ShadowPaging:     cfg.ShadowPaging,
-		ShadowExitCycles: cfg.ShadowExitCycles,
+		TLBEntries:   cfg.TLBEntries,
+		TLBWays:      cfg.TLBWays,
+		ShadowPaging: cfg.ShadowPaging,
 	})
 	if err != nil {
 		return nil, err
@@ -174,7 +161,7 @@ func newMachine(env *workloads.Env, cfg Config) (*machine, error) {
 		m.sp = spot.New(cfg.SpotEntries, cfg.SpotWays)
 		m.sp.DisableConfidence = cfg.SpotNoConfidence
 		m.sp.IgnoreFilter = cfg.SpotNoFilter
-		m.rt = rmm.NewRangeTLB(cfg.RangeTLBEntries)
+		m.rt = rmm.NewRangeTLB(translation.RangeTLBEntries)
 		ms := translation.ExtractMappings(env)
 		m.rtab = rmm.NewTable(ms)
 		m.seg = segmentFor(ms)

@@ -166,7 +166,7 @@ func TestDeterministicResults(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.TLBEntries != 32 || c.TLBWays != 4 || c.SpotEntries != 32 || c.SpotWays != 4 || c.RangeTLBEntries != 32 {
+	if c.TLBEntries != 32 || c.TLBWays != 4 || c.SpotEntries != 32 || c.SpotWays != 4 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	// Explicit values survive.

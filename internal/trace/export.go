@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Lanes group event kinds into Chrome-trace threads (tid) so Perfetto
@@ -307,46 +306,6 @@ func (t *Tracer) WriteCounterCSV(w io.Writer) error {
 		if err := bw.WriteByte('\n'); err != nil {
 			return err
 		}
-	}
-	return bw.Flush()
-}
-
-// WriteCounterText dumps every kind counter, gauge, and the buffer
-// totals in a stable human-readable order.
-func (t *Tracer) WriteCounterText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if t == nil {
-		if _, err := bw.WriteString("trace: disabled\n"); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-
-	t.mu.Lock()
-	kinds := t.kindCount
-	gaugeNames := append([]string(nil), t.gaugeNames...)
-	gauges := append([]uint64(nil), t.gauges...)
-	stored := len(t.events)
-	dropped := t.dropped
-	t.mu.Unlock()
-
-	var total uint64
-	for _, c := range kinds {
-		total += c
-	}
-	fmt.Fprintf(bw, "events.total %d\n", total)
-	fmt.Fprintf(bw, "events.stored %d\n", stored)
-	fmt.Fprintf(bw, "events.dropped %d\n", dropped)
-	for k := Kind(0); k < numKinds; k++ {
-		fmt.Fprintf(bw, "ev.%s %d\n", k, kinds[k])
-	}
-	idx := make([]int, len(gaugeNames))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return gaugeNames[idx[a]] < gaugeNames[idx[b]] })
-	for _, i := range idx {
-		fmt.Fprintf(bw, "%s %d\n", gaugeNames[i], gauges[i])
 	}
 	return bw.Flush()
 }

@@ -210,36 +210,6 @@ func TestCounterCSVNilTracer(t *testing.T) {
 	}
 }
 
-func TestCounterText(t *testing.T) {
-	tr := NewCapped(1)
-	tr.SetGauge(tr.Gauge("zz"), 9)
-	tr.SetGauge(tr.Gauge("aa"), 4)
-	tr.Emit(EvTLBMiss, 1, 0, 0)
-	tr.Emit(EvTLBMiss, 2, 0, 0) // dropped by the cap
-	var buf bytes.Buffer
-	if err := tr.WriteCounterText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"events.total 2", "events.stored 1", "events.dropped 1", "ev.tlb.miss 2", "aa 4", "zz 9"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text dump missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Index(out, "aa 4") > strings.Index(out, "zz 9") {
-		t.Errorf("gauges not sorted by name:\n%s", out)
-	}
-
-	var nilBuf bytes.Buffer
-	var nilTr *Tracer
-	if err := nilTr.WriteCounterText(&nilBuf); err != nil {
-		t.Fatal(err)
-	}
-	if nilBuf.String() != "trace: disabled\n" {
-		t.Errorf("nil text = %q", nilBuf.String())
-	}
-}
-
 // TestChromeTraceShardLanes checks the sharded-campaign export: each
 // shard's epoch spans land on a dynamic per-shard lane with a
 // "shard<N>" thread_name, while barrier spans stay on the aging lane.

@@ -17,11 +17,12 @@ type SynthConfig struct {
 	// exit over the trace; IDs are reused across generations like real
 	// serving slots.
 	Tenants int
-	// ZipfS/ZipfV shape the tenant-popularity skew for steady-state
-	// events (defaults 1.2/1): a few hot tenants take most of the
-	// traffic, the tail stays warm.
-	ZipfS, ZipfV float64
 }
+
+// synthZipfS and synthZipfV shape the tenant-popularity skew for
+// steady-state events: a few hot tenants take most of the traffic, the
+// tail stays warm.
+const synthZipfS, synthZipfV = 1.2, 1
 
 func (c SynthConfig) withDefaults() SynthConfig {
 	if c.Tenants <= 0 {
@@ -29,12 +30,6 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	}
 	if c.Tenants > MaxTenant+1 {
 		c.Tenants = MaxTenant + 1
-	}
-	if c.ZipfS <= 1 {
-		c.ZipfS = 1.2
-	}
-	if c.ZipfV < 1 {
-		c.ZipfV = 1
 	}
 	return c
 }
@@ -68,7 +63,7 @@ func NewSynth(cfg SynthConfig) *Synthesizer {
 	return &Synthesizer{
 		cfg:  cfg,
 		rng:  rng,
-		zipf: rand.NewZipf(rng, cfg.ZipfS, cfg.ZipfV, uint64(cfg.Tenants-1)),
+		zipf: rand.NewZipf(rng, synthZipfS, synthZipfV, uint64(cfg.Tenants-1)),
 		live: make([]bool, cfg.Tenants),
 		left: max(cfg.Events, 0),
 	}

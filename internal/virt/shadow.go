@@ -83,5 +83,5 @@ func (s *ShadowTable) Mapped2M() uint64 { return s.table.Mapped2M() }
 // TranslateThroughHost resolves a guest physical address to host
 // physical through the VM's backing mappings.
 func (vm *VM) TranslateThroughHost(gpa addr.PhysAddr) (addr.PhysAddr, bool) {
-	return vm.HostProc.Translate(vm.HostVAOf(gpa))
+	return vm.HostProc.PT.Translate(vm.HostVAOf(gpa))
 }

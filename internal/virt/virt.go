@@ -155,7 +155,7 @@ func (vm *VM) TouchAt(p *osim.Process, v *vma.VMA, gva addr.VirtAddr, write bool
 	if err != nil {
 		return false, fmt.Errorf("virt: guest fault: %w", err)
 	}
-	gpa, ok := p.Translate(gva)
+	gpa, ok := p.PT.Translate(gva)
 	if !ok {
 		return false, fmt.Errorf("virt: guest translation missing after fault at %v", gva)
 	}
@@ -218,11 +218,11 @@ func (vm *VM) TouchRangeQuiet(p *osim.Process, v *vma.VMA, gva addr.VirtAddr, ma
 
 // TranslateFull performs the full 2D translation gVA→gPA→hPA.
 func (vm *VM) TranslateFull(p *osim.Process, gva addr.VirtAddr) (addr.PhysAddr, bool) {
-	gpa, ok := p.Translate(gva)
+	gpa, ok := p.PT.Translate(gva)
 	if !ok {
 		return 0, false
 	}
-	return vm.HostProc.Translate(vm.HostVAOf(gpa))
+	return vm.HostProc.PT.Translate(vm.HostVAOf(gpa))
 }
 
 // NestedWalk is the hardware view of one 2D page walk, consumed by the

@@ -40,7 +40,7 @@ func TestAllWorkloadsSetupNative(t *testing.T) {
 				if !ok {
 					break
 				}
-				if _, ok := env.Proc.Translate(a.VA); !ok {
+				if _, ok := env.Proc.PT.Translate(a.VA); !ok {
 					t.Fatalf("stream referenced unmapped VA %v (pc %#x)", a.VA, a.PC)
 				}
 			}
