@@ -84,6 +84,28 @@ func BenchmarkRunNested(b *testing.B) {
 	}
 }
 
+// BenchmarkRunStream measures Run end to end, stream generation
+// included, over pagerank on the nested CA environment: the pipeline
+// overlaps generating one block with stepping the previous one, so
+// accesses/s should rise from -cpu 1 to -cpu 2.
+func BenchmarkRunStream(b *testing.B) {
+	const n = 400_000
+	env := virtEnv(b, osim.CAPolicy{}, osim.CAPolicy{})
+	w := workloads.NewPageRank()
+	if err := w.Setup(env, rand.New(rand.NewSource(1))); err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{EnableSchemes: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(env, w.Stream(rand.New(rand.NewSource(2)), n), cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
+}
+
 // BenchmarkTLBLookup isolates the set-associative probe (the
 // first-touch cost of every simulated access).
 func BenchmarkTLBLookup(b *testing.B) {

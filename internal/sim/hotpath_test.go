@@ -12,21 +12,16 @@ import (
 	"repro/internal/workloads"
 )
 
-// mutStream replays a fixed access list through the legacy Next
-// interface, running side-effect hooks before chosen indices — the
-// mid-stream page-table mutations the walk path must observe.
-type mutStream struct {
-	accs  []workloads.Access
-	hooks map[int]func()
-	i     int
+// listStream replays a fixed access list through the legacy Next
+// interface.
+type listStream struct {
+	accs []workloads.Access
+	i    int
 }
 
-func (s *mutStream) Next() (workloads.Access, bool) {
+func (s *listStream) Next() (workloads.Access, bool) {
 	if s.i >= len(s.accs) {
 		return workloads.Access{}, false
-	}
-	if h := s.hooks[s.i]; h != nil {
-		h()
 	}
 	a := s.accs[s.i]
 	s.i++
@@ -55,28 +50,36 @@ func sweepAccesses(t *testing.T, env *workloads.Env, pages uint64) (*vma.VMA, []
 	return v, accs
 }
 
-// TestWalkCacheInvalidation pins the invalidation contract of the walk
-// path: after pages are unmapped mid-stream, the next walk must see
-// the live tables, so the unmapped pages surface as exactly
-// len(unmapped) counted demand faults on the retry path — any stale
-// cached translation would keep serving them with Faults = 0.
+// TestWalkCacheInvalidation pins the invalidation contract of the
+// translation path: after pages are unmapped between two sweeps, the
+// next walk must see the live tables, so the unmapped pages surface as
+// exactly len(unmapped) counted demand faults on the retry path — a
+// stale translation left in the TLB or the backend's state would keep
+// serving them with Faults = 0. The machine is stepped directly, so
+// the unmap lands exactly between the sweeps.
 func TestWalkCacheInvalidation(t *testing.T) {
 	const pages = 512
 	unmapped := []uint64{3, 100, 200}
 	env := nativeEnv(t, osim.CAPolicy{})
 	v, accs := sweepAccesses(t, env, pages)
-	hooks := map[int]func(){pages: func() {
-		for _, i := range unmapped {
-			if _, _, ok := env.Proc.PT.Unmap(v.Start.Add(i * addr.PageSize)); !ok {
-				t.Fatal("unmap target not mapped")
-			}
-		}
-	}}
-	res, err := Run(env, &mutStream{accs: accs, hooks: hooks}, Config{})
+	m, err := newMachine(env, Config{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Faults != uint64(len(unmapped)) {
+	defer m.be.Close()
+	for j, a := range accs {
+		if j == pages {
+			for _, i := range unmapped {
+				if _, _, ok := env.Proc.PT.Unmap(v.Start.Add(i * addr.PageSize)); !ok {
+					t.Fatal("unmap target not mapped")
+				}
+			}
+		}
+		if err := m.step(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := m.finish(); res.Faults != uint64(len(unmapped)) {
 		t.Fatalf("faults = %d, want %d (a stale translation would still serve the unmapped pages)",
 			res.Faults, len(unmapped))
 	}
@@ -100,7 +103,7 @@ func TestWalkSpansCountEveryMiss(t *testing.T) {
 			env := tc.env(t)
 			_, accs := sweepAccesses(t, env, 512)
 			tr := trace.New()
-			res, err := Run(env, &mutStream{accs: accs}, Config{Tracer: tr})
+			res, err := Run(env, &listStream{accs: accs}, Config{Tracer: tr})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -113,10 +113,47 @@ func (r Result) MissRatio() float64 {
 	return float64(r.Misses) / float64(r.Accesses)
 }
 
-// accessBatch is the refill size of the reusable access buffer Run
-// drains streams through: large enough to amortize the interface
-// dispatch of Fill, small enough to stay cache-resident (24 KiB).
+// accessBatch is Run's trace span: the machine steps every block in
+// spans of this many accesses, and each span emits one EvSimBatch span
+// and one counter sample when a tracer is attached.
 const accessBatch = 1024
+
+// Run generates ahead: a producer goroutine fills blocks of blockLen
+// accesses while the machine steps the previous one, and blockDepth
+// blocks circulate between the two. A block is 96 KiB; 1024-access
+// blocks lost to the cost of the hand-off (DESIGN.md §7).
+const (
+	blockLen   = 4 * accessBatch
+	blockDepth = 3
+)
+
+// block is one hand-off unit of Run's pipeline: accs[:n] are valid.
+type block struct {
+	accs [blockLen]workloads.Access
+	n    int
+}
+
+// freeBlocks recycles blocks across runs, so a warm Run allocates no
+// access buffer. It is a channel rather than a sync.Pool, which the
+// GC empties, and its capacity bounds what it retains to four
+// concurrent runs' worth.
+var freeBlocks = make(chan *block, 4*blockDepth)
+
+func getBlock() *block {
+	select {
+	case b := <-freeBlocks:
+		return b
+	default:
+		return new(block)
+	}
+}
+
+func putBlock(b *block) {
+	select {
+	case freeBlocks <- b:
+	default:
+	}
+}
 
 // machine bundles the hardware state of one simulation run. Its step
 // method is the steady-state per-access hot loop and performs zero
@@ -180,31 +217,91 @@ func (m *machine) setTracer(t *trace.Tracer) {
 
 // Run drives n accesses of the workload stream through the machinery.
 // The environment must already be set up (populated) by the workload.
+//
+// The stream is pulled on a second goroutine, up to blockDepth blocks
+// ahead of the machine, which is why streams must not touch simulation
+// state (workloads.Stream). Run returns only after that goroutine has
+// exited, so the stream is never used once Run returns.
 func Run(env *workloads.Env, stream workloads.Stream, cfg Config) (Result, error) {
 	m, err := newMachine(env, cfg.withDefaults())
 	if err != nil {
 		return Result{}, err
 	}
 	defer m.be.Close()
-	bs := workloads.Batched(stream)
-	buf := make([]workloads.Access, accessBatch)
-	for {
-		n := bs.Fill(buf)
-		if n == 0 {
-			break
+	var blocks [blockDepth]*block
+	empty := make(chan *block, blockDepth)
+	full := make(chan *block, blockDepth)
+	for i := range blocks {
+		blocks[i] = getBlock()
+		empty <- blocks[i]
+	}
+	defer func() {
+		for _, b := range blocks {
+			putBlock(b)
 		}
+	}()
+	stop := make(chan struct{})
+	go generate(workloads.Batched(stream), empty, full, stop)
+	for b := range full {
+		if err := m.stepBlock(b.accs[:b.n]); err != nil {
+			close(stop)
+			for range full {
+			}
+			return m.res, err
+		}
+		empty <- b
+	}
+	return m.finish(), nil
+}
+
+// generate is Run's producer. It fills each empty block from the
+// stream, looping Fill until the block is full or the stream ends (so
+// a short Fill never moves a span boundary), and hands it to full. It
+// closes full when the stream ends or stop is closed; full has room
+// for every block, so the hand-off never blocks.
+func generate(bs workloads.BatchStream, empty <-chan *block, full chan<- *block, stop <-chan struct{}) {
+	defer close(full)
+	for {
+		var b *block
+		select {
+		case b = <-empty:
+		case <-stop:
+			return
+		}
+		b.n = 0
+		for b.n < blockLen {
+			k := bs.Fill(b.accs[b.n:])
+			if k == 0 {
+				break
+			}
+			b.n += k
+		}
+		if b.n > 0 {
+			full <- b
+		}
+		if b.n < blockLen {
+			return
+		}
+	}
+}
+
+// stepBlock steps the machine over one block in accessBatch spans.
+func (m *machine) stepBlock(accs []workloads.Access) error {
+	for len(accs) > 0 {
+		span := accs[:min(len(accs), accessBatch)]
+		accs = accs[len(span):]
 		start := m.tr.Start()
-		for i := range buf[:n] {
-			if err := m.step(buf[i]); err != nil {
-				return m.res, err
+		for i := range span {
+			if err := m.step(span[i]); err != nil {
+				return err
 			}
 		}
 		if m.tr != nil {
-			m.tr.EmitSpan(trace.EvSimBatch, start, uint64(n), m.res.Misses, m.res.Faults)
-			env.TraceSample()
+			m.tr.EmitSpan(trace.EvSimBatch, start, uint64(len(span)), m.res.Misses, m.res.Faults)
+			m.env.TraceSample()
 		}
 	}
-	return m.finish(), nil
+	return nil
 }
 
 // finish derives the aggregate fields and returns the counters.

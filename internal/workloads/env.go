@@ -263,6 +263,12 @@ type Access struct {
 
 // Stream generates the measured phase's access sequence. Next returns
 // false when the stream is exhausted.
+//
+// A stream is a pure generator of its seed and of the regions Setup
+// mapped: it must not read or write simulation state (page tables,
+// allocators, the tracer). sim.Run pulls it from another goroutine,
+// up to three blocks of accesses ahead of the machine, so a stream
+// that watched the simulation would race with it and see it early.
 type Stream interface {
 	Next() (Access, bool)
 }
@@ -272,7 +278,9 @@ type Stream interface {
 // writes up to len(buf) accesses and returns how many it wrote; 0 means
 // exhausted. The sequence produced by repeated Fill calls is identical
 // to the sequence repeated Next calls would produce — batching is an
-// execution detail, never a semantic one.
+// execution detail, never a semantic one. The Stream contract applies:
+// sim.Run calls Fill from another goroutine, up to three blocks ahead,
+// and Fill may return fewer than len(buf) before the end.
 type BatchStream interface {
 	Stream
 	Fill(buf []Access) int
