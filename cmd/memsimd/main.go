@@ -227,6 +227,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "memsimd: -streams must be at least 1")
 		return 2
 	}
+	if *interval <= 0 {
+		fmt.Fprintln(stderr, "memsimd: -interval must be positive")
+		return 2
+	}
 
 	var tr *trace.Tracer
 	if *csvPath != "" {

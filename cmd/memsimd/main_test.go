@@ -27,6 +27,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-badflag"},                         // unknown flag
 		{"-synth", "100", "-policy", "nope"}, // unknown policy
 		{"/does/not/exist.mtrc"},             // unreadable trace
+		{"-synth", "100", "-csv", "c.csv", "-interval", "0"},   // non-positive sampling interval
+		{"-synth", "100", "-csv", "c.csv", "-interval", "-1s"}, // negative sampling interval
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer

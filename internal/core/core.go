@@ -275,10 +275,7 @@ func report(ms []metrics.Mapping) ContigReport {
 // extents for native systems, composed 2D (gVA→hPA) extents inside a
 // VM — the paper's pagemap/VMI measurement.
 func Contiguity(env *workloads.Env) ContigReport {
-	if env.VM != nil {
-		return report(env.VM.Mappings2D(env.Proc))
-	}
-	return report(metrics.FromPageTable(env.Proc.PT))
+	return report(env.Mappings())
 }
 
 // TranslationReport is the outcome of a hardware-emulation run.

@@ -9,14 +9,12 @@ package ds
 
 import "repro/internal/mem/addr"
 
-// Segment is the single dual-direct segment.
+// Segment is the single dual-direct segment. A covered va translates
+// to Offset.Target(va).
 type Segment struct {
 	Base   addr.VirtAddr
 	Limit  addr.VirtAddr // exclusive
 	Offset addr.Offset
-
-	Hits   uint64
-	Misses uint64
 }
 
 // NewSegment creates a segment mapping [base, base+bytes) with the
@@ -25,27 +23,8 @@ func NewSegment(base addr.VirtAddr, bytes uint64, off addr.Offset) *Segment {
 	return &Segment{Base: base, Limit: base.Add(bytes), Offset: off}
 }
 
-// Covers reports whether va falls inside the segment without touching
-// the hit/miss counters (hardware range check, no probe accounting).
+// Covers reports whether va falls inside the segment: the hardware
+// range check.
 func (s *Segment) Covers(va addr.VirtAddr) bool {
 	return va >= s.Base && va < s.Limit
-}
-
-// Lookup translates va through the segment. ok is false outside it.
-func (s *Segment) Lookup(va addr.VirtAddr) (addr.PhysAddr, bool) {
-	if va >= s.Base && va < s.Limit {
-		s.Hits++
-		return s.Offset.Target(va), true
-	}
-	s.Misses++
-	return 0, false
-}
-
-// Coverage returns the fraction of lookups served by the segment.
-func (s *Segment) Coverage() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }

@@ -6,37 +6,30 @@ import (
 	"repro/internal/mem/addr"
 )
 
-func TestSegmentLookup(t *testing.T) {
+func TestSegmentCovers(t *testing.T) {
 	base := addr.VirtAddr(0x10_0000_0000)
 	off := addr.OffsetOf(base, 0x4000_0000)
 	s := NewSegment(base, 1<<30, off)
-	pa, ok := s.Lookup(base)
-	if !ok || pa != 0x4000_0000 {
-		t.Fatalf("Lookup base = (%v, %v)", pa, ok)
+	if !s.Covers(base) || s.Offset.Target(base) != 0x4000_0000 {
+		t.Fatalf("base: covered %v, target %v", s.Covers(base), s.Offset.Target(base))
 	}
 	// Linear inside.
-	pa2, ok := s.Lookup(base.Add(0x1234567))
-	if !ok || pa2 != 0x4000_0000+0x1234567 {
-		t.Fatalf("interior lookup = %v", pa2)
+	in := base.Add(0x1234567)
+	if !s.Covers(in) || s.Offset.Target(in) != 0x4000_0000+0x1234567 {
+		t.Fatalf("interior: covered %v, target %v", s.Covers(in), s.Offset.Target(in))
 	}
 	// Limit exclusive; below base excluded.
-	if _, ok := s.Lookup(base.Add(1 << 30)); ok {
+	if s.Covers(base.Add(1 << 30)) {
 		t.Fatal("limit should be exclusive")
 	}
-	if _, ok := s.Lookup(base - 1); ok {
-		t.Fatal("below base should miss")
-	}
-	if s.Hits != 2 || s.Misses != 2 {
-		t.Fatalf("counters = %d/%d", s.Hits, s.Misses)
-	}
-	if s.Coverage() != 0.5 {
-		t.Fatalf("coverage = %f", s.Coverage())
+	if s.Covers(base - 1) {
+		t.Fatal("below base should not be covered")
 	}
 }
 
-func TestCoverageIdle(t *testing.T) {
-	s := NewSegment(0, 4096, 0)
-	if s.Coverage() != 0 {
-		t.Fatal("idle coverage should be 0")
+func TestEmptySegmentCoversNothing(t *testing.T) {
+	s := NewSegment(0, 0, 0)
+	if s.Covers(0) || s.Covers(4096) {
+		t.Fatal("empty segment covers an address")
 	}
 }

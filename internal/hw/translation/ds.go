@@ -2,12 +2,8 @@ package translation
 
 import (
 	"repro/internal/hw/ds"
-	"repro/internal/hw/tlb"
-	"repro/internal/hw/walker"
 	"repro/internal/mem/addr"
 	"repro/internal/metrics"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // dsBackend runs Direct Segments as the primary mechanism: one
@@ -22,24 +18,19 @@ import (
 // probe rebuilds it.
 type dsBackend struct {
 	core
-	tlb   *tlb.TLB
 	seg   *ds.Segment
 	watch *mapWatch
-	cnt   Counters
 
 	// Rebuilds counts segment reconstructions (tests).
 	Rebuilds uint64
 }
 
-func newDS(env *workloads.Env, cfg Config) *dsBackend {
-	b := &dsBackend{
-		core:  core{env: env},
-		tlb:   tlb.New(cfg.TLBEntries, cfg.TLBWays),
-		watch: watchTables(env),
+func newDS(c core) *dsBackend {
+	return &dsBackend{
+		core:  c,
+		seg:   largestSegment(c.env.Mappings()),
+		watch: watchTables(c.env),
 	}
-	b.seg = largestSegment(ExtractMappings(env))
-	b.SetTracer(cfg.Tracer)
-	return b
 }
 
 // largestSegment picks the biggest contiguous mapping as the segment —
@@ -65,7 +56,7 @@ func (b *dsBackend) sync() {
 		return
 	}
 	b.watch.dirty = false
-	b.seg = largestSegment(ExtractMappings(b.env))
+	b.seg = largestSegment(b.env.Mappings())
 	b.Rebuilds++
 }
 
@@ -77,14 +68,7 @@ func (b *dsBackend) sync() {
 func (b *dsBackend) Lookup(va addr.VirtAddr) bool {
 	b.cnt.Lookups++
 	b.sync()
-	hit := b.tlb.Lookup(va)
-	if b.seg.Covers(va) {
-		b.seg.Hits++
-		b.cnt.Hits++
-		return true
-	}
-	b.seg.Misses++
-	if hit {
+	if b.tlb.Lookup(va) || b.seg.Covers(va) {
 		b.cnt.Hits++
 		return true
 	}
@@ -102,11 +86,12 @@ func (b *dsBackend) Translate(va addr.VirtAddr) Walk {
 	return b.walk(va, b.wm)
 }
 
+// Insert fills the TLB only outside the segment: segment accesses
+// bypass the TLB.
 func (b *dsBackend) Insert(va addr.VirtAddr, w Walk) {
-	if b.seg.Covers(va) {
-		return // segment accesses bypass the TLB
+	if !b.seg.Covers(va) {
+		b.core.Insert(va, w)
 	}
-	b.tlb.Insert(va, w.LeafHuge)
 }
 
 // Resolve mirrors Lookup/Translate without mutating: segment targets
@@ -115,19 +100,7 @@ func (b *dsBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
 	if !b.watch.dirty && b.seg.Covers(va) {
 		return b.seg.Offset.Target(va), 0, true
 	}
-	w := b.walk(va, walker.Meter{})
-	return w.HPA, w.Cost, w.OK
-}
-
-func (b *dsBackend) Flush() {
-	b.tlb.Flush()
-}
-
-func (b *dsBackend) Counters() Counters { return b.cnt }
-
-func (b *dsBackend) SetTracer(t *trace.Tracer) {
-	b.wm.T = t
-	b.tlb.SetTracer(t)
+	return b.core.Resolve(va)
 }
 
 func (b *dsBackend) Close() { b.watch.close() }

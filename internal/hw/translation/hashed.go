@@ -2,12 +2,8 @@ package translation
 
 import (
 	"repro/internal/hw/hashpt"
-	"repro/internal/hw/tlb"
-	"repro/internal/hw/walker"
 	"repro/internal/mem/addr"
 	"repro/internal/osim/pagetable"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // hashedProbeCycles prices one probe step of a hashed walk. A flat
@@ -29,31 +25,17 @@ const hashedProbeCycles = 30.0
 // flushes the table, since a VPN-keyed table has no reverse index.
 type hashedBackend struct {
 	core
-	tlb         *tlb.TLB
 	ht          *hashpt.Table
 	guest, host *pagetable.Table // host nil when native
-	cnt         Counters
-
-	// HashHits/HashFills count probe-chain hits and lazy installs.
-	HashHits, HashFills uint64
 }
 
-func newHashed(env *workloads.Env, cfg Config) *hashedBackend {
-	b := &hashedBackend{
-		core: core{env: env},
-		tlb:  tlb.New(cfg.TLBEntries, cfg.TLBWays),
-		ht:   hashpt.New(),
-	}
-	if env.VM != nil {
-		b.guest, b.host = env.VM.NestedTables(env.Proc)
-	} else {
-		b.guest = env.Proc.PT
-	}
+func newHashed(c core) *hashedBackend {
+	b := &hashedBackend{core: c, ht: hashpt.New()}
+	b.guest, b.host = c.env.Tables()
 	b.guest.AddObserver((*hashedGuestWatch)(b))
 	if b.host != nil {
 		b.host.AddObserver((*hashedHostWatch)(b))
 	}
-	b.SetTracer(cfg.Tracer)
 	return b
 }
 
@@ -90,20 +72,9 @@ func (b *hashedBackend) drop(va addr.VirtAddr, pages uint64) {
 
 func (b *hashedBackend) Name() string { return BackendHashed }
 
-func (b *hashedBackend) Lookup(va addr.VirtAddr) bool {
-	b.cnt.Lookups++
-	if b.tlb.Lookup(va) {
-		b.cnt.Hits++
-		return true
-	}
-	b.cnt.Misses++
-	return false
-}
-
 func (b *hashedBackend) Translate(va addr.VirtAddr) Walk {
 	vpn := uint64(va) >> addr.PageShift
 	if pa, huge, probes, ok := b.ht.Lookup(vpn); ok {
-		b.HashHits++
 		return Walk{
 			HPA:      pa + addr.PhysAddr(uint64(va)&addr.PageMask),
 			Cost:     float64(probes) * hashedProbeCycles,
@@ -114,13 +85,8 @@ func (b *hashedBackend) Translate(va addr.VirtAddr) Walk {
 	w := b.walk(va, b.wm)
 	if w.OK {
 		b.ht.Insert(vpn, w.HPA-addr.PhysAddr(uint64(va)&addr.PageMask), w.LeafHuge)
-		b.HashFills++
 	}
 	return w
-}
-
-func (b *hashedBackend) Insert(va addr.VirtAddr, w Walk) {
-	b.tlb.Insert(va, w.LeafHuge)
 }
 
 func (b *hashedBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
@@ -128,20 +94,12 @@ func (b *hashedBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool)
 	if pa, _, probes, ok := b.ht.Lookup(vpn); ok {
 		return pa + addr.PhysAddr(uint64(va)&addr.PageMask), float64(probes) * hashedProbeCycles, true
 	}
-	w := b.walk(va, walker.Meter{})
-	return w.HPA, w.Cost, w.OK
+	return b.core.Resolve(va)
 }
 
 func (b *hashedBackend) Flush() {
-	b.tlb.Flush()
+	b.core.Flush()
 	b.ht.Flush()
-}
-
-func (b *hashedBackend) Counters() Counters { return b.cnt }
-
-func (b *hashedBackend) SetTracer(t *trace.Tracer) {
-	b.wm.T = t
-	b.tlb.SetTracer(t)
 }
 
 func (b *hashedBackend) Close() {

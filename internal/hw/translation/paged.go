@@ -10,14 +10,53 @@ import (
 	"repro/internal/workloads"
 )
 
-// core is the radix-walk machinery every backend falls back on: the
-// native or nested page walk, priced through the walk meter. It holds
-// no fast-path state of its own — backends layer their TLBs, ranges,
-// segments, and hashed tables in front of it.
+// core is the front every backend shares: the L2 TLB and its probe
+// accounting, and the native or nested radix walk priced through the
+// walk meter that every backend falls back on. It implements the
+// Backend methods no mechanism changes — Lookup, Insert, Counters,
+// SetTracer, Flush, Close, and the untraced radix Resolve — so each
+// backend adds only its Translate and whatever its mechanism layers in
+// front of the walk (ranges, a segment, a hashed table).
 type core struct {
 	env *workloads.Env
 	wm  walker.Meter
+	tlb *tlb.TLB
+	cnt Counters
 }
+
+// Lookup probes the TLB, counting one Lookup and one Hit or Miss.
+func (c *core) Lookup(va addr.VirtAddr) bool {
+	c.cnt.Lookups++
+	if c.tlb.Lookup(va) {
+		c.cnt.Hits++
+		return true
+	}
+	c.cnt.Misses++
+	return false
+}
+
+// Insert fills the TLB with the translation's leaf size.
+func (c *core) Insert(va addr.VirtAddr, w Walk) {
+	c.tlb.Insert(va, w.LeafHuge)
+}
+
+// Resolve reports the baseline radix translation through an untraced
+// meter.
+func (c *core) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
+	w := c.walk(va, walker.Meter{})
+	return w.HPA, w.Cost, w.OK
+}
+
+func (c *core) Flush() { c.tlb.Flush() }
+
+func (c *core) Counters() Counters { return c.cnt }
+
+func (c *core) SetTracer(t *trace.Tracer) {
+	c.wm.T = t
+	c.tlb.SetTracer(t)
+}
+
+func (c *core) Close() {}
 
 // walk performs the baseline translation for va: a nested walk in a
 // VM, a native walk otherwise. The native case reports the single PTE
@@ -59,42 +98,29 @@ func (c *core) walk(va addr.VirtAddr, m walker.Meter) Walk {
 	}
 }
 
-// pagedBackend is the paper's baseline stack: L2 TLB in front of the
-// radix walk, with optional shadow paging for virtualized
+// pagedBackend is the paper's baseline stack: the shared front over
+// the radix walk, with optional shadow paging for virtualized
 // environments. It needs no mapping-event subscription — every miss
 // walks the live tables, and the TLB (like real hardware without
 // shootdowns) may carry stale *presence* but never serves physical
-// addresses.
+// addresses. Resolve is core's: in shadow-paging mode the shadow
+// overlay is deliberately not consulted, since shadow walks install
+// entries (they mutate) and the shadow never diverges from the
+// composed translation it shadows.
 type pagedBackend struct {
 	core
-	tlb    *tlb.TLB
 	shadow *virt.ShadowTable
-	cnt    Counters
 }
 
-func newPaged(env *workloads.Env, cfg Config) *pagedBackend {
-	b := &pagedBackend{
-		core: core{env: env},
-		tlb:  tlb.New(cfg.TLBEntries, cfg.TLBWays),
+func newPaged(c core, cfg Config) *pagedBackend {
+	b := &pagedBackend{core: c}
+	if cfg.ShadowPaging && c.env.VM != nil {
+		b.shadow = c.env.VM.NewShadow(c.env.Proc)
 	}
-	if cfg.ShadowPaging && env.VM != nil {
-		b.shadow = env.VM.NewShadow(env.Proc)
-	}
-	b.SetTracer(cfg.Tracer)
 	return b
 }
 
 func (b *pagedBackend) Name() string { return BackendPaged }
-
-func (b *pagedBackend) Lookup(va addr.VirtAddr) bool {
-	b.cnt.Lookups++
-	if b.tlb.Lookup(va) {
-		b.cnt.Hits++
-		return true
-	}
-	b.cnt.Misses++
-	return false
-}
 
 func (b *pagedBackend) Translate(va addr.VirtAddr) Walk {
 	w := b.walk(va, b.wm)
@@ -111,29 +137,3 @@ func (b *pagedBackend) Translate(va addr.VirtAddr) Walk {
 	}
 	return w
 }
-
-func (b *pagedBackend) Insert(va addr.VirtAddr, w Walk) {
-	b.tlb.Insert(va, w.LeafHuge)
-}
-
-// Resolve reports the baseline radix translation. In shadow-paging
-// mode the shadow overlay is deliberately not consulted: shadow walks
-// install entries (they mutate), and the shadow never diverges from
-// the composed translation it shadows.
-func (b *pagedBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
-	w := b.walk(va, walker.Meter{})
-	return w.HPA, w.Cost, w.OK
-}
-
-func (b *pagedBackend) Flush() {
-	b.tlb.Flush()
-}
-
-func (b *pagedBackend) Counters() Counters { return b.cnt }
-
-func (b *pagedBackend) SetTracer(t *trace.Tracer) {
-	b.wm.T = t
-	b.tlb.SetTracer(t)
-}
-
-func (b *pagedBackend) Close() {}

@@ -2,11 +2,7 @@ package translation
 
 import (
 	"repro/internal/hw/rmm"
-	"repro/internal/hw/tlb"
-	"repro/internal/hw/walker"
 	"repro/internal/mem/addr"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // rmmBackend runs vRMM as the primary mechanism: TLB misses probe the
@@ -18,39 +14,21 @@ import (
 // so a stale range can never translate an access.
 type rmmBackend struct {
 	core
-	tlb   *tlb.TLB
 	rt    *rmm.RangeTLB
 	rtab  *rmm.Table
 	watch *mapWatch
-	cnt   Counters
-
-	// Rebuilds counts range-table reconstructions (tests).
-	Rebuilds uint64
 }
 
-func newRMM(env *workloads.Env, cfg Config) *rmmBackend {
-	b := &rmmBackend{
-		core:  core{env: env},
-		tlb:   tlb.New(cfg.TLBEntries, cfg.TLBWays),
+func newRMM(c core) *rmmBackend {
+	return &rmmBackend{
+		core:  c,
 		rt:    rmm.NewRangeTLB(RangeTLBEntries),
-		rtab:  rmm.NewTable(ExtractMappings(env)),
-		watch: watchTables(env),
+		rtab:  rmm.NewTable(c.env.Mappings()),
+		watch: watchTables(c.env),
 	}
-	b.SetTracer(cfg.Tracer)
-	return b
 }
 
 func (b *rmmBackend) Name() string { return BackendRMM }
-
-func (b *rmmBackend) Lookup(va addr.VirtAddr) bool {
-	b.cnt.Lookups++
-	if b.tlb.Lookup(va) {
-		b.cnt.Hits++
-		return true
-	}
-	b.cnt.Misses++
-	return false
-}
 
 // sync rebuilds the derived range state if mappings changed since the
 // last slow-path access. The RangeTLB flush is load-bearing: cached
@@ -61,9 +39,8 @@ func (b *rmmBackend) sync() {
 		return
 	}
 	b.watch.dirty = false
-	b.rtab = rmm.NewTable(ExtractMappings(b.env))
+	b.rtab = rmm.NewTable(b.env.Mappings())
 	b.rt.Flush()
-	b.Rebuilds++
 }
 
 func (b *rmmBackend) Translate(va addr.VirtAddr) Walk {
@@ -76,10 +53,6 @@ func (b *rmmBackend) Translate(va addr.VirtAddr) Walk {
 	return b.walk(va, b.wm)
 }
 
-func (b *rmmBackend) Insert(va addr.VirtAddr, w Walk) {
-	b.tlb.Insert(va, w.LeafHuge)
-}
-
 // Resolve consults the range table only while it is known-fresh: with
 // a rebuild pending, the radix walk is the current truth and the probe
 // must not mutate, so it peeks the tables directly.
@@ -89,20 +62,12 @@ func (b *rmmBackend) Resolve(va addr.VirtAddr) (addr.PhysAddr, float64, bool) {
 			return rng.Offset.Target(va), 0, true
 		}
 	}
-	w := b.walk(va, walker.Meter{})
-	return w.HPA, w.Cost, w.OK
+	return b.core.Resolve(va)
 }
 
 func (b *rmmBackend) Flush() {
-	b.tlb.Flush()
+	b.core.Flush()
 	b.rt.Flush()
-}
-
-func (b *rmmBackend) Counters() Counters { return b.cnt }
-
-func (b *rmmBackend) SetTracer(t *trace.Tracer) {
-	b.wm.T = t
-	b.tlb.SetTracer(t)
 }
 
 func (b *rmmBackend) Close() { b.watch.close() }

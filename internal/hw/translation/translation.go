@@ -18,8 +18,8 @@ package translation
 import (
 	"fmt"
 
+	"repro/internal/hw/tlb"
 	"repro/internal/mem/addr"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -118,11 +118,13 @@ const (
 // Config carries the hardware parameters backends consume. Zero fields
 // default to the paper's scaled Table II values (see sim.Config).
 type Config struct {
+	// TLBEntries/TLBWays describe the L2 TLB in front of every backend
+	// (default 32 entries, 4-way). Entries must be a positive multiple
+	// of the ways.
 	TLBEntries, TLBWays int
 	// ShadowPaging selects the paged backend's shadow-paging mode
 	// (virtualized environments only).
 	ShadowPaging bool
-	Tracer       *trace.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -138,27 +140,22 @@ func (c Config) withDefaults() Config {
 // New builds the named backend over env. The empty name selects the
 // default paged backend. env must already be set up (populated) —
 // backends that derive state from the mappings extract them eagerly.
+// A TLB geometry tlb.New would reject is an error.
 func New(name string, env *workloads.Env, cfg Config) (Backend, error) {
 	cfg = cfg.withDefaults()
+	if cfg.TLBEntries < 0 || cfg.TLBWays < 0 || cfg.TLBEntries%cfg.TLBWays != 0 {
+		return nil, fmt.Errorf("translation: bad TLB geometry: %d entries, %d ways", cfg.TLBEntries, cfg.TLBWays)
+	}
+	c := core{env: env, tlb: tlb.New(cfg.TLBEntries, cfg.TLBWays)}
 	switch name {
 	case "", BackendPaged:
-		return newPaged(env, cfg), nil
+		return newPaged(c, cfg), nil
 	case BackendHashed:
-		return newHashed(env, cfg), nil
+		return newHashed(c), nil
 	case BackendRMM:
-		return newRMM(env, cfg), nil
+		return newRMM(c), nil
 	case BackendDS:
-		return newDS(env, cfg), nil
+		return newDS(c), nil
 	}
 	return nil, fmt.Errorf("translation: unknown backend %q (have %v)", name, Names())
-}
-
-// ExtractMappings pulls the current contiguous mappings of the
-// environment's process: full 2D (gVA→hPA) mappings in a VM, native
-// mappings otherwise. Range tables and segments are derived from them.
-func ExtractMappings(env *workloads.Env) []metrics.Mapping {
-	if env.VM != nil {
-		return env.VM.Mappings2D(env.Proc)
-	}
-	return metrics.FromPageTable(env.Proc.PT)
 }

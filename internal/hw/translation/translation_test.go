@@ -6,6 +6,7 @@ import (
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
+	"repro/internal/virt"
 	"repro/internal/workloads"
 )
 
@@ -18,6 +19,39 @@ func nativeEnv(t testing.TB) *workloads.Env {
 	return workloads.NewNativeEnv(k, 0)
 }
 
+func nestedEnv(t testing.TB) *workloads.Env {
+	t.Helper()
+	host := osim.NewKernel(zone.NewMachine(zone.Config{ZonePages: []uint64{
+		32 * addr.MaxOrderPages,
+	}}), osim.CAPolicy{})
+	vm, err := virt.New(host, virt.Config{MemBytes: 64 << 20, GuestPolicy: osim.CAPolicy{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workloads.NewVirtEnv(vm, 0)
+}
+
+// frontOf returns the shared front a backend embeds.
+func frontOf(t *testing.T, be Backend) *core {
+	t.Helper()
+	switch b := be.(type) {
+	case *pagedBackend:
+		return &b.core
+	case *hashedBackend:
+		return &b.core
+	case *rmmBackend:
+		return &b.core
+	case *dsBackend:
+		return &b.core
+	}
+	t.Fatalf("unknown backend type %T", be)
+	return nil
+}
+
+// TestNewUnknownBackend pins New's registry and the shared front's
+// defaults: every backend, native and nested, answers to its name and
+// sits behind a 32-entry 4-way TLB by default, and a TLB geometry the
+// TLB model cannot build is an error, not a panic.
 func TestNewUnknownBackend(t *testing.T) {
 	if _, err := New("no-such", nativeEnv(t), Config{}); err == nil {
 		t.Fatal("unknown backend accepted")
@@ -29,6 +63,31 @@ func TestNewUnknownBackend(t *testing.T) {
 	defer be.Close()
 	if be.Name() != BackendPaged {
 		t.Fatalf("empty name resolved to %q, want paged", be.Name())
+	}
+
+	for _, tc := range []struct {
+		kind string
+		env  *workloads.Env
+	}{{"native", nativeEnv(t)}, {"nested", nestedEnv(t)}} {
+		kind, env := tc.kind, tc.env
+		for _, name := range Names() {
+			be, err := New(name, env, Config{})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", kind, name, err)
+			}
+			if be.Name() != name {
+				t.Errorf("%s/%s: Name() = %q", kind, name, be.Name())
+			}
+			if tl := frontOf(t, be).tlb; tl.Entries() != 32 || tl.Ways() != 4 {
+				t.Errorf("%s/%s: default TLB %d entries %d ways, want 32/4", kind, name, tl.Entries(), tl.Ways())
+			}
+			be.Close()
+			for _, bad := range []Config{{TLBWays: 3}, {TLBEntries: -4}, {TLBEntries: -32, TLBWays: -4}} {
+				if _, err := New(name, env, bad); err == nil {
+					t.Errorf("%s/%s: bad geometry %+v accepted", kind, name, bad)
+				}
+			}
+		}
 	}
 }
 

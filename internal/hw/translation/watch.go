@@ -18,11 +18,7 @@ type mapWatch struct {
 
 func watchTables(env *workloads.Env) *mapWatch {
 	w := &mapWatch{}
-	if env.VM != nil {
-		w.guest, w.host = env.VM.NestedTables(env.Proc)
-	} else {
-		w.guest = env.Proc.PT
-	}
+	w.guest, w.host = env.Tables()
 	w.guest.AddObserver(w)
 	if w.host != nil {
 		w.host.AddObserver(w)

@@ -29,10 +29,11 @@ type Config struct {
 	// "paged", "hashed", "rmm", "ds"). Empty selects the default paged
 	// backend — the TLB + walker stack every paper experiment uses.
 	Backend string
-	// TLBEntries/TLBWays describe the last-level TLB. The default is a
-	// 32-entry 4-way structure: the paper's 1536-entry STLB scaled
-	// roughly with the workload footprints (~1/512), preserving the
-	// footprint/TLB-reach ratio that determines miss behaviour.
+	// TLBEntries/TLBWays describe the last-level TLB; zero fields take
+	// translation.Config's defaults, a 32-entry 4-way structure: the
+	// paper's 1536-entry STLB scaled roughly with the workload
+	// footprints (~1/512), preserving the footprint/TLB-reach ratio
+	// that determines miss behaviour.
 	TLBEntries, TLBWays int
 	// SpotEntries/SpotWays describe the SpOT prediction table
 	// (paper evaluation: 32 entries, 4-way).
@@ -56,14 +57,9 @@ type Config struct {
 	Tracer *trace.Tracer
 }
 
-// Defaults fills zero fields.
+// withDefaults fills the zero SpOT fields; translation.New fills the
+// TLB's.
 func (c Config) withDefaults() Config {
-	if c.TLBEntries == 0 {
-		c.TLBEntries = 32
-	}
-	if c.TLBWays == 0 {
-		c.TLBWays = 4
-	}
 	if c.SpotEntries == 0 {
 		c.SpotEntries = 32
 	}
@@ -184,6 +180,9 @@ func newMachine(env *workloads.Env, cfg Config) (*machine, error) {
 			return nil, fmt.Errorf("sim: ShadowPaging requires the paged backend, not %q", cfg.Backend)
 		}
 	}
+	if cfg.EnableSchemes && (cfg.SpotEntries < 0 || cfg.SpotWays < 0 || cfg.SpotEntries%cfg.SpotWays != 0) {
+		return nil, fmt.Errorf("sim: bad SpOT geometry: %d entries, %d ways", cfg.SpotEntries, cfg.SpotWays)
+	}
 	be, err := translation.New(cfg.Backend, env, translation.Config{
 		TLBEntries:   cfg.TLBEntries,
 		TLBWays:      cfg.TLBWays,
@@ -199,7 +198,7 @@ func newMachine(env *workloads.Env, cfg Config) (*machine, error) {
 		m.sp.DisableConfidence = cfg.SpotNoConfidence
 		m.sp.IgnoreFilter = cfg.SpotNoFilter
 		m.rt = rmm.NewRangeTLB(translation.RangeTLBEntries)
-		ms := translation.ExtractMappings(env)
+		ms := env.Mappings()
 		m.rtab = rmm.NewTable(ms)
 		m.seg = segmentFor(ms)
 	}
@@ -370,7 +369,7 @@ func (m *machine) step(a workloads.Access) error {
 		m.res.RMMUncovered++
 	}
 	// Direct Segments dual direct mode.
-	if _, hit := m.seg.Lookup(a.VA); !hit {
+	if !m.seg.Covers(a.VA) {
 		m.res.DSMisses++
 	}
 	return nil

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
+	"repro/internal/hw/translation"
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
 	"repro/internal/metrics"
@@ -166,13 +168,36 @@ func TestDeterministicResults(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.TLBEntries != 32 || c.TLBWays != 4 || c.SpotEntries != 32 || c.SpotWays != 4 {
+	if c.SpotEntries != 32 || c.SpotWays != 4 {
 		t.Fatalf("defaults = %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{TLBEntries: 128, TLBWays: 8}.withDefaults()
-	if c2.TLBEntries != 128 || c2.TLBWays != 8 {
+	c2 := Config{SpotEntries: 128, SpotWays: 8}.withDefaults()
+	if c2.SpotEntries != 128 || c2.SpotWays != 8 {
 		t.Fatal("explicit config overridden")
+	}
+}
+
+// TestRunRejectsBadConfig: a configuration the hardware models cannot
+// build is an error from Run, never a panic.
+func TestRunRejectsBadConfig(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"tlb-ways", Config{TLBWays: 3}, "TLB geometry"},
+		{"tlb-entries", Config{TLBEntries: -4}, "TLB geometry"},
+		{"spot-ways", Config{EnableSchemes: true, SpotWays: 3}, "SpOT geometry"},
+		{"schemes-rmm", Config{EnableSchemes: true, Backend: translation.BackendRMM}, "EnableSchemes"},
+		{"shadow-hashed", Config{ShadowPaging: true, Backend: translation.BackendHashed}, "ShadowPaging"},
+	}
+	env := nativeEnv(t, osim.CAPolicy{})
+	for _, tc := range cases {
+		_, err := Run(env, &listStream{}, tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -251,14 +276,13 @@ func TestSegmentForOutOfOrderMappings(t *testing.T) {
 	hi := metrics.Mapping{VA: addr.VirtAddr(0x40_0000), PA: addr.PhysAddr(0x9000_0000), Pages: 16}
 	lo := metrics.Mapping{VA: addr.VirtAddr(0x10_0000), PA: addr.PhysAddr(0x1000_0000), Pages: 16}
 	seg := segmentFor([]metrics.Mapping{hi, lo}) // out of VA order
-	pa, ok := seg.Lookup(lo.VA)
-	if !ok {
+	if !seg.Covers(lo.VA) {
 		t.Fatal("segment must cover its own base")
 	}
-	if pa != lo.PA {
+	if pa := seg.Offset.Target(lo.VA); pa != lo.PA {
 		t.Fatalf("segment base translates to %#x, want %#x (offset taken from the wrong mapping)", uint64(pa), uint64(lo.PA))
 	}
-	if _, ok := seg.Lookup(hi.VA.Add(15 * addr.PageSize)); !ok {
+	if !seg.Covers(hi.VA.Add(15 * addr.PageSize)) {
 		t.Fatal("segment must span through the highest mapping")
 	}
 	if empty := segmentFor(nil); empty == nil {

@@ -22,7 +22,9 @@ import (
 	"math/rand"
 
 	"repro/internal/mem/addr"
+	"repro/internal/metrics"
 	"repro/internal/osim"
+	"repro/internal/osim/pagetable"
 	"repro/internal/osim/vma"
 	"repro/internal/trace"
 	"repro/internal/virt"
@@ -93,6 +95,27 @@ func NewNativeEnv(k *osim.Kernel, homeZone int) *Env {
 // NewVirtEnv creates a guest process inside the VM.
 func NewVirtEnv(vm *virt.VM, homeZone int) *Env {
 	return &Env{Kernel: vm.Guest, Proc: vm.NewGuestProcess(homeZone), VM: vm}
+}
+
+// Tables returns the page tables a translation for the process walks:
+// the guest and host tables in a VM (virt.VM.NestedTables), the
+// process's own table and a nil host natively. State derived from the
+// mappings is valid only while every returned table stands still.
+func (e *Env) Tables() (guest, host *pagetable.Table) {
+	if e.VM != nil {
+		return e.VM.NestedTables(e.Proc)
+	}
+	return e.Proc.PT, nil
+}
+
+// Mappings returns the process's current contiguous mappings: the
+// composed 2D (gVA→hPA) extents in a VM, the native page-table extents
+// otherwise — the paper's pagemap/VMI measurement.
+func (e *Env) Mappings() []metrics.Mapping {
+	if e.VM != nil {
+		return e.VM.Mappings2D(e.Proc)
+	}
+	return metrics.FromPageTable(e.Proc.PT)
 }
 
 // SetTracer attaches (or, with nil, detaches) an event tracer to the
