@@ -178,7 +178,8 @@ func TestAuditCorruptionBranches(t *testing.T) {
 			if c0 == nil {
 				t.Fatal("no cluster in zone 0")
 			}
-			m.Frames.Get(c0.Start).Cluster = 0
+			// Grow the cluster over a block the buddy does not list.
+			c0.Blocks++
 			return nil
 		}, "contigmap: "},
 	}

@@ -196,7 +196,7 @@ func NewBuddyDiffer(npages uint64) *BuddyDiffer {
 	return &BuddyDiffer{
 		Frames: ft,
 		B:      b,
-		Contig: contigmap.New(ft, b),
+		Contig: contigmap.New(b),
 		Ref:    NewRefAlloc(0, npages),
 	}
 }

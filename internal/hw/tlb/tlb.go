@@ -12,11 +12,26 @@ import (
 	"repro/internal/trace"
 )
 
+// entry is one way: 16 bytes, so a 6-way set spans 96 bytes. key packs
+// the page number (4K or 2M VPN), the size bit and a valid bit as
+// tag<<2 | huge<<1 | 1, so a probe is one compare per way and the zero
+// value is an empty way.
 type entry struct {
-	valid bool
-	huge  bool
-	tag   uint64 // page number (4K VPN or 2M VPN)
-	lru   uint64
+	key uint64
+	lru uint64
+}
+
+const (
+	keyValid = 1
+	keyHuge  = 2
+)
+
+// key returns the packed way key of (tag, huge).
+func key(tag uint64, huge bool) uint64 {
+	if huge {
+		return tag<<2 | keyHuge | keyValid
+	}
+	return tag<<2 | keyValid
 }
 
 // TLB is a unified set-associative translation cache. The ways of all
@@ -104,10 +119,10 @@ func (t *TLB) set(tag uint64) []entry {
 func (t *TLB) Lookup(va addr.VirtAddr) bool {
 	t.lookups++
 	t.tick++
-	if t.nSmall > 0 && t.probe(uint64(va)>>addr.PageShift, false) {
+	if tag := uint64(va) >> addr.PageShift; t.nSmall > 0 && t.probe(tag, key(tag, false)) {
 		return true
 	}
-	if t.nHuge > 0 && t.probe(uint64(va)>>addr.HugeShift, true) {
+	if tag := uint64(va) >> addr.HugeShift; t.nHuge > 0 && t.probe(tag, key(tag, true)) {
 		return true
 	}
 	t.misses++
@@ -117,11 +132,11 @@ func (t *TLB) Lookup(va addr.VirtAddr) bool {
 	return false
 }
 
-// probe searches one set for (tag, huge), refreshing LRU on hit.
-func (t *TLB) probe(tag uint64, huge bool) bool {
+// probe searches tag's set for the way holding k, refreshing LRU on hit.
+func (t *TLB) probe(tag, k uint64) bool {
 	set := t.set(tag)
 	for i := range set {
-		if set[i].valid && set[i].huge == huge && set[i].tag == tag {
+		if set[i].key == k {
 			set[i].lru = t.tick
 			return true
 		}
@@ -140,7 +155,7 @@ func (t *TLB) Insert(va addr.VirtAddr, huge bool) {
 	set := t.set(tag)
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].key == 0 {
 			victim = i
 			break
 		}
@@ -148,18 +163,14 @@ func (t *TLB) Insert(va addr.VirtAddr, huge bool) {
 			victim = i
 		}
 	}
-	if set[victim].valid {
-		t.sizeCount(set[victim].huge, -1)
+	if old := set[victim].key; old != 0 {
+		t.sizeCount(old&keyHuge != 0, -1)
 		if t.tr != nil {
-			h := uint64(0)
-			if set[victim].huge {
-				h = 1
-			}
-			t.tr.Emit(trace.EvTLBEvict, set[victim].tag, h, 0)
+			t.tr.Emit(trace.EvTLBEvict, old>>2, (old>>1)&1, 0)
 		}
 	}
 	t.sizeCount(huge, +1)
-	set[victim] = entry{valid: true, huge: huge, tag: tag, lru: t.tick}
+	set[victim] = entry{key: key(tag, huge), lru: t.tick}
 }
 
 // sizeCount adjusts the per-page-size valid-entry counter.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/mem/addr"
+	"repro/internal/trace"
 )
 
 func TestColdMissThenHit(t *testing.T) {
@@ -134,11 +135,106 @@ func TestGeometryRounding(t *testing.T) {
 	New(5, 4)
 }
 
+// TestTagZeroIsValid pins the packed way key: an empty way is key 0,
+// so page number 0 must be neither matched by an empty way nor taken
+// for one, at both page sizes.
+func TestTagZeroIsValid(t *testing.T) {
+	for _, huge := range []bool{false, true} {
+		shift := uint(addr.PageShift)
+		if huge {
+			shift = addr.HugeShift
+		}
+		page := func(n uint64) addr.VirtAddr { return addr.VirtAddr(n << shift) }
+		tl := New(4, 4) // one set
+		tl.Insert(page(5), huge)
+		if tl.Lookup(page(0)) {
+			t.Fatalf("huge=%v: an empty way answered page 0", huge)
+		}
+		tl.Insert(page(0), huge)
+		// Fill the two ways left; page 0's way must not be reused.
+		tl.Insert(page(6), huge)
+		tl.Insert(page(7), huge)
+		for _, n := range []uint64{0, 5, 6, 7} {
+			if !tl.Lookup(page(n)) {
+				t.Fatalf("huge=%v: page %d missed with the set not full", huge, n)
+			}
+		}
+	}
+}
+
+// TestSizesNeverAlias caches page number T as a 4K page and as a 2M
+// page in the same set: the two entries must stay distinct, and neither
+// may answer a probe of the other size.
+func TestSizesNeverAlias(t *testing.T) {
+	const T = 5
+	small := addr.VirtAddr(T << addr.PageShift)
+	huge := addr.VirtAddr(T << addr.HugeShift)
+
+	// One set: a 4K T and an unrelated 2M entry, so both probes run.
+	tl := New(4, 4)
+	tl.Insert(small, false)
+	tl.Insert(addr.VirtAddr((T+1)<<addr.HugeShift), true)
+	if tl.Lookup(huge) {
+		t.Fatal("4K page number T answered a 2M probe of T")
+	}
+	tl = New(4, 4)
+	tl.Insert(huge, true)
+	tl.Insert(addr.VirtAddr((T+1)<<addr.PageShift), false)
+	if tl.Lookup(small) {
+		t.Fatal("2M page number T answered a 4K probe of T")
+	}
+
+	// Both sizes of T resident together: two ways, both hit.
+	tl = New(4, 4)
+	tl.Insert(small, false)
+	tl.Insert(huge, true)
+	if !tl.Lookup(small) || !tl.Lookup(huge) {
+		t.Fatal("4K and 2M entries of T did not both stay resident")
+	}
+	if tl.nSmall != 1 || tl.nHuge != 1 {
+		t.Fatalf("size counts = %d/%d, want 1/1", tl.nSmall, tl.nHuge)
+	}
+}
+
+// TestEvictEmitsVictim checks that an eviction reports the victim's own
+// page number and size, for a 4K and a 2M victim.
+func TestEvictEmitsVictim(t *testing.T) {
+	tr := trace.New()
+	tl := New(2, 2) // one set of two ways
+	tl.SetTracer(tr)
+	tl.Insert(addr.VirtAddr(7<<addr.HugeShift), true) // LRU victim first
+	tl.Insert(addr.VirtAddr(9<<addr.PageShift), false)
+	tl.Insert(addr.VirtAddr(11<<addr.PageShift), false) // evicts the 2M 7
+	tl.Insert(addr.VirtAddr(13<<addr.PageShift), false) // evicts the 4K 9
+	var got [][2]uint64
+	for _, e := range tr.Events() {
+		if e.Kind == trace.EvTLBEvict {
+			got = append(got, [2]uint64{e.A, e.B})
+		}
+	}
+	want := [][2]uint64{{7, 1}, {9, 0}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("evictions (tag, huge) = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkLookupHit measures a hit in the paper's 1536-entry 6-way
+// TLB: a 4K hit (first probe), and the THP shape — the TLB also holds
+// 4K entries, so the 4K probe runs and misses before the 2M probe hits.
 func BenchmarkLookupHit(b *testing.B) {
-	tl := New(1536, 6)
-	tl.Insert(0x1000, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Lookup(0x1000)
+	huge := addr.VirtAddr(8 << addr.HugeShift)
+	for _, c := range []struct {
+		name string
+		va   addr.VirtAddr
+	}{{"4k", 0x1000}, {"thp", huge + 0x3000}} {
+		b.Run(c.name, func(b *testing.B) {
+			tl := New(1536, 6)
+			tl.Insert(0x1000, false)
+			tl.Insert(huge, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tl.Lookup(c.va)
+			}
+		})
 	}
 }

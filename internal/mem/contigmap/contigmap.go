@@ -6,9 +6,10 @@
 // address-sorted doubly-linked list.
 //
 // Updates are O(1)-ish and triggered by buddy-list insertions/deletions:
-// every free MAX_ORDER block's head frame carries a back-pointer to its
-// cluster (re-purposing the frame's Cluster field, as Linux re-purposes
-// page->mapping), so no search is needed on the update path.
+// every free MAX_ORDER block carries a back-pointer to its cluster (one
+// owner slot per MAX_ORDER block of the zone, where Linux re-purposes
+// the head page's page->mapping), so no search is needed on the update
+// path.
 //
 // CA paging's placement decisions run next-fit over the map through an
 // address-granular rover: each placement resumes the search where the
@@ -23,7 +24,6 @@ import (
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/buddy"
-	"repro/internal/mem/frame"
 )
 
 // Cluster is a maximal run of free MAX_ORDER blocks.
@@ -48,8 +48,8 @@ func (c *Cluster) String() string {
 // Map is one contiguity map instance. The paper (and this simulator)
 // keeps one per NUMA node, mirroring the per-zone buddy instance.
 type Map struct {
-	frames    *frame.Table
 	b         *buddy.Buddy // the zone's allocator; bounds neighbour probes
+	owner     []uint32     // cluster ID per MAX_ORDER block of the zone; 0 = none
 	byID      map[uint32]*Cluster
 	head      *Cluster // lowest-address cluster
 	nextID    uint32
@@ -60,10 +60,10 @@ type Map struct {
 // New builds a map over the given buddy allocator, scanning its current
 // MAX_ORDER list and subscribing to future membership changes. New must
 // be the only hook subscriber for that allocator.
-func New(frames *frame.Table, b *buddy.Buddy) *Map {
+func New(b *buddy.Buddy) *Map {
 	m := &Map{
-		frames: frames,
 		b:      b,
+		owner:  make([]uint32, (b.Pages()+addr.MaxOrderPages-1)/addr.MaxOrderPages),
 		byID:   make(map[uint32]*Cluster),
 		nextID: 1,
 	}
@@ -199,15 +199,18 @@ func (m *Map) advanceRover(start addr.PFN, pages uint64, clusterEnd addr.PFN) {
 
 // --- buddy hook handlers ---
 
+// block returns the owner index of the MAX_ORDER block at head, which
+// must lie in the zone.
+func (m *Map) block(head addr.PFN) uint64 { return uint64(head-m.b.Base()) >> addr.MaxOrder }
+
 // clusterOfBlock returns the cluster owning the free MAX_ORDER block at
-// head, if any, via the frame back-pointer. Blocks outside the zone are
-// never ours: the frame table is machine-wide, and a neighbouring
-// zone's records may be mutated concurrently by its own shard.
+// head, if any, via its back-pointer. Blocks outside the zone are never
+// ours.
 func (m *Map) clusterOfBlock(head addr.PFN) *Cluster {
 	if !m.b.Contains(head) {
 		return nil
 	}
-	id := m.frames.Get(head).Cluster
+	id := m.owner[m.block(head)]
 	if id == 0 {
 		return nil
 	}
@@ -228,21 +231,21 @@ func (m *Map) onInsert(pfn addr.PFN) {
 	case left != nil && right != nil:
 		// Bridge: extend left over us and absorb right.
 		left.Blocks++
-		m.setOwner(pfn, left.id)
+		m.owner[m.block(pfn)] = left.id
 		m.absorb(left, right)
 	case left != nil:
 		left.Blocks++
-		m.setOwner(pfn, left.id)
+		m.owner[m.block(pfn)] = left.id
 	case right != nil:
 		right.Start = pfn
 		right.Blocks++
-		m.setOwner(pfn, right.id)
+		m.owner[m.block(pfn)] = right.id
 	default:
 		c := &Cluster{id: m.nextID, Start: pfn, Blocks: 1}
 		m.nextID++
 		m.byID[c.id] = c
 		m.linkSorted(c)
-		m.setOwner(pfn, c.id)
+		m.owner[m.block(pfn)] = c.id
 	}
 }
 
@@ -251,7 +254,7 @@ func (m *Map) onRemove(pfn addr.PFN) {
 	if c == nil {
 		panic(fmt.Sprintf("contigmap: removing block %d with no cluster", pfn))
 	}
-	m.frames.Get(pfn).Cluster = 0
+	m.owner[m.block(pfn)] = 0
 	switch {
 	case c.Blocks == 1:
 		m.unlink(c)
@@ -288,11 +291,9 @@ func (m *Map) absorb(left, right *Cluster) {
 // retag repoints every block head of the cluster at its (new) owner.
 func (m *Map) retag(c *Cluster) {
 	for p := c.Start; p < c.End(); p += addr.MaxOrderPages {
-		m.frames.Get(p).Cluster = c.id
+		m.owner[m.block(p)] = c.id
 	}
 }
-
-func (m *Map) setOwner(pfn addr.PFN, id uint32) { m.frames.Get(pfn).Cluster = id }
 
 func (m *Map) linkSorted(c *Cluster) {
 	if m.head == nil || c.Start < m.head.Start {
@@ -370,8 +371,8 @@ func (m *Map) CheckInvariantsScratch(b *buddy.Buddy, scratch []uint64) error {
 			if i := uint64(p-base) / addr.MaxOrderPages; p < base || !b.Contains(p) || onList[i>>6]&(1<<(i&63)) == 0 {
 				return fmt.Errorf("cluster %v contains block %d not on MAX_ORDER list", c, p)
 			}
-			if m.frames.Get(p).Cluster != c.id {
-				return fmt.Errorf("block %d back-pointer %d != cluster %d", p, m.frames.Get(p).Cluster, c.id)
+			if id := m.owner[m.block(p)]; id != c.id {
+				return fmt.Errorf("block %d back-pointer %d != cluster %d", p, id, c.id)
 			}
 			mapped++
 		}

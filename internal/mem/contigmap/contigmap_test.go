@@ -12,16 +12,16 @@ import (
 	"repro/internal/mem/frame"
 )
 
-func newMapped(t testing.TB, nblocks uint64) (*Map, *buddy.Buddy, *frame.Table) {
+func newMapped(t testing.TB, nblocks uint64) (*Map, *buddy.Buddy) {
 	t.Helper()
 	n := nblocks * addr.MaxOrderPages
-	ft := frame.NewTable(0, n)
-	b := buddy.New(ft, 0, n)
-	return New(ft, b), b, ft
+	b := buddy.New(frame.NewTable(0, n), 0, n)
+	return New(b), b
 }
 
-// TestAdjacentZonesShareNoFrameRecords pins zone isolation: a map reads
-// only its own zone's frame records, so two zones over one frame table
+// TestAdjacentZonesShareNoFrameRecords pins zone isolation: a map keeps
+// its cluster back-pointers per zone and its buddy touches only its own
+// zone's frame records, so two zones over one frame table
 // can churn their boundary blocks from different goroutines (the
 // sharded aging ownership model) without a data race under -race.
 func TestAdjacentZonesShareNoFrameRecords(t *testing.T) {
@@ -29,8 +29,8 @@ func TestAdjacentZonesShareNoFrameRecords(t *testing.T) {
 	ft := frame.NewTable(0, 2*n)
 	left := buddy.New(ft, 0, n)
 	right := buddy.New(ft, addr.PFN(n), n)
-	New(ft, left)
-	New(ft, right)
+	New(left)
+	New(right)
 	churn := func(b *buddy.Buddy, pfn addr.PFN) {
 		for i := 0; i < 200; i++ {
 			if err := b.AllocBlockAt(pfn, addr.MaxOrder); err != nil {
@@ -48,7 +48,7 @@ func TestAdjacentZonesShareNoFrameRecords(t *testing.T) {
 }
 
 func TestInitialScanMergesWholeZone(t *testing.T) {
-	m, b, _ := newMapped(t, 8)
+	m, b := newMapped(t, 8)
 	// A fresh zone is one fully contiguous run of 8 MAX_ORDER blocks.
 	if m.Len() != 1 {
 		t.Fatalf("clusters = %d, want 1", m.Len())
@@ -65,7 +65,7 @@ func TestInitialScanMergesWholeZone(t *testing.T) {
 }
 
 func TestSplitOnAllocation(t *testing.T) {
-	m, b, _ := newMapped(t, 4)
+	m, b := newMapped(t, 4)
 	// Allocate a page inside the second MAX_ORDER block: that block
 	// leaves the MAX_ORDER list, splitting the cluster in two.
 	if err := b.AllocBlockAt(addr.MaxOrderPages+5, 0); err != nil {
@@ -85,7 +85,7 @@ func TestSplitOnAllocation(t *testing.T) {
 }
 
 func TestMergeOnFree(t *testing.T) {
-	m, b, _ := newMapped(t, 3)
+	m, b := newMapped(t, 3)
 	// Remove the middle block entirely, then free it back: clusters must
 	// re-merge into one.
 	mid := addr.PFN(addr.MaxOrderPages)
@@ -108,7 +108,7 @@ func TestMergeOnFree(t *testing.T) {
 }
 
 func TestShrinkAtEdges(t *testing.T) {
-	m, b, _ := newMapped(t, 4)
+	m, b := newMapped(t, 4)
 	// Take the first block: cluster start advances.
 	if err := b.AllocBlockAt(0, addr.MaxOrder); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestShrinkAtEdges(t *testing.T) {
 }
 
 func TestFindFitBasics(t *testing.T) {
-	m, b, _ := newMapped(t, 4)
+	m, b := newMapped(t, 4)
 	start, avail, ok := m.FindFit(addr.MaxOrderPages)
 	if !ok || start != 0 || avail != 4*addr.MaxOrderPages {
 		t.Fatalf("FindFit = (%d,%d,%v)", start, avail, ok)
@@ -156,7 +156,7 @@ func TestFindFitBasics(t *testing.T) {
 }
 
 func TestNextFitRoverRotation(t *testing.T) {
-	m, b, _ := newMapped(t, 6)
+	m, b := newMapped(t, 6)
 	// Carve three separate clusters of 2 blocks each by allocating
 	// nothing — instead split the zone: remove blocks 2 and 5? zone is
 	// 6 blocks [0..6). Remove block 2 -> clusters [0,2) and [3,6).
@@ -189,7 +189,7 @@ func TestNextFitRoverRotation(t *testing.T) {
 }
 
 func TestRoverSurvivesClusterRemoval(t *testing.T) {
-	m, b, _ := newMapped(t, 4)
+	m, b := newMapped(t, 4)
 	// Select the single big cluster as rover, then destroy it entirely.
 	if _, _, ok := m.FindFit(addr.MaxOrderPages); !ok {
 		t.Fatal("FindFit failed")
@@ -209,7 +209,7 @@ func TestRoverSurvivesClusterRemoval(t *testing.T) {
 func TestRandomChurnProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m, b, _ := newMapped(t, 6)
+		m, b := newMapped(t, 6)
 		type alloc struct {
 			pfn   addr.PFN
 			order int
@@ -255,7 +255,7 @@ func TestRandomChurnProperty(t *testing.T) {
 
 func TestFindFitUpdatesUnderChurn(t *testing.T) {
 	// FindFit never returns a cluster with stale size after churn.
-	m, b, _ := newMapped(t, 4)
+	m, b := newMapped(t, 4)
 	if _, err := b.AllocBlock(0); err != nil { // splits lowest block
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestFindFitUpdatesUnderChurn(t *testing.T) {
 }
 
 func BenchmarkHookUpdates(b *testing.B) {
-	m, bd, _ := newMapped(b, 16)
+	m, bd := newMapped(b, 16)
 	_ = m
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -288,7 +288,7 @@ func BenchmarkHookUpdates(b *testing.B) {
 }
 
 func BenchmarkFindFit(b *testing.B) {
-	m, bd, _ := newMapped(b, 32)
+	m, bd := newMapped(b, 32)
 	// Fragment into ~16 clusters.
 	for i := 0; i < 32; i += 2 {
 		if err := bd.AllocBlockAt(addr.PFN(i*addr.MaxOrderPages), addr.MaxOrder); err != nil {
@@ -310,7 +310,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	// the middle MAX_ORDER block from the free pool.
 	twoClusters := func(t *testing.T) (*Map, *buddy.Buddy) {
 		t.Helper()
-		m, b, _ := newMapped(t, 3)
+		m, b := newMapped(t, 3)
 		if err := b.AllocBlockAt(addr.MaxOrderPages, addr.MaxOrder); err != nil {
 			t.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 			m.head.Blocks++
 		}, "not on MAX_ORDER list"},
 		{"stale-back-pointer", func(t *testing.T, m *Map, b *buddy.Buddy) {
-			m.frames.Get(m.head.Start).Cluster = 999
+			m.owner[m.block(m.head.Start)] = 999
 		}, "back-pointer"},
 		{"coverage-count-drift", func(t *testing.T, m *Map, b *buddy.Buddy) {
 			// A cluster vanishes from both views while its block stays

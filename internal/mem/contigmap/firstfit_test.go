@@ -7,7 +7,7 @@ import (
 )
 
 func TestFirstFitRestartsAtZero(t *testing.T) {
-	m, _, _ := newMapped(t, 4)
+	m, _ := newMapped(t, 4)
 	m.SetFirstFit(true)
 	// Successive equal requests keep returning the same start: no
 	// deferral — the behaviour the next-fit rover exists to avoid.

@@ -4,9 +4,10 @@
 // the paper describes Linux doing through the page struct's _mapcount
 // and _count attributes.
 //
-// The table also re-purposes a per-frame pointer ("mapping" in Linux) to
-// point free MAX_ORDER base blocks at their contiguity-map cluster, so
-// cluster updates on buddy insert/delete run in O(1).
+// Linux also re-purposes a per-page pointer (page->mapping) to point
+// free MAX_ORDER blocks at their contiguity-map cluster; here those
+// back-pointers live in the contiguity map itself (one slot per
+// MAX_ORDER block), keeping the per-frame record at 8 bytes.
 package frame
 
 import (
@@ -43,7 +44,7 @@ func (s State) String() string {
 }
 
 // Frame is the per-page metadata record (Linux: struct page). The
-// single-byte fields are grouped so the struct packs into 12 bytes —
+// single-byte fields are grouped so the struct packs into 8 bytes —
 // boot zeroes and fills one record per physical page, so record size
 // is machine-construction time.
 type Frame struct {
@@ -64,11 +65,6 @@ type Frame struct {
 	// MapCount counts the number of page-table mappings referencing the
 	// frame (Linux _mapcount+1 semantics simplified: 0 = unmapped).
 	MapCount int32
-
-	// Cluster is the contiguity-map cluster ID this frame's MAX_ORDER
-	// block belongs to while free; 0 means none. (Linux re-purposes the
-	// page->mapping field the same way.)
-	Cluster uint32
 }
 
 // Table is the machine-wide frame table, indexed by PFN.

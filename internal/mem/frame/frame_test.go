@@ -2,6 +2,7 @@ package frame
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem/addr"
 )
@@ -17,6 +18,15 @@ func TestNewTableStartsReserved(t *testing.T) {
 	f := tab.Get(0)
 	if f.BuddyOrder != -1 || f.AllocOrder != -1 {
 		t.Fatal("orders should start at -1")
+	}
+}
+
+// TestFrameRecordIs8Bytes pins the packed record size: boot fills and
+// audit passes stream the whole table, so every byte of the record is
+// paid once per physical page.
+func TestFrameRecordIs8Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Frame{}); n != 8 {
+		t.Fatalf("sizeof(Frame) = %d, want 8", n)
 	}
 }
 

@@ -126,7 +126,7 @@ func NewMachine(cfg Config) *Machine {
 			Base:   base,
 			Pages:  n,
 			Buddy:  b,
-			Contig: contigmap.New(ft, b),
+			Contig: contigmap.New(b),
 		}
 		m.Zones = append(m.Zones, z)
 		base += addr.PFN(n)
@@ -146,7 +146,7 @@ func (m *Machine) reset() {
 	for _, z := range m.Zones {
 		zoneFill(m.Frames, z.Base, z.Pages, z.ID)
 		z.Buddy.Reset()
-		z.Contig = contigmap.New(m.Frames, z.Buddy)
+		z.Contig = contigmap.New(z.Buddy)
 	}
 	m.tr = nil
 	m.depthGauge, m.fragGauge = nil, nil

@@ -385,18 +385,29 @@ type region struct {
 
 func regionOf(v *vma.VMA) region { return region{start: v.Start, pages: v.Pages()} }
 
-// pageVA returns the VA of the page at index i within the region.
+// pageVA returns the VA of the page at index i within the region,
+// wrapping i modulo the region's size. Most callers pass an index
+// already inside the region, and they skip the 64-bit division.
 func (r region) pageVA(i uint64) addr.VirtAddr {
-	return r.start.Add((i % r.pages) * addr.PageSize)
+	if i >= r.pages {
+		i %= r.pages
+	}
+	return r.start.Add(i * addr.PageSize)
 }
 
-// seqWalker strides through a region page by page, wrapping.
+// seqWalker strides through a region page by page, wrapping. pos is
+// kept reduced modulo the region's size (callers may jump it forward,
+// and pageVA(pos+k) stays congruent), so a sequential stream divides
+// only when it wraps.
 type seqWalker struct {
 	r   region
 	pos uint64
 }
 
 func (w *seqWalker) next() addr.VirtAddr {
+	if w.pos >= w.r.pages {
+		w.pos %= w.r.pages
+	}
 	va := w.r.pageVA(w.pos)
 	w.pos++
 	return va

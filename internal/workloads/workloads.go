@@ -143,8 +143,9 @@ func (s *SVM) Stream(rng *rand.Rand, n uint64) Stream {
 	// reference of these PCs lands on a fresh 2 MiB region.
 	strideA := &seqWalker{r: s.features}
 	strideB := &seqWalker{r: s.features, pos: s.features.pages / 3}
+	small := newBounded(len(s.small))
 	return &funcStream{n: n, next: func() Access {
-		switch x := rng.Intn(1000); {
+		switch x := draw1000.draw(rng); {
 		case x < 5: // sparse row scan, instruction A
 			strideA.pos += 700
 			return Access{PC: pc(1, 0), VA: strideA.next()}
@@ -152,13 +153,13 @@ func (s *SVM) Stream(rng *rand.Rand, n uint64) Stream {
 			strideB.pos += 1300
 			return Access{PC: pc(1, 1), VA: strideB.next()}
 		case x < 100: // dense in-row accesses (page-sequential)
-			return Access{PC: pc(1, 5), VA: strideA.r.pageVA(strideA.pos + uint64(rng.Intn(8)))}
+			return Access{PC: pc(1, 5), VA: strideA.r.pageVA(strideA.pos + uint64(draw8.draw(rng)))}
 		case x < 985: // hot model vector (TLB resident)
-			return Access{PC: pc(1, 2), VA: s.model.pageVA(uint64(rng.Intn(8))), Write: true}
+			return Access{PC: pc(1, 2), VA: s.model.pageVA(uint64(draw8.draw(rng))), Write: true}
 		case x < 996: // random feature gather
 			return Access{PC: pc(1, 3), VA: s.features.pageVA(rng.Uint64())}
 		default: // irregular hops across scattered small VMAs
-			r := s.small[rng.Intn(len(s.small))]
+			r := s.small[small.draw(rng)]
 			return Access{PC: pc(1, 4), VA: r.pageVA(rng.Uint64())}
 		}
 	}}
@@ -229,7 +230,7 @@ func (p *PageRank) Stream(rng *rand.Rand, n uint64) Stream {
 	seq := &seqWalker{r: p.edges}
 	hot := uint64(0)
 	return &funcStream{n: n, next: func() Access {
-		switch x := rng.Intn(1000); {
+		switch x := draw1000.draw(rng); {
 		case x < 300: // edge stream
 			return Access{PC: pc(2, 0), VA: seq.next()}
 		case x < 318: // random vertex ranks (one big mapping)
@@ -289,7 +290,7 @@ func (h *HashJoin) Stream(rng *rand.Rand, n uint64) Stream {
 	thread := 0
 	return &funcStream{n: n, next: func() Access {
 		thread = (thread + 1) % 10
-		switch x := rng.Intn(1000); {
+		switch x := draw1000.draw(rng); {
 		case x < 7: // random probe, thread-specific PC
 			return Access{PC: pc(3, thread), VA: h.table.pageVA(rng.Uint64())}
 		case x < 10: // chained bucket walk (second dependent load)
@@ -342,9 +343,9 @@ func (x *XSBench) Setup(env *Env, rng *rand.Rand) error {
 // Stream implements Workload.
 func (x *XSBench) Stream(rng *rand.Rand, n uint64) Stream {
 	return &funcStream{n: n, next: func() Access {
-		switch v := rng.Intn(1000); {
+		switch v := draw1000.draw(rng); {
 		case v < 12: // random nuclide grid lookup
-			return Access{PC: pc(4, rng.Intn(10)), VA: x.grids.pageVA(rng.Uint64())}
+			return Access{PC: pc(4, draw10.draw(rng)), VA: x.grids.pageVA(rng.Uint64())}
 		case v < 14: // unionized grid binary-search probes
 			return Access{PC: pc(4, 20), VA: x.unionized.pageVA(rng.Uint64())}
 		default: // per-particle hot state
@@ -418,8 +419,8 @@ func (b *BT) Stream(rng *rand.Rand, n uint64) Stream {
 		seqs[i] = &seqWalker{r: b.arrays[i]}
 	}
 	return &funcStream{n: n, next: func() Access {
-		a := rng.Intn(btArrays)
-		switch x := rng.Intn(1000); {
+		a := drawArrays.draw(rng)
+		switch x := draw1000.draw(rng); {
 		case x < 6: // z sweep: plane-strided, misses constantly
 			zpos[a] += plane
 			return Access{PC: pc(5, a), VA: b.arrays[a].pageVA(zpos[a]), Write: true}

@@ -252,3 +252,27 @@ func TestFillMatchesNext(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkFill measures stream generation alone — the producer stage
+// of sim.Run's pipeline — for the two translate-stream workloads,
+// filling 4096-access blocks as Run does.
+func BenchmarkFill(b *testing.B) {
+	for _, w := range []Workload{NewPageRank(), NewXSBench()} {
+		b.Run(w.Name(), func(b *testing.B) {
+			const n = 400_000
+			k := osim.NewKernel(machineFor(b), osim.CAPolicy{})
+			if err := w.Setup(NewNativeEnv(k, 0), rand.New(rand.NewSource(1))); err != nil {
+				b.Fatal(err)
+			}
+			buf := make([]Access, 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := Batched(w.Stream(rand.New(rand.NewSource(2)), n))
+				for s.Fill(buf) > 0 {
+				}
+			}
+			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "accesses/s")
+		})
+	}
+}
