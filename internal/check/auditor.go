@@ -208,7 +208,8 @@ func (a *Auditor) gather(m *zone.Machine, ks []*osim.Kernel, pinned []Extent) er
 // file is mostly cached in runs of consecutive frames, so refSlots
 // finds each run and records it a word at a time. Setting one bit
 // per slot instead chains each slot's read-modify-write of its seen
-// word to the previous slot's.
+// word to the previous slot's. A run is extended four slots at a time
+// while all four continue it, then one slot at a time.
 func (a *Auditor) refSlots(slots []addr.PFN) {
 	off := a.base + 1
 	for i := 0; i < len(slots); {
@@ -217,12 +218,19 @@ func (a *Auditor) refSlots(slots []addr.PFN) {
 			i++
 			continue
 		}
-		n := 1
-		for i+n < len(slots) && slots[i+n] == v+addr.PFN(n) {
-			n++
+		// Slot j continues the run exactly when it holds b + j.
+		b, j := v-addr.PFN(i), i+1
+		for ; j+4 <= len(slots); j += 4 {
+			s, e := slots[j:j+4:j+4], b+addr.PFN(j)
+			if (s[0]-e)|(s[1]-e-1)|(s[2]-e-2)|(s[3]-e-3) != 0 {
+				break
+			}
 		}
-		a.refRun(uint64(v-off), uint64(n))
-		i += n
+		for j < len(slots) && slots[j] == b+addr.PFN(j) {
+			j++
+		}
+		a.refRun(uint64(v-off), uint64(j-i))
+		i = j
 	}
 }
 
@@ -315,9 +323,9 @@ func (a *Auditor) zoneWorker(m *zone.Machine, z *zone.Zone, i int) {
 // unpinned; an allocated frame must be a declared pin exactly when
 // nothing references or spans it (a leak one way, a pin handed out the
 // other); no frame may be Reserved. The frame pass folds each 64-frame
-// word of records into the OR and AND of their states and MapCounts
-// (foldWord) and settles most words from those four summaries and the
-// seen, span and pins words:
+// word of records into the OR and AND of the records (frame.Fold) and
+// settles most words from the states and MapCounts of those two
+// summaries and the seen, span and pins words:
 //   - every frame Free: no MapCount, and nothing seen, spanned or
 //     pinned;
 //   - every frame Allocated, none or all seen, no duplicate
@@ -347,20 +355,20 @@ func (a *Auditor) zoneCheck(m *zone.Machine, z *zone.Zone, i int) error {
 	var free uint64
 	var accErr error
 	for w, c := range covered {
-		fw := fs[w<<6 : w<<6+64]
+		fw := (*[64]frame.Frame)(fs[w<<6:])
 		sw, pn := seen[w], pins[w]
 		touched := sw | span[w]
 		multi := a.multi.get(relBase>>6 + uint64(w))
-		stOr, stAnd, mcOr, mcAnd := foldWord(fw)
+		or, and := frame.Fold(fw)
 		var isFree uint64
 		var ok bool
 		switch {
-		case stOr == frame.Free:
+		case or.State == frame.Free:
 			isFree = ^uint64(0)
-			ok = mcOr == 0 && touched|pn == 0
-		case stOr == frame.Allocated && stAnd == frame.Allocated && !multi && (sw == 0 || sw == ^uint64(0)):
+			ok = or.MapCount == 0 && touched|pn == 0
+		case or.State == frame.Allocated && and.State == frame.Allocated && !multi && (sw == 0 || sw == ^uint64(0)):
 			want := int32(sw & 1)
-			ok = mcOr == want && mcAnd == want && touched^pn == ^uint64(0)
+			ok = or.MapCount == want && and.MapCount == want && touched^pn == ^uint64(0)
 		default:
 			var fails uint64
 			isFree, fails = wordMasks(fw, sw)
@@ -436,30 +444,13 @@ func (a *Auditor) frameError(z *zone.Zone, fs []frame.Frame, relBase uint64, w i
 	return nil
 }
 
-// foldWord folds one word's 64 frame records into the OR and AND of
-// their states and of their MapCounts. It stays out of line: inlined
-// into the sweep loop, its four accumulators spill to the stack.
-//
-//go:noinline
-func foldWord(fw []frame.Frame) (stOr, stAnd frame.State, mcOr, mcAnd int32) {
-	stAnd, mcAnd = ^frame.State(0), -1
-	for k := range fw {
-		f := &fw[k]
-		stOr |= f.State
-		stAnd &= f.State
-		mcOr |= f.MapCount
-		mcAnd &= f.MapCount
-	}
-	return
-}
-
 // wordMasks reads one word's 64 frame records fw against its seen word
 // and returns which frames are Free and which fail outright because
 // MapCount differs from the seen bit (the count, unless the word holds
 // duplicate references) or the state is Reserved. Bit k is frame k.
 // Each mask is shifted right as a frame's bit enters at the top, so
 // every shift is constant and the masks stay in registers.
-func wordMasks(fw []frame.Frame, seen uint64) (isFree, fails uint64) {
+func wordMasks(fw *[64]frame.Frame, seen uint64) (isFree, fails uint64) {
 	for k := range fw {
 		f, r := &fw[k], int32(seen&1)
 		seen >>= 1
@@ -471,7 +462,7 @@ func wordMasks(fw []frame.Frame, seen uint64) (isFree, fails uint64) {
 
 // exactFails redoes the fails bit of every frame in the word at arena
 // offset rel that holds duplicate references, against its exact count.
-func (a *Auditor) exactFails(fw []frame.Frame, fails, rel uint64) uint64 {
+func (a *Auditor) exactFails(fw *[64]frame.Frame, fails, rel uint64) uint64 {
 	i, _ := slices.BinarySearch(a.dups, uint32(rel))
 	for i < len(a.dups) && uint64(a.dups[i]) < rel+64 {
 		d, n := a.dups[i], int32(1)
@@ -503,6 +494,12 @@ func (a *Auditor) auditProcess(m *zone.Machine, p *osim.Process) error {
 	tableLen := m.Frames.Len()
 	var total uint64
 	var bad error
+	// Leaves come in ascending VA order and VMAs do not overlap, so
+	// each VMA's leaves form one run: the VMA is looked up when a leaf
+	// leaves the current one's [Start, End), and the run's pages are
+	// added to perVMA when it ends.
+	var cur *vma.VMA
+	var run uint64
 	p.PT.Visit(func(l pagetable.Leaf) {
 		total += l.Pages
 		if !m.Frames.Contains(l.PTE.PFN) {
@@ -523,19 +520,27 @@ func (a *Auditor) auditProcess(m *zone.Machine, p *osim.Process) error {
 		if bad != nil {
 			return
 		}
-		v := p.VMAs.Find(l.VA)
-		if v == nil {
-			bad = fmt.Errorf("leaf %s mapped outside any VMA", l.VA)
+		if cur == nil || !cur.Contains(l.VA) {
+			if cur != nil {
+				perVMA[cur] += run
+			}
+			cur, run = p.VMAs.Find(l.VA), 0
+			if cur == nil {
+				bad = fmt.Errorf("leaf %s mapped outside any VMA", l.VA)
+				return
+			}
+		}
+		if end := l.VA.Add(l.Pages * addr.PageSize); end > cur.End {
+			bad = fmt.Errorf("leaf %s (%d pages) overhangs its VMA end %s", l.VA, l.Pages, cur.End)
 			return
 		}
-		if end := l.VA.Add(l.Pages * addr.PageSize); end > v.End {
-			bad = fmt.Errorf("leaf %s (%d pages) overhangs its VMA end %s", l.VA, l.Pages, v.End)
-			return
-		}
-		perVMA[v] += l.Pages
+		run += l.Pages
 	})
 	if bad != nil {
 		return bad
+	}
+	if cur != nil {
+		perVMA[cur] += run
 	}
 	if total != p.PT.MappedPages() {
 		return fmt.Errorf("leaf sweep counts %d pages, MappedPages says %d", total, p.PT.MappedPages())

@@ -421,4 +421,37 @@ func TestRefCountMatchesNaiveCount(t *testing.T) {
 			}
 		}
 	}
+
+	// Single runs of every length up to 13 that end 0 to 4 slots before
+	// the array's end, after 0 to 2 empty slots, so the four-slot test
+	// meets every remainder at the run's end and at the array's; the
+	// last case is one run filling the whole array.
+	single := func(lead, length, gap int) {
+		t.Helper()
+		a.ensure(m)
+		rel := uint64(rng.Int63n(int64(n) - int64(length)))
+		slots := make([]addr.PFN, lead+length+gap)
+		for i := 0; i < length; i++ {
+			slots[lead+i] = a.base + addr.PFN(rel) + addr.PFN(i) + 1
+		}
+		a.refSlots(slots)
+		a.indexDups()
+		for f := uint64(0); f < n; f++ {
+			want := int32(0)
+			if f >= rel && f < rel+uint64(length) {
+				want = 1
+			}
+			if got := a.refCount(f); got != want {
+				t.Fatalf("run of %d after %d empty slots, %d before the end: frame %d: refCount %d, want %d", length, lead, gap, f, got, want)
+			}
+		}
+	}
+	for lead := 0; lead <= 2; lead++ {
+		for length := 1; length <= 13; length++ {
+			for gap := 0; gap <= 4; gap++ {
+				single(lead, length, gap)
+			}
+		}
+	}
+	single(0, int(n)/2, 0)
 }

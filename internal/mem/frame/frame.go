@@ -12,6 +12,7 @@ package frame
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/mem/addr"
 )
@@ -160,6 +161,33 @@ func (t *Table) RangeFree(pfn addr.PFN, npages uint64) bool {
 	}
 	return true
 }
+
+// Fold returns the bitwise OR and AND of the 64 records of fw, field by
+// field: or.State is the OR of their states, and.MapCount the AND of
+// their map counts, and so on. It folds each record as one 8-byte word,
+// four independent lanes per operation so the loop does not serialise
+// on one accumulator, and reads the two results back through a Frame
+// view of the folded words. OR and AND act on every bit alike, so the
+// byte order of the words never matters; the fields come back exactly
+// where the record's layout put them.
+func Fold(fw *[64]Frame) (or, and Frame) {
+	w := (*[64]uint64)(unsafe.Pointer(fw))
+	var o0, o1, o2, o3 uint64
+	a0, a1, a2, a3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+	for i := 0; i < len(w); i += 4 {
+		o0, a0 = o0|w[i], a0&w[i]
+		o1, a1 = o1|w[i+1], a1&w[i+1]
+		o2, a2 = o2|w[i+2], a2&w[i+2]
+		o3, a3 = o3|w[i+3], a3&w[i+3]
+	}
+	o, a := o0|o1|o2|o3, a0&a1&a2&a3
+	return *(*Frame)(unsafe.Pointer(&o)), *(*Frame)(unsafe.Pointer(&a))
+}
+
+// Fold reads a record as one 8-byte word: the record must be exactly
+// that size (a failed build here means a field was added or widened).
+var _ [unsafe.Sizeof(Frame{}) - 8]struct{}
+var _ [8 - unsafe.Sizeof(Frame{})]struct{}
 
 // CountState counts frames currently in the given state; used by tests
 // and fragmentation metrics.

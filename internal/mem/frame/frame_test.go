@@ -1,6 +1,8 @@
 package frame
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -96,5 +98,78 @@ func TestCountState(t *testing.T) {
 	}
 	if tab.CountState(Free) != 4 || tab.CountState(Allocated) != 3 || tab.CountState(Reserved) != 3 {
 		t.Fatal("CountState wrong")
+	}
+}
+
+// foldFields is Fold written field by field.
+func foldFields(fw *[64]Frame) (or, and Frame) {
+	and = Frame{State: ^State(0), BuddyOrder: -1, AllocOrder: -1, Zone: ^uint8(0), MapCount: -1}
+	for _, f := range fw {
+		or.State |= f.State
+		or.BuddyOrder |= f.BuddyOrder
+		or.AllocOrder |= f.AllocOrder
+		or.Zone |= f.Zone
+		or.MapCount |= f.MapCount
+		and.State &= f.State
+		and.BuddyOrder &= f.BuddyOrder
+		and.AllocOrder &= f.AllocOrder
+		and.Zone &= f.Zone
+		and.MapCount &= f.MapCount
+	}
+	return or, and
+}
+
+// TestFoldMatchesFieldwise checks Fold against field-wise OR and AND
+// over random words whose records set every byte of the record — every
+// state, buddy and allocation orders -1 to 10, zones up to 255, and
+// map counts from negative to large — and over uniform words: all
+// Free, all Allocated, and one record differing from the rest.
+func TestFoldMatchesFieldwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	mapCounts := []int32{0, 1, 2, -1, -2, 511, 1 << 20, math.MaxInt32, math.MinInt32}
+	random := func() Frame {
+		f := Frame{
+			State:      State(rng.Intn(3)),
+			BuddyOrder: int8(rng.Intn(12) - 1),
+			AllocOrder: int8(rng.Intn(12) - 1),
+			Zone:       uint8(rng.Intn(256)),
+			MapCount:   mapCounts[rng.Intn(len(mapCounts))],
+		}
+		if rng.Intn(4) == 0 {
+			f.MapCount = int32(rng.Uint32())
+		}
+		return f
+	}
+	check := func(name string, fw *[64]Frame) {
+		t.Helper()
+		or, and := Fold(fw)
+		wantOr, wantAnd := foldFields(fw)
+		if or != wantOr || and != wantAnd {
+			t.Fatalf("%s: Fold = %+v, %+v; field-wise %+v, %+v", name, or, and, wantOr, wantAnd)
+		}
+	}
+	var fw [64]Frame
+	for round := 0; round < 2000; round++ {
+		for i := range fw {
+			fw[i] = random()
+		}
+		check("random", &fw)
+	}
+	for _, f := range []Frame{
+		{State: Free, BuddyOrder: -1, AllocOrder: -1, Zone: 3},
+		{State: Free, BuddyOrder: 10, AllocOrder: -1, Zone: 255},
+		{State: Allocated, BuddyOrder: -1, AllocOrder: 0, Zone: 1, MapCount: 1},
+		{State: Allocated, BuddyOrder: -1, AllocOrder: 9, Zone: 0, MapCount: 0},
+	} {
+		Fill(fw[:], f)
+		check("uniform", &fw)
+		if or, and := Fold(&fw); or != f || and != f {
+			t.Fatalf("uniform %+v folds to %+v, %+v", f, or, and)
+		}
+		for k := 0; k < 64; k += 21 {
+			Fill(fw[:], f)
+			fw[k] = random()
+			check("one differs", &fw)
+		}
 	}
 }

@@ -282,9 +282,14 @@ func (m *Machine) zonelist(preferred int, fn func(z *Zone) bool) {
 	if preferred < 0 || preferred >= n {
 		preferred = 0
 	}
-	for i := 0; i < n; i++ {
-		if fn(m.Zones[(preferred+i)%n]) {
+	// Step the index with compare-and-wrap: (preferred+i)%n would
+	// cost a division per candidate on the allocation path.
+	for i, j := 0, preferred; i < n; i++ {
+		if fn(m.Zones[j]) {
 			return
+		}
+		if j++; j == n {
+			j = 0
 		}
 	}
 }

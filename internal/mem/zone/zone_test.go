@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem/addr"
@@ -56,6 +57,32 @@ func TestZonePreferenceAndFallback(t *testing.T) {
 	}
 	if !m.Zones[1].Contains(pfn) {
 		t.Fatalf("fallback allocation landed at %d, not zone 1", pfn)
+	}
+}
+
+// TestZonelistOrder pins the zonelist's visiting order: every zone
+// once, from the preferred one upward, wrapping to zone 0; an
+// out-of-range preference starts at zone 0.
+func TestZonelistOrder(t *testing.T) {
+	m := NewMachine(Config{ZonePages: []uint64{addr.MaxOrderPages, addr.MaxOrderPages, addr.MaxOrderPages}})
+	for _, c := range []struct {
+		preferred int
+		want      []int
+	}{
+		{0, []int{0, 1, 2}},
+		{1, []int{1, 2, 0}},
+		{2, []int{2, 0, 1}},
+		{-1, []int{0, 1, 2}},
+		{3, []int{0, 1, 2}},
+	} {
+		var got []int
+		m.zonelist(c.preferred, func(z *Zone) bool {
+			got = append(got, z.ID)
+			return false
+		})
+		if !slices.Equal(got, c.want) {
+			t.Errorf("preferred %d: visited %v, want %v", c.preferred, got, c.want)
+		}
 	}
 }
 

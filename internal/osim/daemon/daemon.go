@@ -17,6 +17,7 @@
 package daemon
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/mem/addr"
@@ -191,8 +192,13 @@ type Ranger struct {
 	// plans holds the per-VMA defragmentation plan chosen on first
 	// scan: the VMA is carved into segments assigned to the largest
 	// free clusters (largest-first), and pages migrate toward their
-	// segment targets across epochs.
-	plans map[*vma.VMA][]rangerSegment
+	// segment targets across epochs. Each plan carries its watermark.
+	plans map[*vma.VMA]*rangerPlan
+	// watches holds the page-table observer of each process with a
+	// plan, which keeps that process's watermarks exact.
+	watches map[*osim.Process]*planWatch
+	// live is sweepPlans' set of live VMAs, reused across epochs.
+	live map[*vma.VMA]struct{}
 }
 
 // rangerSegment maps VMA pages [startPage, startPage+pages) to the
@@ -203,13 +209,54 @@ type rangerSegment struct {
 	target    addr.PFN
 }
 
+// rangerPlan is one VMA's plan and its watermark. A leaf is settled
+// when no segment covers it or it already sits at its target. Every
+// leaf that starts below mark is settled, so a walk from v.Start
+// passes over them without migrating anything, and defragVMA starts
+// its walk at mark instead. The one thing the walk does in that
+// prefix is stop at a 2 MiB leaf when less than 512 pages of budget
+// are left: hugeAt is the first 2 MiB leaf below mark, or v.End when
+// there is none, so the resumed walk stops there too.
+//
+// Only a change to a leaf below mark can unsettle the prefix: the plan
+// is fixed once chosen, and a leaf's state is its address and frame.
+// The process's planWatch lowers mark to any leaf mapped, unmapped or
+// redirected below it.
+type rangerPlan struct {
+	v      *vma.VMA
+	segs   []rangerSegment
+	mark   addr.VirtAddr
+	hugeAt addr.VirtAddr
+}
+
+// planWatch observes the page table of one process with plans.
+type planWatch struct {
+	plans []*rangerPlan
+}
+
+// lower moves the watermark of the plan whose VMA holds va down to va
+// when va lies below it.
+func (w *planWatch) lower(va addr.VirtAddr) {
+	for _, pl := range w.plans {
+		if va >= pl.v.Start && va < pl.mark {
+			pl.mark = va
+		}
+	}
+}
+
+func (w *planWatch) Mapped(va addr.VirtAddr, _ uint64)     { w.lower(va) }
+func (w *planWatch) Unmapped(va addr.VirtAddr, _ uint64)   { w.lower(va) }
+func (w *planWatch) Redirected(va addr.VirtAddr, _ uint64) { w.lower(va) }
+
 // NewRanger creates the daemon with evaluation defaults.
 func NewRanger(k *osim.Kernel) *Ranger {
 	return &Ranger{
 		Kernel:        k,
 		Period:        2_000_000,
 		PagesPerEpoch: addr.HugePages, // one huge page per epoch — migration is not free
-		plans:         make(map[*vma.VMA][]rangerSegment),
+		plans:         make(map[*vma.VMA]*rangerPlan),
+		watches:       make(map[*osim.Process]*planWatch),
+		live:          make(map[*vma.VMA]struct{}),
 	}
 }
 
@@ -264,22 +311,34 @@ func (d *Ranger) Epoch() {
 }
 
 // sweepPlans drops plan entries whose VMA is no longer attached to any
-// live process. Unmap and exit notify no daemon, so the map is
-// reconciled against the live VMA set once per epoch; without the
-// sweep, tenant churn leaks one entry (keyed by *vma.VMA) per VMA of
-// every exited process, unboundedly. Only deletions happen here, so
-// the map's iteration order cannot influence simulation state.
+// live process, and the watches left without plans. Unmap and exit
+// notify no daemon, so the map is reconciled against the live VMA set
+// once per epoch; without the sweep, tenant churn leaks one entry
+// (keyed by *vma.VMA) per VMA of every exited process, unboundedly.
+// Only deletions happen here, so the maps' iteration order cannot
+// influence simulation state.
 func (d *Ranger) sweepPlans() {
 	if len(d.plans) == 0 {
 		return
 	}
-	live := make(map[*vma.VMA]struct{}, len(d.plans))
+	live := d.live
+	clear(live)
 	for _, p := range d.Kernel.Processes() {
 		p.VMAs.Visit(func(v *vma.VMA) { live[v] = struct{}{} })
 	}
 	for v := range d.plans {
 		if _, ok := live[v]; !ok {
 			delete(d.plans, v)
+		}
+	}
+	for p, w := range d.watches {
+		w.plans = slices.DeleteFunc(w.plans, func(pl *rangerPlan) bool {
+			_, ok := live[pl.v]
+			return !ok
+		})
+		if len(w.plans) == 0 {
+			p.PT.RemoveObserver(w)
+			delete(d.watches, p)
 		}
 	}
 }
@@ -290,50 +349,86 @@ func (d *Ranger) sweepPlans() {
 func (d *Ranger) PlanCount() int { return len(d.plans) }
 
 // defragVMA migrates the VMA's mapped leaves toward its plan segments,
-// returning the remaining budget.
+// returning the remaining budget. It walks from the plan's watermark
+// and leaves the watermark at the first leaf the walk left unsettled.
 func (d *Ranger) defragVMA(p *osim.Process, v *vma.VMA, budget uint64) uint64 {
-	k := d.Kernel
-	plan, ok := d.plans[v]
-	if !ok {
-		plan = d.choosePlan(p, v)
-		d.plans[v] = plan
+	pl := d.plans[v]
+	if pl == nil {
+		pl = d.newPlan(p, v)
 	}
-	if len(plan) == 0 {
+	if len(pl.segs) == 0 {
 		return budget
+	}
+	if pl.hugeAt < pl.mark && budget < addr.HugePages {
+		return 0 // a walk from v.Start stops at that settled huge leaf
+	}
+	mark, hugeAt := v.End, pl.hugeAt
+	if hugeAt >= pl.mark {
+		hugeAt = v.End
 	}
 	// Scan the VMA's leaves in place with a range-bounded walk: the only
 	// mutation inside the loop is MigratePage, whose Redirect rewrites a
 	// leaf's frame without adding or removing slots, so the in-order walk
 	// stays well-defined and visits the exact leaf sequence the old
 	// snapshot-then-act loop saw. Stopping at budget exhaustion (instead
-	// of snapshotting the whole footprint first) makes a rate-limited
-	// epoch O(converged prefix + budget), not O(footprint).
-	p.PT.VisitRange(v.Start, v.End, func(l pagetable.Leaf) bool {
+	// of snapshotting the whole footprint first) and starting at the
+	// watermark makes a rate-limited epoch O(budget) plus the leaves
+	// still out of place, not O(footprint).
+	p.PT.VisitRange(pl.mark, v.End, func(l pagetable.Leaf) bool {
 		if budget < l.Pages {
 			budget = 0
+			mark = min(mark, l.VA)
 			return false
 		}
 		page := uint64(l.VA-v.Start) / addr.PageSize
-		want, covered := planTarget(plan, page)
-		if !covered || l.PTE.PFN == want {
-			return true // unplanned tail or already in place
+		if want, covered := planTarget(pl.segs, page); covered && l.PTE.PFN != want {
+			if !d.migrate(p, l, want) {
+				mark = min(mark, l.VA) // still out of place
+				return true
+			}
+			budget -= l.Pages
 		}
-		order := addr.LeafOrder(l.Pages)
-		// The target slot must be free; Ranger iterates, so slots
-		// occupied by other pages of this VMA resolve in later epochs
-		// once those migrate away. (Real Ranger exchanges pages; the
-		// iterative converge-over-epochs behaviour is the same.)
-		if err := k.Machine.AllocBlockAt(want, order); err != nil {
-			return true
+		// The leaf is settled now.
+		if l.Pages == addr.HugePages && mark == v.End && hugeAt == v.End {
+			hugeAt = l.VA
 		}
-		if !k.MigratePage(p, l.VA, want) {
-			k.Machine.FreeBlock(want, order)
-			return true
-		}
-		budget -= l.Pages
 		return true
 	})
+	pl.mark, pl.hugeAt = mark, hugeAt
 	return budget
+}
+
+// migrate moves leaf l of p to want and reports whether it moved. The
+// target slot must be free; Ranger iterates, so slots occupied by
+// other pages of the VMA resolve in later epochs once those migrate
+// away. (Real Ranger exchanges pages; the iterative
+// converge-over-epochs behaviour is the same.)
+func (d *Ranger) migrate(p *osim.Process, l pagetable.Leaf, want addr.PFN) bool {
+	k := d.Kernel
+	order := addr.LeafOrder(l.Pages)
+	if err := k.Machine.AllocBlockAt(want, order); err != nil {
+		return false
+	}
+	if !k.MigratePage(p, l.VA, want) {
+		k.Machine.FreeBlock(want, order)
+		return false
+	}
+	return true
+}
+
+// newPlan chooses v's plan, with its watermark at v.Start, and
+// subscribes the plan to p's page-table events.
+func (d *Ranger) newPlan(p *osim.Process, v *vma.VMA) *rangerPlan {
+	pl := &rangerPlan{v: v, segs: d.choosePlan(p, v), mark: v.Start, hugeAt: v.End}
+	d.plans[v] = pl
+	w := d.watches[p]
+	if w == nil {
+		w = &planWatch{}
+		d.watches[p] = w
+		p.PT.AddObserver(w)
+	}
+	w.plans = append(w.plans, pl)
+	return pl
 }
 
 // planTarget resolves the planned frame for a VMA page.

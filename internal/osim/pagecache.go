@@ -15,6 +15,11 @@ import (
 // Linux readahead allocations the paper steers with a per-file Offset.
 const ReadaheadPages = 16
 
+// maxSpareSlots caps the slot arrays the cache keeps from dropped files
+// for later files to reuse. Churn that drops one file and caches the
+// next, as aging campaigns do, needs only one.
+const maxSpareSlots = 2
+
 // File is a simulated file whose pages live in the page cache. Cache
 // pages persist after the mapping processes exit — the property that
 // makes scattered cache allocations a long-lived fragmentation source
@@ -27,8 +32,9 @@ type File struct {
 	// page number and encoded as PFN+1 (0 = not resident): a dense
 	// array beats a map in the readahead fill loop, and the +1
 	// encoding makes a fresh zeroed slice mean "nothing cached". It is
-	// nil while no page is cached: the cache makes it on a file's first
-	// fill and releases it when the file's last page goes.
+	// nil while no page is cached: the cache makes it (or reuses a
+	// dropped file's) on a file's first fill and releases it when the
+	// file's last page goes.
 	pages  []addr.PFN
 	cached uint64
 
@@ -65,6 +71,10 @@ type PageCache struct {
 	// run creates.
 	resident []*File
 	nextID   int
+	// spare holds cleared slot arrays of dropped files (at most
+	// maxSpareSlots): a file of the same length reuses one instead of
+	// allocating its own.
+	spare [][]addr.PFN
 	// ResidentPages counts cached frames across all files.
 	ResidentPages uint64
 }
@@ -100,13 +110,25 @@ func (c *PageCache) VisitFiles(fn func(slots []addr.PFN)) {
 // file's slots and entering it in the resident set on its first page.
 func (c *PageCache) setCached(f *File, idx uint64, pfn addr.PFN) {
 	if f.cached == 0 {
-		f.pages = make([]addr.PFN, f.Pages())
+		f.pages = c.slots(f.Pages())
 		i, _ := slices.BinarySearchFunc(c.resident, f.ID, func(r *File, id int) int { return cmp.Compare(r.ID, id) })
 		c.resident = slices.Insert(c.resident, i, f)
 	}
 	f.pages[idx] = pfn + 1
 	f.cached++
 	c.ResidentPages++
+}
+
+// slots returns a zeroed slot array of n entries, taking a spare of
+// that length when the cache holds one.
+func (c *PageCache) slots(n uint64) []addr.PFN {
+	for i, s := range c.spare {
+		if uint64(len(s)) == n {
+			c.spare = slices.Delete(c.spare, i, i+1)
+			return s
+		}
+	}
+	return make([]addr.PFN, n)
 }
 
 // lookupOrFill returns the frame caching the file page, populating a
@@ -176,6 +198,10 @@ func (c *PageCache) DropFile(f *File) {
 	}
 	c.ResidentPages -= f.cached
 	f.cached = 0
+	if len(c.spare) < maxSpareSlots {
+		clear(f.pages)
+		c.spare = append(c.spare, f.pages)
+	}
 	f.pages = nil
 	c.resident = slices.DeleteFunc(c.resident, func(r *File) bool { return r == f })
 }

@@ -197,3 +197,55 @@ func TestDropOldestEvictsLowestResidentID(t *testing.T) {
 		t.Fatal("eviction leaked frames")
 	}
 }
+
+// TestDroppedSlotsAreReused pins the slot-array recycling: a file
+// cached after another of its length was dropped takes that file's
+// array, cleared, so only the pages it fills itself read as resident;
+// a file of another length makes its own; and the cache keeps at most
+// maxSpareSlots arrays.
+func TestDroppedSlotsAreReused(t *testing.T) {
+	k := newKernel(t, 16, DefaultPolicy{})
+	const pages = 4 * ReadaheadPages
+	a := k.Cache.CreateFile(pages * addr.PageSize)
+	if err := k.Cache.Read(a, 0, pages*addr.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	old := &a.pages[0]
+	k.Cache.DropFile(a)
+
+	other := k.Cache.CreateFile(ReadaheadPages * addr.PageSize)
+	if err := k.Cache.Read(other, 0, addr.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if &other.pages[0] == old {
+		t.Fatal("a file of another length took the spare slot array")
+	}
+	b := k.Cache.CreateFile(pages * addr.PageSize)
+	if err := k.Cache.Read(b, 2*ReadaheadPages*addr.PageSize, addr.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if &b.pages[0] != old {
+		t.Fatal("a file of the dropped file's length made a new slot array")
+	}
+	for i := uint64(0); i < pages; i++ {
+		_, ok := b.cachedPFN(i)
+		if want := i >= 2*ReadaheadPages && i < 3*ReadaheadPages; ok != want {
+			t.Fatalf("page %d: resident %v, want %v", i, ok, want)
+		}
+	}
+	if b.CachedPages() != ReadaheadPages {
+		t.Fatalf("cached = %d, want %d", b.CachedPages(), ReadaheadPages)
+	}
+
+	c := k.Cache.CreateFile(2 * ReadaheadPages * addr.PageSize)
+	if err := k.Cache.Read(c, 0, addr.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	k.Cache.DropAll() // three files dropped
+	if n := len(k.Cache.spare); n != maxSpareSlots {
+		t.Fatalf("cache keeps %d spare slot arrays, cap %d", n, maxSpareSlots)
+	}
+	if k.Cache.ResidentPages != 0 || k.Machine.FreePages() != k.Machine.TotalPages() {
+		t.Fatal("eviction leaked frames")
+	}
+}
