@@ -385,6 +385,55 @@ func (b *Buddy) AllocBlockAt(pfn addr.PFN, order int) error {
 	return nil
 }
 
+// AllocRunAt claims up to n pages starting at t from the free block
+// holding t, stopping at that block's end, and returns how many it
+// claimed: 0 when t is not free. It is the extent form of CA paging's
+// targeted 4 KiB allocation, leaving exactly the state of that many
+// ascending AllocBlockAt(t+i, 0) calls:
+//
+//   - every claimed frame is an order-0 allocation (AllocOrder 0), so a
+//     claim of a whole block is not AllocBlockAt(head, order);
+//   - the block's remainders go onto their lists in the loop's order,
+//     the prefix [head, t) first, then the suffix [t+claimed, end). A
+//     suffix block therefore lands ahead of a prefix block of the same
+//     order; every other list entry keeps its place;
+//   - the mutation counter advances once per page, and the MAX_ORDER
+//     hooks fire once, when the block leaves its list.
+//
+// It emits no split events: a traced caller takes the per-page path.
+func (b *Buddy) AllocRunAt(t addr.PFN, n uint64) uint64 {
+	head, bo, ok := b.findFreeBlock(t)
+	if !ok || n == 0 {
+		return 0
+	}
+	end := head + addr.PFN(addr.OrderPages(bo))
+	n = min(n, uint64(end-t))
+	b.listRemove(head, bo)
+	b.insertRun(head, uint64(t-head))
+	b.insertRun(t+addr.PFN(n), uint64(end-t)-n)
+	rel := uint64(t - b.base)
+	fs := b.fs[rel : rel+n]
+	for i := range fs {
+		fs[i].State = frame.Allocated
+		fs[i].AllocOrder = 0
+	}
+	b.freePages -= n
+	b.muts += n
+	return n
+}
+
+// insertRun lists the free run [pfn, pfn+npages) as its aligned blocks,
+// lowest address first. Inside one free block that is the run's
+// canonical decomposition, one block per order at most.
+func (b *Buddy) insertRun(pfn addr.PFN, npages uint64) {
+	for npages > 0 {
+		o := maxAlignedOrder(pfn, npages)
+		b.listInsert(pfn, o)
+		pfn += addr.PFN(addr.OrderPages(o))
+		npages -= addr.OrderPages(o)
+	}
+}
+
 // findFreeBlock locates the free block (head, order) containing pfn, if
 // the frame is free. Heads are discoverable because only the head of a
 // listed block carries BuddyOrder >= 0.

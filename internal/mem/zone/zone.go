@@ -319,6 +319,26 @@ func (m *Machine) AllocBlockAt(pfn addr.PFN, order int) error {
 	return z.Buddy.AllocBlockAt(pfn, order)
 }
 
+// AllocRunAt claims up to n consecutive frames starting at pfn, one
+// free block at a time (buddy.AllocRunAt), and stops at the first frame
+// that is busy or owned by no zone. It returns how many it claimed; the
+// state is that of as many ascending AllocBlockAt(pfn+i, 0) calls.
+func (m *Machine) AllocRunAt(pfn addr.PFN, n uint64) uint64 {
+	var done uint64
+	for done < n {
+		z := m.ZoneOf(pfn + addr.PFN(done))
+		if z == nil {
+			break
+		}
+		got := z.Buddy.AllocRunAt(pfn+addr.PFN(done), n-done)
+		if got == 0 {
+			break
+		}
+		done += got
+	}
+	return done
+}
+
 // FreeBlock returns a block to its owning zone.
 func (m *Machine) FreeBlock(pfn addr.PFN, order int) {
 	z := m.ZoneOf(pfn)

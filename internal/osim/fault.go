@@ -98,6 +98,60 @@ func (p *Process) TouchRangeQuiet(v *vma.VMA, va addr.VirtAddr, maxPages uint64,
 	return done
 }
 
+// FaultRun is the extent form of the write fault CA paging takes at an
+// unmapped anonymous page whose VMA already has an Offset: each such
+// page maps to va − Offset, the frame right after the previous page's.
+// It faults in the longest run of pages from va (at most maxPages)
+// that is unmapped, inside one leaf table and the VMA, and keeps the
+// same nearest Offset entry, claiming the targets block by block until
+// one is busy (zone.Machine.AllocRunAt) and mapping the run with one
+// descent. It returns how many pages it faulted in; the state is that
+// of as many TouchAt(v, va+i, true) calls. It declines (returns 0) with
+// a tracer attached (the per-page path's events stay exact), under any
+// other policy, for a file VMA, at a THP-eligible page, before the
+// VMA's first placement, and when the first target is busy: the caller
+// then takes the per-page step. The caller guarantees that nothing
+// else runs between those per-page steps (no daemon polls).
+func (p *Process) FaultRun(v *vma.VMA, va addr.VirtAddr, maxPages uint64) uint64 {
+	k := p.kernel
+	if _, ca := k.Policy.(CAPolicy); !ca || k.Tracer != nil || v.Kind != vma.Anonymous || !va.PageAligned() {
+		return 0
+	}
+	n := p.PT.UnmappedRun(va, min(maxPages, uint64(v.End-va)/addr.PageSize))
+	if n == 0 || k.THPEnabled && k.canMapHuge(p, v, va) {
+		return 0
+	}
+	off, n, ok := v.NearestOffsetRun(va, n)
+	if !ok {
+		return 0
+	}
+	pfn := off.TargetPFN(va)
+	if n = k.Machine.AllocRunAt(pfn, n); n == 0 {
+		return 0
+	}
+	// Page i of the run walks back over pages 0..i-1, untagged and
+	// adjacent, before reaching what page 0's walk reaches: it meets
+	// the threshold once page 0's run plus i pages does, and the first
+	// page to meet it tags everything behind it.
+	flags := pagetable.Flags(pagetable.Writable)
+	if runPages, met := k.contigPreds(p.PT, va, pfn, 1); met || runPages+n-1 >= k.ContigThresholdPages {
+		flags |= pagetable.Contig
+		k.tagContigPreds(p.PT)
+	}
+	p.PT.MapRun4K(va, pfn, n, flags)
+	fs := k.Machine.Frames.Slice(pfn, n)
+	for i := range fs {
+		fs[i].MapCount++
+	}
+	k.Stats.CATargetHits += n
+	k.mutSeq += n // TouchAt's; recordFaults adds the faults' own
+	k.recordFaults(Fault4K, n, k.faultLatency(0, false))
+	v.MarkTouchedRange(uint64(va-v.Start)/addr.PageSize, n)
+	v.MappedPages += n
+	p.RSSPages += n
+	return n
+}
+
 // anonFault allocates and maps one block of the given order at va.
 func (k *Kernel) anonFault(p *Process, v *vma.VMA, va addr.VirtAddr, order int, write bool) error {
 	pfn, placed, err := k.Policy.PlaceAnon(k, p, v, va, order)
@@ -214,52 +268,53 @@ func (p *Process) Fork() *Process {
 // markContiguity implements the PTE contiguity-bit protocol of §IV-C:
 // after a successful allocation the OS checks whether the new mapping
 // extends a contiguous run past the threshold, and if so tags the run's
-// PTEs so the hardware walker will feed SpOT. The backward walk stops
-// at the first already-tagged entry (a tagged run is by construction
-// already past the threshold), keeping the amortised cost O(1).
+// PTEs so the hardware walker will feed SpOT.
 func (k *Kernel) markContiguity(pt *pagetable.Table, va addr.VirtAddr, pfn addr.PFN, order int) {
-	runPages := addr.OrderPages(order)
-	// Walk backwards over VA-adjacent leaves that are also physically
-	// adjacent (same offset).
+	if _, met := k.contigPreds(pt, va, pfn, addr.OrderPages(order)); met {
+		pt.SetContig(va, true)
+		k.tagContigPreds(pt)
+	}
+}
+
+// contigPreds walks backwards from a leaf of pages base pages mapping
+// va → pfn over the VA-adjacent leaves that are also physically
+// adjacent, collecting them into k.contigScratch until the run they
+// form with the leaf covers ContigThresholdPages (it looks at one
+// predecessor even when the leaf alone covers it). It returns the run's
+// page count and whether the threshold is met. The walk stops at the
+// first already-tagged entry, which meets it: a tagged run is by
+// construction already past the threshold, keeping the amortised cost
+// O(1).
+func (k *Kernel) contigPreds(pt *pagetable.Table, va addr.VirtAddr, pfn addr.PFN, pages uint64) (runPages uint64, met bool) {
+	runPages = pages
 	walked := k.contigScratch[:0]
 	curVA, curPFN := va, pfn
-	thresholdMet := false
-	for {
-		if curVA < addr.PageSize { // underflow guard
-			break
-		}
-		prevVA := curVA - addr.PageSize // last page of the predecessor leaf
-		pte, pages, ok := pt.Lookup(prevVA)
-		if !ok {
-			break
-		}
+	for curVA >= addr.PageSize { // underflow guard
+		pte, pages, ok := pt.Lookup(curVA - addr.PageSize) // last page of the predecessor leaf
 		// The predecessor leaf must end exactly where we begin, both
 		// virtually (guaranteed: Lookup(prev page)) and physically.
-		if pte.PFN+addr.PFN(pages) != curPFN {
+		if !ok || pte.PFN+addr.PFN(pages) != curPFN {
 			break
 		}
-		leafVA := curVA - addr.VirtAddr(pages*addr.PageSize)
 		if pte.Flags.Has(pagetable.Contig) {
-			thresholdMet = true
+			met = true
 			break
 		}
-		walked = append(walked, leafVA)
+		curVA, curPFN = curVA-addr.VirtAddr(pages*addr.PageSize), pte.PFN
+		walked = append(walked, curVA)
 		runPages += pages
-		curVA, curPFN = leafVA, pte.PFN
 		if runPages >= k.ContigThresholdPages {
-			thresholdMet = true
 			break
 		}
 	}
 	k.contigScratch = walked
-	if runPages >= k.ContigThresholdPages {
-		thresholdMet = true
-	}
-	if !thresholdMet {
-		return
-	}
-	pt.SetContig(va, true)
-	for _, w := range walked {
+	return runPages, met || runPages >= k.ContigThresholdPages
+}
+
+// tagContigPreds sets the contiguity bit on the leaves contigPreds
+// collected.
+func (k *Kernel) tagContigPreds(pt *pagetable.Table) {
+	for _, w := range k.contigScratch {
 		pt.SetContig(w, true)
 	}
 }

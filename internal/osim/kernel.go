@@ -170,8 +170,13 @@ type Kernel struct {
 	// it), so the pool needs no lock.
 	ptPool *pagetable.Pool
 
-	// contigScratch is markContiguity's reused list of walked leaves.
+	// contigScratch is contigPreds' reused list of walked leaves.
 	contigScratch []addr.VirtAddr
+
+	// freeStart and freeLen are MUnmap's pending run of frames to free
+	// ([freeStart, freeStart+freeLen)); empty between calls.
+	freeStart addr.PFN
+	freeLen   uint64
 
 	procs  []*Process
 	nextID int
@@ -299,19 +304,55 @@ func (p *Process) mmap(size uint64, kind vma.Kind, fileID int, fileOff uint64) (
 
 // MUnmap tears down a VMA, releasing anonymous frames. Page-cache
 // frames stay in the cache (they outlive processes, §III-C).
+//
+// With no tracer attached, the 4 KiB frames it frees go back by run:
+// VA-ascending leaves on consecutive frames gather into one pending
+// run, any other leaf flushes it first, and each run is freed as its
+// aligned blocks in ascending order (zone.Machine.FreeRange). That ends
+// in the same free lists and frames as freeing the run page by page:
+// inside an aligned block the still-allocated upper pages stop every
+// merge until the block's last page. A traced teardown frees page by
+// page, so its coalesce events stay exact.
 func (p *Process) MUnmap(v *vma.VMA) {
 	k := p.kernel
 	k.mutSeq++
+	runs := k.Tracer == nil
 	p.PT.UnmapRange(v.Start, v.End, func(l pagetable.Leaf) {
 		f := k.Machine.Frames.Get(l.PTE.PFN)
 		f.MapCount--
-		if f.MapCount <= 0 && v.Kind == vma.Anonymous {
+		p.RSSPages -= l.Pages
+		free := f.MapCount <= 0 && v.Kind == vma.Anonymous
+		if runs && free && l.Pages == 1 {
+			k.freeLater(l.PTE.PFN)
+			return
+		}
+		k.flushFree()
+		if free {
 			k.Machine.FreeBlock(l.PTE.PFN, addr.LeafOrder(l.Pages))
 		}
-		p.RSSPages -= l.Pages
 	})
+	k.flushFree()
 	v.MappedPages = 0
 	p.VMAs.Remove(v)
+}
+
+// freeLater adds the 4 KiB frame pfn to the pending free run, flushing
+// the run first when pfn does not extend it.
+func (k *Kernel) freeLater(pfn addr.PFN) {
+	if k.freeLen > 0 && pfn == k.freeStart+addr.PFN(k.freeLen) {
+		k.freeLen++
+		return
+	}
+	k.flushFree()
+	k.freeStart, k.freeLen = pfn, 1
+}
+
+// flushFree frees the pending run, if any.
+func (k *Kernel) flushFree() {
+	if k.freeLen > 0 {
+		k.Machine.FreeRange(k.freeStart, k.freeLen)
+		k.freeLen = 0
+	}
 }
 
 // Exit tears down every VMA of the process and returns its page-table
@@ -344,21 +385,32 @@ var faultEvent = [numFaultKinds]trace.Kind{
 
 // recordFault charges a fault of the given kind and latency at va.
 func (k *Kernel) recordFault(kind FaultKind, va addr.VirtAddr, latNs uint64) {
-	k.mutSeq++
-	k.Stats.Faults[kind]++
-	// Grow the latency log by doubling: the runtime's ~1.25x growth for
-	// large slices re-copies a million-fault log often enough to show up
-	// in whole-sweep profiles.
-	if lats := k.Stats.FaultLatencies; len(lats) == cap(lats) {
-		grown := make([]uint64, len(lats), max(4096, 2*cap(lats)))
-		copy(grown, lats)
-		k.Stats.FaultLatencies = grown
-	}
-	k.Stats.FaultLatencies = append(k.Stats.FaultLatencies, latNs)
-	k.Tick(latNs)
+	k.recordFaults(kind, 1, latNs)
 	if k.Tracer != nil {
 		k.Tracer.Emit(faultEvent[kind], uint64(va), latNs, k.Clock)
 	}
+}
+
+// recordFaults charges n faults of one kind and latency: the counters,
+// the latency log and the clock move as n untraced recordFault calls
+// would move them.
+func (k *Kernel) recordFaults(kind FaultKind, n, latNs uint64) {
+	k.mutSeq += n
+	k.Stats.Faults[kind] += n
+	// Grow the latency log by doubling: the runtime's ~1.25x growth for
+	// large slices re-copies a million-fault log often enough to show up
+	// in whole-sweep profiles.
+	lats := k.Stats.FaultLatencies
+	if need := len(lats) + int(n); need > cap(lats) {
+		grown := make([]uint64, len(lats), max(4096, 2*cap(lats), need))
+		copy(grown, lats)
+		lats = grown
+	}
+	for range n {
+		lats = append(lats, latNs)
+	}
+	k.Stats.FaultLatencies = lats
+	k.Tick(n * latNs)
 }
 
 // mapRange installs translations for a physically contiguous run

@@ -423,6 +423,64 @@ func (t *Table) FlagRun(v addr.VirtAddr, limit uint64, set, stop Flags) uint64 {
 	return done
 }
 
+// UnmappedRun counts the consecutive unmapped base pages starting at v
+// (page aligned), up to limit and the end of v's leaf-table span: 0
+// when v is mapped, the whole remaining span when no leaf table exists
+// there yet. It is the extent fault path's probe, one descent per call.
+func (t *Table) UnmappedRun(v addr.VirtAddr, limit uint64) uint64 {
+	limit = min(limit, uint64(fanout-index(v, 0)))
+	n := t.descend(v, HugeLevel, false)
+	if n == nil {
+		return limit
+	}
+	i := index(v, HugeLevel)
+	if n.huge[i] {
+		return 0
+	}
+	child := n.children[i]
+	if child == nil {
+		return limit
+	}
+	var done uint64
+	for s := index(v, 0); done < limit && !child.leaves[s].Present(); s++ {
+		done++
+	}
+	return done
+}
+
+// MapRun4K installs n consecutive 4 KiB translations, v → pfn up to
+// v+n-1 → pfn+n-1, with one descent: the run must lie inside one leaf
+// table span and be unmapped (UnmappedRun reports how far it may go).
+// Counters and observers move exactly as n Map4K calls in ascending
+// order would.
+func (t *Table) MapRun4K(v addr.VirtAddr, pfn addr.PFN, n uint64, flags Flags) {
+	first := index(v, 0)
+	if !v.PageAligned() || uint64(first)+n > fanout {
+		panic(fmt.Sprintf("pagetable: MapRun4K %v+%d leaves its leaf table", v, n))
+	}
+	nd := t.descend(v, 0, true)
+	if nd == nil {
+		panic(fmt.Sprintf("pagetable: MapRun4K %v blocked by huge mapping", v))
+	}
+	leaves := nd.leaves[first : uint64(first)+n]
+	for i := range leaves {
+		if leaves[i].Present() {
+			panic(fmt.Sprintf("pagetable: MapRun4K double map at %v", v.Add(uint64(i)*addr.PageSize)))
+		}
+		leaves[i] = PTE{PFN: pfn + addr.PFN(i), Flags: flags | Present}
+	}
+	nd.live += int(n)
+	t.mapped4K += n
+	if flags.Has(Contig) {
+		t.ContigBits += n
+	}
+	for i := range n {
+		for _, o := range t.obs {
+			o.Mapped(v.Add(i*addr.PageSize), 1)
+		}
+	}
+}
+
 // SetContig sets or clears the contiguity bit on the leaf mapping v.
 func (t *Table) SetContig(v addr.VirtAddr, on bool) bool {
 	pte, _, ok := t.Lookup(v)

@@ -583,3 +583,59 @@ func TestPoolRecyclesNodes(t *testing.T) {
 		t.Fatal("a new table did not take its root from the pool")
 	}
 }
+
+// TestMapRun4KMatchesMap4K pins the extent fault path's two table
+// operations: UnmappedRun counts the unmapped pages from v within its
+// leaf table, and MapRun4K leaves the same leaves, counters and
+// observer events as ascending Map4K calls.
+func TestMapRun4KMatchesMap4K(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		seed := rng.Int63()
+		run, loop := randomMixedTable(rand.New(rand.NewSource(seed)), 4), randomMixedTable(rand.New(rand.NewSource(seed)), 4)
+		recRun, recLoop := &recObserver{}, &recObserver{}
+		run.AddObserver(recRun)
+		loop.AddObserver(recLoop)
+		v := mixedTops[rng.Intn(2)] + addr.VirtAddr(rng.Intn(4))<<30 + addr.VirtAddr(rng.Intn(8*addr.HugePages))*addr.PageSize
+		limit := uint64(rng.Intn(600))
+		n := run.UnmappedRun(v, limit)
+		var want uint64
+		for want < limit && index(v.Add(want*addr.PageSize), 0) >= index(v, 0) {
+			if _, _, ok := loop.Lookup(v.Add(want * addr.PageSize)); ok {
+				break
+			}
+			want++
+		}
+		if n != want {
+			t.Fatalf("trial %d: UnmappedRun(%v, %d) = %d, per-page %d", trial, v, limit, n, want)
+		}
+		if n == 0 {
+			continue
+		}
+		pfn := addr.PFN(rng.Intn(1 << 24))
+		flags := Writable
+		if rng.Intn(2) == 0 {
+			flags |= Contig
+		}
+		run.MapRun4K(v, pfn, n, flags)
+		for i := range n {
+			loop.Map4K(v.Add(i*addr.PageSize), pfn+addr.PFN(i), flags)
+		}
+		var gotLeaves, wantLeaves []Leaf
+		run.Visit(func(l Leaf) { gotLeaves = append(gotLeaves, l) })
+		loop.Visit(func(l Leaf) { wantLeaves = append(wantLeaves, l) })
+		if !reflect.DeepEqual(gotLeaves, wantLeaves) {
+			t.Fatalf("trial %d: leaves differ after MapRun4K(%v, %d)", trial, v, n)
+		}
+		if run.Mapped4K() != loop.Mapped4K() || run.ContigBits != loop.ContigBits {
+			t.Fatalf("trial %d: counters %d/%d, want %d/%d", trial, run.Mapped4K(), run.ContigBits, loop.Mapped4K(), loop.ContigBits)
+		}
+		if !reflect.DeepEqual(recRun.events, recLoop.events) {
+			t.Fatalf("trial %d: events %q, want %q", trial, recRun.events, recLoop.events)
+		}
+		if !reflect.DeepEqual(run.nodes()[0].live, loop.nodes()[0].live) || len(run.nodes()) != len(loop.nodes()) {
+			t.Fatalf("trial %d: node structure differs", trial)
+		}
+	}
+	assertPanics(t, func() { New().MapRun4K(addr.VirtAddr(510)*addr.PageSize, 0, 3, 0) })
+}

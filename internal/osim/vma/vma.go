@@ -239,6 +239,45 @@ func (v *VMA) NearestOffset(va addr.VirtAddr) (addr.Offset, bool) {
 	return best.Offset, true
 }
 
+// NearestOffsetRun is NearestOffset for the pages from va (page
+// aligned) on: it returns the offset NearestOffset(va) picks and for how
+// many pages, at most maxPages and va's own included, NearestOffset
+// keeps picking that same entry. The answer is closed-form: as the
+// faulting address rises, only an entry whose fault VA lies above the
+// chosen one's can take over, and it does at the midpoint of the two,
+// a tie there going to the earlier FIFO entry.
+func (v *VMA) NearestOffsetRun(va addr.VirtAddr, maxPages uint64) (addr.Offset, uint64, bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if len(v.offsets) == 0 || maxPages == 0 {
+		return 0, 0, false
+	}
+	bi := 0
+	bestDist := dist(v.offsets[0].FaultVA, va)
+	for i, e := range v.offsets[1:] {
+		if d := dist(e.FaultVA, va); d < bestDist {
+			bi, bestDist = i+1, d
+		}
+	}
+	best := v.offsets[bi].FaultVA
+	run := maxPages
+	for j, e := range v.offsets {
+		if e.FaultVA <= best {
+			continue
+		}
+		// Entry j wins at x once 2x > best+e.FaultVA, or already at
+		// 2x == best+e.FaultVA when it is the earlier entry.
+		sum := uint64(best) + uint64(e.FaultVA)
+		win := sum/2 + 1
+		if j < bi {
+			win = (sum + 1) / 2
+		}
+		pages := (win - uint64(va) + addr.PageSize - 1) / addr.PageSize
+		run = min(run, pages)
+	}
+	return v.offsets[bi].Offset, run, true
+}
+
 // OffsetCount returns the number of tracked offsets.
 func (v *VMA) OffsetCount() int {
 	v.mu.Lock()

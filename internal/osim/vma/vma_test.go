@@ -1,6 +1,7 @@
 package vma
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -85,6 +86,56 @@ func TestNearestOffsetSelection(t *testing.T) {
 	v.ClearOffsets()
 	if v.OffsetCount() != 0 {
 		t.Fatal("ClearOffsets")
+	}
+}
+
+// nearestEntry is NearestOffset returning the index of the entry it
+// picks, the identity NearestOffsetRun's run length is about.
+func nearestEntry(v *VMA, va addr.VirtAddr) int {
+	best := 0
+	for i, e := range v.offsets {
+		if dist(e.FaultVA, va) < dist(v.offsets[best].FaultVA, va) {
+			best = i
+		}
+	}
+	return best
+}
+
+// TestNearestOffsetRunMatchesPerPage pins NearestOffsetRun's closed form
+// against per-page NearestOffset: over random FIFO entries (fault VAs
+// page aligned or not, duplicates and midpoint ties included) and
+// random starting pages, it returns NearestOffset's offset and exactly
+// the number of pages, capped at maxPages, before the picked entry
+// changes.
+func TestNearestOffsetRunMatchesPerPage(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const pages = 2048
+	for trial := 0; trial < 3000; trial++ {
+		v := New(1, 0, pages*addr.PageSize, Anonymous)
+		if _, n, ok := v.NearestOffsetRun(0, 8); ok || n != 0 {
+			t.Fatal("run without offsets")
+		}
+		for e := 1 + rng.Intn(6); e > 0; e-- {
+			fva := addr.VirtAddr(rng.Intn(pages)) * addr.PageSize
+			if rng.Intn(4) == 0 {
+				fva += addr.VirtAddr(rng.Intn(addr.PageSize))
+			}
+			v.TrackOffset(fva, addr.Offset(rng.Intn(1<<20)))
+		}
+		va := addr.VirtAddr(rng.Intn(pages)) * addr.PageSize
+		maxPages := uint64(1 + rng.Intn(pages))
+		off, n, ok := v.NearestOffsetRun(va, maxPages)
+		if want, _ := v.NearestOffset(va); !ok || off != want {
+			t.Fatalf("trial %d: offset %d, NearestOffset says %d", trial, off, want)
+		}
+		first := nearestEntry(v, va)
+		var want uint64
+		for want < maxPages && nearestEntry(v, va.Add(want*addr.PageSize)) == first {
+			want++
+		}
+		if n != want {
+			t.Fatalf("trial %d: offsets %+v from %v: run %d, per-page %d (max %d)", trial, v.offsets, va, n, want, maxPages)
+		}
 	}
 }
 

@@ -265,37 +265,43 @@ func TestReplayStop(t *testing.T) {
 
 // TestReplayGauges pins the tracer integration: EvReplayBatch spans
 // and replay.* gauges appear, and attaching a tracer does not change
-// the digest.
+// the digest. Under CA paging it is also a differential net for the
+// kernel's extent paths: the traced replay faults and frees page by
+// page, the bare one by run, and both must reach the same digest.
 func TestReplayGauges(t *testing.T) {
 	evs := Synth(SynthConfig{Seed: 6, Events: 3000, Tenants: 4})
-	bare, err := NewEngine(ReplayConfig{Shards: 2, Jobs: 1, SampleEvery: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replaySlice(bare, evs); err != nil {
-		t.Fatal(err)
-	}
-	want := bare.Result().Digest()
-	bare.Close()
+	for _, policy := range []string{check.PolicyDefault, check.PolicyCA} {
+		t.Run(policy, func(t *testing.T) {
+			bare, err := NewEngine(ReplayConfig{Shards: 2, Jobs: 1, SampleEvery: 256, Policy: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replaySlice(bare, evs); err != nil {
+				t.Fatal(err)
+			}
+			want := bare.Result().Digest()
+			bare.Close()
 
-	tr := trace.New()
-	e, err := NewEngine(ReplayConfig{Shards: 2, Jobs: 1, SampleEvery: 256, Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	if err := replaySlice(e, evs); err != nil {
-		t.Fatal(err)
-	}
-	e.SampleGauges()
-	if got := e.Result().Digest(); got != want {
-		t.Fatal("tracer changed the replay digest")
-	}
-	if tr.Count(trace.EvReplayBatch) == 0 {
-		t.Fatal("no EvReplayBatch spans emitted")
-	}
-	if v, ok := tr.GaugeValue("replay.events"); !ok || v != uint64(len(evs)) {
-		t.Fatalf("replay.events gauge = %d,%v; want %d", v, ok, len(evs))
+			tr := trace.New()
+			e, err := NewEngine(ReplayConfig{Shards: 2, Jobs: 1, SampleEvery: 256, Policy: policy, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer e.Close()
+			if err := replaySlice(e, evs); err != nil {
+				t.Fatal(err)
+			}
+			e.SampleGauges()
+			if got := e.Result().Digest(); got != want {
+				t.Fatal("tracer changed the replay digest")
+			}
+			if tr.Count(trace.EvReplayBatch) == 0 {
+				t.Fatal("no EvReplayBatch spans emitted")
+			}
+			if v, ok := tr.GaugeValue("replay.events"); !ok || v != uint64(len(evs)) {
+				t.Fatalf("replay.events gauge = %d,%v; want %d", v, ok, len(evs))
+			}
+		})
 	}
 }
 

@@ -196,7 +196,11 @@ func (e *Env) PopulatePrefix(v *vma.VMA, bytes uint64) error {
 //   - every page that needs the fault path still goes through the
 //     one-page step with a full per-daemon poll after it, because
 //     faults advance the logical clock and a fired daemon may mutate
-//     translations that later pages observe.
+//     translations that later pages observe;
+//   - natively with no daemons, where nothing runs between faults,
+//     CA paging's runs of Offset-targeted faults go through the kernel's
+//     extent form (osim.Process.FaultRun) instead, and only the pages
+//     it declines take the one-page step.
 //
 // Batching is gated on quiescence: a one-page step that neither faults
 // nor moves any kernel clock across its daemon polls proves that every
@@ -210,6 +214,7 @@ func (e *Env) PopulateRange(v *vma.VMA, start addr.VirtAddr, bytes uint64) error
 	pages := addr.BytesToPages(bytes)
 	va := start
 	quiescent := false
+	extents := e.VM == nil && len(e.Daemons) == 0
 	for pages > 0 {
 		if quiescent {
 			n := e.touchRangeQuiet(v, va, pages)
@@ -222,6 +227,14 @@ func (e *Env) PopulateRange(v *vma.VMA, start addr.VirtAddr, bytes uint64) error
 				if pages == 0 {
 					return nil
 				}
+			}
+		}
+		if extents {
+			if n := e.Proc.FaultRun(v, va, pages); n > 0 {
+				va = va.Add(n * addr.PageSize)
+				pages -= n
+				quiescent = false
+				continue
 			}
 		}
 		q, err := e.touchStep(v, va)

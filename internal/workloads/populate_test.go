@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mem/addr"
+	"repro/internal/mem/frame"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
 	"repro/internal/osim/daemon"
@@ -16,20 +17,45 @@ import (
 
 // popSnapshot captures every piece of simulator state the range-fault
 // path could possibly disturb: kernel clocks, the full Stats structs,
-// every page-table leaf (VA, PTE flags included, span), and per-VMA
-// accounting — in both translation dimensions when virtualized.
+// every page-table leaf (VA, PTE flags included, span), per-VMA
+// accounting, and the allocator state — in both translation dimensions
+// when virtualized.
 type popSnapshot struct {
-	clock      uint64
-	stats      osim.Stats
-	leaves     []pagetable.Leaf
-	vmas       [][4]uint64
-	hostClock  uint64
-	hostStats  osim.Stats
-	hostLeaves []pagetable.Leaf
+	clock       uint64
+	stats       osim.Stats
+	leaves      []pagetable.Leaf
+	vmas        [][4]uint64
+	machine     machineState
+	hostClock   uint64
+	hostStats   osim.Stats
+	hostLeaves  []pagetable.Leaf
+	hostMachine machineState
+}
+
+// machineState is a machine's allocator state: each zone's free lists
+// in list order (the MAX_ORDER list included) and every frame record.
+// Leaves and counters see free-list order only through which frames
+// later allocations happen to get; this sees it directly.
+type machineState struct {
+	freeBlocks [][][2]uint64
+	frames     []frame.Frame
+}
+
+func machineStateOf(m *zone.Machine) machineState {
+	var s machineState
+	for _, z := range m.Zones {
+		var blocks [][2]uint64
+		z.Buddy.VisitFreeBlocks(func(pfn addr.PFN, order int) {
+			blocks = append(blocks, [2]uint64{uint64(pfn), uint64(order)})
+		})
+		s.freeBlocks = append(s.freeBlocks, blocks)
+	}
+	s.frames = append(s.frames, m.Frames.Slice(m.Frames.Base(), m.Frames.Len())...)
+	return s
 }
 
 func snapshotEnv(env *Env) popSnapshot {
-	s := popSnapshot{clock: env.Kernel.Clock, stats: env.Kernel.Stats}
+	s := popSnapshot{clock: env.Kernel.Clock, stats: env.Kernel.Stats, machine: machineStateOf(env.Kernel.Machine)}
 	env.Proc.PT.Visit(func(l pagetable.Leaf) { s.leaves = append(s.leaves, l) })
 	env.Proc.VMAs.Visit(func(v *vma.VMA) {
 		s.vmas = append(s.vmas, [4]uint64{uint64(v.Start), v.Pages(), v.MappedPages, v.TouchedPages()})
@@ -37,9 +63,111 @@ func snapshotEnv(env *Env) popSnapshot {
 	if env.VM != nil {
 		s.hostClock = env.VM.Host.Clock
 		s.hostStats = env.VM.Host.Stats
+		s.hostMachine = machineStateOf(env.VM.Host.Machine)
 		env.VM.HostProc.PT.Visit(func(l pagetable.Leaf) { s.hostLeaves = append(s.hostLeaves, l) })
 	}
 	return s
+}
+
+// caChurnLayout drives CA paging through the cases its extent fault
+// path must cut short or decline, populating every range through
+// populate and touching single pages through Env.Touch:
+//
+//   - VMAs populated by random partial ranges, first with THP on, so
+//     huge-target misses re-place them, then with THP off (as under
+//     Ingens), so 4 KiB runs cross the midpoints where NearestOffset
+//     switches entries;
+//   - MUnmap and MMap interleaved with the populations, on a small
+//     machine, so fallbacks and other VMAs take frames out of the way
+//     of later targets;
+//   - a VMA touched in descending order first and populated ascending
+//     afterwards, so the backward contiguity scan reaches untagged
+//     chains both shorter and longer than the threshold.
+func caChurnLayout(env *Env, populate func(env *Env, v *vma.VMA, start addr.VirtAddr, bytes uint64) error) error {
+	rng := rand.New(rand.NewSource(23))
+	var vmas []*vma.VMA
+	var mapped uint64
+	budget := env.Kernel.Machine.FreePages() / 3
+	for step := 0; step < 120; step++ {
+		env.Kernel.THPEnabled = step < 60
+		switch op := rng.Intn(5); {
+		case op == 0 || len(vmas) == 0:
+			pages := uint64(64 + rng.Intn(3*addr.HugePages))
+			for len(vmas) > 0 && mapped+pages > budget {
+				env.Proc.MUnmap(vmas[0])
+				mapped -= vmas[0].Pages()
+				vmas = vmas[1:]
+			}
+			v, err := env.MMap(pages * addr.PageSize)
+			if err != nil {
+				return err
+			}
+			vmas = append(vmas, v)
+			mapped += pages
+		case op == 1 && len(vmas) > 2:
+			i := rng.Intn(len(vmas))
+			env.Proc.MUnmap(vmas[i])
+			mapped -= vmas[i].Pages()
+			vmas = append(vmas[:i], vmas[i+1:]...)
+		default:
+			v := vmas[rng.Intn(len(vmas))]
+			start := uint64(rng.Intn(int(v.Pages())))
+			n := 1 + uint64(rng.Intn(int(v.Pages()-start)))
+			if err := populate(env, v, v.Start.Add(start*addr.PageSize), n*addr.PageSize); err != nil {
+				return err
+			}
+		}
+	}
+	// Page 0 places the VMA; pages 100 down to 41 then take their
+	// targets but see an unmapped page behind them, staying untagged.
+	v, err := env.MMap(300 * addr.PageSize)
+	if err != nil {
+		return err
+	}
+	page := func(i uint64) addr.VirtAddr { return v.Start.Add(i * addr.PageSize) }
+	if err := env.Touch(page(0), true); err != nil {
+		return err
+	}
+	for i := uint64(100); i > 40; i-- {
+		if err := env.Touch(page(i), true); err != nil {
+			return err
+		}
+	}
+	// With the threshold at 32 pages: [1,5) and [5,31) leave a chain
+	// of 31, one page short; [101,200) finds an untagged chain already
+	// past it behind; the chains [210,250) and [260,292) reach it
+	// part-way through and at their last page.
+	for _, r := range [][2]uint64{{1, 5}, {5, 31}, {101, 200}, {210, 212}, {212, 250}, {260, 262}, {262, 292}} {
+		if err := populate(env, v, page(r[0]), (r[1]-r[0])*addr.PageSize); err != nil {
+			return err
+		}
+	}
+
+	// A 4-region VMA placed by its region 0, whose region 3 then misses
+	// its huge target and re-places: with THP off, region 1's pages
+	// switch from the first Offset entry to the second 257 pages in (a
+	// midpoint tie goes to the earlier entry). A pinned frame under
+	// region 1's targets stops a run part-way, and the run behind it
+	// crosses free-block edges.
+	env.Kernel.THPEnabled = true
+	w, err := env.MMap(4 * addr.HugeSize)
+	if err != nil {
+		return err
+	}
+	at := func(region, i uint64) addr.VirtAddr { return w.Start.Add(region*addr.HugeSize + i*addr.PageSize) }
+	if err := env.Touch(at(0, 0), true); err != nil {
+		return err
+	}
+	if off, ok := w.NearestOffset(at(0, 0)); ok {
+		m := env.Kernel.Machine
+		m.Reserve(off.TargetPFN(at(3, 0)), 1) // a busy target is fine
+		m.Reserve(off.TargetPFN(at(1, 100)), 1)
+	}
+	if err := env.Touch(at(3, 0), true); err != nil {
+		return err
+	}
+	env.Kernel.THPEnabled = false
+	return populate(env, w, at(1, 0), addr.HugeSize)
 }
 
 // nestedEnv builds a VM (experiment-sized host and guest) with the same
@@ -117,38 +245,64 @@ func populateLayout(env *Env, populate func(env *Env, v *vma.VMA, start addr.Vir
 // accounting — under every placement policy, with and without
 // clock-gated daemons, native and nested.
 func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
+	caChurn := func(t testing.TB, hog bool) *Env {
+		m := zone.NewMachine(zone.Config{
+			ZonePages:      []uint64{16 * addr.MaxOrderPages, 16 * addr.MaxOrderPages},
+			SortedMaxOrder: true,
+		})
+		if hog {
+			// HogFine pins 2 MiB chunks; the odd pages pinned between
+			// them leave free clusters at unaligned starts, so huge
+			// targets miss and re-place, and 4 KiB runs meet busy
+			// targets part-way.
+			rng := rand.New(rand.NewSource(3))
+			HogFine(m, 0.3, rng)
+			for pfn := addr.PFN(0); uint64(pfn) < m.TotalPages(); pfn += addr.PFN(700 + rng.Intn(1200)) {
+				m.Reserve(pfn, uint64(1+rng.Intn(3))) // a busy page is fine
+			}
+		}
+		return NewNativeEnv(osim.NewKernel(m, osim.CAPolicy{}), 0)
+	}
 	cases := []struct {
-		name  string
-		build func(t testing.TB) *Env
+		name   string
+		build  func(t testing.TB) *Env
+		layout func(*Env, func(*Env, *vma.VMA, addr.VirtAddr, uint64) error) error
 	}{
-		{"native-thp", func(t testing.TB) *Env {
+		{name: "native-thp", build: func(t testing.TB) *Env {
 			return NewNativeEnv(osim.NewKernel(machineFor(t), osim.DefaultPolicy{}), 0)
 		}},
-		{"native-ingens", func(t testing.TB) *Env {
+		{name: "native-ingens", build: func(t testing.TB) *Env {
 			k := osim.NewKernel(machineFor(t), osim.DefaultPolicy{})
 			env := NewNativeEnv(k, 0)
 			env.Daemons = append(env.Daemons, daemon.NewIngens(k))
 			return env
 		}},
-		{"native-ca", func(t testing.TB) *Env {
+		{name: "native-ca", build: func(t testing.TB) *Env {
 			return NewNativeEnv(osim.NewKernel(machineFor(t), osim.CAPolicy{}), 0)
 		}},
-		{"native-eager", func(t testing.TB) *Env {
+		{name: "native-eager", build: func(t testing.TB) *Env {
 			return NewNativeEnv(osim.NewKernel(machineFor(t), osim.EagerPolicy{}), 0)
 		}},
-		{"native-ranger", func(t testing.TB) *Env {
+		{name: "native-ranger", build: func(t testing.TB) *Env {
 			k := osim.NewKernel(machineFor(t), osim.DefaultPolicy{})
 			env := NewNativeEnv(k, 0)
 			env.Daemons = append(env.Daemons, daemon.NewRanger(k))
 			return env
 		}},
-		{"native-ideal", func(t testing.TB) *Env {
+		{name: "native-ideal", build: func(t testing.TB) *Env {
 			return NewNativeEnv(osim.NewKernel(machineFor(t), osim.NewIdealPolicy()), 0)
 		}},
-		{"nested-ca", func(t testing.TB) *Env {
+		{name: "native-ca-churn", build: func(t testing.TB) *Env { return caChurn(t, false) }, layout: caChurnLayout},
+		{name: "native-ca-hogfine-churn", build: func(t testing.TB) *Env { return caChurn(t, true) }, layout: caChurnLayout},
+		{name: "native-ca-hogfine", build: func(t testing.TB) *Env {
+			m := machineFor(t)
+			HogFine(m, 0.3, rand.New(rand.NewSource(3)))
+			return NewNativeEnv(osim.NewKernel(m, osim.CAPolicy{}), 0)
+		}},
+		{name: "nested-ca", build: func(t testing.TB) *Env {
 			return nestedEnv(t, func() osim.Placement { return osim.CAPolicy{} })
 		}},
-		{"nested-thp-ingens", func(t testing.TB) *Env {
+		{name: "nested-thp-ingens", build: func(t testing.TB) *Env {
 			env := nestedEnv(t, func() osim.Placement { return osim.DefaultPolicy{} })
 			env.Daemons = append(env.Daemons, daemon.NewIngens(env.Kernel))
 			return env
@@ -159,7 +313,11 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			run := func(name string, populate func(*Env, *vma.VMA, addr.VirtAddr, uint64) error) popSnapshot {
 				env := c.build(t)
-				if err := populateLayout(env, populate); err != nil {
+				layout := c.layout
+				if layout == nil {
+					layout = populateLayout
+				}
+				if err := layout(env, populate); err != nil {
 					t.Fatalf("%s layout: %v", name, err)
 				}
 				return snapshotEnv(env)
@@ -184,6 +342,8 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 			}
 			diffLeaves(t, "guest", want.leaves, got.leaves)
 			diffLeaves(t, "host", want.hostLeaves, got.hostLeaves)
+			diffMachines(t, "guest", want.machine, got.machine)
+			diffMachines(t, "host", want.hostMachine, got.hostMachine)
 		})
 	}
 }
@@ -204,6 +364,24 @@ func diffLeaves(t *testing.T, dim string, want, got []pagetable.Leaf) {
 	for i := range want {
 		if want[i] != got[i] {
 			t.Errorf("%s leaf %d: per-page %+v, range %+v", dim, i, want[i], got[i])
+			return
+		}
+	}
+}
+
+func diffMachines(t *testing.T, dim string, want, got machineState) {
+	t.Helper()
+	for z := range want.freeBlocks {
+		if !reflect.DeepEqual(want.freeBlocks[z], got.freeBlocks[z]) {
+			t.Errorf("%s zone %d free lists (list order) diverge", dim, z)
+		}
+	}
+	if len(want.freeBlocks) != len(got.freeBlocks) {
+		t.Errorf("%s machine: per-page %d zones, range %d", dim, len(want.freeBlocks), len(got.freeBlocks))
+	}
+	for i := range want.frames {
+		if want.frames[i] != got.frames[i] {
+			t.Errorf("%s frame %d: per-page %+v, range %+v", dim, i, want.frames[i], got.frames[i])
 			return
 		}
 	}
