@@ -422,6 +422,51 @@ func (b *Buddy) AllocRunAt(t addr.PFN, n uint64) uint64 {
 	return n
 }
 
+// AllocN fills out with 4 KiB frames and returns how many it placed,
+// fewer than len(out) only when the allocator runs dry. It leaves
+// exactly the state of len(out) AllocBlock(0) calls. Each such call
+// splits the head block of the lowest non-empty order, from, and every
+// list below from is empty, so the loop hands that block's frames out
+// in ascending order while each lower order holds at most its one
+// remainder. AllocN therefore claims min(need, 2^from) frames from the
+// block at once, as order-0 allocations, and lists the unclaimed suffix
+// by its aligned blocks; the mutation counter advances once per frame
+// and the MAX_ORDER hooks fire once, when the block leaves its list.
+// With a tracer attached it runs the AllocBlock loop itself, so traced
+// runs emit the same split events.
+func (b *Buddy) AllocN(out []addr.PFN) int {
+	if b.tr != nil {
+		for i := range out {
+			pfn, err := b.AllocBlock(0)
+			if err != nil {
+				return i
+			}
+			out[i] = pfn
+		}
+		return len(out)
+	}
+	done := 0
+	for done < len(out) && b.nonEmpty != 0 {
+		from := bits.TrailingZeros32(b.nonEmpty)
+		head := b.pfnAt(b.heads[from])
+		size := addr.OrderPages(from)
+		n := min(uint64(len(out)-done), size)
+		b.listRemove(head, from)
+		b.insertRun(head+addr.PFN(n), size-n)
+		rel := uint64(head - b.base)
+		fs := b.fs[rel : rel+n]
+		for i := range fs {
+			fs[i].State = frame.Allocated
+			fs[i].AllocOrder = 0
+			out[done+i] = head + addr.PFN(i)
+		}
+		b.freePages -= n
+		b.muts += n
+		done += int(n)
+	}
+	return done
+}
+
 // insertRun lists the free run [pfn, pfn+npages) as its aligned blocks,
 // lowest address first. Inside one free block that is the run's
 // canonical decomposition, one block per order at most.

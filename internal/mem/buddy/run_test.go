@@ -235,3 +235,62 @@ func TestFreeRangeMatchesPageFrees(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocNMatchesLoop pins AllocN to len(out) AllocBlock(0) calls over
+// random aged states, sorted and unsorted MAX_ORDER lists, with counts
+// from one frame through several free blocks to past exhaustion: the
+// same frames in the same order, and the same state (free lists in list
+// order, frame records, free pages, order counts, mutation counter and
+// MAX_ORDER hook calls). Every other request is split over two AllocN
+// calls, which must compose.
+func TestAllocNMatchesLoop(t *testing.T) {
+	for seed := int64(1); seed <= 250; seed++ {
+		for _, sorted := range []bool{false, true} {
+			var hooksRun, hooksLoop []hookEvent
+			run := agedBuddy(t, seed, sorted, &hooksRun)
+			loop := agedBuddy(t, seed, sorted, &hooksLoop)
+			rng := rand.New(rand.NewSource(seed * 15485863))
+			free := int(run.FreePages())
+			var n int
+			switch rng.Intn(3) {
+			case 0: // inside the first block or a few
+				n = 1 + rng.Intn(64)
+			case 1: // across several blocks
+				n = 1 + rng.Intn(max(free, 1))
+			default: // up to and past exhaustion
+				n = free + rng.Intn(3)
+			}
+			got := make([]addr.PFN, n)
+			k := n
+			if seed%2 == 0 {
+				k = rng.Intn(n + 1)
+			}
+			placed := run.AllocN(got[:k])
+			if placed == k {
+				placed += run.AllocN(got[k:])
+			}
+			var want []addr.PFN
+			for range n {
+				pfn, err := loop.AllocBlock(0)
+				if err != nil {
+					break
+				}
+				want = append(want, pfn)
+			}
+			if placed != len(want) {
+				t.Fatalf("seed %d sorted %v AllocN(%d) placed %d frames, loop %d", seed, sorted, n, placed, len(want))
+			}
+			for i, pfn := range want {
+				if got[i] != pfn {
+					t.Fatalf("seed %d sorted %v AllocN(%d): frame %d is %d, loop %d", seed, sorted, n, i, got[i], pfn)
+				}
+			}
+			if !reflect.DeepEqual(stateOf(run, hooksRun), stateOf(loop, hooksLoop)) {
+				t.Fatalf("seed %d sorted %v AllocN(%d): state differs from the AllocBlock(0) loop", seed, sorted, n)
+			}
+			if err := run.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d sorted %v: %v", seed, sorted, err)
+			}
+		}
+	}
+}

@@ -310,6 +310,20 @@ func (m *Machine) AllocBlock(preferred, order int) (addr.PFN, error) {
 	return out, err
 }
 
+// AllocN fills out with 4 KiB frames, preferring the given zone and
+// moving down the zonelist as each zone runs dry (buddy.AllocN), and
+// returns how many it placed. The state is that of len(out)
+// AllocBlock(preferred, 0) calls: a zone the loop finds empty stays
+// empty for the rest of it.
+func (m *Machine) AllocN(preferred int, out []addr.PFN) int {
+	done := 0
+	m.zonelist(preferred, func(z *Zone) bool {
+		done += z.Buddy.AllocN(out[done:])
+		return done == len(out)
+	})
+	return done
+}
+
 // AllocBlockAt performs a targeted allocation wherever pfn lives.
 func (m *Machine) AllocBlockAt(pfn addr.PFN, order int) error {
 	z := m.ZoneOf(pfn)

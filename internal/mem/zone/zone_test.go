@@ -264,3 +264,65 @@ func TestViewPanicsOnBadIndex(t *testing.T) {
 		}()
 	}
 }
+
+// TestAllocNFallsBackAcrossZones pins Machine.AllocN to the
+// AllocBlock(preferred, 0) loop when the preferred zone runs dry
+// partway: the same frames, zone by zone down the zonelist, and the
+// same free lists in every zone.
+func TestAllocNFallsBackAcrossZones(t *testing.T) {
+	build := func() *Machine {
+		m := twoZone(t)
+		// Leave zone 1 (the preferred one) every 97th frame free, so
+		// the request takes its scattered frames and crosses into
+		// zone 0.
+		z := m.Zones[1].Buddy
+		var scattered []addr.PFN
+		for {
+			pfn, err := z.AllocBlock(0)
+			if err != nil {
+				break
+			}
+			if pfn%97 == 3 {
+				scattered = append(scattered, pfn)
+			}
+		}
+		for _, pfn := range scattered {
+			z.FreeBlock(pfn, 0)
+		}
+		return m
+	}
+	run, loop := build(), build()
+	if run.Zones[1].FreePages() == 0 {
+		t.Fatal("setup left zone 1 no free frames")
+	}
+	n := int(run.Zones[1].FreePages()) + 300
+	got := make([]addr.PFN, n)
+	if placed := run.AllocN(1, got); placed != n {
+		t.Fatalf("AllocN placed %d of %d", placed, n)
+	}
+	for i := range n {
+		pfn, err := loop.AllocBlock(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != pfn {
+			t.Fatalf("frame %d: AllocN gave %d, loop %d", i, got[i], pfn)
+		}
+	}
+	if !run.Zones[0].Contains(got[n-1]) || !run.Zones[1].Contains(got[0]) {
+		t.Fatalf("run did not cross from zone 1 to zone 0: %d .. %d", got[0], got[n-1])
+	}
+	for zi := range run.Zones {
+		var a, b [][2]uint64
+		run.Zones[zi].Buddy.VisitFreeBlocks(func(pfn addr.PFN, o int) { a = append(a, [2]uint64{uint64(pfn), uint64(o)}) })
+		loop.Zones[zi].Buddy.VisitFreeBlocks(func(pfn addr.PFN, o int) { b = append(b, [2]uint64{uint64(pfn), uint64(o)}) })
+		if !slices.Equal(a, b) {
+			t.Fatalf("zone %d free lists differ from the loop's", zi)
+		}
+	}
+	// Past exhaustion: AllocN stops at the machine's last free frame.
+	rest := make([]addr.PFN, run.FreePages()+5)
+	if placed := run.AllocN(0, rest); uint64(placed) != uint64(len(rest))-5 || run.FreePages() != 0 {
+		t.Fatalf("exhausting AllocN placed %d of %d, %d left free", placed, len(rest), run.FreePages())
+	}
+}

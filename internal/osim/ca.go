@@ -146,8 +146,10 @@ func (c CAPolicy) caPlace(k *Kernel, p *Process, v *vma.VMA, va addr.VirtAddr, s
 
 // PlaceFile implements Placement: page-cache allocations are steered by
 // a per-file Offset so long-lived cache pages stay physically clustered
-// instead of fragmenting the machine (§III-C "Supported faults").
-func (CAPolicy) PlaceFile(k *Kernel, f *File, pageIdx uint64, order int) (addr.PFN, bool, error) {
+// instead of fragmenting the machine (§III-C "Supported faults"). It
+// places one page per call: each page's target and fallback depend on
+// the pages cached before it.
+func (CAPolicy) PlaceFile(k *Kernel, f *File, pageIdx uint64, out []addr.PFN) (int, bool, error) {
 	// The "virtual address" key for a file mapping is its byte offset.
 	key := addr.VirtAddr(pageIdx << addr.PageShift)
 	placed := false
@@ -163,11 +165,12 @@ func (CAPolicy) PlaceFile(k *Kernel, f *File, pageIdx uint64, order int) (addr.P
 		}
 	}
 	if f.placedOffset {
-		if pfn, ok := caTryTarget(k, f.offset, key, order); ok {
+		if pfn, ok := caTryTarget(k, f.offset, key, 0); ok {
 			if k.Tracer != nil {
-				k.Tracer.Emit(trace.EvCATargetHit, uint64(key), uint64(pfn), uint64(order))
+				k.Tracer.Emit(trace.EvCATargetHit, uint64(key), uint64(pfn), 0)
 			}
-			return pfn, placed, nil
+			out[0] = pfn
+			return 1, placed, nil
 		}
 		// Re-place once keyed by the remaining uncached pages.
 		remaining := f.Pages() - f.CachedPages()
@@ -177,15 +180,17 @@ func (CAPolicy) PlaceFile(k *Kernel, f *File, pageIdx uint64, order int) (addr.P
 		if _, start, _, ok := k.Machine.FindFit(0, remaining); ok {
 			f.offset = addr.OffsetOf(key, start.Addr())
 			placed = true
-			if pfn, ok := caTryTarget(k, f.offset, key, order); ok {
-				return pfn, placed, nil
+			if pfn, ok := caTryTarget(k, f.offset, key, 0); ok {
+				out[0] = pfn
+				return 1, placed, nil
 			}
 		}
 		k.Stats.CAFallbacks++
 	}
-	pfn, err := k.Machine.AllocBlock(0, order)
+	pfn, err := k.Machine.AllocBlock(0, 0)
 	if err != nil {
 		return 0, placed, ErrOOM
 	}
-	return pfn, placed, nil
+	out[0] = pfn
+	return 1, placed, nil
 }

@@ -128,12 +128,8 @@ func (EagerPolicy) PlaceAnon(k *Kernel, p *Process, _ *vma.VMA, _ addr.VirtAddr,
 }
 
 // PlaceFile implements Placement.
-func (EagerPolicy) PlaceFile(k *Kernel, _ *File, _ uint64, order int) (addr.PFN, bool, error) {
-	pfn, err := k.Machine.AllocBlock(0, order)
-	if err != nil {
-		return 0, false, ErrOOM
-	}
-	return pfn, false, nil
+func (EagerPolicy) PlaceFile(k *Kernel, _ *File, _ uint64, out []addr.PFN) (int, bool, error) {
+	return placeFileRun(k, out)
 }
 
 // zonesFrom returns machine zones in preference order.

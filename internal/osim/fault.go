@@ -2,6 +2,7 @@ package osim
 
 import (
 	"repro/internal/mem/addr"
+	"repro/internal/mem/frame"
 	"repro/internal/osim/pagetable"
 	"repro/internal/osim/vma"
 	"repro/internal/trace"
@@ -117,15 +118,21 @@ func (p *Process) FaultRun(v *vma.VMA, va addr.VirtAddr, maxPages uint64) uint64
 	if _, ca := k.Policy.(CAPolicy); !ca || k.Tracer != nil || v.Kind != vma.Anonymous || !va.PageAligned() {
 		return 0
 	}
-	n := p.PT.UnmappedRun(va, min(maxPages, uint64(v.End-va)/addr.PageSize))
-	if n == 0 || k.THPEnabled && k.canMapHuge(p, v, va) {
-		return 0
-	}
-	off, n, ok := v.NearestOffsetRun(va, n)
+	// The two cheap declines, no Offset yet and a busy first target,
+	// come before the page-table probes: on a fragmented machine most
+	// calls end at one of them.
+	off, n, ok := v.NearestOffsetRun(va, min(maxPages, uint64(v.End-va)/addr.PageSize))
 	if !ok {
 		return 0
 	}
 	pfn := off.TargetPFN(va)
+	if k.Machine.ZoneOf(pfn) == nil || k.Machine.Frames.Get(pfn).State != frame.Free {
+		return 0
+	}
+	n = p.PT.UnmappedRun(va, n)
+	if n == 0 || k.THPEnabled && k.canMapHuge(p, v, va) {
+		return 0
+	}
 	if n = k.Machine.AllocRunAt(pfn, n); n == 0 {
 		return 0
 	}

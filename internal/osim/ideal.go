@@ -133,10 +133,6 @@ func (IdealPolicy) PlaceAnon(k *Kernel, p *Process, v *vma.VMA, va addr.VirtAddr
 }
 
 // PlaceFile implements Placement.
-func (IdealPolicy) PlaceFile(k *Kernel, _ *File, _ uint64, order int) (addr.PFN, bool, error) {
-	pfn, err := k.Machine.AllocBlock(0, order)
-	if err != nil {
-		return 0, false, ErrOOM
-	}
-	return pfn, false, nil
+func (IdealPolicy) PlaceFile(k *Kernel, _ *File, _ uint64, out []addr.PFN) (int, bool, error) {
+	return placeFileRun(k, out)
 }

@@ -106,19 +106,6 @@ func (c *PageCache) VisitFiles(fn func(slots []addr.PFN)) {
 	}
 }
 
-// setCached records pfn as the frame caching file page idx, making the
-// file's slots and entering it in the resident set on its first page.
-func (c *PageCache) setCached(f *File, idx uint64, pfn addr.PFN) {
-	if f.cached == 0 {
-		f.pages = c.slots(f.Pages())
-		i, _ := slices.BinarySearchFunc(c.resident, f.ID, func(r *File, id int) int { return cmp.Compare(r.ID, id) })
-		c.resident = slices.Insert(c.resident, i, f)
-	}
-	f.pages[idx] = pfn + 1
-	f.cached++
-	c.ResidentPages++
-}
-
 // slots returns a zeroed slot array of n entries, taking a spare of
 // that length when the cache holds one.
 func (c *PageCache) slots(n uint64) []addr.PFN {
@@ -131,6 +118,17 @@ func (c *PageCache) slots(n uint64) []addr.PFN {
 	return make([]addr.PFN, n)
 }
 
+// release takes a file with no cached page out of the resident set and
+// keeps its cleared slot array as a spare while there is room.
+func (c *PageCache) release(f *File) {
+	if len(c.spare) < maxSpareSlots {
+		clear(f.pages)
+		c.spare = append(c.spare, f.pages)
+	}
+	f.pages = nil
+	c.resident = slices.DeleteFunc(c.resident, func(r *File) bool { return r == f })
+}
+
 // lookupOrFill returns the frame caching the file page, populating a
 // readahead window on miss. Cache fills charge allocation time on the
 // kernel clock but are *not* page faults: readahead allocation runs
@@ -140,38 +138,100 @@ func (c *PageCache) lookupOrFill(f *File, pageIdx uint64) (addr.PFN, error) {
 	if pfn, ok := f.cachedPFN(pageIdx); ok {
 		return pfn, nil
 	}
-	k := c.kernel
-	end := pageIdx + ReadaheadPages
-	if end > f.Pages() {
-		end = f.Pages()
+	if err := c.fill(f, pageIdx, min(pageIdx+ReadaheadPages, f.Pages())); err != nil {
+		return 0, err
 	}
-	for i := pageIdx; i < end; i++ {
-		if _, ok := f.cachedPFN(i); ok {
+	return f.pages[pageIdx] - 1, nil
+}
+
+// fill caches every missing page of [lo, hi) in ascending order, the
+// pages a page-at-a-time loop would place. Each run of consecutive
+// missing slots takes one PlaceFile call (more when the policy places
+// fewer pages per call, as CA does), and the policy writes the run's
+// frames straight into the file's slots. On OOM the pages placed so far
+// stay cached and fill returns ErrOOM.
+func (c *PageCache) fill(f *File, lo, hi uint64) error {
+	k := c.kernel
+	if f.pages == nil {
+		f.pages = c.slots(f.Pages())
+	}
+	var err error
+	for i := lo; i < hi && err == nil; {
+		if f.pages[i] != 0 {
+			i++
 			continue
 		}
-		pfn, placed, err := k.Policy.PlaceFile(k, f, i, 0)
-		if err != nil {
-			return 0, err
+		j := i + 1
+		for j < hi && f.pages[j] == 0 {
+			j++
 		}
-		c.setCached(f, i, pfn)
-		// Cache frames are owned by the cache: one base reference.
-		k.Machine.Frames.Get(pfn).MapCount++
-		k.Tick(k.faultLatency(0, placed))
+		for i < j {
+			var n int
+			var placed bool
+			if n, placed, err = k.Policy.PlaceFile(k, f, i, f.pages[i:j]); err != nil {
+				break
+			}
+			c.cacheRun(f, f.pages[i:i+uint64(n)])
+			k.Tick(uint64(n) * k.faultLatency(0, placed))
+			i += uint64(n)
+		}
 	}
-	pfn, _ := f.cachedPFN(pageIdx)
-	return pfn, nil
+	if f.cached == 0 {
+		c.release(f) // the first placement failed
+	}
+	return err
+}
+
+// cacheRun records the frames a policy just wrote into run, a stretch
+// of f's slots, as cached: it enters the file in the resident set on
+// its first pages, takes the cache's base reference on each frame (one
+// frame-table slice per stretch of consecutive frames) and encodes the
+// slots as PFN+1.
+func (c *PageCache) cacheRun(f *File, run []addr.PFN) {
+	if f.cached == 0 {
+		i, _ := slices.BinarySearchFunc(c.resident, f.ID, func(r *File, id int) int { return cmp.Compare(r.ID, id) })
+		c.resident = slices.Insert(c.resident, i, f)
+	}
+	frames := c.kernel.Machine.Frames
+	for i := 0; i < len(run); {
+		j := i + 1
+		for j < len(run) && run[j] == run[j-1]+1 {
+			j++
+		}
+		fs := frames.Slice(run[i], uint64(j-i))
+		for x := range fs {
+			fs[x].MapCount++
+		}
+		for ; i < j; i++ {
+			run[i]++
+		}
+	}
+	f.cached += uint64(len(run))
+	c.ResidentPages += uint64(len(run))
 }
 
 // Read simulates a buffered read of [off, off+n) bytes: it populates
-// the cache without mapping pages into any process.
+// the cache without mapping pages into any process. A zero-length read
+// caches nothing.
 func (c *PageCache) Read(f *File, off, n uint64) error {
 	if off+n > f.Bytes {
 		return fmt.Errorf("osim: read past EOF (%d+%d > %d)", off, n, f.Bytes)
 	}
-	for idx := off / addr.PageSize; idx <= (off+n-1)/addr.PageSize; idx++ {
-		if _, err := c.lookupOrFill(f, idx); err != nil {
+	if n == 0 {
+		return nil
+	}
+	for idx, last := off/addr.PageSize, (off+n-1)/addr.PageSize; idx <= last; {
+		if _, ok := f.cachedPFN(idx); ok {
+			idx++
+			continue
+		}
+		// A miss fills its readahead window, so the read resumes
+		// past it.
+		end := min(idx+ReadaheadPages, f.Pages())
+		if err := c.fill(f, idx, end); err != nil {
 			return err
 		}
+		idx = end
 	}
 	return nil
 }
@@ -179,31 +239,47 @@ func (c *PageCache) Read(f *File, off, n uint64) error {
 // DropFile evicts a file's pages from the cache, freeing frames whose
 // only reference was the cache. Pages are freed in file order: the
 // free sequence feeds the buddy free lists, so any other order would
-// make every later allocation run-to-run nondeterministic.
+// make every later allocation run-to-run nondeterministic. Untraced,
+// each run of consecutive ascending frames in that sequence is freed
+// with one Machine.FreeRange, which ends in the same free lists as
+// freeing it page by page; a traced drop frees page by page, so its
+// coalesce events stay exact.
 func (c *PageCache) DropFile(f *File) {
 	f.placedOffset = false
 	if f.cached == 0 {
 		return
 	}
-	k := c.kernel
+	m := c.kernel.Machine
+	traced := c.kernel.Tracer != nil
+	var start addr.PFN
+	var run uint64
 	for _, v := range f.pages {
 		if v == 0 {
 			continue
 		}
-		fr := k.Machine.Frames.Get(v - 1)
-		fr.MapCount--
-		if fr.MapCount <= 0 {
-			k.Machine.FreeBlock(v-1, 0)
+		pfn := v - 1
+		fr := m.Frames.Get(pfn)
+		if fr.MapCount--; fr.MapCount > 0 {
+			continue
 		}
+		switch {
+		case traced:
+			m.FreeBlock(pfn, 0)
+		case run > 0 && pfn == start+addr.PFN(run):
+			run++
+		default:
+			if run > 0 {
+				m.FreeRange(start, run)
+			}
+			start, run = pfn, 1
+		}
+	}
+	if run > 0 {
+		m.FreeRange(start, run)
 	}
 	c.ResidentPages -= f.cached
 	f.cached = 0
-	if len(c.spare) < maxSpareSlots {
-		clear(f.pages)
-		c.spare = append(c.spare, f.pages)
-	}
-	f.pages = nil
-	c.resident = slices.DeleteFunc(c.resident, func(r *File) bool { return r == f })
+	c.release(f)
 }
 
 // DropAll evicts the whole cache (echo 3 > drop_caches) in file-ID

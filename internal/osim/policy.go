@@ -22,9 +22,12 @@ type Placement interface {
 	// a placement decision (charged as extra fault latency).
 	PlaceAnon(k *Kernel, p *Process, v *vma.VMA, va addr.VirtAddr, order int) (pfn addr.PFN, placed bool, err error)
 
-	// PlaceFile returns a frame of the given order for page-cache
-	// population of file f at page index pageIdx.
-	PlaceFile(k *Kernel, f *File, pageIdx uint64, order int) (pfn addr.PFN, placed bool, err error)
+	// PlaceFile places 4 KiB frames for page-cache population of file
+	// f's pages pageIdx, pageIdx+1, ... into a prefix of out and
+	// returns its length: at least one frame unless err is non-nil.
+	// placed reports whether the policy ran a placement decision
+	// (charged per page as extra latency).
+	PlaceFile(k *Kernel, f *File, pageIdx uint64, out []addr.PFN) (n int, placed bool, err error)
 
 	// MarksContiguity reports whether the policy maintains the PTE
 	// contiguity bits that gate SpOT prediction-table fills.
@@ -51,12 +54,19 @@ func (DefaultPolicy) PlaceAnon(k *Kernel, p *Process, _ *vma.VMA, _ addr.VirtAdd
 }
 
 // PlaceFile implements Placement.
-func (DefaultPolicy) PlaceFile(k *Kernel, _ *File, _ uint64, order int) (addr.PFN, bool, error) {
-	pfn, err := k.Machine.AllocBlock(0, order)
-	if err != nil {
+func (DefaultPolicy) PlaceFile(k *Kernel, _ *File, _ uint64, out []addr.PFN) (int, bool, error) {
+	return placeFileRun(k, out)
+}
+
+// placeFileRun is the PlaceFile of every policy that does not steer
+// cache pages: the machine's first free frames, zone 0 first, claimed
+// for the whole run with one zone.Machine.AllocN call.
+func placeFileRun(k *Kernel, out []addr.PFN) (int, bool, error) {
+	n := k.Machine.AllocN(0, out)
+	if n == 0 {
 		return 0, false, ErrOOM
 	}
-	return pfn, false, nil
+	return n, false, nil
 }
 
 // MarksContiguity implements Placement.
