@@ -93,14 +93,14 @@ func Table5For(p Params, names []string) (*Table, error) {
 	policies := []PolicyName{PolicyTHP, PolicyCA, PolicyEager}
 	type cellResult struct {
 		faults uint64
-		lats   []uint64
+		lats   map[uint64]uint64
 	}
 	g := newGrid(len(policies), len(names))
 	cells := make([]cellResult, g.size())
 	err := shard.Each(len(cells), p.Jobs, func(i int) error {
 		pol := policies[g.at(i, 0)]
 		name := names[g.at(i, 1)]
-		// Stats (and the latency slice) live on the kernel, not the
+		// Stats (and the latency counts) live on the kernel, not the
 		// machine; recycling only pools the machine, so the reference in
 		// cells stays valid.
 		return p.native(nativeCell{workload: name, policy: pol}, func(k *osim.Kernel, _ *workloads.Env) {
@@ -112,11 +112,13 @@ func Table5For(p Params, names []string) (*Table, error) {
 	}
 	for pi, pol := range policies {
 		var faults uint64
-		var lats []uint64
+		lats := make(map[uint64]uint64)
 		for ni := range names {
 			c := cells[g.index(pi, ni)]
 			faults += c.faults
-			lats = append(lats, c.lats...)
+			for ns, n := range c.lats {
+				lats[ns] += n
+			}
 		}
 		p99us := float64(metrics.Percentile(lats, 0.99)) / 1000
 		t.Rows = append(t.Rows, []string{string(pol), fmt.Sprint(faults), f1(p99us)})

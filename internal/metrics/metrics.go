@@ -11,6 +11,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/mem/addr"
@@ -103,22 +104,29 @@ func MappingsFor(ms []Mapping, coverage float64) int {
 	return len(sorted)
 }
 
-// Percentile returns the p-quantile (0..1) of xs using nearest-rank on
-// a sorted copy. Returns 0 for empty input.
-func Percentile(xs []uint64, p float64) uint64 {
-	if len(xs) == 0 {
+// Percentile returns the p-quantile (0..1) of a multiset given as a
+// count per distinct value, by nearest rank: the value of rank
+// int(p*total+0.5)-1, clamped to the multiset, in ascending order.
+// Returns 0 for an empty multiset.
+func Percentile(counts map[uint64]uint64, p float64) uint64 {
+	var total uint64
+	xs := make([]uint64, 0, len(counts))
+	for x, c := range counts {
+		total += c
+		xs = append(xs, x)
+	}
+	if total == 0 {
 		return 0
 	}
-	sorted := append([]uint64(nil), xs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(p*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
+	slices.Sort(xs)
+	rank := uint64(min(max(int(p*float64(total)+0.5)-1, 0), int(total)-1))
+	var seen uint64
+	for _, x := range xs {
+		if seen += counts[x]; seen > rank {
+			return x
+		}
 	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return xs[len(xs)-1]
 }
 
 // Mean returns the arithmetic mean of xs (0 for empty). It accumulates

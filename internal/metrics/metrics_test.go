@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -106,8 +108,36 @@ func TestCoverageMonotoneProperty(t *testing.T) {
 	}
 }
 
+// countsOf turns a sample list into Percentile's count per value.
+func countsOf(xs []uint64) map[uint64]uint64 {
+	counts := make(map[uint64]uint64)
+	for _, x := range xs {
+		counts[x]++
+	}
+	return counts
+}
+
+// sortedNearestRank is the percentile over the samples themselves that
+// the counts form replaced: nearest rank on a sorted copy. It is kept
+// here as the reference Percentile must equal.
+func sortedNearestRank(xs []uint64, p float64) uint64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	rank := int(p*float64(len(sorted))+0.5) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
+	}
+	return sorted[rank]
+}
+
 func TestPercentile(t *testing.T) {
-	xs := []uint64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	xs := countsOf([]uint64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	if got := Percentile(xs, 0.5); got != 50 {
 		t.Fatalf("p50 = %d", got)
 	}
@@ -120,8 +150,32 @@ func TestPercentile(t *testing.T) {
 	if Percentile(nil, 0.99) != 0 {
 		t.Fatal("empty percentile")
 	}
-	if got := Percentile([]uint64{42}, 0.99); got != 42 {
+	if got := Percentile(map[uint64]uint64{42: 1}, 0.99); got != 42 {
 		t.Fatalf("single = %d", got)
+	}
+}
+
+// TestPercentileMatchesSortedNearestRank checks the counts form against
+// the sorted-slice reference on random multisets (few distinct values,
+// many repeats, as fault latencies are), one value, and empty.
+func TestPercentileMatchesSortedNearestRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cases := [][]uint64{nil, {42}, {7, 7, 7}}
+	for range 300 {
+		xs := make([]uint64, rng.Intn(500))
+		distinct := 1 + rng.Intn(12)
+		for i := range xs {
+			xs[i] = 3000 + uint64(rng.Intn(distinct))*1000
+		}
+		cases = append(cases, xs)
+	}
+	for _, xs := range cases {
+		counts := countsOf(xs)
+		for _, p := range []float64{0, 0.5, 0.99, 1} {
+			if got, want := Percentile(counts, p), sortedNearestRank(xs, p); got != want {
+				t.Fatalf("p=%v over %d samples %v: got %d, want %d", p, len(xs), counts, got, want)
+			}
+		}
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 type CAReservation struct {
 	mu    sync.Mutex
 	spans []caSoftSpan
-	// Cap bounds the tracked reservations (default 64).
-	Cap int
 }
+
+// caReservationCap bounds the tracked reservations.
+const caReservationCap = 64
 
 type caSoftSpan struct {
 	owner *vma.VMA
@@ -29,7 +30,7 @@ type caSoftSpan struct {
 
 // NewCAReservation creates empty reservation state shared by one
 // kernel's CA policy.
-func NewCAReservation() *CAReservation { return &CAReservation{Cap: 64} }
+func NewCAReservation() *CAReservation { return new(CAReservation) }
 
 // conflicts reports whether [start, start+pages) overlaps a region
 // reserved by a different VMA.
@@ -53,13 +54,8 @@ func (r *CAReservation) conflicts(owner *vma.VMA, start addr.PFN, pages uint64) 
 func (r *CAReservation) reserve(owner *vma.VMA, start addr.PFN, pages uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cap := r.Cap
-	if cap == 0 {
-		cap = 64
-	}
-	if len(r.spans) == cap {
-		copy(r.spans, r.spans[1:])
-		r.spans = r.spans[:cap-1]
+	if len(r.spans) == caReservationCap {
+		r.spans = append(r.spans[:0], r.spans[1:]...)
 	}
 	r.spans = append(r.spans, caSoftSpan{owner: owner, start: start, pages: pages})
 }

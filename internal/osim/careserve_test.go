@@ -66,22 +66,25 @@ func TestReservationConflictDetection(t *testing.T) {
 
 func TestReservationFIFOBound(t *testing.T) {
 	r := NewCAReservation()
-	r.Cap = 4
 	k := newKernel(t, 16, CAPolicy{})
 	p := k.NewProcess(0)
 	owner, _ := p.MMap(addr.PageSize)
 	other, _ := p.MMap(addr.PageSize)
-	for i := 0; i < 10; i++ {
+	const extra = 6
+	for i := 0; i < caReservationCap+extra; i++ {
 		r.reserve(owner, addr.PFN(i*1000), 100)
 	}
-	if len(r.spans) != 4 {
-		t.Fatalf("spans = %d, want capped at 4", len(r.spans))
+	if len(r.spans) != caReservationCap {
+		t.Fatalf("spans = %d, want capped at %d", len(r.spans), caReservationCap)
 	}
-	// The oldest reservations were evicted.
-	if r.conflicts(other, 0, 100) {
+	// The oldest reservations were evicted, in FIFO order.
+	if r.conflicts(other, addr.PFN((extra-1)*1000), 100) {
 		t.Fatal("evicted reservation still conflicts")
 	}
-	if !r.conflicts(other, 9000, 10) {
+	if !r.conflicts(other, addr.PFN(extra*1000), 10) {
+		t.Fatal("oldest kept reservation lost")
+	}
+	if !r.conflicts(other, addr.PFN((caReservationCap+extra-1)*1000), 10) {
 		t.Fatal("latest reservation lost")
 	}
 }

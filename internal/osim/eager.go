@@ -15,11 +15,11 @@ import (
 // sensitive to external fragmentation — the behaviour Fig. 1b and
 // Fig. 8 demonstrate — and its up-front zeroing of huge regions
 // produces the extreme page-fault tail latencies of Table V.
-type EagerPolicy struct {
-	// MaxBlockPages caps the largest block eagerly allocated at once
-	// (default 2^18 pages = 1 GiB, the x86-64 gigantic-page scale).
-	MaxBlockPages uint64
-}
+type EagerPolicy struct{}
+
+// eagerMaxBlockPages caps the largest block eagerly allocated at once:
+// 2^18 pages = 1 GiB, the x86-64 gigantic-page scale.
+const eagerMaxBlockPages = 1 << 18
 
 // Name implements Placement.
 func (EagerPolicy) Name() string { return "eager" }
@@ -28,19 +28,15 @@ func (EagerPolicy) Name() string { return "eager" }
 func (EagerPolicy) MarksContiguity() bool { return false }
 
 // OnMMap implements Placement: back the entire VMA now.
-func (e EagerPolicy) OnMMap(k *Kernel, p *Process, v *vma.VMA) error {
+func (EagerPolicy) OnMMap(k *Kernel, p *Process, v *vma.VMA) error {
 	if v.Kind != vma.Anonymous {
 		return nil // file mappings stay demand paged through the cache
-	}
-	maxBlock := e.MaxBlockPages
-	if maxBlock == 0 {
-		maxBlock = 1 << 18
 	}
 	va := v.Start
 	remaining := v.Pages()
 	var totalZeroed uint64
 	for remaining > 0 {
-		pfn, got, ok := eagerLargestAligned(k, p.HomeZone, remaining, maxBlock)
+		pfn, got, ok := eagerLargestAligned(k, p.HomeZone, remaining)
 		if !ok {
 			return ErrOOM
 		}
@@ -63,14 +59,14 @@ func (e EagerPolicy) OnMMap(k *Kernel, p *Process, v *vma.VMA) error {
 // accidental contiguity no aged machine provides.
 
 // eagerLargestAligned allocates the largest aligned power-of-two block
-// with size <= min(remaining rounded to power of two, maxBlock),
-// searching the zonelist. Blocks above the buddy MAX_ORDER are located
-// through the contiguity map (emulating a raised MAX_ORDER allocator:
-// an aligned run of free MAX_ORDER blocks *is* the larger block such an
-// allocator would track).
-func eagerLargestAligned(k *Kernel, homeZone int, remaining, maxBlock uint64) (addr.PFN, uint64, bool) {
+// with size <= min(remaining rounded to power of two,
+// eagerMaxBlockPages), searching the zonelist. Blocks above the buddy
+// MAX_ORDER are located through the contiguity map (emulating a raised
+// MAX_ORDER allocator: an aligned run of free MAX_ORDER blocks *is* the
+// larger block such an allocator would track).
+func eagerLargestAligned(k *Kernel, homeZone int, remaining uint64) (addr.PFN, uint64, bool) {
 	want := uint64(1)
-	for want*2 <= remaining && want*2 <= maxBlock {
+	for want*2 <= remaining && want*2 <= eagerMaxBlockPages {
 		want *= 2
 	}
 	for pages := want; pages >= 1; pages /= 2 {

@@ -141,7 +141,7 @@ func (p *Process) FaultRun(v *vma.VMA, va addr.VirtAddr, maxPages uint64) uint64
 	// the threshold once page 0's run plus i pages does, and the first
 	// page to meet it tags everything behind it.
 	flags := pagetable.Flags(pagetable.Writable)
-	if runPages, met := k.contigPreds(p.PT, va, pfn, 1); met || runPages+n-1 >= k.ContigThresholdPages {
+	if runPages, met := k.contigPreds(p.PT, va, pfn, 1); met || runPages+n-1 >= ContigThresholdPages {
 		flags |= pagetable.Contig
 		k.tagContigPreds(p.PT)
 	}
@@ -310,12 +310,12 @@ func (k *Kernel) contigPreds(pt *pagetable.Table, va addr.VirtAddr, pfn addr.PFN
 		curVA, curPFN = curVA-addr.VirtAddr(pages*addr.PageSize), pte.PFN
 		walked = append(walked, curVA)
 		runPages += pages
-		if runPages >= k.ContigThresholdPages {
+		if runPages >= ContigThresholdPages {
 			break
 		}
 	}
 	k.contigScratch = walked
-	return runPages, met || runPages >= k.ContigThresholdPages
+	return runPages, met || runPages >= ContigThresholdPages
 }
 
 // tagContigPreds sets the contiguity bit on the leaves contigPreds

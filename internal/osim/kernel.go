@@ -41,6 +41,10 @@ const (
 	ShootdownNs = 4000
 )
 
+// ContigThresholdPages is the run length at which CA paging sets the
+// PTE contiguity bit (paper: 32).
+const ContigThresholdPages = 32
+
 // ErrSegfault is returned when an access hits no VMA.
 var ErrSegfault = errors.New("osim: access outside any VMA")
 
@@ -84,14 +88,15 @@ func (k FaultKind) String() string {
 
 // Stats aggregates kernel events.
 type Stats struct {
-	Faults         [numFaultKinds]uint64
-	FaultLatencies []uint64 // ns per fault event, in occurrence order
-	CAFallbacks    uint64   // CA paging target misses that fell back
-	CAReplacements uint64   // CA paging re-placement decisions
-	CATargetHits   uint64   // CA paging successful targeted allocations
-	Migrations     uint64   // pages migrated (Ranger)
-	Shootdowns     uint64   // TLB shootdowns issued (Ranger)
-	Promotions     uint64   // huge-page promotions (Ingens)
+	Faults [numFaultKinds]uint64
+	// FaultLatencies counts fault events by latency: ns -> faults.
+	FaultLatencies map[uint64]uint64
+	CAFallbacks    uint64 // CA paging target misses that fell back
+	CAReplacements uint64 // CA paging re-placement decisions
+	CATargetHits   uint64 // CA paging successful targeted allocations
+	Migrations     uint64 // pages migrated (Ranger)
+	Shootdowns     uint64 // TLB shootdowns issued (Ranger)
+	Promotions     uint64 // huge-page promotions (Ingens)
 }
 
 // TotalFaults sums all fault kinds.
@@ -131,10 +136,6 @@ type Kernel struct {
 	// Ingens configuration turns it off and promotes asynchronously).
 	THPEnabled bool
 
-	// ContigThresholdPages is the run length at which CA paging sets
-	// the PTE contiguity bit (paper: 32).
-	ContigThresholdPages uint64
-
 	// PageTableLevels is the page-table depth for new processes: 4
 	// (default, x86-64) or 5 (LA57 — the deeper walks the paper's
 	// introduction cites as a coming cost multiplier).
@@ -173,8 +174,9 @@ type Kernel struct {
 	// contigScratch is contigPreds' reused list of walked leaves.
 	contigScratch []addr.VirtAddr
 
-	// freeStart and freeLen are MUnmap's pending run of frames to free
-	// ([freeStart, freeStart+freeLen)); empty between calls.
+	// freeStart and freeLen are the pending run of frames to free
+	// ([freeStart, freeStart+freeLen)) that MUnmap and DropFile
+	// gather; empty between calls.
 	freeStart addr.PFN
 	freeLen   uint64
 
@@ -185,12 +187,11 @@ type Kernel struct {
 // NewKernel creates a kernel over the machine with the given policy.
 func NewKernel(m *zone.Machine, p Placement) *Kernel {
 	k := &Kernel{
-		Machine:              m,
-		Policy:               p,
-		THPEnabled:           true,
-		ContigThresholdPages: 32,
-		PageTableLevels:      4,
-		ptPool:               new(pagetable.Pool),
+		Machine:         m,
+		Policy:          p,
+		THPEnabled:      true,
+		PageTableLevels: 4,
+		ptPool:          new(pagetable.Pool),
 	}
 	k.Cache = newPageCache(k)
 	return k
@@ -303,48 +304,49 @@ func (p *Process) mmap(size uint64, kind vma.Kind, fileID int, fileOff uint64) (
 }
 
 // MUnmap tears down a VMA, releasing anonymous frames. Page-cache
-// frames stay in the cache (they outlive processes, §III-C).
-//
-// With no tracer attached, the 4 KiB frames it frees go back by run:
-// VA-ascending leaves on consecutive frames gather into one pending
-// run, any other leaf flushes it first, and each run is freed as its
-// aligned blocks in ascending order (zone.Machine.FreeRange). That ends
-// in the same free lists and frames as freeing the run page by page:
-// inside an aligned block the still-allocated upper pages stop every
-// merge until the block's last page. A traced teardown frees page by
-// page, so its coalesce events stay exact.
+// frames stay in the cache (they outlive processes, §III-C). Its 4 KiB
+// frames go back through freeLater, its huge frames one block each.
 func (p *Process) MUnmap(v *vma.VMA) {
 	k := p.kernel
 	k.mutSeq++
-	runs := k.Tracer == nil
 	p.PT.UnmapRange(v.Start, v.End, func(l pagetable.Leaf) {
 		f := k.Machine.Frames.Get(l.PTE.PFN)
 		f.MapCount--
 		p.RSSPages -= l.Pages
-		free := f.MapCount <= 0 && v.Kind == vma.Anonymous
-		if runs && free && l.Pages == 1 {
+		if f.MapCount > 0 || v.Kind != vma.Anonymous {
+			return
+		}
+		if l.Pages == 1 {
 			k.freeLater(l.PTE.PFN)
 			return
 		}
 		k.flushFree()
-		if free {
-			k.Machine.FreeBlock(l.PTE.PFN, addr.LeafOrder(l.Pages))
-		}
+		k.Machine.FreeBlock(l.PTE.PFN, addr.LeafOrder(l.Pages))
 	})
 	k.flushFree()
 	v.MappedPages = 0
 	p.VMAs.Remove(v)
 }
 
-// freeLater adds the 4 KiB frame pfn to the pending free run, flushing
-// the run first when pfn does not extend it.
+// freeLater frees the 4 KiB frame pfn. With no tracer attached, frames
+// go back by run: a frame that extends the pending run joins it, any
+// other flushes the run first and starts a new one, and the caller
+// ends with flushFree. Each run is freed as its aligned blocks in
+// ascending order (zone.Machine.FreeRange), which ends in the same
+// free lists and frames as freeing the run page by page: inside an
+// aligned block the still-allocated upper pages stop every merge until
+// the block's last page. A traced kernel frees each frame at once, so
+// its coalesce events stay exact.
 func (k *Kernel) freeLater(pfn addr.PFN) {
-	if k.freeLen > 0 && pfn == k.freeStart+addr.PFN(k.freeLen) {
+	switch {
+	case k.Tracer != nil:
+		k.Machine.FreeBlock(pfn, 0)
+	case k.freeLen > 0 && pfn == k.freeStart+addr.PFN(k.freeLen):
 		k.freeLen++
-		return
+	default:
+		k.flushFree()
+		k.freeStart, k.freeLen = pfn, 1
 	}
-	k.flushFree()
-	k.freeStart, k.freeLen = pfn, 1
 }
 
 // flushFree frees the pending run, if any.
@@ -392,24 +394,15 @@ func (k *Kernel) recordFault(kind FaultKind, va addr.VirtAddr, latNs uint64) {
 }
 
 // recordFaults charges n faults of one kind and latency: the counters,
-// the latency log and the clock move as n untraced recordFault calls
+// the latency count and the clock move as n untraced recordFault calls
 // would move them.
 func (k *Kernel) recordFaults(kind FaultKind, n, latNs uint64) {
 	k.mutSeq += n
 	k.Stats.Faults[kind] += n
-	// Grow the latency log by doubling: the runtime's ~1.25x growth for
-	// large slices re-copies a million-fault log often enough to show up
-	// in whole-sweep profiles.
-	lats := k.Stats.FaultLatencies
-	if need := len(lats) + int(n); need > cap(lats) {
-		grown := make([]uint64, len(lats), max(4096, 2*cap(lats), need))
-		copy(grown, lats)
-		lats = grown
+	if k.Stats.FaultLatencies == nil {
+		k.Stats.FaultLatencies = make(map[uint64]uint64)
 	}
-	for range n {
-		lats = append(lats, latNs)
-	}
-	k.Stats.FaultLatencies = lats
+	k.Stats.FaultLatencies[latNs] += n
 	k.Tick(n * latNs)
 }
 

@@ -1,12 +1,14 @@
 package osim
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
 	"repro/internal/osim/pagetable"
 	"repro/internal/osim/vma"
+	"repro/internal/trace"
 )
 
 // newKernel builds a kernel over a machine of nblocks MAX_ORDER blocks
@@ -218,16 +220,41 @@ func TestFaultLatencyModel(t *testing.T) {
 	v, _ := p.MMap(addr.HugeSize + addr.PageSize)
 	touchRange(t, p, v.Start, v.Size(), addr.PageSize)
 	// One huge fault and one 4K fault recorded with distinct latencies.
-	if len(k.Stats.FaultLatencies) != 2 {
-		t.Fatalf("latencies = %v", k.Stats.FaultLatencies)
-	}
 	wantHuge := uint64(FaultBaseNs + 512*ZeroPageNs)
 	want4K := uint64(FaultBaseNs + ZeroPageNs)
-	if k.Stats.FaultLatencies[0] != wantHuge || k.Stats.FaultLatencies[1] != want4K {
-		t.Fatalf("latencies = %v, want [%d %d]", k.Stats.FaultLatencies, wantHuge, want4K)
+	if want := map[uint64]uint64{wantHuge: 1, want4K: 1}; !maps.Equal(k.Stats.FaultLatencies, want) {
+		t.Fatalf("latencies = %v, want %v", k.Stats.FaultLatencies, want)
 	}
 	if k.Clock != wantHuge+want4K {
 		t.Fatalf("clock = %d", k.Clock)
+	}
+}
+
+// TestTracedFreesPageByPage checks that a traced kernel frees each
+// 4 KiB frame on its own, in MUnmap and in DropFile, so the trace shows
+// every coalesce step: freeing a whole 512-page block page by page takes
+// 511 merges inside it, while freeing it as one run takes none.
+func TestTracedFreesPageByPage(t *testing.T) {
+	k := newKernel(t, 16, DefaultPolicy{})
+	tr := trace.NewCapped(1 << 10)
+	k.SetTracer(tr)
+	k.THPEnabled = false
+	p := k.NewProcess(0)
+	v, _ := p.MMap(addr.HugeSize)
+	touchRange(t, p, v.Start, v.Size(), addr.PageSize)
+	before := tr.Count(trace.EvBuddyCoalesce)
+	p.MUnmap(v)
+	if n := tr.Count(trace.EvBuddyCoalesce) - before; n < addr.HugePages-1 {
+		t.Errorf("traced MUnmap: %d coalesce events, want at least %d", n, addr.HugePages-1)
+	}
+	f := k.Cache.CreateFile(addr.HugeSize)
+	if err := k.Cache.Read(f, 0, addr.HugeSize); err != nil {
+		t.Fatal(err)
+	}
+	before = tr.Count(trace.EvBuddyCoalesce)
+	k.Cache.DropFile(f)
+	if n := tr.Count(trace.EvBuddyCoalesce) - before; n < addr.HugePages-1 {
+		t.Errorf("traced DropFile: %d coalesce events, want at least %d", n, addr.HugePages-1)
 	}
 }
 
@@ -274,7 +301,6 @@ func TestVMAGuardGapsPreventVAContiguity(t *testing.T) {
 
 func TestContiguityBitMarking(t *testing.T) {
 	k := newKernel(t, 16, CAPolicy{})
-	k.ContigThresholdPages = 32
 	p := k.NewProcess(0)
 	k.THPEnabled = false // force 4K faults to exercise run accounting
 	v, _ := p.MMap(64 * addr.PageSize)

@@ -237,46 +237,27 @@ func (c *PageCache) Read(f *File, off, n uint64) error {
 }
 
 // DropFile evicts a file's pages from the cache, freeing frames whose
-// only reference was the cache. Pages are freed in file order: the
-// free sequence feeds the buddy free lists, so any other order would
-// make every later allocation run-to-run nondeterministic. Untraced,
-// each run of consecutive ascending frames in that sequence is freed
-// with one Machine.FreeRange, which ends in the same free lists as
-// freeing it page by page; a traced drop frees page by page, so its
-// coalesce events stay exact.
+// only reference was the cache. Pages are freed in file order, through
+// Kernel.freeLater: the free sequence feeds the buddy free lists, so
+// any other order would make every later allocation run-to-run
+// nondeterministic.
 func (c *PageCache) DropFile(f *File) {
 	f.placedOffset = false
 	if f.cached == 0 {
 		return
 	}
-	m := c.kernel.Machine
-	traced := c.kernel.Tracer != nil
-	var start addr.PFN
-	var run uint64
+	k := c.kernel
 	for _, v := range f.pages {
 		if v == 0 {
 			continue
 		}
 		pfn := v - 1
-		fr := m.Frames.Get(pfn)
-		if fr.MapCount--; fr.MapCount > 0 {
-			continue
-		}
-		switch {
-		case traced:
-			m.FreeBlock(pfn, 0)
-		case run > 0 && pfn == start+addr.PFN(run):
-			run++
-		default:
-			if run > 0 {
-				m.FreeRange(start, run)
-			}
-			start, run = pfn, 1
+		fr := k.Machine.Frames.Get(pfn)
+		if fr.MapCount--; fr.MapCount <= 0 {
+			k.freeLater(pfn)
 		}
 	}
-	if run > 0 {
-		m.FreeRange(start, run)
-	}
+	k.flushFree()
 	c.ResidentPages -= f.cached
 	f.cached = 0
 	c.release(f)

@@ -2,6 +2,7 @@ package osim_test
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -121,7 +122,7 @@ func newCacheRig(scenario int, seed int64, policy string, traced bool) *cacheRig
 func sameState(a, b *cacheRig) bool {
 	ka, kb := a.k, b.k
 	sa, sb := ka.Stats, kb.Stats
-	if !slices.Equal(sa.FaultLatencies, sb.FaultLatencies) {
+	if !maps.Equal(sa.FaultLatencies, sb.FaultLatencies) {
 		return false
 	}
 	sa.FaultLatencies, sb.FaultLatencies = nil, nil

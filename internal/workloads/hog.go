@@ -29,34 +29,11 @@ type HogExtent struct {
 const hogChunkPages = 1024
 
 // Hog pins fraction (0..1) of the machine in randomly placed coarse
-// chunks. It is deterministic per rng.
+// chunks. It is deterministic per rng. Candidate starts are the odd
+// 2 MiB slot of every other MAX_ORDER block, so chunks can never merge
+// into huge pinned spans.
 func Hog(m *zone.Machine, fraction float64, rng *rand.Rand) []HogExtent {
-	if fraction <= 0 {
-		return nil
-	}
-	targetPages := uint64(fraction * float64(m.TotalPages()))
-	// Candidate starts: the odd 2 MiB slot of every other MAX_ORDER
-	// block, so chunks can never merge into huge pinned spans.
-	var slots []addr.PFN
-	for _, z := range m.Zones {
-		for b := uint64(0); b+1 < z.Pages/addr.MaxOrderPages; b += 2 {
-			slots = append(slots, z.Base+addr.PFN(b*addr.MaxOrderPages+512))
-		}
-	}
-	rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
-	var out []HogExtent
-	var pinned uint64
-	for _, s := range slots {
-		if pinned >= targetPages {
-			break
-		}
-		if err := m.Reserve(s, hogChunkPages); err != nil {
-			continue
-		}
-		out = append(out, HogExtent{PFN: s, Pages: hogChunkPages})
-		pinned += hogChunkPages
-	}
-	return out
+	return hog(m, fraction, rng, 2, hogChunkPages)
 }
 
 // HogFine pins fraction (0..1) of the machine in single 2 MiB chunks at
@@ -66,14 +43,22 @@ func Hog(m *zone.Machine, fraction float64, rng *rand.Rand) []HogExtent {
 // contiguity between pins shrinks only gradually — scattered long-lived
 // pages on a machine that has run for a while (Fig. 1b).
 func HogFine(m *zone.Machine, fraction float64, rng *rand.Rand) []HogExtent {
+	return hog(m, fraction, rng, 1, addr.HugePages)
+}
+
+// hog pins chunks of chunkPages at the odd 2 MiB slot of every
+// stride-th MAX_ORDER block of each zone, taken in one rng.Shuffle
+// order, until fraction of the machine is pinned; a slot it cannot
+// reserve is skipped.
+func hog(m *zone.Machine, fraction float64, rng *rand.Rand, stride, chunkPages uint64) []HogExtent {
 	if fraction <= 0 {
 		return nil
 	}
 	targetPages := uint64(fraction * float64(m.TotalPages()))
 	var slots []addr.PFN
 	for _, z := range m.Zones {
-		for b := uint64(0); b < z.Pages/addr.MaxOrderPages; b++ {
-			slots = append(slots, z.Base+addr.PFN(b*addr.MaxOrderPages+512))
+		for b := uint64(0); b+stride <= z.Pages/addr.MaxOrderPages; b += stride {
+			slots = append(slots, z.Base+addr.PFN(b*addr.MaxOrderPages+addr.HugePages))
 		}
 	}
 	rng.Shuffle(len(slots), func(i, j int) { slots[i], slots[j] = slots[j], slots[i] })
@@ -83,11 +68,11 @@ func HogFine(m *zone.Machine, fraction float64, rng *rand.Rand) []HogExtent {
 		if pinned >= targetPages {
 			break
 		}
-		if err := m.Reserve(s, 512); err != nil {
+		if err := m.Reserve(s, chunkPages); err != nil {
 			continue
 		}
-		out = append(out, HogExtent{PFN: s, Pages: 512})
-		pinned += 512
+		out = append(out, HogExtent{PFN: s, Pages: chunkPages})
+		pinned += chunkPages
 	}
 	return out
 }

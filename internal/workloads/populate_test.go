@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -330,12 +331,10 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 				t.Errorf("host clock: per-page %d, range %d", want.hostClock, got.hostClock)
 			}
 			if !reflect.DeepEqual(want.stats, got.stats) {
-				t.Errorf("guest stats diverge:\nper-page %+v\nrange    %+v",
-					statsBrief(want.stats), statsBrief(got.stats))
+				t.Errorf("guest stats diverge:\nper-page %+v\nrange    %+v", want.stats, got.stats)
 			}
 			if !reflect.DeepEqual(want.hostStats, got.hostStats) {
-				t.Errorf("host stats diverge:\nper-page %+v\nrange    %+v",
-					statsBrief(want.hostStats), statsBrief(got.hostStats))
+				t.Errorf("host stats diverge:\nper-page %+v\nrange    %+v", want.hostStats, got.hostStats)
 			}
 			if !reflect.DeepEqual(want.vmas, got.vmas) {
 				t.Errorf("VMA accounting diverges:\nper-page %v\nrange    %v", want.vmas, got.vmas)
@@ -348,11 +347,54 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 	}
 }
 
-// statsBrief drops the latency trace for readable failure messages (the
-// DeepEqual above still compares it).
-func statsBrief(s osim.Stats) osim.Stats {
-	s.FaultLatencies = []uint64{uint64(len(s.FaultLatencies))}
-	return s
+// TestFaultLatencyCounts checks that the kernel's latency counts grow
+// with the number of distinct latencies, not with the number of faults:
+// a 100k-page CA populate (4 KiB faults, per page and by extent) leaves
+// one entry per distinct latency, summing to the fault count, and one
+// FaultRun of n pages adds n to the 4 KiB count alone.
+func TestFaultLatencyCounts(t *testing.T) {
+	const pages = 100_000
+	m := zone.NewMachine(zone.Config{ZonePages: []uint64{128 * addr.MaxOrderPages}})
+	k := osim.NewKernel(m, osim.CAPolicy{})
+	k.THPEnabled = false
+	env := NewNativeEnv(k, 0)
+	v, err := env.Proc.MMap(pages * addr.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := env.PopulateRange(v, v.Start, v.Size()); err != nil {
+		t.Fatal(err)
+	}
+	lat4K := uint64(osim.FaultBaseNs + osim.ZeroPageNs)
+	lats := k.Stats.FaultLatencies
+	var total uint64
+	for lat, n := range lats {
+		if lat != lat4K && lat != lat4K+osim.PlacementNs {
+			t.Errorf("latency %d ns counted %d times, want only %d or %d", lat, n, lat4K, lat4K+osim.PlacementNs)
+		}
+		total += n
+	}
+	if total != pages || k.Stats.TotalFaults() != pages {
+		t.Fatalf("counts sum to %d over %d faults, want %d", total, k.Stats.TotalFaults(), pages)
+	}
+
+	w, err := env.Proc.MMap(64 * addr.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.Proc.Touch(w.Start, true); err != nil { // places w
+		t.Fatal(err)
+	}
+	before, clock := maps.Clone(lats), k.Clock
+	n := env.Proc.FaultRun(w, w.Start.Add(addr.PageSize), 63)
+	if n == 0 {
+		t.Fatal("FaultRun declined a placed, unmapped run")
+	}
+	before[lat4K] += n
+	if !maps.Equal(lats, before) || k.Clock != clock+n*lat4K {
+		t.Fatalf("FaultRun of %d pages: counts %v, clock +%d; want %v, clock +%d",
+			n, lats, k.Clock-clock, before, n*lat4K)
+	}
 }
 
 func diffLeaves(t *testing.T, dim string, want, got []pagetable.Leaf) {
