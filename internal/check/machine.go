@@ -98,6 +98,9 @@ type Machine struct {
 	ingens  *daemon.Ingens
 
 	hogs [][]workloads.HogExtent // outstanding hog pins
+	// hogRng is reseeded per OpHog, drawing what a fresh
+	// rand.NewSource of the same seed would.
+	hogRng *rand.Rand
 
 	tlb     *tlb.TLB
 	reftlb  *RefTLB
@@ -135,7 +138,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg}
+	m := &Machine{cfg: cfg, hogRng: rand.New(workloads.NewSource(0))}
 	if cfg.Nested {
 		hostM := zone.NewMachine(zone.Config{
 			ZonePages: []uint64{10 * addr.MaxOrderPages, 10 * addr.MaxOrderPages},
@@ -389,8 +392,8 @@ func (m *Machine) Apply(op Op) error {
 			break
 		}
 		frac := float64(2+r.intn(9)) / 100
-		hr := rand.New(rand.NewSource(int64(r.next() >> 1)))
-		ext := workloads.Hog(m.kern.Machine, frac, hr)
+		m.hogRng.Seed(int64(r.next() >> 1))
+		ext := workloads.Hog(m.kern.Machine, frac, m.hogRng)
 		if len(ext) == 0 {
 			m.Stats.Skipped++
 			break

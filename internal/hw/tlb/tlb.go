@@ -188,6 +188,14 @@ func (t *TLB) Flush() {
 	t.nSmall, t.nHuge = 0, 0
 }
 
+// Reset returns the TLB to the state New built it in — every entry
+// empty, the LRU clock, the counters and the per-size counts zeroed, no
+// tracer — keeping its geometry and its entry array.
+func (t *TLB) Reset() {
+	clear(t.entries)
+	*t = TLB{entries: t.entries, nsets: t.nsets, ways: t.ways}
+}
+
 // ResetStats clears the lookup/miss counters (e.g. after the population
 // phase, mirroring the paper's PAPI-delimited measurement region).
 func (t *TLB) ResetStats() {

@@ -4,6 +4,7 @@ import (
 	"repro/internal/hw/ds"
 	"repro/internal/mem/addr"
 	"repro/internal/metrics"
+	"repro/internal/workloads"
 )
 
 // dsBackend runs Direct Segments as the primary mechanism: one
@@ -25,13 +26,15 @@ type dsBackend struct {
 	Rebuilds uint64
 }
 
-func newDS(c core) *dsBackend {
-	return &dsBackend{
+func (b *dsBackend) init(c core) {
+	*b = dsBackend{
 		core:  c,
 		seg:   largestSegment(c.env.Mappings()),
 		watch: watchTables(c.env),
 	}
 }
+
+func (b *dsBackend) Reset(env *workloads.Env) { b.init(b.reset(env)) }
 
 // largestSegment picks the biggest contiguous mapping as the segment —
 // the extent an eager reservation would have pinned.

@@ -4,6 +4,7 @@ import (
 	"repro/internal/hw/hashpt"
 	"repro/internal/mem/addr"
 	"repro/internal/osim/pagetable"
+	"repro/internal/workloads"
 )
 
 // hashedProbeCycles prices one probe step of a hashed walk. A flat
@@ -29,15 +30,16 @@ type hashedBackend struct {
 	guest, host *pagetable.Table // host nil when native
 }
 
-func newHashed(c core) *hashedBackend {
-	b := &hashedBackend{core: c, ht: hashpt.New()}
+func (b *hashedBackend) init(c core) {
+	*b = hashedBackend{core: c, ht: hashpt.New()}
 	b.guest, b.host = c.env.Tables()
 	b.guest.AddObserver((*hashedGuestWatch)(b))
 	if b.host != nil {
 		b.host.AddObserver((*hashedHostWatch)(b))
 	}
-	return b
 }
+
+func (b *hashedBackend) Reset(env *workloads.Env) { b.init(b.reset(env)) }
 
 // hashedGuestWatch receives guest-dimension mapping events. New
 // mappings need no action (entries install lazily, and an entry can

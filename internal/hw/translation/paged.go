@@ -58,6 +58,12 @@ func (c *core) SetTracer(t *trace.Tracer) {
 
 func (c *core) Close() {}
 
+// reset returns the core New builds for env, on c's TLB.
+func (c *core) reset(env *workloads.Env) core {
+	c.tlb.Reset()
+	return core{env: env, tlb: c.tlb}
+}
+
 // walk performs the baseline translation for va: a nested walk in a
 // VM, a native walk otherwise. The native case reports the single PTE
 // contiguity bit in both positions. The cost is priced through m:
@@ -109,16 +115,19 @@ func (c *core) walk(va addr.VirtAddr, m walker.Meter) Walk {
 // composed translation it shadows.
 type pagedBackend struct {
 	core
-	shadow *virt.ShadowTable
+	shadowPaging bool // Config.ShadowPaging
+	shadow       *virt.ShadowTable
 }
 
-func newPaged(c core, cfg Config) *pagedBackend {
-	b := &pagedBackend{core: c}
-	if cfg.ShadowPaging && c.env.VM != nil {
+// init builds the backend over c with its configured shadowPaging.
+func (b *pagedBackend) init(c core) {
+	*b = pagedBackend{core: c, shadowPaging: b.shadowPaging}
+	if b.shadowPaging && c.env.VM != nil {
 		b.shadow = c.env.VM.NewShadow(c.env.Proc)
 	}
-	return b
 }
+
+func (b *pagedBackend) Reset(env *workloads.Env) { b.init(b.reset(env)) }
 
 func (b *pagedBackend) Name() string { return BackendPaged }
 

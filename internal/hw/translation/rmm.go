@@ -3,6 +3,7 @@ package translation
 import (
 	"repro/internal/hw/rmm"
 	"repro/internal/mem/addr"
+	"repro/internal/workloads"
 )
 
 // rmmBackend runs vRMM as the primary mechanism: TLB misses probe the
@@ -19,14 +20,16 @@ type rmmBackend struct {
 	watch *mapWatch
 }
 
-func newRMM(c core) *rmmBackend {
-	return &rmmBackend{
+func (b *rmmBackend) init(c core) {
+	*b = rmmBackend{
 		core:  c,
 		rt:    rmm.NewRangeTLB(RangeTLBEntries),
 		rtab:  rmm.NewTable(c.env.Mappings()),
 		watch: watchTables(c.env),
 	}
 }
+
+func (b *rmmBackend) Reset(env *workloads.Env) { b.init(b.reset(env)) }
 
 func (b *rmmBackend) Name() string { return BackendRMM }
 

@@ -8,8 +8,9 @@
 // paged fallback, and a hashed/flattened page table.
 //
 // Backends that derive state from the mappings (range tables, the
-// segment, the hashed mirror) subscribe to pagetable.Observer events,
-// so invalidation is exact: every map/unmap/promotion/migration/CoW
+// segment, the hashed mirror) subscribe to pagetable.Observer events;
+// the paged backend derives nothing and subscribes to nothing. Events
+// make invalidation exact: every map/unmap/promotion/migration/CoW
 // remap the kernel performs routes through Map4K/Map2M/Unmap/Redirect
 // and therefore reaches the backend synchronously. DESIGN.md §13
 // documents the contract.
@@ -73,7 +74,8 @@ type Counters struct {
 //
 // Implementations attach themselves to the environment's page tables
 // at construction where they need mapping-change events; Close
-// detaches them. A backend is single-goroutine, like the machine that
+// detaches them, and Reset reuses a closed backend for another
+// environment. A backend is single-goroutine, like the machine that
 // owns it.
 type Backend interface {
 	// Name returns the backend's registry name.
@@ -103,8 +105,16 @@ type Backend interface {
 	// hardware components.
 	SetTracer(t *trace.Tracer)
 	// Close detaches the backend from the environment's page tables.
-	// The backend must not be used afterwards.
+	// The backend must not be used afterwards, except through Reset.
 	Close()
+	// Reset re-points a closed backend at env and leaves it in exactly
+	// the state New(Name(), env, cfg) builds with the cfg it was built
+	// with: an empty TLB with its LRU clock and counters at zero, zero
+	// Counters, no tracer, and derived state (shadow table, range
+	// table, segment, hashed table, subscriptions) rebuilt for env
+	// through the constructor's own path. Only the TLB's entry array is
+	// reused.
+	Reset(env *workloads.Env)
 }
 
 const (
@@ -146,16 +156,23 @@ func New(name string, env *workloads.Env, cfg Config) (Backend, error) {
 	if cfg.TLBEntries < 0 || cfg.TLBWays < 0 || cfg.TLBEntries%cfg.TLBWays != 0 {
 		return nil, fmt.Errorf("translation: bad TLB geometry: %d entries, %d ways", cfg.TLBEntries, cfg.TLBWays)
 	}
-	c := core{env: env, tlb: tlb.New(cfg.TLBEntries, cfg.TLBWays)}
+	// init builds a backend over a core; Reset reruns it.
+	var b interface {
+		Backend
+		init(core)
+	}
 	switch name {
 	case "", BackendPaged:
-		return newPaged(c, cfg), nil
+		b = &pagedBackend{shadowPaging: cfg.ShadowPaging}
 	case BackendHashed:
-		return newHashed(c), nil
+		b = new(hashedBackend)
 	case BackendRMM:
-		return newRMM(c), nil
+		b = new(rmmBackend)
 	case BackendDS:
-		return newDS(c), nil
+		b = new(dsBackend)
+	default:
+		return nil, fmt.Errorf("translation: unknown backend %q (have %v)", name, Names())
 	}
-	return nil, fmt.Errorf("translation: unknown backend %q (have %v)", name, Names())
+	b.init(core{env: env, tlb: tlb.New(cfg.TLBEntries, cfg.TLBWays)})
+	return b, nil
 }

@@ -174,6 +174,9 @@ type Kernel struct {
 	// contigScratch is contigPreds' reused list of walked leaves.
 	contigScratch []addr.VirtAddr
 
+	// exitScratch is Process.Exit's reused list of the VMAs to unmap.
+	exitScratch []*vma.VMA
+
 	// freeStart and freeLen are the pending run of frames to free
 	// ([freeStart, freeStart+freeLen)) that MUnmap and DropFile
 	// gather; empty between calls.
@@ -360,14 +363,16 @@ func (k *Kernel) flushFree() {
 // Exit tears down every VMA of the process and returns its page-table
 // root to the kernel's node pool; the process must not be used again.
 func (p *Process) Exit() {
-	p.kernel.mutSeq++
-	var all []*vma.VMA
+	k := p.kernel
+	k.mutSeq++
+	all := k.exitScratch[:0]
 	p.VMAs.Visit(func(v *vma.VMA) { all = append(all, v) })
 	for _, v := range all {
 		p.MUnmap(v)
 	}
+	clear(all) // hold no dead VMA
+	k.exitScratch = all[:0]
 	p.PT.Release()
-	k := p.kernel
 	for i, q := range k.procs {
 		if q == p {
 			k.procs = append(k.procs[:i], k.procs[i+1:]...)

@@ -18,17 +18,22 @@ var errSchemesUnsupported = errors.New("sim: Engine does not support EnableSchem
 // kernel mutations (mmap, fork, daemon epochs) on the same process, so
 // it cannot hand sim a closed stream — it holds an Engine per tenant
 // and feeds accesses as its trace delivers them. Step shares machine's
-// zero-allocation steady state; construction and faults allocate.
+// zero-allocation steady state; construction and faults allocate, and
+// Reset lets a closed engine serve the next tenant without allocating
+// a TLB.
 type Engine struct {
 	m *machine
 }
 
 // NewEngine builds the per-process hardware state over the
-// environment's current mappings. The backend observes the process's
-// page table, so later mutations (faults, promotions, CoW redirects,
-// unmaps) invalidate stale translations exactly, same as under Run.
-// EnableSchemes is rejected: the schemes snapshot a fully populated
-// process at construction, which a serving stream does not have.
+// environment's current mappings. Later mutations (faults, promotions,
+// CoW redirects, unmaps) never yield a stale translation, same as
+// under Run: the default paged backend walks the live tables on every
+// miss and subscribes to nothing, and backends with derived state
+// (rmm, ds, hashed) observe the page tables and invalidate it
+// (DESIGN.md §13). EnableSchemes is rejected: the schemes snapshot a
+// fully populated process at construction, which a serving stream
+// does not have.
 func NewEngine(env *workloads.Env, cfg Config) (*Engine, error) {
 	if cfg.EnableSchemes {
 		return nil, errSchemesUnsupported
@@ -63,8 +68,19 @@ func (e *Engine) Result() Result {
 // hardware components, same contract as Config.Tracer under Run.
 func (e *Engine) SetTracer(t *trace.Tracer) { e.m.setTracer(t) }
 
-// Close detaches the backend from the process's page table. The engine
-// must not be used afterwards. Callers must Close before tearing the
-// process down so the page-table observer list does not accumulate
-// dead backends across tenant generations.
+// Close detaches a subscribing backend (rmm, ds, hashed) from the
+// process's page tables; for the paged backend it does nothing. The
+// engine must not be used afterwards, except through Reset. Callers
+// must Close before tearing the process down so the page-table observer
+// lists do not accumulate dead backends across tenant generations.
 func (e *Engine) Close() { e.m.be.Close() }
+
+// Reset re-points a closed engine at env and leaves it in exactly the
+// state NewEngine(env, cfg) builds with the engine's own cfg: an empty
+// TLB with its LRU clock and counters at zero, zero backend counters,
+// a zero Result, cfg's tracer, and any derived backend state rebuilt
+// for env through the backend's constructor path. Only the TLB's entry
+// array and the engine's own structs are reused, so a replay that
+// recycles closed engines across tenants steps exactly as it would
+// with fresh ones.
+func (e *Engine) Reset(env *workloads.Env) { e.m.reset(env) }

@@ -205,6 +205,15 @@ func newMachine(env *workloads.Env, cfg Config) (*machine, error) {
 	return m, nil
 }
 
+// reset re-points the machine at env in the state newMachine builds
+// for an engine (no schemes) with m's cfg.
+func (m *machine) reset(env *workloads.Env) {
+	m.be.Reset(env)
+	m.env = env
+	m.res = Result{}
+	m.setTracer(m.cfg.Tracer)
+}
+
 // setTracer attaches (or, with nil, detaches) the tracer from every
 // hardware component of this machine. The attached-then-detached case
 // of TestRunZeroAllocs drives this to prove detaching restores the

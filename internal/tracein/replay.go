@@ -174,10 +174,16 @@ type rshard struct {
 	*shard.Shard
 	tenants map[uint32]*rtenant
 	hogs    [][]workloads.HogExtent
-	budget  uint64
-	mapped  uint64
-	walk    float64
-	rows    []Row
+	// hogRng is reseeded per hog event; its Source seeds to the state
+	// rand.NewSource would build, without a register per event.
+	hogRng *rand.Rand
+	// spare holds closed sim engines of exited tenants; accessBurst
+	// Resets one for a tenant's first access before building another.
+	spare  []*sim.Engine
+	budget uint64
+	mapped uint64
+	walk   float64
+	rows   []Row
 
 	lastRow uint64 // events count at the last sampled row
 
@@ -238,6 +244,7 @@ func NewEngine(cfg ReplayConfig) (*Engine, error) {
 		e.shards = append(e.shards, &rshard{
 			Shard:     sh,
 			tenants:   make(map[uint32]*rtenant),
+			hogRng:    rand.New(workloads.NewSource(0)),
 			budget:    sh.Kernel.Machine.TotalPages() * check.BudgetPct / 100,
 			spanStart: cfg.Tracer.Start(),
 		})
@@ -494,8 +501,8 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 			break
 		}
 		frac := float64(2+ev.Arg0%9) / 100
-		rng := rand.New(rand.NewSource(int64(evMix(ev) >> 1)))
-		ext := workloads.Hog(s.Kernel.Machine, frac, rng)
+		s.hogRng.Seed(int64(evMix(ev) >> 1))
+		ext := workloads.Hog(s.Kernel.Machine, frac, s.hogRng)
 		if len(ext) == 0 {
 			s.skipped.Add(1)
 			break
@@ -543,11 +550,17 @@ func (s *rshard) accessBurst(ev Event) error {
 		return nil
 	}
 	if t.eng == nil {
-		eng, err := sim.NewEngine(t.env, sim.Config{TLBEntries: check.TLBEntries, TLBWays: check.TLBWays})
-		if err != nil {
-			return fmt.Errorf("tracein: shard %d sim engine: %w", s.Index, err)
+		if n := len(s.spare); n > 0 {
+			t.eng = s.spare[n-1]
+			s.spare = s.spare[:n-1]
+			t.eng.Reset(t.env)
+		} else {
+			eng, err := sim.NewEngine(t.env, sim.Config{TLBEntries: check.TLBEntries, TLBWays: check.TLBWays})
+			if err != nil {
+				return fmt.Errorf("tracein: shard %d sim engine: %w", s.Index, err)
+			}
+			t.eng = eng
 		}
-		t.eng = eng
 	}
 	burst := 1 + ev.Arg2%check.TLBBurst
 	stride := 1 + ev.Arg0%7
@@ -574,15 +587,17 @@ func (s *rshard) accessBurst(ev Event) error {
 }
 
 // exitTenant tears the tenant down: forked child first, then the sim
-// engine (detaching its page-table observer), then the process, and
-// frees the tenant's slot. tenantFor recreates a fresh slot on the
-// tenant's next event, so the table holds only live tenants.
+// engine (closed and kept on the shard's spare list), then the
+// process, and frees the tenant's slot. tenantFor recreates a fresh
+// slot on the tenant's next event, so the table holds only live
+// tenants.
 func (s *rshard) exitTenant(id uint32, t *rtenant) {
 	if t.child != nil {
 		t.child.Exit()
 	}
 	if t.eng != nil {
 		t.eng.Close()
+		s.spare = append(s.spare, t.eng)
 	}
 	t.env.Exit()
 	s.mapped -= t.pages

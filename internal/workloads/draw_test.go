@@ -129,3 +129,98 @@ func TestPageVAWraps(t *testing.T) {
 		}
 	}
 }
+
+// sourceSeeds is every seed class Source must reduce as math/rand
+// does: zero (math/rand's substitute seed), both signs, the substitute
+// itself, multiples of the modulus, the int64 extremes, and random
+// seeds of every magnitude.
+func sourceSeeds() []int64 {
+	seeds := []int64{0, 1, -1, 89482311, 1<<31 - 1, 2 * (1<<31 - 1), math.MinInt64, math.MaxInt64}
+	r := rand.New(rand.NewSource(7))
+	for range 1000 {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	return seeds
+}
+
+// TestSourceMatchesMathRand reseeds one Source with every seed of
+// sourceSeeds and requires its first 2000 Uint64 and then 2000 Int63
+// outputs to equal a fresh rand.NewSource's.
+func TestSourceMatchesMathRand(t *testing.T) {
+	const n = 2000
+	got := NewSource(42)
+	for _, seed := range sourceSeeds() {
+		got.Seed(seed)
+		want := rand.NewSource(seed).(rand.Source64)
+		for i := range n {
+			if g, w := got.Uint64(), want.Uint64(); g != w {
+				t.Fatalf("seed %d: Uint64 #%d = %#x, want %#x", seed, i, g, w)
+			}
+		}
+		for i := range n {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d: Int63 #%d = %#x, want %#x", seed, n+i, g, w)
+			}
+		}
+	}
+}
+
+// TestReseededRandMatchesFresh drives one rand.Rand over a Source the
+// way replay does — reseeded per event, often part-way through its
+// stream (Read leaves buffered bytes that Seed must drop) — and
+// requires each seed's Shuffle, Intn and Read results to equal those of
+// a fresh rand.New(rand.NewSource(seed)).
+func TestReseededRandMatchesFresh(t *testing.T) {
+	r := rand.New(NewSource(0))
+	for k, seed := range sourceSeeds()[:300] {
+		r.Seed(seed)
+		want := rand.New(rand.NewSource(seed))
+		for round := range 3 {
+			n := 1 + k%97 + 40*round
+			g, w := make([]int, n), make([]int, n)
+			for i := range g {
+				g[i], w[i] = i, i
+			}
+			r.Shuffle(n, func(i, j int) { g[i], g[j] = g[j], g[i] })
+			want.Shuffle(n, func(i, j int) { w[i], w[j] = w[j], w[i] })
+			for i := range g {
+				if g[i] != w[i] {
+					t.Fatalf("seed %d round %d: Shuffle(%d)[%d] = %d, want %d", seed, round, n, i, g[i], w[i])
+				}
+			}
+			for _, bound := range []int{1, 9, 1000, 1<<31 - 1, 1 << 40} {
+				if gi, wi := r.Intn(bound), want.Intn(bound); gi != wi {
+					t.Fatalf("seed %d round %d: Intn(%d) = %d, want %d", seed, round, bound, gi, wi)
+				}
+			}
+		}
+		gb, wb := make([]byte, 1+k%13), make([]byte, 1+k%13)
+		r.Read(gb)
+		want.Read(wb)
+		if string(gb) != string(wb) {
+			t.Fatalf("seed %d: Read = %x, want %x", seed, gb, wb)
+		}
+	}
+}
+
+// seedSink keeps BenchmarkSeed's sources on the heap, as a source
+// handed to rand.New is.
+var seedSink rand.Source
+
+// BenchmarkSeed prices one reseed: a fresh rand.NewSource, against
+// reseeding one Source in place.
+func BenchmarkSeed(b *testing.B) {
+	b.Run("rand.NewSource", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := range b.N {
+			seedSink = rand.NewSource(int64(i))
+		}
+	})
+	b.Run("Source.Seed", func(b *testing.B) {
+		b.ReportAllocs()
+		s := NewSource(0)
+		for i := range b.N {
+			s.Seed(int64(i))
+		}
+	})
+}
