@@ -21,6 +21,7 @@ import (
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
+	"repro/internal/shard"
 	"repro/internal/workloads"
 )
 
@@ -323,9 +324,7 @@ func auditFixture(tb testing.TB, zoneBlocks []uint64, forked bool) (*zone.Machin
 // TestAuditorZeroAllocs pins the audit arena's steady-state contract: a
 // warm Auditor re-auditing a settled machine performs zero heap
 // allocations, duplicate references included (the arena reuses their
-// list and sorts it in place). The single-zone machine keeps the check
-// strict — the multi-zone fan-out spawns goroutines, whose stacks the
-// runtime may count as allocations.
+// list and sorts it in place).
 func TestAuditorZeroAllocs(t *testing.T) {
 	m, k := auditFixture(t, []uint64{8}, true)
 	a := check.NewAuditor(m)
@@ -344,22 +343,31 @@ func TestAuditorZeroAllocs(t *testing.T) {
 
 // TestAuditorMultiZoneAllocs bounds the multi-zone audit's garbage: on
 // a two-zone machine with mappings, page-cache residency and forked
-// tenants in every zone, a warm Auditor allocates at most one object
-// per zone per audit, the runtime's cost of starting the per-zone
-// goroutines. The frame sweep itself must add none.
+// tenants in every zone, a warm Auditor that sweeps the zones on the
+// caller allocates nothing, and one that sweeps them on a two-worker
+// shard.Team allocates at most two objects per audit: the Run's task
+// record and the sweep's closure. The frame sweep itself must add none.
 func TestAuditorMultiZoneAllocs(t *testing.T) {
 	m, k := auditFixture(t, []uint64{8, 8}, true)
-	a := check.NewAuditor(m)
-	if err := a.Audit(k, nil); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
+	team := shard.NewTeam(2)
+	defer team.Close()
+	for _, c := range []struct {
+		fanout func(n int, fn func(i int) error) error
+		max    float64
+	}{{nil, 0}, {team.Run, 2}} {
+		a := check.NewAuditor(m)
+		a.Fanout = c.fanout
 		if err := a.Audit(k, nil); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if max := float64(len(m.Zones)); avg > max {
-		t.Fatalf("warm two-zone Auditor.Audit allocates %v per run, want at most %v", avg, max)
+		avg := testing.AllocsPerRun(50, func() {
+			if err := a.Audit(k, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > c.max {
+			t.Fatalf("warm two-zone Auditor.Audit (team: %v) allocates %v per run, want at most %v", c.fanout != nil, avg, c.max)
+		}
 	}
 }
 

@@ -7,16 +7,19 @@
 //
 // The campaign splits the machine into -shards zone-owning shards
 // (default 1: one shard owning every zone) stepped concurrently by
-// -shardjobs workers and merged at a deterministic epoch barrier; the
-// trajectory depends on -shards but never on -shardjobs.
+// the -shardjobs workers of the campaign's shard team (which also
+// sweep the audit's zones) and merged at a deterministic epoch
+// barrier; the trajectory depends on -shards but never on -shardjobs.
 //
 //	agingsim -policy ranger -steps 360 -csv traj.csv -trace trace.json
 //	agingsim -policy ca -shards 2 -shardjobs 2 -audit 1
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/aging"
@@ -24,24 +27,32 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	var (
-		policy    = flag.String("policy", "thp", "policy: thp, ingens, ca, eager, ranger, ideal")
-		steps     = flag.Int("steps", 240, "churn-step horizon")
-		snapshot  = flag.Int("snapshot", 10, "snapshot every N steps")
-		audit     = flag.Int("audit", 4, "audit every N snapshots (-1 disables mid-run audits)")
-		seed      = flag.Int64("seed", 1, "campaign seed")
-		shards    = flag.Int("shards", 1, "split the campaign into N zone-owning shards (clamped to the zone count)")
-		shardJobs = flag.Int("shardjobs", 0, "workers stepping shards concurrently: 0 = GOMAXPROCS, 1 = serial; trajectory is identical at any value")
-		csvOut    = flag.String("csv", "", "write the trajectory CSV to `file` (default stdout)")
-		traceOut  = flag.String("trace", "", "write a Chrome trace-event JSON of the campaign to `file`")
-		counters  = flag.String("counters", "", "write the traced counter time series as CSV to `file`")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "agingsim:", err)
-		os.Exit(1)
+// run is the whole tool behind an exit code, so tests can drive it.
+// Exit codes: 0 clean, 1 campaign failure (a failed audit), 2 usage (a
+// bad flag, an unknown policy, or a campaign config aging rejects).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("agingsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		policy    = fs.String("policy", "thp", "policy: thp, ingens, ca, eager, ranger, ideal")
+		steps     = fs.Int("steps", 240, "churn-step horizon")
+		snapshot  = fs.Int("snapshot", 10, "snapshot every N steps")
+		audit     = fs.Int("audit", 4, "audit every N snapshots (-1 disables mid-run audits)")
+		seed      = fs.Int64("seed", 1, "campaign seed")
+		shards    = fs.Int("shards", 1, "split the campaign into N zone-owning shards (clamped to the zone count)")
+		shardJobs = fs.Int("shardjobs", 0, "workers that step shards and sweep audit zones (the campaign's shard team): 0 = GOMAXPROCS, 1 = serial; trajectory is identical at any value")
+		csvOut    = fs.String("csv", "", "write the trajectory CSV to `file` (default stdout)")
+		traceOut  = fs.String("trace", "", "write a Chrome trace-event JSON of the campaign to `file`")
+		counters  = fs.String("counters", "", "write the traced counter time series as CSV to `file`")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "agingsim:", err)
+		return code
 	}
 
 	pol := experiments.PolicyName(*policy)
@@ -52,7 +63,7 @@ func main() {
 		}
 	}
 	if !known {
-		fail(fmt.Errorf("unknown policy %q (have %v)", *policy, experiments.AllPolicies()))
+		return fail(2, fmt.Errorf("unknown policy %q (have %v)", *policy, experiments.AllPolicies()))
 	}
 
 	params := experiments.Params{Seed: *seed}
@@ -70,48 +81,56 @@ func main() {
 		ShardJobs:     *shardJobs,
 	}
 	traj, err := experiments.RunAgingCampaign(params, pol, cfg)
+	if errors.Is(err, aging.ErrConfig) {
+		return fail(2, err)
+	}
 
 	// Emit whatever trajectory exists even when the campaign failed:
 	// the snapshots leading up to a bad audit are the debugging trail.
 	writeCSV := func() error {
-		w := os.Stdout
-		if *csvOut != "" {
-			f, cerr := os.Create(*csvOut)
-			if cerr != nil {
-				return cerr
-			}
-			defer f.Close()
-			w = f
+		if *csvOut == "" {
+			return traj.WriteCSV(stdout)
 		}
-		return traj.WriteCSV(w)
+		f, cerr := os.Create(*csvOut)
+		if cerr != nil {
+			return cerr
+		}
+		if werr := traj.WriteCSV(f); werr != nil {
+			f.Close()
+			return werr
+		}
+		return f.Close()
 	}
 	if traj != nil {
 		if werr := writeCSV(); werr != nil {
-			fail(werr)
+			return fail(1, werr)
 		}
 	}
-	writeOut := func(path string, fn func(*os.File) error) {
+	writeOut := func(path string, fn func(*os.File) error) error {
 		if path == "" {
-			return
+			return nil
 		}
 		f, oerr := os.Create(path)
 		if oerr != nil {
-			fail(oerr)
+			return oerr
 		}
 		if oerr := fn(f); oerr != nil {
 			f.Close()
-			fail(oerr)
+			return oerr
 		}
-		if oerr := f.Close(); oerr != nil {
-			fail(oerr)
-		}
+		return f.Close()
 	}
-	writeOut(*traceOut, func(f *os.File) error { return tr.WriteChromeTrace(f) })
-	writeOut(*counters, func(f *os.File) error { return tr.WriteCounterCSV(f) })
+	if oerr := writeOut(*traceOut, func(f *os.File) error { return tr.WriteChromeTrace(f) }); oerr != nil {
+		return fail(1, oerr)
+	}
+	if oerr := writeOut(*counters, func(f *os.File) error { return tr.WriteCounterCSV(f) }); oerr != nil {
+		return fail(1, oerr)
+	}
 	if err != nil {
-		fail(err)
+		return fail(1, err)
 	}
 	f := traj.Final()
-	fmt.Fprintf(os.Stderr, "agingsim: %s ok: %d snapshots, final frag %d permille, ufi2m %.3f, rss %d pages, %d faults\n",
+	fmt.Fprintf(stderr, "agingsim: %s ok: %d snapshots, final frag %d permille, ufi2m %.3f, rss %d pages, %d faults\n",
 		traj.Policy, len(traj.Snapshots), f.FragPermille, f.UFI2M, f.RSSPages, f.Faults)
+	return 0
 }

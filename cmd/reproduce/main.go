@@ -37,8 +37,9 @@
 // policy across two tenant-churn horizons and figAgingTraj records the
 // full per-snapshot trajectories; cmd/agingsim runs a single campaign
 // with finer control. The aging campaigns run sharded — one shard per
-// host zone (DESIGN.md §11) — and -shardjobs bounds how many shards
-// step concurrently; tables never depend on it.
+// host zone (DESIGN.md §11) — and -shardjobs sizes each campaign's
+// shard team, the workers that step its shards and sweep its audit
+// zones; tables never depend on it.
 package main
 
 import (
@@ -112,7 +113,7 @@ func main() {
 		exp        = flag.String("exp", "", "experiment id (see -list) or 'all'")
 		list       = flag.Bool("list", false, "list experiment ids")
 		jobs       = flag.Int("jobs", runtime.NumCPU(), "max concurrent experiments (1 = sequential)")
-		shardJobs  = flag.Int("shardjobs", 0, "workers stepping each sharded aging campaign's shards: 0 = GOMAXPROCS, 1 = serial; tables are identical at any value")
+		shardJobs  = flag.Int("shardjobs", 0, "workers that step each sharded aging campaign's shards and sweep its audit zones: 0 = GOMAXPROCS, 1 = serial; tables are identical at any value")
 		stream     = flag.Uint64("stream", 1_000_000, "measured-phase accesses for translation experiments")
 		backend    = flag.String("backend", "", "restrict figBackends to one translation backend (paged, hashed, rmm, ds); empty = full matrix")
 		settle     = flag.Int("settle", 400, "daemon-settle epochs for contiguity experiments")

@@ -57,10 +57,11 @@ const (
 type Config struct {
 	// Seed drives every random decision of the campaign.
 	Seed int64
-	// Steps is the churn-step horizon (default 200).
+	// Steps is the churn-step horizon (default 200; negative is an
+	// error).
 	Steps int
 	// SnapshotEvery records a trajectory snapshot every N steps
-	// (default 10).
+	// (default 10; negative is an error).
 	SnapshotEvery int
 	// AuditEvery runs a whole-machine check.Audit every N snapshots
 	// (default 4; 0 keeps the default — use -1 to disable mid-run
@@ -87,16 +88,18 @@ type Config struct {
 	// account for each kernel's BootReserve.
 	Pinned []check.Extent
 
-	// Shards is the zone-shard count, dealt and clamped to [1, zone
-	// count] by shard.New. Each shard steps its own tenant stream with
-	// its own RNG; an epoch barrier merges the cross-shard effects —
-	// OOM-driven reclaim of the parent's page cache, cache churn,
-	// snapshots, and whole-machine audits — in shard-index order.
+	// Shards is the zone-shard count (0 means 1; negative is an
+	// error), dealt and clamped to [1, zone count] by shard.New. Each
+	// shard steps its own tenant stream with its own RNG; an epoch
+	// barrier merges the cross-shard effects — OOM-driven reclaim of
+	// the parent's page cache, cache churn, snapshots, and
+	// whole-machine audits — in shard-index order.
 	Shards int
-	// ShardJobs bounds the workers stepping shards concurrently
-	// (shard.Each: <=0 selects GOMAXPROCS; 1 steps shards serially).
-	// Trajectories are deterministic in (Seed, Shards) and
-	// byte-identical at every ShardJobs value.
+	// ShardJobs sizes the campaign's shard.Team: the workers that step
+	// shards and sweep the audit's zones concurrently (<=0 selects
+	// GOMAXPROCS; 1 does both serially on Run's goroutine). Helpers
+	// live for one Run. Trajectories are deterministic in (Seed,
+	// Shards) and byte-identical at every ShardJobs value.
 	ShardJobs int
 	// NewShardKernel builds each shard's kernel (policy attached, no
 	// boot reservations) and private daemon set. Required at every
@@ -132,6 +135,27 @@ func (c Config) withDefaults() Config {
 		c.CacheChurnEvery = 7
 	}
 	return c
+}
+
+// ErrConfig marks the errors Run reports for an invalid Config.
+var ErrConfig = errors.New("aging: invalid config")
+
+// validate reports the first field of a defaulted config that would
+// crash the campaign or silently distort its trajectory.
+func (c Config) validate() error {
+	switch {
+	case c.Steps < 0:
+		return fmt.Errorf("%w: Steps %d is negative", ErrConfig, c.Steps)
+	case c.SnapshotEvery < 0:
+		return fmt.Errorf("%w: SnapshotEvery %d is negative", ErrConfig, c.SnapshotEvery)
+	case c.Shards < 0:
+		return fmt.Errorf("%w: Shards %d is negative", ErrConfig, c.Shards)
+	case !(c.ZipfS > 1): // NaN fails too
+		return fmt.Errorf("%w: ZipfS %v must be > 1", ErrConfig, c.ZipfS)
+	case c.NewShardKernel == nil:
+		return fmt.Errorf("%w: Config.NewShardKernel is required", ErrConfig)
+	}
+	return nil
 }
 
 // Snapshot is one point of a campaign trajectory.
@@ -209,11 +233,12 @@ type Campaign struct {
 	// rng is the parent's stream; only cacheChurn draws from it.
 	rng *rand.Rand
 
-	// set owns the zone shards and the whole-machine audit.
+	// set owns the zone shards, the whole-machine audit, and the team
+	// that steps the shards and sweeps the audit's zones.
 	set *shard.Set
 	// streams are the shards' churn state, index-aligned with
-	// set.Shards; they are stepped concurrently up to cfg.ShardJobs,
-	// and their effects are merged at epoch barriers.
+	// set.Shards; they are stepped concurrently on the set's team, and
+	// their effects are merged at epoch barriers.
 	streams []*stream
 
 	gaugeIDs struct {
@@ -276,11 +301,10 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 	c.gaugeIDs.frag = t.Gauge("aging.frag_permille")
 	c.gaugeIDs.ufi2m = t.Gauge("aging.ufi2m_permille")
 
-	if cfg.NewShardKernel == nil {
-		c.err = errors.New("aging: Config.NewShardKernel is required")
+	if c.err = cfg.validate(); c.err != nil {
 		return c
 	}
-	c.set = shard.New(k, cfg.Shards, cfg.NewShardKernel)
+	c.set = shard.New(k, cfg.Shards, cfg.ShardJobs, cfg.NewShardKernel)
 	span := cfg.MaxFootprintPages - minFootprintPages
 	for _, sh := range c.set.Shards {
 		// Decorrelate the shard streams from each other and from the
@@ -308,15 +332,17 @@ func New(k *osim.Kernel, ds []workloads.Daemon, cfg Config) *Campaign {
 // in shard-index order: deferred OOM handling against the parent's
 // page cache, periodic cache churn on the parent kernel (which may
 // allocate from any zone — safe, nothing else runs), snapshots over
-// the union machine, and multi-kernel audits.
+// the union machine, and multi-kernel audits. The set's team helpers
+// stop before Run returns, on every path.
 func (c *Campaign) Run() (*Trajectory, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
+	defer c.set.Close()
 	tr := &Trajectory{Policy: c.k.Policy.Name()}
 	sinceSnap, snaps := 0, 0
 	for step := 1; step <= c.cfg.Steps; step++ {
-		err := shard.Each(len(c.streams), c.cfg.ShardJobs, func(i int) error {
+		err := c.set.Each(len(c.streams), func(i int) error {
 			return c.shardStep(c.streams[i], step)
 		})
 		if err != nil {

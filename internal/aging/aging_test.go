@@ -2,12 +2,16 @@ package aging_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/aging"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
@@ -212,10 +216,10 @@ func TestShardCountChangesTrajectory(t *testing.T) {
 
 // TestShardedCampaignClampsShards pins the shard-count normalisation:
 // asking for more shards than zones degrades to one shard per zone
-// rather than leaving zoneless shards spinning, and a zero or negative
-// count means one shard.
+// rather than leaving zoneless shards spinning, and a zero count means
+// one shard. (A negative count is an error: TestInvalidConfigErrors.)
 func TestShardedCampaignClampsShards(t *testing.T) {
-	for _, c := range []struct{ shards, want int }{{16, 2}, {0, 1}, {-1, 1}} {
+	for _, c := range []struct{ shards, want int }{{16, 2}, {0, 1}} {
 		got := render(t, "thp", smallConfig("thp", c.shards, 1))
 		if want := render(t, "thp", smallConfig("thp", c.want, 1)); got != want {
 			t.Fatalf("Shards=%d on a two-zone machine differs from Shards=%d:\n--- %d\n%s\n--- %d\n%s",
@@ -238,12 +242,90 @@ func TestShardedCampaignWithoutFactoryErrors(t *testing.T) {
 		cfg := smallConfig("thp", shards, 1)
 		cfg.NewShardKernel = nil
 		tr, err := aging.New(k, ds, cfg).Run()
-		if err == nil || !strings.Contains(err.Error(), "NewShardKernel") {
+		if !errors.Is(err, aging.ErrConfig) || !strings.Contains(err.Error(), "NewShardKernel") {
 			t.Fatalf("shards=%d: Run error = %v, want a missing-NewShardKernel error", shards, err)
 		}
 		if tr != nil {
 			t.Fatalf("shards=%d: Run returned a trajectory for an invalid config", shards)
 		}
+	}
+}
+
+// TestInvalidConfigErrors pins that each config the campaign cannot
+// run is reported by Run as an ErrConfig naming the field, with no
+// trajectory and no panic: a ZipfS <= 1 (rand.NewZipf returns nil and
+// the first arrival would panic) and a negative Steps, SnapshotEvery
+// or Shards (which would give an empty or every-step trajectory).
+func TestInvalidConfigErrors(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*aging.Config)
+	}{
+		{"ZipfS", func(c *aging.Config) { c.ZipfS = 1 }},
+		{"ZipfS", func(c *aging.Config) { c.ZipfS = 0.5 }},
+		{"ZipfS", func(c *aging.Config) { c.ZipfS = -2 }},
+		{"ZipfS", func(c *aging.Config) { c.ZipfS = math.NaN() }},
+		{"Steps", func(c *aging.Config) { c.Steps = -1 }},
+		{"SnapshotEvery", func(c *aging.Config) { c.SnapshotEvery = -3 }},
+		{"Shards", func(c *aging.Config) { c.Shards = -1 }},
+	} {
+		cfg := smallConfig("thp", 2, 2)
+		c.set(&cfg)
+		k, ds := newKernel(t, "thp")
+		var tr *aging.Trajectory
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%s: bad config panicked: %v", c.field, r)
+				}
+			}()
+			tr, err = aging.New(k, ds, cfg).Run()
+		}()
+		if !errors.Is(err, aging.ErrConfig) || !strings.Contains(err.Error(), c.field) {
+			t.Fatalf("%s: Run error = %v, want an ErrConfig naming %s", c.field, err, c.field)
+		}
+		if tr != nil {
+			t.Fatalf("%s: Run returned a trajectory for an invalid config", c.field)
+		}
+	}
+}
+
+// TestRunStopsTeamHelpers shows no shard-team helper outlives Run, on
+// a clean campaign and on each error return: a config error before
+// any step, and an audit failure after the helpers have stepped shards
+// and swept zones. The failing audit pins all of zone 1, free frames
+// included.
+func TestRunStopsTeamHelpers(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*aging.Config, *osim.Kernel)
+		want string // a substring of Run's error; "" for none
+	}{
+		{"clean", func(*aging.Config, *osim.Kernel) {}, ""},
+		{"no-factory", func(c *aging.Config, _ *osim.Kernel) { c.NewShardKernel = nil }, "NewShardKernel"},
+		{"failing-audit", func(c *aging.Config, k *osim.Kernel) {
+			z := k.Machine.Zones[1]
+			c.Pinned = []check.Extent{{PFN: uint64(z.Base), Pages: z.Pages}}
+		}, "audit after step"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			k, ds := newKernel(t, "thp")
+			cfg := smallConfig("thp", 2, 2)
+			c.set(&cfg, k)
+			_, err := aging.New(k, ds, cfg).Run()
+			if got := fmt.Sprint(err); (err == nil) != (c.want == "") || !strings.Contains(got, c.want) {
+				t.Fatalf("Run error = %v, want one containing %q", err, c.want)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+				if time.Now().After(deadline) {
+					buf := make([]byte, 1<<16)
+					t.Fatalf("%d goroutines after Run, %d before:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/contigmap"
@@ -61,6 +60,11 @@ func (b bitset) setRange(i, n uint64) {
 // needs its own. The machine handed to successive audits may differ —
 // the arena regrows to the largest frame table seen.
 type Auditor struct {
+	// Fanout, when set, runs the per-zone checks: fn(i) for every zone
+	// position i, returning the lowest-index error (shard.Set hands in
+	// its team). Nil checks the zones on the caller, in order.
+	Fanout func(n int, fn func(i int) error) error
+
 	base  addr.PFN // audited table's first PFN (per audit)
 	seen  bitset   // frame holds at least one gathered reference
 	dups  []uint32 // arena offset of each reference after a frame's first, sorted
@@ -80,11 +84,6 @@ type Auditor struct {
 	// perVMA accumulates leaf pages per VMA for one process at a time;
 	// it is tiny (VMAs, not frames) and reused across processes.
 	perVMA map[*vma.VMA]uint64
-
-	// errs and wg carry the parallel per-zone results; errs is indexed
-	// by zone position so error selection is deterministic.
-	errs []error
-	wg   sync.WaitGroup
 }
 
 // NewAuditor returns an Auditor pre-sized to m's frame table. Campaigns
@@ -121,9 +120,6 @@ func (a *Auditor) ensure(m *zone.Machine) {
 		a.covered = append(a.covered, make([][]uint64, len(m.Zones)-len(a.covered))...)
 		a.contig = append(a.contig, make([][]uint64, len(m.Zones)-len(a.contig))...)
 	}
-	if len(a.errs) < len(m.Zones) {
-		a.errs = make([]error, len(m.Zones))
-	}
 	if a.perVMA == nil {
 		a.perVMA = make(map[*vma.VMA]uint64)
 	}
@@ -142,30 +138,24 @@ func (a *Auditor) Audit(k *osim.Kernel, pinned []Extent) error {
 // the kernels hold on physical frames into the seen/dups/multi and span
 // arrays — per-process translation/VMA/RSS checks run inline here —
 // and expand every kernel's boot reservation and the declared pinned
-// extents into the pins bitset; (2) check each zone on its own
-// goroutine (zone 0 on the caller's): the buddy's free lists, recording
-// their coverage, then one pass over the zone's frame records that
-// settles 64 frames per step with word operations — the buddy's
-// coverage rule, MapCount against references, the free/pinned
-// cross-checks and the free count — then the contigmap check. Zones
-// are disjoint, word aligned frame ranges and the gathered arrays are
-// read-only by then, so the fan-out is race-free; errors are selected
-// in zone-index order, keeping multi-error machines deterministic.
+// extents into the pins bitset; (2) check each zone, through Fanout
+// when set: the buddy's free lists, recording their coverage, then one
+// pass over the zone's frame records that settles 64 frames per step
+// with word operations — the buddy's coverage rule, MapCount against
+// references, the free/pinned cross-checks and the free count — then
+// the contigmap check. Zones are disjoint, word aligned frame ranges
+// and the gathered arrays are read-only by then, so zones can be
+// checked concurrently; the lowest zone's error wins either way,
+// keeping multi-error machines deterministic.
 func (a *Auditor) AuditKernels(m *zone.Machine, ks []*osim.Kernel, pinned []Extent) error {
 	if err := a.gather(m, ks, pinned); err != nil {
 		return err
 	}
-	errs := a.errs[:len(m.Zones)]
-	a.wg.Add(len(m.Zones) - 1)
-	for i := 1; i < len(m.Zones); i++ {
-		go a.zoneWorker(m, m.Zones[i], i)
+	if a.Fanout != nil {
+		return a.Fanout(len(m.Zones), func(i int) error { return a.zoneCheck(m, m.Zones[i], i) })
 	}
-	errs[0] = a.zoneCheck(m, m.Zones[0], 0)
-	a.wg.Wait()
-	for i := range errs {
-		if errs[i] != nil {
-			err := errs[i]
-			clear(errs)
+	for i, z := range m.Zones {
+		if err := a.zoneCheck(m, z, i); err != nil {
 			return err
 		}
 	}
@@ -304,11 +294,6 @@ func (a *Auditor) pin(e Extent, m *zone.Machine) {
 	if lo < hi {
 		a.pins.setRange(lo-uint64(a.base), hi-lo)
 	}
-}
-
-func (a *Auditor) zoneWorker(m *zone.Machine, z *zone.Zone, i int) {
-	defer a.wg.Done()
-	a.errs[i] = a.zoneCheck(m, z, i)
 }
 
 // zoneCheck checks zone z (position i in m.Zones) against the gathered

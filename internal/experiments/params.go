@@ -23,10 +23,11 @@ type Params struct {
 	// sequential execution. Output is identical either way; only
 	// wall-clock changes.
 	Jobs int
-	// ShardJobs bounds the workers stepping a sharded aging campaign's
-	// shards concurrently (the figAging drivers and RunAgingCampaign;
-	// see aging.Config.ShardJobs): <=0 means GOMAXPROCS, 1 steps
-	// shards serially. Trajectories and tables are byte-identical at
+	// ShardJobs sizes a sharded aging campaign's shard team, the
+	// workers that step its shards and sweep its audit zones (the
+	// figAging drivers and RunAgingCampaign; see
+	// aging.Config.ShardJobs): <=0 means GOMAXPROCS, 1 runs both
+	// serially. Trajectories and tables are byte-identical at
 	// any value; only wall-clock changes.
 	ShardJobs int
 	// Backend restricts the figBackends scenario matrix to one

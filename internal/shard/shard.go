@@ -2,9 +2,10 @@
 // trace replay engine share (DESIGN.md §11). A Set deals a parent
 // kernel's zones round-robin to zone views, builds one kernel and
 // private daemon set per view, and audits the parent plus every shard
-// kernel as one machine. Each is the repo's one bounded fork-join:
-// aging shard steps, replay appliers, experiment grid cells, and whole
-// experiment drivers all run on it.
+// kernel as one machine. Team is the repo's one bounded fork-join: a
+// Set's own team steps aging shards and sweeps audit zones, and the
+// one-shot Each runs replay appliers, experiment grid cells, and whole
+// experiment drivers.
 //
 // A shard owns its view's zones outright: its kernel's allocations,
 // frees, fault path, daemons, and logical clock reach only those
@@ -16,10 +17,6 @@
 package shard
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/check"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
@@ -38,7 +35,9 @@ type Shard struct {
 // placed those before the views were cut.
 type Build func(view *zone.Machine, idx int) (*osim.Kernel, []workloads.Daemon)
 
-// Set is a parent kernel and the shards its zones were dealt to.
+// Set is a parent kernel and the shards its zones were dealt to. It
+// owns a Team that runs Each and Audit's zone sweeps; its helpers
+// start on first use and stop in Close.
 type Set struct {
 	Parent *osim.Kernel
 	Shards []*Shard
@@ -46,21 +45,27 @@ type Set struct {
 	// kernels is the audited set: the parent, then every shard.
 	kernels []*osim.Kernel
 	// auditor is held for the Set's lifetime, so repeated audits reuse
-	// its PFN-indexed arena instead of rebuilding it.
+	// its PFN-indexed arena instead of rebuilding it. Its zone sweeps
+	// run on team.
 	auditor *check.Auditor
+	team    *Team
 }
 
 // New deals parent's zones round-robin to n shards (shard i owns zones
 // i, i+n, …) and builds each shard's kernel through build, in index
-// order. n is clamped to [1, zone count].
-func New(parent *osim.Kernel, n int, build Build) *Set {
+// order. n is clamped to [1, zone count]. The Set's team has at most
+// jobs workers (jobs <= 0 means GOMAXPROCS), and never more than the
+// machine has zones: no Run of it has more indices.
+func New(parent *osim.Kernel, n, jobs int, build Build) *Set {
 	zones := len(parent.Machine.Zones)
 	n = max(1, min(n, zones))
 	s := &Set{
 		Parent:  parent,
 		kernels: []*osim.Kernel{parent},
 		auditor: check.NewAuditor(parent.Machine),
+		team:    NewTeam(min(Workers(jobs), zones)),
 	}
+	s.auditor.Fanout = s.team.Run
 	for i := 0; i < n; i++ {
 		var owned []int
 		for z := i; z < zones; z += n {
@@ -73,55 +78,18 @@ func New(parent *osim.Kernel, n int, build Build) *Set {
 	return s
 }
 
+// Each runs fn(i) for every i in [0, n) on the Set's team, under
+// Team.Run's contract.
+func (s *Set) Each(n int, fn func(i int) error) error { return s.team.Run(n, fn) }
+
+// Close stops the team's helpers. The shards and the parent stay
+// usable; a later Each or Audit starts the helpers again.
+func (s *Set) Close() { s.team.Close() }
+
 // Audit runs the whole-machine cross-kernel audit over the parent and
-// every shard kernel; pinned lists extents held outside any process
-// beyond the kernels' own boot reservations. Call only when quiesced.
+// every shard kernel, its zone sweeps on the Set's team; pinned lists
+// extents held outside any process beyond the kernels' own boot
+// reservations. Call only when quiesced.
 func (s *Set) Audit(pinned []check.Extent) error {
 	return s.auditor.AuditKernels(s.Parent.Machine, s.kernels, pinned)
-}
-
-// Workers resolves a worker-count knob: jobs <= 0 means GOMAXPROCS.
-func Workers(jobs int) int {
-	if jobs <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return jobs
-}
-
-// Each runs fn(i) for every i in [0, n) on at most jobs goroutines
-// (jobs <= 0 means GOMAXPROCS) and returns the lowest-index error, so
-// failures are reported deterministically. A single worker runs on the
-// calling goroutine in index order and stops at the first error;
-// otherwise every index runs. Each fn call must write only state owned
-// by its index; callers then merge in index order, which keeps results
-// independent of jobs.
-func Each(n, jobs int, fn func(i int) error) error {
-	jobs = min(Workers(jobs), n)
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

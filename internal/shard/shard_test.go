@@ -94,7 +94,7 @@ func TestNewDealsZonesRoundRobin(t *testing.T) {
 			t.Fatal(err)
 		}
 		parent := sys.Kernel
-		set := shard.New(parent, c.n, func(view *zone.Machine, idx int) (*osim.Kernel, []workloads.Daemon) {
+		set := shard.New(parent, c.n, 0, func(view *zone.Machine, idx int) (*osim.Kernel, []workloads.Daemon) {
 			k, ds, err := core.NewKernel(view, "thp")
 			if err != nil {
 				t.Fatal(err)
@@ -134,6 +134,7 @@ func TestNewDealsZonesRoundRobin(t *testing.T) {
 		if err := set.Audit(nil); err != nil {
 			t.Fatalf("n=%d: audit failed: %v", c.n, err)
 		}
+		set.Close()
 		parent.Machine.Recycle()
 	}
 }

@@ -229,7 +229,10 @@ func NewEngine(cfg ReplayConfig) (*Engine, error) {
 	parent := osim.NewKernel(mach, osim.DefaultPolicy{})
 	parent.BootReserve(1)
 	e := &Engine{cfg: cfg}
-	e.set = shard.New(parent, cfg.Shards, func(view *zone.Machine, _ int) (*osim.Kernel, []workloads.Daemon) {
+	// A replay audits once, at drain, so its set's team has one worker:
+	// a helper started for one audit would finish after the caller had
+	// done the sweep, and no helper may poll during a timed replay.
+	e.set = shard.New(parent, cfg.Shards, 1, func(view *zone.Machine, _ int) (*osim.Kernel, []workloads.Daemon) {
 		k := osim.NewKernel(view, pol)
 		var ds []workloads.Daemon
 		if cfg.Daemons {
