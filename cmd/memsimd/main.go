@@ -227,6 +227,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "memsimd: -streams must be at least 1")
 		return 2
 	}
+	if *tenants < 1 || *tenants > tracein.MaxTenant+1 {
+		fmt.Fprintf(stderr, "memsimd: -tenants must be in [1, %d]\n", tracein.MaxTenant+1)
+		return 2
+	}
+	if *shards < 1 {
+		fmt.Fprintln(stderr, "memsimd: -shards must be at least 1")
+		return 2
+	}
+	if *sample < 1 {
+		fmt.Fprintln(stderr, "memsimd: -sample must be at least 1")
+		return 2
+	}
 	if *interval <= 0 {
 		fmt.Fprintln(stderr, "memsimd: -interval must be positive")
 		return 2

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http/httptest"
 	"os"
@@ -35,6 +36,36 @@ func TestUsageErrors(t *testing.T) {
 		if code := run(args, &out, &errb); code != 2 {
 			t.Errorf("args %v: exit %d, want 2 (stderr: %s)", args, code, errb.String())
 		}
+	}
+}
+
+// TestBadCountFlags pins that a count flag out of range is refused
+// with exit 2 and a message naming the flag, rather than silently
+// replaced by a default or clamped.
+func TestBadCountFlags(t *testing.T) {
+	for _, c := range []struct {
+		flag, value string
+	}{
+		{"-shards", "0"},
+		{"-shards", "-3"},
+		{"-tenants", "0"},
+		{"-tenants", "-1"},
+		{"-tenants", fmt.Sprint(tracein.MaxTenant + 2)},
+		{"-sample", "0"},
+		{"-sample", "-4096"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{"-synth", "100", c.flag, c.value}, &out, &errb); code != 2 {
+			t.Errorf("%s %s: exit %d, want 2", c.flag, c.value, code)
+		}
+		if !strings.Contains(errb.String(), c.flag+" ") {
+			t.Errorf("%s %s: message does not name the flag: %q", c.flag, c.value, errb.String())
+		}
+	}
+	// The largest tenant count is still accepted.
+	var out, errb bytes.Buffer
+	if code := run([]string{"-synth", "100", "-tenants", fmt.Sprint(tracein.MaxTenant + 1), "-oneshot"}, &out, &errb); code != 0 {
+		t.Errorf("-tenants %d: exit %d, stderr: %s", tracein.MaxTenant+1, code, errb.String())
 	}
 }
 

@@ -355,12 +355,15 @@ func Fig1c(p Params) (*Table, error) {
 // workloads.Daemon so the touch path drives it.
 type coverageSampler struct {
 	env     *workloads.Env
-	every   uint64
 	touches uint64
 	points  []float64
 }
 
-// Maybe samples every ~4096 touches (cheap enough, frequent enough).
+// sampleEvery is the coverage sampler's period in touches (cheap
+// enough, frequent enough).
+const sampleEvery = 4096
+
+// Maybe samples every sampleEvery touches.
 func (s *coverageSampler) Maybe() { s.MaybeN(1) }
 
 // MaybeN absorbs n back-to-back polls, firing a sample at every exact
@@ -370,13 +373,9 @@ func (s *coverageSampler) Maybe() { s.MaybeN(1) }
 // end of the run) record exactly what samples taken at each crossing
 // would have recorded.
 func (s *coverageSampler) MaybeN(n uint64) {
-	every := s.every
-	if every == 0 {
-		every = 4096
-	}
 	prev := s.touches
 	s.touches += n
-	for k := prev/every + 1; k*every <= s.touches; k++ {
+	for k := prev/sampleEvery + 1; k*sampleEvery <= s.touches; k++ {
 		s.force()
 	}
 }

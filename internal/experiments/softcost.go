@@ -46,7 +46,7 @@ func Fig11For(p Params, names []string) (*Table, error) {
 			// SettleDaemons advances the clock by the idle epochs
 			// themselves; subtract that baseline so only the work time
 			// (migrations/promotions/faults) counts.
-			idle := uint64(60 * 2_100_000)
+			idle := uint64(60 * workloads.SettleTickNs)
 			if daemonWork >= idle {
 				daemonWork -= idle
 			} else {

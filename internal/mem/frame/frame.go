@@ -45,9 +45,10 @@ func (s State) String() string {
 }
 
 // Frame is the per-page metadata record (Linux: struct page). The
-// single-byte fields are grouped so the struct packs into 8 bytes —
-// boot zeroes and fills one record per physical page, so record size
-// is machine-construction time.
+// single-byte fields are grouped so the struct packs into 8 bytes (one
+// byte is padding) — boot zeroes and fills one record per physical
+// page, so record size is machine-construction time. A frame's zone is
+// not recorded: zones are PFN ranges (zone.Machine.ZoneOf).
 type Frame struct {
 	// State is the coarse usage state.
 	State State
@@ -59,9 +60,6 @@ type Frame struct {
 	// AllocOrder remembers the order the frame's block was allocated
 	// with (0 for 4K, 9 for THP), on the head frame of the allocation.
 	AllocOrder int8
-
-	// Zone is the NUMA node the frame belongs to.
-	Zone uint8
 
 	// MapCount counts the number of page-table mappings referencing the
 	// frame (Linux _mapcount+1 semantics simplified: 0 = unmapped).

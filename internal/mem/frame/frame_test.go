@@ -103,26 +103,24 @@ func TestCountState(t *testing.T) {
 
 // foldFields is Fold written field by field.
 func foldFields(fw *[64]Frame) (or, and Frame) {
-	and = Frame{State: ^State(0), BuddyOrder: -1, AllocOrder: -1, Zone: ^uint8(0), MapCount: -1}
+	and = Frame{State: ^State(0), BuddyOrder: -1, AllocOrder: -1, MapCount: -1}
 	for _, f := range fw {
 		or.State |= f.State
 		or.BuddyOrder |= f.BuddyOrder
 		or.AllocOrder |= f.AllocOrder
-		or.Zone |= f.Zone
 		or.MapCount |= f.MapCount
 		and.State &= f.State
 		and.BuddyOrder &= f.BuddyOrder
 		and.AllocOrder &= f.AllocOrder
-		and.Zone &= f.Zone
 		and.MapCount &= f.MapCount
 	}
 	return or, and
 }
 
 // TestFoldMatchesFieldwise checks Fold against field-wise OR and AND
-// over random words whose records set every byte of the record — every
-// state, buddy and allocation orders -1 to 10, zones up to 255, and
-// map counts from negative to large — and over uniform words: all
+// over random words whose records set every field of the record —
+// every state, buddy and allocation orders -1 to 10, and map counts
+// from negative to large — and over uniform words: all
 // Free, all Allocated, and one record differing from the rest.
 func TestFoldMatchesFieldwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -132,7 +130,6 @@ func TestFoldMatchesFieldwise(t *testing.T) {
 			State:      State(rng.Intn(3)),
 			BuddyOrder: int8(rng.Intn(12) - 1),
 			AllocOrder: int8(rng.Intn(12) - 1),
-			Zone:       uint8(rng.Intn(256)),
 			MapCount:   mapCounts[rng.Intn(len(mapCounts))],
 		}
 		if rng.Intn(4) == 0 {
@@ -156,10 +153,10 @@ func TestFoldMatchesFieldwise(t *testing.T) {
 		check("random", &fw)
 	}
 	for _, f := range []Frame{
-		{State: Free, BuddyOrder: -1, AllocOrder: -1, Zone: 3},
-		{State: Free, BuddyOrder: 10, AllocOrder: -1, Zone: 255},
-		{State: Allocated, BuddyOrder: -1, AllocOrder: 0, Zone: 1, MapCount: 1},
-		{State: Allocated, BuddyOrder: -1, AllocOrder: 9, Zone: 0, MapCount: 0},
+		{State: Free, BuddyOrder: -1, AllocOrder: -1},
+		{State: Free, BuddyOrder: 10, AllocOrder: -1},
+		{State: Allocated, BuddyOrder: -1, AllocOrder: 0, MapCount: 1},
+		{State: Allocated, BuddyOrder: -1, AllocOrder: 9, MapCount: 0},
 	} {
 		Fill(fw[:], f)
 		check("uniform", &fw)

@@ -118,7 +118,7 @@ func NewMachine(cfg Config) *Machine {
 	m := &Machine{Frames: ft, geom: key}
 	base := addr.PFN(0)
 	for i, n := range cfg.ZonePages {
-		zoneFill(ft, base, n, i)
+		zoneFill(ft, base, n)
 		b := buddy.NewPrefilled(ft, base, n)
 		b.SetSorted(cfg.SortedMaxOrder)
 		z := &Zone{
@@ -135,16 +135,14 @@ func NewMachine(cfg Config) *Machine {
 }
 
 // zoneFill resets a zone's frame records to pristine free state.
-func zoneFill(ft *frame.Table, base addr.PFN, n uint64, id int) {
-	frame.Fill(ft.Slice(base, n), frame.Frame{
-		State: frame.Free, BuddyOrder: -1, AllocOrder: -1, Zone: uint8(id),
-	})
+func zoneFill(ft *frame.Table, base addr.PFN, n uint64) {
+	frame.Fill(ft.Slice(base, n), frame.Frame{State: frame.Free, BuddyOrder: -1, AllocOrder: -1})
 }
 
 // reset rebuilds pristine machine state in place.
 func (m *Machine) reset() {
 	for _, z := range m.Zones {
-		zoneFill(m.Frames, z.Base, z.Pages, z.ID)
+		zoneFill(m.Frames, z.Base, z.Pages)
 		z.Buddy.Reset()
 		z.Contig = contigmap.New(z.Buddy)
 	}

@@ -36,10 +36,6 @@ func TestMachineGeometry(t *testing.T) {
 	if m.ZoneOf(addr.PFN(1<<40)) != nil {
 		t.Fatal("out-of-range PFN should map to nil zone")
 	}
-	// Frame zone tags.
-	if m.Frames.Get(0).Zone != 0 || m.Frames.Get(5*addr.MaxOrderPages).Zone != 1 {
-		t.Fatal("frame zone tags wrong")
-	}
 }
 
 func TestZonePreferenceAndFallback(t *testing.T) {

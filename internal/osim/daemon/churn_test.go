@@ -1,6 +1,6 @@
 // Churn lifecycle regression tests: the bugs here were flushed out by
 // the aging campaigns (internal/aging), which arrive/touch/exit tenants
-// for long logical horizons. Both tests fail on the pre-fix daemons.
+// for long logical horizons. Both tests fail on the pre-fix code.
 package daemon_test
 
 import (
@@ -17,41 +17,6 @@ import (
 func churnKernel(blocks uint64) *osim.Kernel {
 	m := zone.NewMachine(zone.Config{ZonePages: []uint64{blocks * addr.MaxOrderPages}})
 	return osim.NewKernel(m, osim.DefaultPolicy{})
-}
-
-// TestRangerPlansStayBoundedUnderChurn churns processes through
-// arrive/touch/exit with Ranger epochs interleaved and asserts the
-// per-VMA plan map tracks the live VMA population instead of
-// accumulating an entry per VMA ever planned. Pre-fix, defragVMA added
-// plans that nothing ever deleted, so this loop left ~N entries.
-func TestRangerPlansStayBoundedUnderChurn(t *testing.T) {
-	k := churnKernel(32)
-	rg := daemon.NewRanger(k)
-
-	const procs = 40
-	for i := 0; i < procs; i++ {
-		p := k.NewProcess(0)
-		v, err := p.MMap(2 << 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pg := uint64(0); pg < 32; pg++ {
-			if _, err := p.Touch(v.Start.Add(pg*addr.PageSize), true); err != nil {
-				t.Fatal(err)
-			}
-		}
-		k.Tick(rg.Period + 1)
-		rg.Maybe() // plans the live VMA, sweeps the dead ones
-		if n := rg.PlanCount(); n > 2 {
-			t.Fatalf("iteration %d: %d plans live, want <= 2 (1 live VMA)", i, n)
-		}
-		p.Exit()
-	}
-	k.Tick(rg.Period + 1)
-	rg.Maybe()
-	if n := rg.PlanCount(); n != 0 {
-		t.Fatalf("after all %d processes exited: %d plans leaked, want 0", procs, n)
-	}
 }
 
 // TestIngensPromoteSkipsCoWRegions is the fork-then-promote pin: a

@@ -12,12 +12,12 @@
 //     footprint *after* allocation — effective, but delayed, and each
 //     migration costs copies and TLB shootdowns (Fig. 1c, Fig. 11).
 //
-// Both run on the kernel's logical clock: Maybe() fires when at least
-// Period nanoseconds have elapsed since the previous epoch.
+// Both run on the kernel's logical clock: Maybe() fires an epoch when
+// at least osim.DaemonPeriodNs nanoseconds have elapsed since the
+// previous one.
 package daemon
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/mem/addr"
@@ -52,53 +52,57 @@ func (f *fixpoint) record(k *osim.Kernel, noop bool) {
 	f.muts = k.Machine.Mutations()
 }
 
+// gate fires a daemon's epochs on the kernel's logical clock.
+type gate struct{ lastRun uint64 }
+
+// maybeN absorbs n consecutive polls issued across a run of
+// non-faulting touches — observably identical to n single polls with
+// no intervening simulator activity. The logical clock only moves
+// through the daemon's own epochs during such a run, so the first poll
+// that finds the gate closed proves every remaining poll is a no-op;
+// an epoch that advances the clock past the period keeps the loop
+// live, exactly as per-poll execution would. A traced epoch is a span
+// of kind ev carrying how far *work grew.
+func (g *gate) maybeN(k *osim.Kernel, n uint64, ev trace.Kind, work *uint64, epoch func()) {
+	for ; n > 0 && k.Clock-g.lastRun >= osim.DaemonPeriodNs; n-- {
+		g.lastRun = k.Clock
+		tr := k.Tracer
+		start := tr.Start()
+		before := *work
+		epoch()
+		if tr != nil {
+			tr.EmitSpan(ev, start, *work-before, 0, k.Clock)
+			k.Machine.TraceDepths()
+			tr.Sample()
+		}
+	}
+}
+
+// utilThreshold is the fraction of touched pages a 2 MiB region needs
+// before Ingens promotes it (paper default 0.9).
+const utilThreshold = 0.9
+
 // Ingens is the asynchronous huge-page promotion daemon.
 type Ingens struct {
 	Kernel *osim.Kernel
-	// Period is the scan interval in logical nanoseconds.
-	Period uint64
-	// UtilThreshold is the fraction (0..1] of touched pages a 2 MiB
-	// region needs before promotion (paper default 0.9).
-	UtilThreshold float64
 
-	lastRun uint64
-	fp      fixpoint
+	gate gate
+	fp   fixpoint
 }
 
-// NewIngens creates the daemon with the defaults used in evaluation and
-// disables synchronous THP on the kernel: under Ingens the fault path
-// allocates base pages only.
+// NewIngens creates the daemon and disables synchronous THP on the
+// kernel: under Ingens the fault path allocates base pages only.
 func NewIngens(k *osim.Kernel) *Ingens {
 	k.THPEnabled = false
-	return &Ingens{Kernel: k, Period: 2_000_000, UtilThreshold: 0.9}
+	return &Ingens{Kernel: k}
 }
 
 // Maybe runs a scan epoch if the period elapsed.
 func (d *Ingens) Maybe() { d.MaybeN(1) }
 
-// MaybeN absorbs n consecutive polls issued across a run of
-// non-faulting touches — observably identical to n Maybe calls with no
-// intervening simulator activity. The logical clock only moves through
-// the daemon's own epochs during such a run, so the first poll that
-// finds the gate closed proves every remaining poll is a no-op; an
-// epoch that advances the clock past the period keeps the loop live,
-// exactly as per-poll execution would.
+// MaybeN absorbs n consecutive polls of a non-faulting run (gate.maybeN).
 func (d *Ingens) MaybeN(n uint64) {
-	for ; n > 0; n-- {
-		if d.Kernel.Clock-d.lastRun < d.Period {
-			return
-		}
-		d.lastRun = d.Kernel.Clock
-		tr := d.Kernel.Tracer
-		start := tr.Start()
-		before := d.Kernel.Stats.Promotions
-		d.Scan()
-		if tr != nil {
-			tr.EmitSpan(trace.EvIngensEpoch, start, d.Kernel.Stats.Promotions-before, 0, d.Kernel.Clock)
-			d.Kernel.Machine.TraceDepths()
-			tr.Sample()
-		}
-	}
+	d.gate.maybeN(d.Kernel, n, trace.EvIngensEpoch, &d.Kernel.Stats.Promotions, d.Scan)
 }
 
 // Scan promotes every eligible huge region of every process. A scan
@@ -126,7 +130,7 @@ func (d *Ingens) scanVMA(p *osim.Process, v *vma.VMA) {
 	for base := start; base.Add(addr.HugeSize) <= v.End; base = base.Add(addr.HugeSize) {
 		pageIdx := uint64(base-v.Start) / addr.PageSize
 		util := float64(v.RegionTouched(pageIdx, addr.HugePages)) / addr.HugePages
-		if util < d.UtilThreshold {
+		if util < utilThreshold {
 			continue
 		}
 		// Fully 4K-mapped? Promotion needs every page present, and a
@@ -179,26 +183,23 @@ func (d *Ingens) promote(p *osim.Process, v *vma.VMA, base addr.VirtAddr) {
 	}
 }
 
-// Ranger is the Translation Ranger defragmentation daemon.
+// pagesPerEpoch bounds Ranger's migration work per epoch (rate
+// limiting): one huge page per epoch — migration is not free.
+const pagesPerEpoch = addr.HugePages
+
+// Ranger is the Translation Ranger defragmentation daemon. On first
+// scan of a VMA it chooses the VMA's plan and keeps it on the VMA
+// (vma.VMA.Plan): the VMA is carved into segments assigned to the
+// largest free clusters (largest-first), and pages migrate toward
+// their segment targets across epochs.
 type Ranger struct {
 	Kernel *osim.Kernel
-	// Period is the defragmentation epoch in logical nanoseconds.
-	Period uint64
-	// PagesPerEpoch bounds migration work per epoch (rate limiting).
-	PagesPerEpoch uint64
 
-	lastRun uint64
-	fp      fixpoint
-	// plans holds the per-VMA defragmentation plan chosen on first
-	// scan: the VMA is carved into segments assigned to the largest
-	// free clusters (largest-first), and pages migrate toward their
-	// segment targets across epochs. Each plan carries its watermark.
-	plans map[*vma.VMA]*rangerPlan
-	// watches holds the page-table observer of each process with a
-	// plan, which keeps that process's watermarks exact.
-	watches map[*osim.Process]*planWatch
-	// live is sweepPlans' set of live VMAs, reused across epochs.
-	live map[*vma.VMA]struct{}
+	// budget is the per-epoch migration budget: pagesPerEpoch, which
+	// only the package's tests vary.
+	budget uint64
+	gate   gate
+	fp     fixpoint
 }
 
 // rangerSegment maps VMA pages [startPage, startPage+pages) to the
@@ -223,67 +224,46 @@ type rangerSegment struct {
 // The process's planWatch lowers mark to any leaf mapped, unmapped or
 // redirected below it.
 type rangerPlan struct {
-	v      *vma.VMA
 	segs   []rangerSegment
 	mark   addr.VirtAddr
 	hugeAt addr.VirtAddr
 }
 
-// planWatch observes the page table of one process with plans.
-type planWatch struct {
-	plans []*rangerPlan
-}
+// planWatch observes the page table of a process with plans. Plans
+// live on their VMAs, so the watch is just its process: a comparable
+// value that Table.AddObserver subscribes once per process. VAs are
+// never reused within a process, so the VMA holding an event's va is
+// the only one whose plan it can concern.
+type planWatch struct{ p *osim.Process }
 
-// lower moves the watermark of the plan whose VMA holds va down to va
-// when va lies below it.
-func (w *planWatch) lower(va addr.VirtAddr) {
-	for _, pl := range w.plans {
-		if va >= pl.v.Start && va < pl.mark {
+// lower moves the watermark of the plan on the VMA holding va down to
+// va when va lies below it.
+func (w planWatch) lower(va addr.VirtAddr) {
+	if v := w.p.VMAs.Find(va); v != nil {
+		if pl, ok := v.Plan.(*rangerPlan); ok && va < pl.mark {
 			pl.mark = va
 		}
 	}
 }
 
-func (w *planWatch) Mapped(va addr.VirtAddr, _ uint64)     { w.lower(va) }
-func (w *planWatch) Unmapped(va addr.VirtAddr, _ uint64)   { w.lower(va) }
-func (w *planWatch) Redirected(va addr.VirtAddr, _ uint64) { w.lower(va) }
+func (w planWatch) Mapped(va addr.VirtAddr, _ uint64)     { w.lower(va) }
+func (w planWatch) Unmapped(va addr.VirtAddr, _ uint64)   { w.lower(va) }
+func (w planWatch) Redirected(va addr.VirtAddr, _ uint64) { w.lower(va) }
 
 // NewRanger creates the daemon with evaluation defaults.
 func NewRanger(k *osim.Kernel) *Ranger {
-	return &Ranger{
-		Kernel:        k,
-		Period:        2_000_000,
-		PagesPerEpoch: addr.HugePages, // one huge page per epoch — migration is not free
-		plans:         make(map[*vma.VMA]*rangerPlan),
-		watches:       make(map[*osim.Process]*planWatch),
-		live:          make(map[*vma.VMA]struct{}),
-	}
+	return &Ranger{Kernel: k, budget: pagesPerEpoch}
 }
 
 // Maybe runs a defragmentation epoch if the period elapsed.
 func (d *Ranger) Maybe() { d.MaybeN(1) }
 
-// MaybeN absorbs n consecutive polls of a non-faulting run; see
-// Ingens.MaybeN for the gate argument, which holds here identically.
+// MaybeN absorbs n consecutive polls of a non-faulting run (gate.maybeN).
 func (d *Ranger) MaybeN(n uint64) {
-	for ; n > 0; n-- {
-		if d.Kernel.Clock-d.lastRun < d.Period {
-			return
-		}
-		d.lastRun = d.Kernel.Clock
-		tr := d.Kernel.Tracer
-		start := tr.Start()
-		before := d.Kernel.Stats.Migrations
-		d.Epoch()
-		if tr != nil {
-			tr.EmitSpan(trace.EvRangerEpoch, start, d.Kernel.Stats.Migrations-before, 0, d.Kernel.Clock)
-			d.Kernel.Machine.TraceDepths()
-			tr.Sample()
-		}
-	}
+	d.gate.maybeN(d.Kernel, n, trace.EvRangerEpoch, &d.Kernel.Stats.Migrations, d.Epoch)
 }
 
-// Epoch scans all processes and migrates up to PagesPerEpoch pages
+// Epoch scans all processes and migrates up to pagesPerEpoch pages
 // toward their anchors. Multi-programmed scans are serial — the
 // behaviour the paper calls out as penalising Ranger's response time
 // (Fig. 10).
@@ -292,8 +272,7 @@ func (d *Ranger) Epoch() {
 		return
 	}
 	before := d.Kernel.Stats.Migrations
-	d.sweepPlans()
-	budget := d.PagesPerEpoch
+	budget := d.budget
 	for _, p := range d.Kernel.Processes() {
 		if budget == 0 {
 			break
@@ -310,49 +289,11 @@ func (d *Ranger) Epoch() {
 	d.fp.record(d.Kernel, d.Kernel.Stats.Migrations == before)
 }
 
-// sweepPlans drops plan entries whose VMA is no longer attached to any
-// live process, and the watches left without plans. Unmap and exit
-// notify no daemon, so the map is reconciled against the live VMA set
-// once per epoch; without the sweep, tenant churn leaks one entry
-// (keyed by *vma.VMA) per VMA of every exited process, unboundedly.
-// Only deletions happen here, so the maps' iteration order cannot
-// influence simulation state.
-func (d *Ranger) sweepPlans() {
-	if len(d.plans) == 0 {
-		return
-	}
-	live := d.live
-	clear(live)
-	for _, p := range d.Kernel.Processes() {
-		p.VMAs.Visit(func(v *vma.VMA) { live[v] = struct{}{} })
-	}
-	for v := range d.plans {
-		if _, ok := live[v]; !ok {
-			delete(d.plans, v)
-		}
-	}
-	for p, w := range d.watches {
-		w.plans = slices.DeleteFunc(w.plans, func(pl *rangerPlan) bool {
-			_, ok := live[pl.v]
-			return !ok
-		})
-		if len(w.plans) == 0 {
-			p.PT.RemoveObserver(w)
-			delete(d.watches, p)
-		}
-	}
-}
-
-// PlanCount returns the number of per-VMA defragmentation plans
-// currently held. The churn regression tests pin that it stays bounded
-// by the live VMA population.
-func (d *Ranger) PlanCount() int { return len(d.plans) }
-
 // defragVMA migrates the VMA's mapped leaves toward its plan segments,
 // returning the remaining budget. It walks from the plan's watermark
 // and leaves the watermark at the first leaf the walk left unsettled.
 func (d *Ranger) defragVMA(p *osim.Process, v *vma.VMA, budget uint64) uint64 {
-	pl := d.plans[v]
+	pl, _ := v.Plan.(*rangerPlan)
 	if pl == nil {
 		pl = d.newPlan(p, v)
 	}
@@ -416,18 +357,12 @@ func (d *Ranger) migrate(p *osim.Process, l pagetable.Leaf, want addr.PFN) bool 
 	return true
 }
 
-// newPlan chooses v's plan, with its watermark at v.Start, and
-// subscribes the plan to p's page-table events.
+// newPlan chooses v's plan, with its watermark at v.Start, keeps it on
+// v, and subscribes p's watch to p's page-table events.
 func (d *Ranger) newPlan(p *osim.Process, v *vma.VMA) *rangerPlan {
-	pl := &rangerPlan{v: v, segs: d.choosePlan(p, v), mark: v.Start, hugeAt: v.End}
-	d.plans[v] = pl
-	w := d.watches[p]
-	if w == nil {
-		w = &planWatch{}
-		d.watches[p] = w
-		p.PT.AddObserver(w)
-	}
-	w.plans = append(w.plans, pl)
+	pl := &rangerPlan{segs: d.choosePlan(p, v), mark: v.Start, hugeAt: v.End}
+	v.Plan = pl
+	p.PT.AddObserver(planWatch{p})
 	return pl
 }
 

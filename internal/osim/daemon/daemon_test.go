@@ -113,12 +113,12 @@ func TestIngensMaybeHonoursPeriod(t *testing.T) {
 	v, _ := p.MMap(addr.HugeSize)
 	touchAll(t, p, v.Start, v.Size())
 	clockBefore := k.Clock
-	d.lastRun = clockBefore // pretend we just ran
+	d.gate.lastRun = clockBefore // pretend we just ran
 	d.Maybe()
 	if k.Stats.Promotions != 0 {
 		t.Fatal("Maybe ran before period elapsed")
 	}
-	k.Tick(d.Period)
+	k.Tick(osim.DaemonPeriodNs)
 	d.Maybe()
 	if k.Stats.Promotions != 1 {
 		t.Fatal("Maybe did not run after period")
@@ -159,7 +159,7 @@ func TestRangerCoalescesScatteredFootprint(t *testing.T) {
 func TestRangerRateLimit(t *testing.T) {
 	k := newKernel(t, 64, osim.DefaultPolicy{})
 	d := NewRanger(k)
-	d.PagesPerEpoch = 512 // one huge page per epoch
+	d.budget = 512 // one huge page per epoch
 	pa, pb := k.NewProcess(0), k.NewProcess(0)
 	va, _ := pa.MMap(4 * addr.HugeSize)
 	vb, _ := pb.MMap(4 * addr.HugeSize)
@@ -179,7 +179,7 @@ func TestRangerConvergesIncrementally(t *testing.T) {
 	// run never decreases across epochs.
 	k := newKernel(t, 64, osim.DefaultPolicy{})
 	d := NewRanger(k)
-	d.PagesPerEpoch = 1024
+	d.budget = 1024
 	pa, pb := k.NewProcess(0), k.NewProcess(0)
 	va, _ := pa.MMap(8 * addr.HugeSize)
 	vb, _ := pb.MMap(8 * addr.HugeSize)

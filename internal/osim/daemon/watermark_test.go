@@ -24,8 +24,7 @@ func (d *Ranger) fullScanEpoch(hugeStops *int) (limited bool) {
 		return false
 	}
 	before := d.Kernel.Stats.Migrations
-	d.sweepPlans()
-	budget := d.PagesPerEpoch
+	budget := d.budget
 	for _, p := range d.Kernel.Processes() {
 		if budget == 0 {
 			break
@@ -43,7 +42,7 @@ func (d *Ranger) fullScanEpoch(hugeStops *int) (limited bool) {
 
 func (d *Ranger) fullScanVMA(p *osim.Process, v *vma.VMA, budget uint64, hugeStops *int) uint64 {
 	k := d.Kernel
-	pl := d.plans[v]
+	pl := planOf(v)
 	if pl == nil {
 		pl = d.newPlan(p, v)
 	}
@@ -77,6 +76,25 @@ func (d *Ranger) fullScanVMA(p *osim.Process, v *vma.VMA, budget uint64, hugeSto
 		return true
 	})
 	return budget
+}
+
+// planOf returns v's plan, or nil before Ranger first scans v.
+func planOf(v *vma.VMA) *rangerPlan {
+	pl, _ := v.Plan.(*rangerPlan)
+	return pl
+}
+
+// watches counts p's planWatch subscriptions on its page table. The
+// table's observer list is unexported, so it is read by reflection.
+func watches(p *osim.Process) int {
+	obs := reflect.ValueOf(p.PT).Elem().FieldByName("obs")
+	n := 0
+	for i := 0; i < obs.Len(); i++ {
+		if o := obs.Index(i).Elem(); o.Type() == reflect.TypeOf(planWatch{}) && o.Field(0).Pointer() == reflect.ValueOf(p).Pointer() {
+			n++
+		}
+	}
+	return n
 }
 
 // migration is one leaf an epoch moved: the process, the leaf's VA, the
@@ -119,7 +137,7 @@ func newRangerWorld(blocks uint64, budget uint64) *rangerWorld {
 	m := zone.NewMachine(zone.Config{ZonePages: []uint64{blocks * addr.MaxOrderPages}})
 	w := &rangerWorld{k: osim.NewKernel(m, osim.DefaultPolicy{})}
 	w.d = NewRanger(w.k)
-	w.d.PagesPerEpoch = budget
+	w.d.budget = budget
 	return w
 }
 
@@ -335,8 +353,10 @@ func TestWatermarkMatchesFullScan(t *testing.T) {
 			if !reflect.DeepEqual(w.leafDump(), o.leafDump()) {
 				t.Fatal("page tables diverge at the end")
 			}
-			if len(w.d.watches) > len(w.k.Processes()) {
-				t.Errorf("%d page-table watches for %d live processes", len(w.d.watches), len(w.k.Processes()))
+			for _, p := range w.k.Processes() {
+				if n := watches(p); n > 1 {
+					t.Errorf("process %d: %d page-table watches, want at most 1", p.ID, n)
+				}
 			}
 			t.Logf("%d budget-limited epochs, %d stops at a settled huge leaf, %d migrations", limitedEpochs, hugeStops, w.k.Stats.Migrations)
 			if limitedEpochs < 300 {
@@ -381,7 +401,7 @@ func TestWatermarkSeesOutOfBandChanges(t *testing.T) {
 	}
 	p1, p2 := w.k.Processes()[0], w.k.Processes()[1]
 	v1, v2 := nthVMA(p1, 0), nthVMA(p2, 0)
-	pl1, pl2 := w.d.plans[v1], w.d.plans[v2]
+	pl1, pl2 := planOf(v1), planOf(v2)
 	if _, pages, _ := p2.PT.Lookup(v2.Start); pages != addr.HugePages {
 		t.Fatal("P2 does not start with a 2 MiB leaf")
 	}
@@ -389,9 +409,9 @@ func TestWatermarkSeesOutOfBandChanges(t *testing.T) {
 		t.Fatalf("converged watermarks: P1 mark %v (end %v), P2 mark %v hugeAt %v (start %v, end %v)",
 			pl1.mark, v1.End, pl2.mark, pl2.hugeAt, v2.Start, v2.End)
 	}
-	inPlace := func(p *osim.Process, pl *rangerPlan, va addr.VirtAddr) bool {
+	inPlace := func(p *osim.Process, v *vma.VMA, va addr.VirtAddr) bool {
 		pte, _, _ := p.PT.Lookup(va)
-		want, _ := planTarget(pl.segs, uint64(va-pl.v.Start)/addr.PageSize)
+		want, _ := planTarget(planOf(v).segs, uint64(va-v.Start)/addr.PageSize)
 		return pte.PFN == want
 	}
 
@@ -402,7 +422,7 @@ func TestWatermarkSeesOutOfBandChanges(t *testing.T) {
 		t.Fatalf("P1 mark %v after a redirect at %v", pl1.mark, leaf)
 	}
 	compareEpoch(t, 0, w, o, &hugeStops)
-	if !inPlace(p1, pl1, leaf) {
+	if !inPlace(p1, v1, leaf) {
 		t.Fatal("the epoch after the redirect left P1's leaf displaced")
 	}
 
@@ -423,7 +443,7 @@ func TestWatermarkSeesOutOfBandChanges(t *testing.T) {
 	}
 	stops := hugeStops
 	compareEpoch(t, 1, w, o, &hugeStops)
-	if hugeStops != stops+1 || inPlace(p2, pl2, small) {
+	if hugeStops != stops+1 || inPlace(p2, v2, small) {
 		t.Fatal("P2's walk did not stop at its converged huge leaf")
 	}
 
@@ -437,7 +457,7 @@ func TestWatermarkSeesOutOfBandChanges(t *testing.T) {
 		t.Fatalf("P2 mark %v hugeAt %v after unmapping the huge leaf at %v", pl2.mark, pl2.hugeAt, v2.Start)
 	}
 	compareEpoch(t, 2, w, o, &hugeStops)
-	if !inPlace(p2, pl2, small) {
+	if !inPlace(p2, v2, small) {
 		t.Fatal("the epoch after the unmap did not reach P2's displaced page")
 	}
 	if !reflect.DeepEqual(w.leafDump(), o.leafDump()) {

@@ -15,6 +15,7 @@ package osim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
@@ -39,6 +40,10 @@ const (
 	CopyPageNs = 800
 	// ShootdownNs is the cost of one TLB shootdown (migrations).
 	ShootdownNs = 4000
+	// DaemonPeriodNs is the epoch of the asynchronous daemons (Ingens,
+	// Translation Ranger): an epoch fires once at least this much
+	// logical time has passed since the previous one.
+	DaemonPeriodNs = 2_000_000
 )
 
 // ContigThresholdPages is the run length at which CA paging sets the
@@ -373,11 +378,8 @@ func (p *Process) Exit() {
 	clear(all) // hold no dead VMA
 	k.exitScratch = all[:0]
 	p.PT.Release()
-	for i, q := range k.procs {
-		if q == p {
-			k.procs = append(k.procs[:i], k.procs[i+1:]...)
-			break
-		}
+	if i := slices.Index(k.procs, p); i >= 0 {
+		k.procs = slices.Delete(k.procs, i, i+1)
 	}
 }
 

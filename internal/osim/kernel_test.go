@@ -3,6 +3,7 @@ package osim
 import (
 	"maps"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
@@ -359,4 +360,18 @@ func TestVMATouchAccounting(t *testing.T) {
 		t.Fatalf("bloat = %d", bloat)
 	}
 	_ = vma.Anonymous
+}
+
+// TestTenantShellSizes pins the sizes of the two structs every tenant
+// allocates, at the top of their malloc size classes (144 and 96
+// bytes): a field that pushes either into the next class costs
+// replay's heap per event. VMA packs its atomic flag into Kind's
+// padding to fit Ranger's plan field.
+func TestTenantShellSizes(t *testing.T) {
+	if n := unsafe.Sizeof(vma.VMA{}); n > 144 {
+		t.Errorf("vma.VMA is %d bytes, want <= 144", n)
+	}
+	if n := unsafe.Sizeof(Process{}); n > 96 {
+		t.Errorf("Process is %d bytes, want <= 96", n)
+	}
 }

@@ -10,6 +10,7 @@ package pagetable
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/mem/addr"
 )
@@ -305,11 +306,15 @@ func (t *Table) Map2M(v addr.VirtAddr, pfn addr.PFN, flags Flags) {
 	}
 }
 
-// AddObserver subscribes obs to the table's mapping-change events. The
-// hot translation path is unaffected while no observer is registered
-// (the usual case); events fire only from mutations.
+// AddObserver subscribes obs to the table's mapping-change events. An
+// observer already subscribed (compared with ==, so every observer must
+// be comparable) is not added again. The hot translation path is
+// unaffected while no observer is registered (the usual case); events
+// fire only from mutations.
 func (t *Table) AddObserver(obs Observer) {
-	t.obs = append(t.obs, obs)
+	if !slices.Contains(t.obs, obs) {
+		t.obs = append(t.obs, obs)
+	}
 }
 
 // RemoveObserver unsubscribes obs (matched by identity). Removing an

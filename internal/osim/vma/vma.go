@@ -9,6 +9,7 @@ package vma
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -53,6 +54,10 @@ type VMA struct {
 	Start addr.VirtAddr
 	End   addr.VirtAddr // exclusive
 	Kind  Kind
+	// replacing is the atomic flag gating Offset re-placement: only the
+	// first failing thread re-places; the rest retry or fall back. It
+	// sits beside Kind, in Kind's padding.
+	replacing atomic.Bool
 	// FileID identifies the backing file for FileBacked VMAs.
 	FileID int
 	// FileOff is the file offset of Start for FileBacked VMAs (bytes).
@@ -68,9 +73,10 @@ type VMA struct {
 	mu      sync.Mutex
 	offsets []OffsetEntry // FIFO, at most MaxOffsets
 
-	// replacing is the atomic flag gating Offset re-placement: only the
-	// first failing thread re-places; the rest retry or fall back.
-	replacing atomic.Bool
+	// Plan is Translation Ranger's defragmentation plan for this VMA
+	// (package daemon), nil until Ranger first scans it. It lives and
+	// dies with the VMA, so a dropped VMA drops its plan.
+	Plan any
 
 	// touched is a lazily allocated bitmap of 4 KiB pages the workload
 	// actually accessed; it feeds bloat accounting (Table VI) and the
@@ -333,10 +339,12 @@ func (s *Set) Insert(start addr.VirtAddr, size uint64, kind Kind) (*VMA, error) 
 }
 
 // Remove deletes the VMA (by identity). Reports whether it was present.
+// The set keeps no reference to a removed VMA, so the VMA and its Plan
+// become garbage with the caller's last reference.
 func (s *Set) Remove(v *VMA) bool {
 	for i, cur := range s.vmas {
 		if cur == v {
-			s.vmas = append(s.vmas[:i], s.vmas[i+1:]...)
+			s.vmas = slices.Delete(s.vmas, i, i+1)
 			return true
 		}
 	}

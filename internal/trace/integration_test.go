@@ -28,18 +28,13 @@ func TestEndToEndTraceCapture(t *testing.T) {
 	k := osim.NewKernel(m, osim.DefaultPolicy{})
 	k.BootReserve(1)
 	k.SetTracer(tr)
-	ing := daemon.NewIngens(k)
-
 	env := workloads.NewNativeEnv(k, 0)
-	env.Daemons = []workloads.Daemon{ing}
+	env.Daemons = []workloads.Daemon{daemon.NewIngens(k)}
 	w := workloads.ByName("pagerank")
 	if err := w.Setup(env, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 30; i++ {
-		k.Tick(2_100_000)
-		ing.Maybe()
-	}
+	workloads.SettleDaemons(k, env.Daemons, 30)
 	res, err := sim.Run(env, w.Stream(rand.New(rand.NewSource(2)), 20_000),
 		sim.Config{EnableSchemes: true, Tracer: tr})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/check"
@@ -438,7 +439,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		i := int(ev.Arg0 % uint64(len(t.vmas)))
 		v := t.vmas[i]
 		t.env.Proc.MUnmap(v)
-		t.vmas = append(t.vmas[:i], t.vmas[i+1:]...)
+		t.vmas = slices.Delete(t.vmas, i, i+1)
 		t.pages -= v.Pages()
 		s.mapped -= v.Pages()
 	case KindTouch:

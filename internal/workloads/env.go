@@ -48,15 +48,18 @@ type BatchDaemon interface {
 	MaybeN(n uint64)
 }
 
+// SettleTickNs is the logical time one SettleDaemons epoch advances:
+// 5 % over the daemon period, so each epoch fires every clock-gated
+// daemon exactly once.
+const SettleTickNs = osim.DaemonPeriodNs + osim.DaemonPeriodNs/20
+
 // SettleDaemons advances logical time through the given number of
-// daemon epochs, polling every daemon after each tick. Each tick is
-// just over the stock daemon period (2 ms of logical time), so one
-// epoch here fires every clock-gated daemon exactly once. Experiment
-// drivers use it for the post-population execution window; the aging
-// harness uses it as the between-churn-step daemon schedule.
+// daemon epochs, polling every daemon after each SettleTickNs tick.
+// Experiment drivers use it for the post-population execution window;
+// the aging harness uses it as the between-churn-step daemon schedule.
 func SettleDaemons(k *osim.Kernel, ds []Daemon, epochs int) {
 	for i := 0; i < epochs; i++ {
-		k.Tick(2_100_000)
+		k.Tick(SettleTickNs)
 		for _, d := range ds {
 			d.Maybe()
 		}
