@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"repro/internal/check"
@@ -523,7 +524,7 @@ func (s *stream) touch() error {
 // exit tears down shard tenant i.
 func (s *stream) exit(i int) {
 	s.tenants[i].env.Exit()
-	s.tenants = append(s.tenants[:i], s.tenants[i+1:]...)
+	s.tenants = slices.Delete(s.tenants, i, i+1)
 }
 
 // barrier merges the epoch's cross-shard effects in shard-index order:

@@ -128,7 +128,7 @@ func TestAuditCorruptionBranches(t *testing.T) {
 			// leaf's last 256 pages overhang the VMA end.
 			p := envs[0].Proc
 			const va = addr.VirtAddr(0x6000_0000_0000)
-			if _, err := p.VMAs.Insert(va, 256*addr.PageSize, vma.Anonymous); err != nil {
+			if _, err := p.VMAs.Insert(new(vma.Pool), va, 256*addr.PageSize, vma.Anonymous); err != nil {
 				t.Fatal(err)
 			}
 			pfn, err := m.AllocBlock(0, addr.HugeOrder)

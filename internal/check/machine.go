@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hw/tlb"
@@ -332,14 +333,11 @@ func (m *Machine) Apply(op Op) error {
 			m.Stats.Skipped++
 			break
 		}
-		mp.env.Proc.MUnmap(v)
-		for i, w := range mp.vmas {
-			if w == v {
-				mp.vmas = append(mp.vmas[:i], mp.vmas[i+1:]...)
-				break
-			}
-		}
 		touched, touchedVA, touchedPages = mp, v.Start, v.Pages()
+		mp.env.Proc.MUnmap(v)
+		if i := slices.Index(mp.vmas, v); i >= 0 {
+			mp.vmas = slices.Delete(mp.vmas, i, i+1)
+		}
 
 	case OpFork:
 		if len(m.procs) >= maxProcs {
@@ -358,7 +356,7 @@ func (m *Machine) Apply(op Op) error {
 			}
 			mp := m.procs[idx]
 			mp.env.Proc.Exit()
-			m.procs = append(m.procs[:idx], m.procs[idx+1:]...)
+			m.procs = slices.Delete(m.procs, idx, idx+1)
 			break
 		}
 		mp := m.pick(r)
@@ -407,7 +405,7 @@ func (m *Machine) Apply(op Op) error {
 		}
 		i := int(r.intn(uint64(len(m.hogs))))
 		workloads.Unhog(m.kern.Machine, m.hogs[i])
-		m.hogs = append(m.hogs[:i], m.hogs[i+1:]...)
+		m.hogs = slices.Delete(m.hogs, i, i+1)
 
 	case OpDaemonTick:
 		workloads.SettleDaemons(m.kern, m.daemons, 1)

@@ -130,10 +130,11 @@ func (c CAPolicy) caPlace(k *Kernel, p *Process, v *vma.VMA, va addr.VirtAddr, s
 			if claim > avail {
 				claim = avail
 			}
-			if c.Reservation.conflicts(v, start, claim) {
+			owner := ownerOf(p, v)
+			if c.Reservation.conflicts(owner, start, claim) {
 				continue
 			}
-			c.Reservation.reserve(v, start, claim)
+			c.Reservation.reserve(owner, start, claim)
 		}
 		off := addr.OffsetOf(va, start.Addr())
 		v.TrackOffset(va, off)

@@ -23,10 +23,20 @@ type CAReservation struct {
 const caReservationCap = 64
 
 type caSoftSpan struct {
-	owner *vma.VMA
+	owner caOwner
 	start addr.PFN
 	pages uint64
 }
+
+// caOwner names the VMA that reserved a span by identities no later
+// VMA of the kernel takes: its process's ID (the kernel's sequence)
+// and its own ID (the process's sequence). A *vma.VMA would not do: an
+// unmapped VMA's shell is recycled, and the VMA that took it over
+// would inherit the dead VMA's spans and skip their conflicts.
+type caOwner struct{ pid, vid int }
+
+// ownerOf names v, a VMA of p, as a reservation owner.
+func ownerOf(p *Process, v *vma.VMA) caOwner { return caOwner{p.ID, v.ID} }
 
 // NewCAReservation creates empty reservation state shared by one
 // kernel's CA policy.
@@ -34,7 +44,7 @@ func NewCAReservation() *CAReservation { return new(CAReservation) }
 
 // conflicts reports whether [start, start+pages) overlaps a region
 // reserved by a different VMA.
-func (r *CAReservation) conflicts(owner *vma.VMA, start addr.PFN, pages uint64) bool {
+func (r *CAReservation) conflicts(owner caOwner, start addr.PFN, pages uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	end := start + addr.PFN(pages)
@@ -51,7 +61,7 @@ func (r *CAReservation) conflicts(owner *vma.VMA, start addr.PFN, pages uint64) 
 }
 
 // reserve records a placement's chosen region.
-func (r *CAReservation) reserve(owner *vma.VMA, start addr.PFN, pages uint64) {
+func (r *CAReservation) reserve(owner caOwner, start addr.PFN, pages uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.spans) == caReservationCap {

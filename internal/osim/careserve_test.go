@@ -44,23 +44,54 @@ func TestReservationConflictDetection(t *testing.T) {
 	p := k.NewProcess(0)
 	v1, _ := p.MMap(addr.PageSize)
 	v2, _ := p.MMap(addr.PageSize)
-	r.reserve(v1, 1000, 100)
+	r.reserve(ownerOf(p, v1), 1000, 100)
 	// Own reservations never conflict.
-	if r.conflicts(v1, 1000, 100) {
+	if r.conflicts(ownerOf(p, v1), 1000, 100) {
 		t.Fatal("self-conflict")
 	}
 	// Overlap with another owner conflicts, in both directions.
-	if !r.conflicts(v2, 1050, 10) {
+	if !r.conflicts(ownerOf(p, v2), 1050, 10) {
 		t.Fatal("interior overlap missed")
 	}
-	if !r.conflicts(v2, 950, 100) {
+	if !r.conflicts(ownerOf(p, v2), 950, 100) {
 		t.Fatal("left overlap missed")
 	}
-	if r.conflicts(v2, 1100, 50) {
+	if r.conflicts(ownerOf(p, v2), 1100, 50) {
 		t.Fatal("adjacent (non-overlapping) span flagged")
 	}
-	if r.conflicts(v2, 0, 1000) {
+	if r.conflicts(ownerOf(p, v2), 0, 1000) {
 		t.Fatal("disjoint span flagged")
+	}
+}
+
+// TestReservationOutlivesRecycledShell pins that reservations name
+// their owner by a never-reused identity, not by *vma.VMA: a span
+// reserved by a VMA that is then unmapped still conflicts for the VMA
+// that takes over its shell, in the same process and, after an exit,
+// in the process that takes over the exited one's shell.
+func TestReservationOutlivesRecycledShell(t *testing.T) {
+	r := NewCAReservation()
+	k := newKernel(t, 16, CAPolicy{})
+	p := k.NewProcess(0)
+	dead, _ := p.MMap(addr.PageSize)
+	r.reserve(ownerOf(p, dead), 1000, 100)
+	p.MUnmap(dead)
+	heir, _ := p.MMap(addr.PageSize)
+	if heir != dead {
+		t.Fatal("mmap did not reuse the unmapped VMA's shell")
+	}
+	if !r.conflicts(ownerOf(p, heir), 1050, 10) {
+		t.Fatal("a recycled VMA inherited its dead predecessor's reservation")
+	}
+	r.reserve(ownerOf(p, heir), 2000, 100)
+	p.Exit()
+	q := k.NewProcess(0)
+	v, _ := q.MMap(addr.PageSize)
+	if q != p || v != heir {
+		t.Fatal("the new process did not reuse the exited one's shells")
+	}
+	if !r.conflicts(ownerOf(q, v), 2050, 10) || !r.conflicts(ownerOf(q, v), 1050, 10) {
+		t.Fatal("a recycled process's VMA inherited an exited process's reservations")
 	}
 }
 
@@ -72,19 +103,19 @@ func TestReservationFIFOBound(t *testing.T) {
 	other, _ := p.MMap(addr.PageSize)
 	const extra = 6
 	for i := 0; i < caReservationCap+extra; i++ {
-		r.reserve(owner, addr.PFN(i*1000), 100)
+		r.reserve(ownerOf(p, owner), addr.PFN(i*1000), 100)
 	}
 	if len(r.spans) != caReservationCap {
 		t.Fatalf("spans = %d, want capped at %d", len(r.spans), caReservationCap)
 	}
 	// The oldest reservations were evicted, in FIFO order.
-	if r.conflicts(other, addr.PFN((extra-1)*1000), 100) {
+	if r.conflicts(ownerOf(p, other), addr.PFN((extra-1)*1000), 100) {
 		t.Fatal("evicted reservation still conflicts")
 	}
-	if !r.conflicts(other, addr.PFN(extra*1000), 10) {
+	if !r.conflicts(ownerOf(p, other), addr.PFN(extra*1000), 10) {
 		t.Fatal("oldest kept reservation lost")
 	}
-	if !r.conflicts(other, addr.PFN((caReservationCap+extra-1)*1000), 10) {
+	if !r.conflicts(ownerOf(p, other), addr.PFN((caReservationCap+extra-1)*1000), 10) {
 		t.Fatal("latest reservation lost")
 	}
 }

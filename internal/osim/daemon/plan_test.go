@@ -1,88 +1,164 @@
 package daemon
 
 import (
-	"runtime"
-	"sync/atomic"
+	"reflect"
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/mem/addr"
 	"repro/internal/osim"
 	"repro/internal/osim/vma"
 )
 
-// TestRangerPlansDieWithTheirVMAs pins that Ranger holds on to nothing
-// it planned: a VMA unmapped from a live process, and every VMA of an
-// exited process, become garbage as soon as the kernel drops them, with
-// no Ranger epoch in between. Each dropped VMA carries a finalizer,
-// which runs only once nothing reaches the VMA. A plan that pointed
-// back at its VMA would put the VMA in a cycle, and the finalizer of
-// an object in a cycle never runs.
+// TestRangerPlansDieWithTheirVMAs pins that Ranger's state dies with
+// the VMAs and processes it planned, although the kernel recycles their
+// shells. Two worlds run the same campaign: a live process and an
+// exiting one map and touch VMAs, one Ranger epoch plans them all, the
+// live process unmaps three and the other exits, and then new tenant
+// VMAs are mapped, in a new process and in the live one, and touched.
+// In the recycled world the exiting process really exits, so the new
+// process and all seven new VMAs are the dropped shells. In the fresh
+// world the exiting process unmaps its VMAs one by one (the frees Exit
+// makes) and stays, and placeholders take the VMA shells, so the new
+// tenants are fresh objects. The test checks that:
+//   - every recycled VMA comes back with Plan == nil;
+//   - the recycled process's table holds no watch until Ranger scans
+//     it again, and then exactly one;
+//   - the next epoch makes the same migrations (pid, VA, target,
+//     order) and leaves the same leaves and Stats in both worlds.
 func TestRangerPlansDieWithTheirVMAs(t *testing.T) {
-	k := newKernel(t, 64, osim.DefaultPolicy{})
-	d := NewRanger(k)
-	d.budget = 1 << 20 // plan every VMA in one epoch
-	live := k.NewProcess(0)
-	var freed atomic.Int32
-	want := planAndDrop(t, k, d, live, &freed)
+	recycled, fresh := newRangerWorld(64, 1<<20), newRangerWorld(64, 1<<20)
+	rq, rnew, rdrop := plansAcrossChurn(t, recycled, true)
+	fq, fnew, fdrop := plansAcrossChurn(t, fresh, false)
 
-	for i := 0; i < 100 && freed.Load() < want; i++ {
-		runtime.GC()
-		time.Sleep(time.Millisecond)
-	}
-	if got := freed.Load(); got != want {
-		t.Fatalf("%d of %d dropped VMAs collected", got, want)
-	}
-	live.VMAs.Visit(func(v *vma.VMA) {
-		if planOf(v) == nil {
-			t.Errorf("surviving VMA %v lost its plan", v)
+	for _, v := range rnew {
+		if !slices.Contains(rdrop, v) {
+			t.Fatalf("recycled world: new VMA %v is not a dropped shell", v)
 		}
-	})
-	if n := watches(live); n != 1 {
-		t.Errorf("live process has %d watches, want 1", n)
 	}
-	runtime.KeepAlive(d) // the daemon outlives the collection
+	for _, v := range fnew {
+		if slices.Contains(fdrop, v) {
+			t.Fatalf("fresh world: new VMA %v reused a dropped shell", v)
+		}
+	}
+	if rq.ID != fq.ID {
+		t.Fatalf("new process IDs %d (recycled) and %d (fresh)", rq.ID, fq.ID)
+	}
+
+	got, _ := recycled.epoch(false, nil)
+	want, _ := fresh.epoch(false, nil)
+	if len(want) == 0 || !slices.ContainsFunc(want, func(m migration) bool { return m.pid == fq.ID }) {
+		t.Fatalf("the epoch migrated nothing of the new process: %v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recycled world migrated\n%v\nfresh world migrated\n%v", got, want)
+	}
+	if g, w := recycled.leafDump(), fresh.leafDump(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("leaves diverge:\nrecycled %v\nfresh    %v", g, w)
+	}
+	if !reflect.DeepEqual(recycled.k.Stats, fresh.k.Stats) {
+		t.Fatalf("stats diverge:\nrecycled %+v\nfresh    %+v", recycled.k.Stats, fresh.k.Stats)
+	}
+	for _, w := range []*rangerWorld{recycled, fresh} {
+		for _, p := range w.k.Processes() {
+			p.VMAs.Visit(func(v *vma.VMA) {
+				if planOf(v) == nil {
+					t.Errorf("VMA %v of process %d unplanned after the epoch", v, p.ID)
+				}
+			})
+		}
+	}
+	if n := watches(rq); n != 1 {
+		t.Errorf("recycled process has %d watches after the epoch, want 1", n)
+	}
 }
 
-// planAndDrop maps six VMAs in live and four in a second process, lets
-// one Ranger epoch plan them all, then unmaps three of live's (its last
-// among them) and exits the second process. It sets a finalizer that
-// counts into freed on each dropped VMA and returns how many it
-// dropped. It returns before the caller collects, so no stack slot
-// holds a dropped VMA.
-func planAndDrop(t *testing.T, k *osim.Kernel, d *Ranger, live *osim.Process, freed *atomic.Int32) int32 {
+// plansAcrossChurn runs the campaign of TestRangerPlansDieWithTheirVMAs
+// in w up to the epoch on the new tenants, with the exiting process
+// really exiting when exit is set. It returns the new process, the new
+// VMAs and the dropped ones, and checks that no new VMA carries a plan
+// and that the new process holds no watch.
+func plansAcrossChurn(t *testing.T, w *rangerWorld, exit bool) (q *osim.Process, fresh, drop []*vma.VMA) {
 	t.Helper()
-	exiting := k.NewProcess(0)
-	var lv, ev []*vma.VMA
+	mmap := func(p *osim.Process) *vma.VMA {
+		v, err := p.MMap(64 * addr.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	// touchAcross faults in the VMAs' pages interleaved, so each VMA's
+	// frames are scattered and Ranger has work.
+	touchAcross := func(p []*osim.Process, vs []*vma.VMA) {
+		for pg := uint64(0); pg < 64; pg++ {
+			for i, v := range vs {
+				if _, err := p[i].Touch(v.Start.Add(pg*addr.PageSize), true); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	live, exiting := w.spawn(), w.k.NewProcess(0)
+	var vs []*vma.VMA
+	var owners []*osim.Process
 	for i := 0; i < 10; i++ {
 		p := live
 		if i >= 6 {
 			p = exiting
 		}
-		v, err := p.MMap(64 * addr.PageSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		touchAll(t, p, v.Start, v.Size())
-		if p == live {
-			lv = append(lv, v)
-		} else {
-			ev = append(ev, v)
-		}
+		vs, owners = append(vs, mmap(p)), append(owners, p)
 	}
-	d.Epoch()
-	drop := append([]*vma.VMA{lv[0], lv[2], lv[5]}, ev...)
-	for _, v := range drop {
+	touchAcross(owners, vs)
+	w.d.Epoch()
+	for _, v := range vs {
 		if planOf(v) == nil {
 			t.Fatalf("VMA %v not planned", v)
 		}
-		runtime.SetFinalizer(v, func(*vma.VMA) { freed.Add(1) })
 	}
+	drop = append([]*vma.VMA{vs[0], vs[2], vs[5]}, vs[6:]...)
 	for _, v := range drop[:3] {
 		live.MUnmap(v)
 	}
-	exiting.Exit()
-	return int32(len(drop))
+	var placeholders []*vma.VMA
+	if exit {
+		exiting.Exit()
+	} else {
+		for _, v := range drop[3:] {
+			exiting.MUnmap(v)
+		}
+		for range drop {
+			placeholders = append(placeholders, mmap(exiting))
+		}
+	}
+
+	q = w.spawn()
+	if exit != (q == exiting) {
+		t.Fatalf("new process reuses the exited shell: %v, want %v", q == exiting, exit)
+	}
+	if n := watches(q); n != 0 {
+		t.Fatalf("new process starts with %d watches", n)
+	}
+	owners = owners[:0]
+	for i := 0; i < 7; i++ {
+		p := q
+		if i >= 4 {
+			p = live
+		}
+		fresh, owners = append(fresh, mmap(p)), append(owners, p)
+	}
+	for _, v := range fresh {
+		if v.Plan != nil {
+			t.Fatalf("new VMA %v carries a plan", v)
+		}
+	}
+	touchAcross(owners, fresh)
+	for _, v := range placeholders {
+		exiting.MUnmap(v)
+	}
+	if n := watches(q); n != 0 {
+		t.Fatalf("new process holds %d watches before Ranger scans it", n)
+	}
+	return q, fresh, drop
 }
 
 // TestRangerKeepsOneWatch pins that a process subscribes one watch to

@@ -241,7 +241,7 @@ func (p *Process) Fork() *Process {
 	child := k.NewProcess(p.HomeZone)
 	child.nextVA = p.nextVA
 	p.VMAs.Visit(func(v *vma.VMA) {
-		cv, err := child.VMAs.Insert(v.Start, v.Size(), v.Kind)
+		cv, err := child.VMAs.Insert(&k.vmaFree, v.Start, v.Size(), v.Kind)
 		if err != nil {
 			panic("osim: fork VMA insert failed: " + err.Error())
 		}

@@ -182,6 +182,13 @@ type Kernel struct {
 	// exitScratch is Process.Exit's reused list of the VMAs to unmap.
 	exitScratch []*vma.VMA
 
+	// procFree holds exited process shells, each with its released
+	// table, and vmaFree unmapped VMA shells: NewProcess and mmap reuse
+	// them (Recycled shells, DESIGN.md §7), so tenant churn stops
+	// allocating. They grow only to the peak live count.
+	procFree []*Process
+	vmaFree  vma.Pool
+
 	// freeStart and freeLen are the pending run of frames to free
 	// ([freeStart, freeStart+freeLen)) that MUnmap and DropFile
 	// gather; empty between calls.
@@ -251,16 +258,32 @@ func (k *Kernel) BootBlocks() int { return k.bootBlocks }
 // name an existing zone: the zonelist would silently clamp an
 // out-of-range preference to zone 0 on every later allocation, hiding
 // the caller's bug, so the constructor rejects it up front.
+//
+// It reuses an exited process's shell when the kernel holds one: the
+// Process struct, its table (Reset to PageTableLevels, observers and
+// counters cleared) and its VMA set's backing array. Every other field
+// is set as for a fresh process, and IDs continue one sequence.
 func (k *Kernel) NewProcess(homeZone int) *Process {
 	if homeZone < 0 || homeZone >= len(k.Machine.Zones) {
 		panic(fmt.Sprintf("osim: NewProcess home zone %d out of range [0,%d)",
 			homeZone, len(k.Machine.Zones)))
 	}
 	k.nextID++
-	p := &Process{
+	var p *Process
+	if n := len(k.procFree); n > 0 {
+		p = k.procFree[n-1]
+		k.procFree[n-1] = nil
+		k.procFree = k.procFree[:n-1]
+		p.PT.Reset(k.PageTableLevels)
+		p.VMAs.Reset()
+	} else {
+		p = &Process{PT: pagetable.NewWithLevels(k.PageTableLevels, k.ptPool)}
+	}
+	*p = Process{
 		ID:       k.nextID,
 		HomeZone: homeZone,
-		PT:       pagetable.NewWithLevels(k.PageTableLevels, k.ptPool),
+		PT:       p.PT,
+		VMAs:     p.VMAs,
 		kernel:   k,
 		nextVA:   0x10_0000_0000, // 64 GiB: clear of null/low mappings
 	}
@@ -293,7 +316,7 @@ func (p *Process) mmap(size uint64, kind vma.Kind, fileID int, fileOff uint64) (
 	p.vmaSeq++
 	jitter := (p.vmaSeq * 2654435761) % 8
 	p.nextVA = start.Add(size).HugeUp() + addr.VirtAddr((1+jitter)*addr.HugeSize)
-	v, err := p.VMAs.Insert(start, size, kind)
+	v, err := p.VMAs.Insert(&p.kernel.vmaFree, start, size, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -314,6 +337,9 @@ func (p *Process) mmap(size uint64, kind vma.Kind, fileID int, fileOff uint64) (
 // MUnmap tears down a VMA, releasing anonymous frames. Page-cache
 // frames stay in the cache (they outlive processes, §III-C). Its 4 KiB
 // frames go back through freeLater, its huge frames one block each.
+// The VMA's shell goes to the kernel's free list for a later mmap or
+// fork to reuse, so the caller must not use v after the next mmap or
+// fork in this kernel.
 func (p *Process) MUnmap(v *vma.VMA) {
 	k := p.kernel
 	k.mutSeq++
@@ -333,7 +359,9 @@ func (p *Process) MUnmap(v *vma.VMA) {
 	})
 	k.flushFree()
 	v.MappedPages = 0
-	p.VMAs.Remove(v)
+	if p.VMAs.Remove(v) {
+		k.vmaFree.Put(v)
+	}
 }
 
 // freeLater frees the 4 KiB frame pfn. With no tracer attached, frames
@@ -365,10 +393,20 @@ func (k *Kernel) flushFree() {
 	}
 }
 
-// Exit tears down every VMA of the process and returns its page-table
-// root to the kernel's node pool; the process must not be used again.
+// Exit tears down every VMA of the process (MUnmap, so their shells go
+// to the kernel's free list) and releases its page table. When the
+// table held no leaf outside a VMA, its root goes back to the node pool
+// and the process shell, table included, to the kernel's free list for
+// NewProcess to reuse; a table that still maps something is dropped
+// with its process (pagetable.Table.Release). The process must not be
+// used again. Exiting a process that is not live (a second Exit)
+// panics, so no shell is ever pushed twice.
 func (p *Process) Exit() {
 	k := p.kernel
+	i := slices.Index(k.procs, p)
+	if i < 0 {
+		panic(fmt.Sprintf("osim: Exit of process %d, which is not live", p.ID))
+	}
 	k.mutSeq++
 	all := k.exitScratch[:0]
 	p.VMAs.Visit(func(v *vma.VMA) { all = append(all, v) })
@@ -377,9 +415,9 @@ func (p *Process) Exit() {
 	}
 	clear(all) // hold no dead VMA
 	k.exitScratch = all[:0]
-	p.PT.Release()
-	if i := slices.Index(k.procs, p); i >= 0 {
-		k.procs = slices.Delete(k.procs, i, i+1)
+	k.procs = slices.Delete(k.procs, i, i+1)
+	if p.PT.Release() {
+		k.procFree = append(k.procFree, p)
 	}
 }
 

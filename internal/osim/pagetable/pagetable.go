@@ -142,20 +142,38 @@ func New() *Table { return NewWithLevels(4, new(Pool)) }
 // paper's introduction cites as further raising walk costs. Levels
 // outside [4,5] panic.
 func NewWithLevels(levels int, pool *Pool) *Table {
-	if levels < 4 || levels > 5 {
-		panic(fmt.Sprintf("pagetable: unsupported depth %d", levels))
-	}
-	return &Table{root: pool.get(), top: levels - 1, pool: pool}
+	t := &Table{pool: pool}
+	t.Reset(levels)
+	return t
 }
 
-// Release returns the root of a table that holds no leaves to the pool;
-// the table must not be used afterwards. A table that still maps
-// something keeps its nodes out of the pool (they are not zero).
-func (t *Table) Release() {
-	if t.root.live == 0 {
+// Release returns the root of a table that holds no leaves to the pool
+// and reports whether it did; either way the table must not be used
+// until Reset. Only a released table that reported true may be Reset:
+// a table that still maps something keeps its nodes out of the pool
+// (they are not zero), so it is never reused.
+func (t *Table) Release() bool {
+	empty := t.root.live == 0
+	if empty {
 		t.pool.put(t.root)
 	}
 	t.root = nil
+	return empty
+}
+
+// Reset makes a released table exactly what NewWithLevels(levels, pool)
+// builds from its pool: an empty root, no observers and zero counters.
+// Only the observer slice's capacity survives, so a recycled process
+// shell's table allocates nothing.
+func (t *Table) Reset(levels int) {
+	if levels < 4 || levels > 5 {
+		panic(fmt.Sprintf("pagetable: unsupported depth %d", levels))
+	}
+	if t.root != nil {
+		panic("pagetable: Reset of a table that was not released")
+	}
+	clear(t.obs)
+	*t = Table{root: t.pool.get(), top: levels - 1, pool: t.pool, obs: t.obs[:0]}
 }
 
 // Levels returns the table depth.
@@ -320,11 +338,8 @@ func (t *Table) AddObserver(obs Observer) {
 // RemoveObserver unsubscribes obs (matched by identity). Removing an
 // observer that was never added is a no-op.
 func (t *Table) RemoveObserver(obs Observer) {
-	for i, o := range t.obs {
-		if o == obs {
-			t.obs = append(t.obs[:i], t.obs[i+1:]...)
-			return
-		}
+	if i := slices.Index(t.obs, obs); i >= 0 {
+		t.obs = slices.Delete(t.obs, i, i+1)
 	}
 }
 

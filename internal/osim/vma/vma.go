@@ -75,7 +75,7 @@ type VMA struct {
 
 	// Plan is Translation Ranger's defragmentation plan for this VMA
 	// (package daemon), nil until Ranger first scans it. It lives and
-	// dies with the VMA, so a dropped VMA drops its plan.
+	// dies with the VMA: a recycled shell comes back without it.
 	Plan any
 
 	// touched is a lazily allocated bitmap of 4 KiB pages the workload
@@ -85,20 +85,29 @@ type VMA struct {
 	touchedPages uint64
 }
 
+// bitmap returns the touched bitmap, sized to the VMA's pages and
+// cleared on first use. A recycled shell reuses its earlier capacity.
+func (v *VMA) bitmap() []uint64 {
+	if len(v.touched) == 0 {
+		n := int((v.Pages() + 63) / 64)
+		v.touched = slices.Grow(v.touched[:0], n)[:n]
+		clear(v.touched)
+	}
+	return v.touched
+}
+
 // MarkTouched records an access to the page at index pageIdx (relative
 // to Start) and reports whether it is the first touch of that page.
 func (v *VMA) MarkTouched(pageIdx uint64) bool {
 	if pageIdx >= v.Pages() {
 		return false
 	}
-	if v.touched == nil {
-		v.touched = make([]uint64, (v.Pages()+63)/64)
-	}
+	touched := v.bitmap()
 	w, b := pageIdx/64, pageIdx%64
-	if v.touched[w]&(1<<b) != 0 {
+	if touched[w]&(1<<b) != 0 {
 		return false
 	}
-	v.touched[w] |= 1 << b
+	touched[w] |= 1 << b
 	v.touchedPages++
 	return true
 }
@@ -114,14 +123,12 @@ func (v *VMA) MarkTouchedRange(pageIdx, n uint64) {
 	if pageIdx >= end {
 		return
 	}
-	if v.touched == nil {
-		v.touched = make([]uint64, (v.Pages()+63)/64)
-	}
+	touched := v.bitmap()
 	// Word-at-a-time: OR a mask per word and popcount the newly set
 	// bits, instead of a test-and-set per page.
 	set := func(w, mask uint64) {
-		if add := mask &^ v.touched[w]; add != 0 {
-			v.touched[w] |= add
+		if add := mask &^ touched[w]; add != 0 {
+			touched[w] |= add
 			v.touchedPages += uint64(bits.OnesCount64(add))
 		}
 	}
@@ -151,7 +158,7 @@ func (v *VMA) TouchedPages() uint64 { return v.touchedPages }
 // epoch, so the page-at-a-time scan this replaces dominated whole
 // sweeps under daemon-heavy policies.
 func (v *VMA) RegionTouched(pageIdx, n uint64) uint64 {
-	if v.touched == nil {
+	if len(v.touched) == 0 {
 		return 0
 	}
 	end := pageIdx + n
@@ -185,10 +192,18 @@ func (v *VMA) RegionTouched(pageIdx, n uint64) uint64 {
 // New creates a VMA covering [start, start+size). Both must be page
 // aligned.
 func New(id int, start addr.VirtAddr, size uint64, kind Kind) *VMA {
+	return new(VMA).reset(id, start, size, kind)
+}
+
+// reset makes v exactly the VMA New(id, start, size, kind) builds,
+// keeping only the capacity of its offset FIFO and touched bitmap.
+func (v *VMA) reset(id int, start addr.VirtAddr, size uint64, kind Kind) *VMA {
 	if !start.PageAligned() || size == 0 || size%addr.PageSize != 0 {
 		panic(fmt.Sprintf("vma: bad geometry start=%v size=%d", start, size))
 	}
-	return &VMA{ID: id, Start: start, End: start.Add(size), Kind: kind}
+	offsets, touched := v.offsets[:0], v.touched[:0]
+	*v = VMA{ID: id, Start: start, End: start.Add(size), Kind: kind, offsets: offsets, touched: touched}
+	return v
 }
 
 // Size returns the VMA length in bytes.
@@ -314,6 +329,38 @@ func (v *VMA) TryBeginReplacement() bool {
 // EndReplacement releases the re-placement gate.
 func (v *VMA) EndReplacement() { v.replacing.Store(false) }
 
+// --- recycled VMA shells ---
+
+// Pool is a free list of unmapped VMA shells. A kernel keeps one for
+// all its processes, so tenant churn reuses VMAs, with their offset
+// FIFO and touched bitmap capacity, instead of allocating them. A
+// VMA taken from the pool is indistinguishable from a fresh one: every
+// field is reset, its Plan included. A pool is not safe for concurrent
+// use (one kernel's processes, which one shard owns). The zero Pool is
+// empty and ready to use.
+type Pool struct {
+	free []*VMA
+}
+
+// Len returns the number of shells the pool holds.
+func (p *Pool) Len() int { return len(p.free) }
+
+// Put takes back a VMA that its set no longer holds; get resets it,
+// Plan included, when it is reused. The caller must not use v again.
+func (p *Pool) Put(v *VMA) { p.free = append(p.free, v) }
+
+// get hands out the VMA New(id, start, size, kind) would build,
+// reusing a pooled shell when it can.
+func (p *Pool) get(id int, start addr.VirtAddr, size uint64, kind Kind) *VMA {
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return v.reset(id, start, size, kind)
+	}
+	return New(id, start, size, kind)
+}
+
 // --- address-space VMA set ---
 
 // Set is an address-ordered collection of non-overlapping VMAs.
@@ -322,25 +369,32 @@ type Set struct {
 	nextID int
 }
 
-// Insert adds a VMA covering [start,start+size). It fails if the range
-// overlaps an existing VMA.
-func (s *Set) Insert(start addr.VirtAddr, size uint64, kind Kind) (*VMA, error) {
+// Reset empties the set and restarts its VMA IDs at 1, keeping its
+// backing array: the set of a recycled process is then exactly the
+// zero Set but for capacity.
+func (s *Set) Reset() {
+	clear(s.vmas)
+	*s = Set{vmas: s.vmas[:0]}
+}
+
+// Insert adds a VMA covering [start,start+size), taken from pool (see
+// Pool.get). It fails if the range overlaps an existing VMA.
+func (s *Set) Insert(pool *Pool, start addr.VirtAddr, size uint64, kind Kind) (*VMA, error) {
 	end := start.Add(size)
 	i := sort.Search(len(s.vmas), func(i int) bool { return s.vmas[i].End > start })
 	if i < len(s.vmas) && s.vmas[i].Start < end {
 		return nil, fmt.Errorf("vma: [%v,%v) overlaps %v", start, end, s.vmas[i])
 	}
 	s.nextID++
-	v := New(s.nextID, start, size, kind)
-	s.vmas = append(s.vmas, nil)
-	copy(s.vmas[i+1:], s.vmas[i:])
-	s.vmas[i] = v
+	v := pool.get(s.nextID, start, size, kind)
+	s.vmas = slices.Insert(s.vmas, i, v)
 	return v, nil
 }
 
 // Remove deletes the VMA (by identity). Reports whether it was present.
-// The set keeps no reference to a removed VMA, so the VMA and its Plan
-// become garbage with the caller's last reference.
+// The set keeps no reference to a removed VMA (the vacated slot is
+// cleared); the caller hands the VMA to a Pool or drops it, and its Plan
+// with it.
 func (s *Set) Remove(v *VMA) bool {
 	for i, cur := range s.vmas {
 		if cur == v {

@@ -200,11 +200,12 @@ func TestConcurrentOffsetTracking(t *testing.T) {
 
 func TestSetInsertFindRemove(t *testing.T) {
 	var s Set
-	a, err := s.Insert(0x10000, 4*addr.PageSize, Anonymous)
+	var pool Pool
+	a, err := s.Insert(&pool, 0x10000, 4*addr.PageSize, Anonymous)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Insert(0x40000, 4*addr.PageSize, FileBacked)
+	b, err := s.Insert(&pool, 0x40000, 4*addr.PageSize, FileBacked)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +219,10 @@ func TestSetInsertFindRemove(t *testing.T) {
 		t.Fatal("gap should find nil")
 	}
 	// Overlap rejection, both directions.
-	if _, err := s.Insert(0x10000+addr.PageSize, addr.PageSize, Anonymous); err == nil {
+	if _, err := s.Insert(&pool, 0x10000+addr.PageSize, addr.PageSize, Anonymous); err == nil {
 		t.Fatal("overlap accepted")
 	}
-	if _, err := s.Insert(0xF000, 2*addr.PageSize, Anonymous); err == nil {
+	if _, err := s.Insert(&pool, 0xF000, 2*addr.PageSize, Anonymous); err == nil {
 		t.Fatal("left-overlap accepted")
 	}
 	if !s.Remove(a) {
@@ -233,16 +234,33 @@ func TestSetInsertFindRemove(t *testing.T) {
 	if s.Find(0x10000) != nil {
 		t.Fatal("removed VMA still found")
 	}
-	// Freed range is insertable again.
-	if _, err := s.Insert(0x10000, 4*addr.PageSize, Anonymous); err != nil {
+	// Freed range is insertable again, and the pooled shell comes back
+	// as the fresh VMA the set would have built, with the next ID.
+	a.MarkTouched(1)
+	a.TrackOffset(0x10000, 7)
+	a.MappedPages, a.Plan = 3, "plan"
+	pool.Put(a)
+	c, err := s.Insert(&pool, 0x10000, 2*addr.PageSize, Anonymous)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if c != a || pool.Len() != 0 {
+		t.Fatal("Insert did not reuse the pooled shell")
+	}
+	if c.ID != 3 || c.Pages() != 2 || c.MappedPages != 0 || c.Plan != nil ||
+		c.TouchedPages() != 0 || c.RegionTouched(0, 2) != 0 || c.OffsetCount() != 0 {
+		t.Fatalf("recycled VMA %v kept state: mapped %d, plan %v, touched %d, offsets %d",
+			c, c.MappedPages, c.Plan, c.TouchedPages(), c.OffsetCount())
+	}
+	if !c.MarkTouched(1) {
+		t.Fatal("recycled bitmap kept a touched bit")
 	}
 }
 
 func TestSetOrderedVisit(t *testing.T) {
 	var s Set
 	for _, start := range []addr.VirtAddr{0x90000, 0x10000, 0x50000} {
-		if _, err := s.Insert(start, addr.PageSize, Anonymous); err != nil {
+		if _, err := s.Insert(new(Pool), start, addr.PageSize, Anonymous); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +278,7 @@ func TestSetNonOverlapProperty(t *testing.T) {
 		var s Set
 		for _, raw := range starts {
 			start := addr.VirtAddr(raw) << addr.PageShift
-			s.Insert(start, 4*addr.PageSize, Anonymous) // error is fine
+			s.Insert(new(Pool), start, 4*addr.PageSize, Anonymous) // error is fine
 		}
 		// Invariant: visited VMAs are sorted and disjoint.
 		var prevEnd addr.VirtAddr

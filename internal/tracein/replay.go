@@ -180,7 +180,10 @@ type rshard struct {
 	hogRng *rand.Rand
 	// spare holds closed sim engines of exited tenants; accessBurst
 	// Resets one for a tenant's first access before building another.
-	spare  []*sim.Engine
+	spare []*sim.Engine
+	// idle holds exited tenants, each with its Env and vmas slice;
+	// tenantFor reuses one before building another.
+	idle   []*rtenant
 	budget uint64
 	mapped uint64
 	walk   float64
@@ -385,12 +388,21 @@ func (e *Engine) replayParallel(src Source) error {
 }
 
 // tenantFor returns (creating on demand) the tenant's state with a
-// live process; respawn after exit models slot reuse.
+// live process; respawn after exit models slot reuse. A new tenant
+// reuses an exited one's shell when the shard holds one: its state is
+// then exactly what a fresh tenant's would be, only the Env struct and
+// the vmas slice's capacity are kept.
 func (s *rshard) tenantFor(id uint32) *rtenant {
 	t := s.tenants[id]
 	if t == nil {
-		t = &rtenant{env: workloads.NewNativeEnv(s.Kernel, 0)}
-		t.env.Daemons = s.Daemons
+		if n := len(s.idle); n > 0 {
+			t = s.idle[n-1]
+			s.idle[n-1] = nil
+			s.idle = s.idle[:n-1]
+		} else {
+			t = &rtenant{env: new(workloads.Env)}
+		}
+		*t.env = workloads.Env{Kernel: s.Kernel, Proc: s.Kernel.NewProcess(0), Daemons: s.Daemons}
 		s.tenants[id] = t
 	}
 	return t
@@ -519,7 +531,7 @@ func (s *rshard) apply(e *Engine, ev Event) error {
 		}
 		i := int(ev.Arg0 % uint64(len(s.hogs)))
 		workloads.Unhog(s.Kernel.Machine, s.hogs[i])
-		s.hogs = append(s.hogs[:i], s.hogs[i+1:]...)
+		s.hogs = slices.Delete(s.hogs, i, i+1)
 	case KindDaemonTick:
 		workloads.SettleDaemons(s.Kernel, s.Daemons, 1)
 	default:
@@ -592,9 +604,9 @@ func (s *rshard) accessBurst(ev Event) error {
 
 // exitTenant tears the tenant down: forked child first, then the sim
 // engine (closed and kept on the shard's spare list), then the
-// process, and frees the tenant's slot. tenantFor recreates a fresh
-// slot on the tenant's next event, so the table holds only live
-// tenants.
+// process, and frees the tenant's slot, keeping the tenant's shell on
+// the shard's idle list. tenantFor fills a slot again on the tenant's
+// next event, so the table holds only live tenants.
 func (s *rshard) exitTenant(id uint32, t *rtenant) {
 	if t.child != nil {
 		t.child.Exit()
@@ -606,6 +618,10 @@ func (s *rshard) exitTenant(id uint32, t *rtenant) {
 	t.env.Exit()
 	s.mapped -= t.pages
 	delete(s.tenants, id)
+	clear(t.vmas)
+	*t.env = workloads.Env{}
+	*t = rtenant{env: t.env, vmas: t.vmas[:0]}
+	s.idle = append(s.idle, t)
 }
 
 // sample appends one trajectory row and closes the tracer span for the
