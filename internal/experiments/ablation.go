@@ -43,7 +43,7 @@ func AblationPlacement(p Params) (*Table, error) {
 		t.Rows = append(t.Rows, []string{name, fmt.Sprint(stA.Maps99), fmt.Sprint(stB.Maps99)})
 		envA.Exit()
 		envB.Exit()
-		k.Machine.Recycle()
+		k.Recycle()
 	}
 	return t, nil
 }
@@ -117,7 +117,7 @@ func AblationSortedMaxOrder(p Params) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(sorted), f1(float64(largest) * 4096 / (1 << 20)), f3(frac[3]),
 		})
-		k.Machine.Recycle()
+		k.Recycle()
 	}
 	return t, nil
 }
@@ -157,7 +157,7 @@ func AblationOffsetBudget(p Params) (*Table, error) {
 			fmt.Sprint(budget), fmt.Sprint(st.Maps99), fmt.Sprint(k.Stats.CAFallbacks),
 		})
 		env.Exit()
-		k.Machine.Recycle()
+		k.Recycle()
 	}
 	return t, nil
 }

@@ -17,19 +17,30 @@ import (
 // factory is supplied here so the aging package stays decoupled from
 // policy construction; an unset cfg.ShardJobs takes pr.ShardJobs.
 // cmd/agingsim calls this directly; the figAging drivers fan it out
-// over a policy x horizon grid.
+// over a policy x horizon grid. A campaign that succeeds recycles its
+// shard kernels and the parent (osim.Kernel.Recycle), so the next
+// campaign's page tables and page cache start warm.
 func RunAgingCampaign(pr Params, pol PolicyName, cfg aging.Config) (*aging.Trajectory, error) {
 	k, ds := newNativeKernel(pr, pol, false)
 	if cfg.ShardJobs == 0 {
 		cfg.ShardJobs = pr.ShardJobs
 	}
-	cfg.NewShardKernel = shardKernelFactory(pr, pol)
+	build := shardKernelFactory(pr, pol)
+	var shards []*osim.Kernel
+	cfg.NewShardKernel = func(view *zone.Machine, i int) (*osim.Kernel, []workloads.Daemon) {
+		sk, sds := build(view, i)
+		shards = append(shards, sk)
+		return sk, sds
+	}
 	tr, err := aging.New(k, ds, cfg).Run()
 	if tr != nil {
 		tr.Policy = string(pol)
 	}
 	if err == nil {
-		k.Machine.Recycle()
+		for _, sk := range shards {
+			sk.Recycle()
+		}
+		k.Recycle()
 	}
 	return tr, err
 }

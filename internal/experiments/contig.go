@@ -148,7 +148,7 @@ func Fig9(p Params) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			string(pol), f3(frac[0]), f3(frac[1]), f3(frac[2]), f3(frac[3]),
 		})
-		k.Machine.Recycle()
+		k.Recycle()
 	}
 	return t, nil
 }
@@ -217,7 +217,7 @@ func Fig10(p Params) (*Table, error) {
 		})
 		envA.Exit()
 		envB.Exit()
-		k.Machine.Recycle()
+		k.Recycle()
 	}
 	return t, nil
 }
@@ -287,7 +287,7 @@ func Fig1b(p Params) (*Table, error) {
 			// cache would otherwise accumulate without bound.
 			k.Cache.ReclaimUnder(0.5)
 		}
-		k.Machine.Recycle()
+		k.Recycle()
 	}
 	for run := 0; run < 10; run++ {
 		t.Rows = append(t.Rows, []string{
@@ -341,7 +341,7 @@ func Fig1c(p Params) (*Table, error) {
 			}
 		}
 		env.Exit()
-		k.Machine.Recycle()
+		k.Recycle()
 	}
 	for i, pt := range series {
 		t.Rows = append(t.Rows, []string{

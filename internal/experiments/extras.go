@@ -55,7 +55,7 @@ func ExtraReservation(p Params) (*Table, error) {
 			fmt.Sprint(metrics.MappingsFor(metrics.FromPageTable(pb.PT), 0.99))})
 		pa.Exit()
 		pb.Exit()
-		k.Machine.Recycle()
+		k.Recycle()
 		return nil
 	}
 	if err := run(osim.CAPolicy{}, "best-effort (paper)"); err != nil {

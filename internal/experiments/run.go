@@ -33,7 +33,8 @@ type simCell struct {
 
 // boot builds the cell's machines, applies noTHP and levels to every
 // kernel before the workload's process exists, and starts that
-// process. recycle pools the machines once the caller is done.
+// process. recycle hands the kernels to the depots and pools
+// (osim.Kernel.Recycle) once the caller is done.
 func (p Params) boot(c simCell) (env *workloads.Env, recycle func(), err error) {
 	if c.virtual {
 		vm, err := newVM(p, c.policy, c.levels)
@@ -46,8 +47,8 @@ func (p Params) boot(c simCell) (env *workloads.Env, recycle func(), err error) 
 			vm.Host.THPEnabled = false
 		}
 		return workloads.NewVirtEnv(vm, 0), func() {
-			vm.Guest.Machine.Recycle()
-			vm.Host.Machine.Recycle()
+			vm.Guest.Recycle()
+			vm.Host.Recycle()
 		}, nil
 	}
 	k, ds := newNativeKernel(p, c.policy, false)
@@ -59,7 +60,7 @@ func (p Params) boot(c simCell) (env *workloads.Env, recycle func(), err error) 
 	}
 	env = workloads.NewNativeEnv(k, 0)
 	env.Daemons = ds
-	return env, k.Machine.Recycle, nil
+	return env, k.Recycle, nil
 }
 
 // simulate runs one simCell: Setup at the setup seed, then one sim.Run
@@ -103,7 +104,7 @@ type nativeCell struct {
 }
 
 // native runs one nativeCell and hands the settled kernel and process
-// to measure, then exits the process and recycles the machine.
+// to measure, then exits the process and recycles the kernel.
 func (p Params) native(c nativeCell, measure func(*osim.Kernel, *workloads.Env)) error {
 	k, ds := newNativeKernel(p, c.policy, c.numaOff)
 	workloads.Hog(k.Machine, c.hog, rand.New(rand.NewSource(42)))
@@ -121,6 +122,6 @@ func (p Params) native(c nativeCell, measure func(*osim.Kernel, *workloads.Env))
 	tr.EmitPhase(label+"/settle", start)
 	measure(k, env)
 	env.Exit()
-	k.Machine.Recycle()
+	k.Recycle()
 	return nil
 }

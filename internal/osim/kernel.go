@@ -173,7 +173,8 @@ type Kernel struct {
 
 	// ptPool recycles page-table nodes across this kernel's processes.
 	// A kernel is driven by one goroutine at a time (one shard owns
-	// it), so the pool needs no lock.
+	// it), so the pool needs no lock; Recycle hands its nodes to the
+	// shared depot the next kernel's pool draws from.
 	ptPool *pagetable.Pool
 
 	// contigScratch is contigPreds' reused list of walked leaves.
@@ -210,6 +211,25 @@ func NewKernel(m *zone.Machine, p Placement) *Kernel {
 	}
 	k.Cache = newPageCache(k)
 	return k
+}
+
+// Recycle hands the kernel's warm arenas to the shared depots and its
+// machine to the zone pool (zone.Machine.Recycle; a no-op for a view),
+// so the next kernel fills its page tables and page cache without
+// allocating. Every live process's table goes back to the node pool
+// zeroed (pagetable.Table.Scrap), the pool goes to the node depot, and
+// every resident file's slot array to the slot depot. No frame is
+// freed: the machine's reset makes them pristine. The kernel, its
+// processes, its files and its machine must not be used afterwards,
+// and Recycle must not be called twice.
+func (k *Kernel) Recycle() {
+	for _, p := range k.procs {
+		p.PT.Scrap()
+	}
+	k.procs = nil
+	k.ptPool.Release()
+	k.Cache.recycle()
+	k.Machine.Recycle()
 }
 
 // Tick advances the logical clock by ns.

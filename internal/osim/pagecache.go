@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/mem/addr"
 	"repro/internal/osim/pagetable"
@@ -15,10 +16,16 @@ import (
 // Linux readahead allocations the paper steers with a per-file Offset.
 const ReadaheadPages = 16
 
-// maxSpareSlots caps the slot arrays the cache keeps from dropped files
-// for later files to reuse. Churn that drops one file and caches the
-// next, as aging campaigns do, needs only one.
-const maxSpareSlots = 2
+// slotDepot holds the slot arrays of files that no longer cache a page,
+// shared by every page cache: a file's first fill takes the smallest
+// array that fits instead of allocating one. Dropped files and
+// recycled kernels (Kernel.Recycle) fill it, so an aging campaign's
+// files reuse the arrays of the files it evicted and of the campaigns
+// before it, whichever goroutine ran them.
+var slotDepot struct {
+	sync.Mutex
+	arrays [][]addr.PFN
+}
 
 // File is a simulated file whose pages live in the page cache. Cache
 // pages persist after the mapping processes exit — the property that
@@ -32,9 +39,9 @@ type File struct {
 	// page number and encoded as PFN+1 (0 = not resident): a dense
 	// array beats a map in the readahead fill loop, and the +1
 	// encoding makes a fresh zeroed slice mean "nothing cached". It is
-	// nil while no page is cached: the cache makes it (or reuses a
-	// dropped file's) on a file's first fill and releases it when the
-	// file's last page goes.
+	// nil while no page is cached: the cache takes it from the slot
+	// depot on a file's first fill and gives it back when the file's
+	// last page goes.
 	pages  []addr.PFN
 	cached uint64
 
@@ -71,10 +78,6 @@ type PageCache struct {
 	// run creates.
 	resident []*File
 	nextID   int
-	// spare holds cleared slot arrays of dropped files (at most
-	// maxSpareSlots): a file of the same length reuses one instead of
-	// allocating its own.
-	spare [][]addr.PFN
 	// ResidentPages counts cached frames across all files.
 	ResidentPages uint64
 }
@@ -106,27 +109,58 @@ func (c *PageCache) VisitFiles(fn func(slots []addr.PFN)) {
 	}
 }
 
-// slots returns a zeroed slot array of n entries, taking a spare of
-// that length when the cache holds one.
+// slots returns a zeroed slot array of n entries: the smallest depot
+// array with room for n, sliced to n and cleared, or a new one when
+// none has room.
 func (c *PageCache) slots(n uint64) []addr.PFN {
-	for i, s := range c.spare {
-		if uint64(len(s)) == n {
-			c.spare = slices.Delete(c.spare, i, i+1)
-			return s
+	slotDepot.Lock()
+	best := -1
+	for i, s := range slotDepot.arrays {
+		if uint64(cap(s)) >= n && (best < 0 || cap(s) < cap(slotDepot.arrays[best])) {
+			best = i
 		}
 	}
-	return make([]addr.PFN, n)
+	if best < 0 {
+		slotDepot.Unlock()
+		return make([]addr.PFN, n)
+	}
+	s := slotDepot.arrays[best]
+	last := len(slotDepot.arrays) - 1
+	slotDepot.arrays[best] = slotDepot.arrays[last]
+	slotDepot.arrays[last] = nil
+	slotDepot.arrays = slotDepot.arrays[:last]
+	slotDepot.Unlock()
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// depositSlots gives a slot array to the depot; slots clears it when
+// it hands it out again.
+func depositSlots(s []addr.PFN) {
+	slotDepot.Lock()
+	slotDepot.arrays = append(slotDepot.arrays, s)
+	slotDepot.Unlock()
 }
 
 // release takes a file with no cached page out of the resident set and
-// keeps its cleared slot array as a spare while there is room.
+// gives its slot array to the depot.
 func (c *PageCache) release(f *File) {
-	if len(c.spare) < maxSpareSlots {
-		clear(f.pages)
-		c.spare = append(c.spare, f.pages)
-	}
+	depositSlots(f.pages)
 	f.pages = nil
 	c.resident = slices.DeleteFunc(c.resident, func(r *File) bool { return r == f })
+}
+
+// recycle gives every resident file's slot array to the depot and
+// empties the resident set, for Kernel.Recycle. It frees no frame and
+// leaves the files' counts as they were: the cache must not be used
+// again.
+func (c *PageCache) recycle() {
+	for _, f := range c.resident {
+		depositSlots(f.pages)
+		f.pages = nil
+	}
+	c.resident = nil
 }
 
 // lookupOrFill returns the frame caching the file page, populating a

@@ -198,12 +198,28 @@ func TestDropOldestEvictsLowestResidentID(t *testing.T) {
 	}
 }
 
-// TestDroppedSlotsAreReused pins the slot-array recycling: a file
-// cached after another of its length was dropped takes that file's
-// array, cleared, so only the pages it fills itself read as resident;
-// a file of another length makes its own; and the cache keeps at most
-// maxSpareSlots arrays.
+// isolateSlotDepot empties the shared slot depot for the test and puts
+// its arrays back afterwards, so the test sees only the arrays it
+// deposits. No osim test runs in parallel, so nothing else touches the
+// depot meanwhile.
+func isolateSlotDepot(t *testing.T) {
+	slotDepot.Lock()
+	saved := slotDepot.arrays
+	slotDepot.arrays = nil
+	slotDepot.Unlock()
+	t.Cleanup(func() {
+		slotDepot.Lock()
+		slotDepot.arrays = append(slotDepot.arrays, saved...)
+		slotDepot.Unlock()
+	})
+}
+
+// TestDroppedSlotsAreReused pins the slot depot's reuse: a dropped
+// file's array goes to the depot; a longer file never takes it; a
+// shorter one does, sliced to its own length and cleared, so only the
+// pages it fills itself read as resident.
 func TestDroppedSlotsAreReused(t *testing.T) {
+	isolateSlotDepot(t)
 	k := newKernel(t, 16, DefaultPolicy{})
 	const pages = 4 * ReadaheadPages
 	a := k.Cache.CreateFile(pages * addr.PageSize)
@@ -212,40 +228,89 @@ func TestDroppedSlotsAreReused(t *testing.T) {
 	}
 	old := &a.pages[0]
 	k.Cache.DropFile(a)
+	if len(slotDepot.arrays) != 1 {
+		t.Fatalf("depot holds %d arrays after one drop, want 1", len(slotDepot.arrays))
+	}
 
-	other := k.Cache.CreateFile(ReadaheadPages * addr.PageSize)
-	if err := k.Cache.Read(other, 0, addr.PageSize); err != nil {
+	longer := k.Cache.CreateFile(2 * pages * addr.PageSize)
+	if err := k.Cache.Read(longer, 0, addr.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if &other.pages[0] == old {
-		t.Fatal("a file of another length took the spare slot array")
+	if &longer.pages[0] == old || len(slotDepot.arrays) != 1 {
+		t.Fatal("a longer file took the dropped file's slot array")
 	}
-	b := k.Cache.CreateFile(pages * addr.PageSize)
-	if err := k.Cache.Read(b, 2*ReadaheadPages*addr.PageSize, addr.PageSize); err != nil {
+
+	const short = 3 * ReadaheadPages
+	b := k.Cache.CreateFile(short * addr.PageSize)
+	if err := k.Cache.Read(b, ReadaheadPages*addr.PageSize, addr.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if &b.pages[0] != old {
-		t.Fatal("a file of the dropped file's length made a new slot array")
+	if &b.pages[0] != old || len(slotDepot.arrays) != 0 {
+		t.Fatal("a shorter file made a new slot array instead of taking the depot's")
 	}
-	for i := uint64(0); i < pages; i++ {
+	if len(b.pages) != short {
+		t.Fatalf("taken slot array has %d slots, want the file's %d", len(b.pages), short)
+	}
+	for i := uint64(0); i < short; i++ {
 		_, ok := b.cachedPFN(i)
-		if want := i >= 2*ReadaheadPages && i < 3*ReadaheadPages; ok != want {
+		if want := i >= ReadaheadPages && i < 2*ReadaheadPages; ok != want {
 			t.Fatalf("page %d: resident %v, want %v", i, ok, want)
 		}
 	}
 	if b.CachedPages() != ReadaheadPages {
 		t.Fatalf("cached = %d, want %d", b.CachedPages(), ReadaheadPages)
 	}
-
-	c := k.Cache.CreateFile(2 * ReadaheadPages * addr.PageSize)
-	if err := k.Cache.Read(c, 0, addr.PageSize); err != nil {
-		t.Fatal(err)
+	var slots, resident int
+	k.Cache.VisitFiles(func(s []addr.PFN) {
+		slots += len(s)
+		for _, v := range s {
+			if v != 0 {
+				resident++
+			}
+		}
+	})
+	if slots != 2*pages+short || uint64(resident) != k.Cache.ResidentPages {
+		t.Fatalf("VisitFiles saw %d slots and %d resident pages, want %d and %d",
+			slots, resident, 2*pages+short, k.Cache.ResidentPages)
 	}
-	k.Cache.DropAll() // three files dropped
-	if n := len(k.Cache.spare); n != maxSpareSlots {
-		t.Fatalf("cache keeps %d spare slot arrays, cap %d", n, maxSpareSlots)
+
+	k.Cache.DropAll()
+	if len(slotDepot.arrays) != 2 {
+		t.Fatalf("depot holds %d arrays after dropping both files, want 2", len(slotDepot.arrays))
 	}
 	if k.Cache.ResidentPages != 0 || k.Machine.FreePages() != k.Machine.TotalPages() {
 		t.Fatal("eviction leaked frames")
+	}
+}
+
+// TestSlotDepotBestFit pins the depot's choice: the smallest array with
+// room for the file, never one too small, and a new array when none
+// has room.
+func TestSlotDepotBestFit(t *testing.T) {
+	isolateSlotDepot(t)
+	var c PageCache
+	for _, n := range []int{8, 64, 16, 32} {
+		s := make([]addr.PFN, n)
+		for i := range s {
+			s[i] = addr.PFN(i + 1) // stale contents slots must clear
+		}
+		depositSlots(s)
+	}
+	for _, want := range []struct{ n, cap int }{{10, 16}, {16, 32}, {9, 64}, {8, 8}, {1, 0}} {
+		s := c.slots(uint64(want.n))
+		if len(s) != want.n || cap(s) < want.n {
+			t.Fatalf("slots(%d) returned %d slots of capacity %d", want.n, len(s), cap(s))
+		}
+		if want.cap != 0 && cap(s) != want.cap {
+			t.Fatalf("slots(%d) took the array of capacity %d, want %d", want.n, cap(s), want.cap)
+		}
+		for i, v := range s {
+			if v != 0 {
+				t.Fatalf("slots(%d): slot %d holds %d, want cleared", want.n, i, v)
+			}
+		}
+	}
+	if len(slotDepot.arrays) != 0 {
+		t.Fatalf("depot holds %d arrays, want none left", len(slotDepot.arrays))
 	}
 }

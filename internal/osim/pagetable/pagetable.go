@@ -11,6 +11,7 @@ package pagetable
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/mem/addr"
 )
@@ -70,26 +71,57 @@ type node struct {
 // workload reuses the same nodes instead of allocating ~12.5 KiB per
 // table. A pool is not safe for concurrent use: every table sharing one
 // must be mutated from one goroutine at a time (one kernel's processes,
-// which one shard owns). The zero Pool is empty and ready to use.
+// which one shard owns). A pool that runs dry draws from the shared
+// depot, which Release fills. The zero Pool is empty and ready to use.
 type Pool struct {
 	free []*node
+}
+
+// depot holds zero nodes that outlived their pool: Release moves a
+// pool's free list here, and every pool's get takes from here before
+// it allocates. Back-to-back kernels (aging campaigns, replay engines,
+// experiment grid cells) therefore fill their tables from the nodes
+// earlier kernels left, whichever goroutine built them.
+var depot struct {
+	sync.Mutex
+	nodes []*node
 }
 
 // Len returns the number of free nodes the pool holds.
 func (p *Pool) Len() int { return len(p.free) }
 
-// get hands out a zero node, reusing a freed one when it can.
+// get hands out a zero node: a freed one of this pool when it has one,
+// else one from the depot, else a new one.
 func (p *Pool) get() *node {
 	if n := len(p.free); n > 0 {
 		nd := p.free[n-1]
 		p.free = p.free[:n-1]
 		return nd
 	}
+	depot.Lock()
+	if n := len(depot.nodes); n > 0 {
+		nd := depot.nodes[n-1]
+		depot.nodes[n-1] = nil
+		depot.nodes = depot.nodes[:n-1]
+		depot.Unlock()
+		return nd
+	}
+	depot.Unlock()
 	return &node{}
 }
 
 // put takes back an emptied node (live == 0, hence all zero).
 func (p *Pool) put(n *node) { p.free = append(p.free, n) }
+
+// Release hands every free node of the pool to the shared depot and
+// leaves the pool empty. The pool stays usable: its next get draws
+// from the depot.
+func (p *Pool) Release() {
+	depot.Lock()
+	depot.nodes = append(depot.nodes, p.free...)
+	depot.Unlock()
+	p.free = nil
+}
 
 // Observer receives a table's translation-visible mutations — the
 // mapping-change events the kernel emits through Map4K/Map2M (demand
@@ -159,6 +191,27 @@ func (t *Table) Release() bool {
 	}
 	t.root = nil
 	return empty
+}
+
+// Scrap returns every node of the table, leaves and all, zeroed to its
+// pool, without unmapping anything: no observer hears of it and no
+// counter moves. It is for a table whose kernel is being recycled,
+// whose frames the machine reset makes pristine anyway. The table must
+// not be used until Reset.
+func (t *Table) Scrap() {
+	t.pool.scrap(t.root)
+	t.root = nil
+}
+
+// scrap zeroes n and its subtree into the pool.
+func (p *Pool) scrap(n *node) {
+	for _, c := range n.children {
+		if c != nil {
+			p.scrap(c)
+		}
+	}
+	*n = node{}
+	p.put(n)
 }
 
 // Reset makes a released table exactly what NewWithLevels(levels, pool)

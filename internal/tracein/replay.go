@@ -767,13 +767,19 @@ func (e *Engine) CorruptForTest() bool {
 	return false
 }
 
-// Close releases the machine back to the zone pool. The engine is
-// unusable afterwards. Only call when the machine state is no longer
-// needed (after Audit).
+// Close recycles the shard kernels and the parent (osim.Kernel.Recycle):
+// the live tenants' page tables go to the node depot and the machine to
+// the zone pool, so the next engine starts warm. The engine is unusable
+// afterwards, apart from Result and Snapshot, which read only its own
+// counters. Only call when the machine state is no longer needed
+// (after Audit).
 func (e *Engine) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.set.Parent.Machine.Recycle()
+	for _, sh := range e.set.Shards {
+		sh.Kernel.Recycle()
+	}
+	e.set.Parent.Recycle()
 }
