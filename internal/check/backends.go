@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/hw/translation"
 	"repro/internal/mem/addr"
+	"repro/internal/workloads"
 )
 
 // backendProbesPerOp is how many in-VMA virtual addresses the differ
@@ -38,9 +39,10 @@ type backendState struct {
 //     the physical address and mapped-ness of sampled pages — mapped
 //     pages inside live VMAs, never-faulted pages, and an address no
 //     VMA covers;
-//   - the access protocol (Lookup → Translate → Insert) run on the
-//     same addresses must return oracle-correct physical addresses on
-//     every successful walk and move the hit/miss counters exactly as
+//   - the access protocol (Lookup → Translate → Insert, or on every
+//     other op LookupRun → Translate → Insert) run on the same
+//     addresses must return oracle-correct physical addresses on every
+//     successful walk and move the hit/miss counters exactly as
 //     observed, with hits+misses == lookups and no counter moving
 //     backwards.
 //
@@ -62,9 +64,13 @@ type BackendDiffer struct {
 	histLen int
 	histPos int
 
+	// accs holds the probes of a LookupRun drive, as one run.
+	accs []workloads.Access
+
 	// Probes and Drives count Resolve cross-checks and access-protocol
-	// drives, so tests can assert a run was not vacuously green.
-	Probes, Drives uint64
+	// drives, and RunDrives the drives whose miss ended a LookupRun, so
+	// tests can assert a run was not vacuously green.
+	Probes, Drives, RunDrives uint64
 }
 
 // NewBackendDiffer builds a Machine for cfg and attaches the named
@@ -145,6 +151,28 @@ func (d *BackendDiffer) sampleVAs(r *prng) []addr.VirtAddr {
 	return append(vas, addr.VirtAddr(1)<<40)
 }
 
+// translate serves a probe the backend's fast path missed: it counts
+// the miss in the mirror, and Translate must agree with the oracle;
+// a resolved walk is inserted.
+func (d *BackendDiffer) translate(s *backendState, va addr.VirtAddr) error {
+	be := s.be
+	s.want.Misses++
+	wantPA, wantOK := d.expected(va)
+	w := be.Translate(va)
+	if w.OK != wantOK {
+		return fmt.Errorf("backend %s: Translate(%s) ok=%v but oracle says mapped=%v",
+			be.Name(), va, w.OK, wantOK)
+	}
+	if w.OK {
+		if w.HPA != wantPA {
+			return fmt.Errorf("backend %s: Translate(%s) = %s but oracle says %s",
+				be.Name(), va, w.HPA, wantPA)
+		}
+		be.Insert(va, w)
+	}
+	return nil
+}
+
 // expected is the oracle's verdict for one page-aligned address: the
 // physical address backends must serve, or mapped=false. In nested
 // mode the composed host PA is the currency; a guest frame whose host
@@ -190,32 +218,44 @@ func (d *BackendDiffer) crossCheck(op Op) error {
 			}
 			d.Probes++
 		}
-		for _, va := range vas {
-			// Drive the access loop's protocol. A Lookup hit needs no
-			// PA assertion of its own (the TLB caches presence, and may
-			// even be stale-present after an unmap, like real hardware
-			// without shootdowns — Resolve above is the PA observable);
-			// a miss pays Translate, whose walk must match the oracle.
-			s.want.Lookups++
-			if be.Lookup(va) {
-				s.want.Hits++
-			} else {
-				s.want.Misses++
-				wantPA, wantOK := d.expected(va)
-				w := be.Translate(va)
-				if w.OK != wantOK {
-					return fmt.Errorf("backend %s: Translate(%s) ok=%v but oracle says mapped=%v",
-						be.Name(), va, w.OK, wantOK)
+		// Drive the access loop's protocol, per access or, on every
+		// other op, one LookupRun per run of hits as sim.Run does. A
+		// hit needs no PA assertion of its own (the TLB caches
+		// presence, and may even be stale-present after an unmap, like
+		// real hardware without shootdowns — Resolve above is the PA
+		// observable); a miss pays Translate, whose walk must match the
+		// oracle.
+		if r.next()%2 == 0 {
+			for _, va := range vas {
+				s.want.Lookups++
+				if be.Lookup(va) {
+					s.want.Hits++
+				} else if err := d.translate(s, va); err != nil {
+					return err
 				}
-				if w.OK {
-					if w.HPA != wantPA {
-						return fmt.Errorf("backend %s: Translate(%s) = %s but oracle says %s",
-							be.Name(), va, w.HPA, wantPA)
-					}
-					be.Insert(va, w)
-				}
+				d.Drives++
 			}
-			d.Drives++
+		} else {
+			d.accs = d.accs[:0]
+			for _, va := range vas {
+				d.accs = append(d.accs, workloads.Access{VA: va})
+			}
+			for run := d.accs; len(run) > 0; {
+				k := be.LookupRun(run)
+				s.want.Lookups += uint64(k)
+				s.want.Hits += uint64(k)
+				d.Drives += uint64(k)
+				if k == len(run) {
+					break
+				}
+				s.want.Lookups++
+				if err := d.translate(s, run[k].VA); err != nil {
+					return err
+				}
+				d.Drives++
+				d.RunDrives++
+				run = run[k+1:]
+			}
 		}
 		if r.next()%16 == 0 {
 			be.Flush()

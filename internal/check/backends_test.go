@@ -43,8 +43,9 @@ func TestBackendDifferential(t *testing.T) {
 		if d.m.Stats.Ops != nops {
 			t.Fatalf("seed %d: ran %d ops, want %d", seed, d.m.Stats.Ops, nops)
 		}
-		if min := uint64(nops); d.Probes < min || d.Drives < min {
-			t.Fatalf("seed %d: only %d probes / %d drives — differ barely exercised", seed, d.Probes, d.Drives)
+		if min := uint64(nops); d.Probes < min || d.Drives < min || d.RunDrives < min {
+			t.Fatalf("seed %d: only %d probes / %d drives / %d LookupRun misses — differ barely exercised",
+				seed, d.Probes, d.Drives, d.RunDrives)
 		}
 		for _, s := range d.backends {
 			if c := s.be.Counters(); c.Misses == 0 || c.Hits == 0 {

@@ -10,6 +10,7 @@ package tlb
 import (
 	"repro/internal/mem/addr"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // entry is one way: 16 bytes, so a 6-way set spans 96 bytes. key packs
@@ -119,10 +120,10 @@ func (t *TLB) set(tag uint64) []entry {
 func (t *TLB) Lookup(va addr.VirtAddr) bool {
 	t.lookups++
 	t.tick++
-	if tag := uint64(va) >> addr.PageShift; t.nSmall > 0 && t.probe(tag, key(tag, false)) {
+	if tag := uint64(va) >> addr.PageShift; t.nSmall > 0 && t.stamp(tag, key(tag, false), t.tick) {
 		return true
 	}
-	if tag := uint64(va) >> addr.HugeShift; t.nHuge > 0 && t.probe(tag, key(tag, true)) {
+	if tag := uint64(va) >> addr.HugeShift; t.nHuge > 0 && t.stamp(tag, key(tag, true), t.tick) {
 		return true
 	}
 	t.misses++
@@ -132,12 +133,37 @@ func (t *TLB) Lookup(va addr.VirtAddr) bool {
 	return false
 }
 
-// probe searches tag's set for the way holding k, refreshing LRU on hit.
-func (t *TLB) probe(tag, k uint64) bool {
+// HitRun is Lookup's hit path over a run of accesses. It probes each
+// access's VA in order and, while they hit, counts the lookup, advances
+// the LRU clock and stamps the way exactly as Lookup would. It stops
+// at the first miss, which it leaves unaccounted, so the TLB is as the
+// hits before it left it, and returns how many hit: len(accs) when all
+// do. The caller accounts the miss through Lookup.
+func (t *TLB) HitRun(accs []workloads.Access) int {
+	tick := t.tick
+	for i := range accs {
+		tick++
+		va := accs[i].VA
+		if tag := uint64(va) >> addr.PageShift; t.nSmall > 0 && t.stamp(tag, key(tag, false), tick) {
+			continue
+		}
+		if tag := uint64(va) >> addr.HugeShift; t.nHuge > 0 && t.stamp(tag, key(tag, true), tick) {
+			continue
+		}
+		t.tick, t.lookups = tick-1, t.lookups+uint64(i)
+		return i
+	}
+	t.tick, t.lookups = tick, t.lookups+uint64(len(accs))
+	return len(accs)
+}
+
+// stamp searches tag's set for the way holding k and stamps it with
+// tick on a hit.
+func (t *TLB) stamp(tag, k, tick uint64) bool {
 	set := t.set(tag)
 	for i := range set {
 		if set[i].key == k {
-			set[i].lru = t.tick
+			set[i].lru = tick
 			return true
 		}
 	}

@@ -1,10 +1,13 @@
 package tlb
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mem/addr"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 func TestColdMissThenHit(t *testing.T) {
@@ -236,5 +239,74 @@ func BenchmarkLookupHit(b *testing.B) {
 				tl.Lookup(c.va)
 			}
 		})
+	}
+}
+
+// TestHitRunMatchesLookup drives random runs of 4K and 2M addresses
+// through two TLBs: one Lookups every access and inserts on a miss, the
+// other serves each run through HitRun, accounts the miss through
+// Lookup and inserts. After every miss the two must be identical, every
+// way's key and LRU stamp, the clock and the counters included, and
+// their tracers must have seen the same events.
+func TestHitRunMatchesLookup(t *testing.T) {
+	for _, geo := range [][2]int{{32, 4}, {48, 6}, {4, 4}} {
+		ref, run := New(geo[0], geo[1]), New(geo[0], geo[1])
+		refTr, runTr := trace.New(), trace.New()
+		ref.SetTracer(refTr)
+		run.SetTracer(runTr)
+		rng := rand.New(rand.NewSource(int64(geo[0])))
+		draw := func() workloads.Access {
+			if rng.Intn(4) == 0 {
+				return workloads.Access{VA: addr.VirtAddr(uint64(rng.Intn(8))<<addr.HugeShift + uint64(rng.Intn(512))<<addr.PageShift)}
+			}
+			return workloads.Access{VA: addr.VirtAddr(uint64(rng.Intn(64)) << addr.PageShift)}
+		}
+		hits, misses := 0, 0
+		for round := 0; round < 400; round++ {
+			accs := make([]workloads.Access, rng.Intn(40))
+			for i := range accs {
+				accs[i] = draw()
+			}
+			huge := func(va addr.VirtAddr) bool { return va>>addr.HugeShift != 0 && rng.Intn(2) == 0 }
+			for rest := accs; len(rest) > 0; {
+				k := run.HitRun(rest)
+				for _, a := range rest[:k] {
+					if !ref.Lookup(a.VA) {
+						t.Fatalf("%v: HitRun served %v, Lookup misses it", geo, a.VA)
+					}
+				}
+				hits += k
+				if k == len(rest) {
+					break
+				}
+				va := rest[k].VA
+				if ref.Lookup(va) || run.Lookup(va) {
+					t.Fatalf("%v: HitRun stopped at %v, Lookup hits it", geo, va)
+				}
+				misses++
+				h := huge(va)
+				ref.Insert(va, h)
+				run.Insert(va, h)
+				if !reflect.DeepEqual(ref.entries, run.entries) || ref.tick != run.tick ||
+					ref.lookups != run.lookups || ref.misses != run.misses ||
+					ref.nSmall != run.nSmall || ref.nHuge != run.nHuge {
+					t.Fatalf("%v, round %d: run-level TLB diverged from per-access TLB", geo, round)
+				}
+				rest = rest[k+1:]
+			}
+			if round%50 == 49 {
+				ref.Flush()
+				run.Flush()
+			}
+		}
+		if !reflect.DeepEqual(ref.entries, run.entries) || ref.tick != run.tick || ref.lookups != run.lookups {
+			t.Fatalf("%v: run-level TLB diverged from per-access TLB at the end", geo)
+		}
+		if hits == 0 || misses == 0 {
+			t.Fatalf("%v: vacuous: %d hits, %d misses", geo, hits, misses)
+		}
+		if !reflect.DeepEqual(refTr.Events(), runTr.Events()) {
+			t.Fatalf("%v: traces differ", geo)
+		}
 	}
 }

@@ -79,6 +79,24 @@ func (b *dsBackend) Lookup(va addr.VirtAddr) bool {
 	return false
 }
 
+// LookupRun is Lookup over a run with one sync at its start: mappings
+// change only on the loop's fault path, which no run contains. Each
+// access still probes the TLB in full, miss accounting included.
+func (b *dsBackend) LookupRun(accs []workloads.Access) int {
+	b.sync()
+	for i := range accs {
+		if va := accs[i].VA; !b.tlb.Lookup(va) && !b.seg.Covers(va) {
+			b.cnt.Lookups += uint64(i) + 1
+			b.cnt.Hits += uint64(i)
+			b.cnt.Misses++
+			return i
+		}
+	}
+	b.cnt.Lookups += uint64(len(accs))
+	b.cnt.Hits += uint64(len(accs))
+	return len(accs)
+}
+
 func (b *dsBackend) Translate(va addr.VirtAddr) Walk {
 	b.sync()
 	if b.seg.Covers(va) {

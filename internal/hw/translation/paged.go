@@ -13,10 +13,10 @@ import (
 // core is the front every backend shares: the L2 TLB and its probe
 // accounting, and the native or nested radix walk priced through the
 // walk meter that every backend falls back on. It implements the
-// Backend methods no mechanism changes — Lookup, Insert, Counters,
-// SetTracer, Flush, Close, and the untraced radix Resolve — so each
-// backend adds only its Translate and whatever its mechanism layers in
-// front of the walk (ranges, a segment, a hashed table).
+// Backend methods no mechanism changes — Lookup, LookupRun, Insert,
+// Counters, SetTracer, Flush, Close, and the untraced radix Resolve —
+// so each backend adds only its Translate and whatever its mechanism
+// layers in front of the walk (ranges, a segment, a hashed table).
 type core struct {
 	env *workloads.Env
 	wm  walker.Meter
@@ -33,6 +33,19 @@ func (c *core) Lookup(va addr.VirtAddr) bool {
 	}
 	c.cnt.Misses++
 	return false
+}
+
+// LookupRun serves the run's hits through the TLB's run probe, which
+// leaves the TLB as Lookup would, and accounts the access that missed
+// through Lookup.
+func (c *core) LookupRun(accs []workloads.Access) int {
+	k := c.tlb.HitRun(accs)
+	c.cnt.Lookups += uint64(k)
+	c.cnt.Hits += uint64(k)
+	if k < len(accs) {
+		c.Lookup(accs[k].VA)
+	}
+	return k
 }
 
 // Insert fills the TLB with the translation's leaf size.

@@ -68,7 +68,9 @@ type Counters struct {
 
 // Backend is one translation mechanism under sim's access loop. The
 // loop calls, per access: Lookup — on false, Translate, a possible
-// fault-retry, then Insert. The steady-state path (Lookup hit, or
+// fault-retry, then Insert. A loop over a block of accesses calls
+// LookupRun instead, once per run of hits, and pays the same slow path
+// for the access that ends the run. The steady-state path (a hit, or
 // Translate without fault) must not allocate: the zero-alloc contract
 // of the access loop extends to every backend (TestRunZeroAllocs).
 //
@@ -84,6 +86,12 @@ type Backend interface {
 	// counting one Lookup and one Hit or Miss. A true return means the
 	// access is fully served; false means the loop pays Translate.
 	Lookup(va addr.VirtAddr) bool
+	// LookupRun Lookups accs in order until one misses and returns how
+	// many hit: len(accs) when all do, else the index of the access
+	// that missed, which it counts as one Lookup and one Miss. Every
+	// counter, the TLB's LRU clock and stamps, derived state and trace
+	// event end as that same sequence of Lookup calls leaves them.
+	LookupRun(accs []workloads.Access) int
 	// Translate resolves va on the slow path. Walk.OK false means the
 	// address is unbacked; after a successful demand fault the caller
 	// retries.

@@ -14,7 +14,8 @@ import (
 
 // TestConcurrentKernelRecycle has goroutines build kernels over pooled
 // machines, churn them (tenants with 2 MiB and 4 KiB leaves, CoW
-// forks, exits, page-cache files read and dropped or mapped), audit them
+// forks, exits, page-cache files read, mapped, and dropped whether
+// mapped or not), audit them
 // and recycle them, round after round, so every kernel fills its
 // tables and cache from nodes and slot arrays the others left in the
 // shared depots. Under -race it checks the depots are safe to share;
@@ -77,8 +78,8 @@ func churnAndRecycle(rng *rand.Rand) error {
 			}
 			files = append(files, f)
 		case roll < 9:
-			// A mapped file is never dropped: the frames of a file
-			// dropped while mapped are not freed at unmap.
+			// A mapped file may be dropped later, while still mapped:
+			// its frames are then freed when the last mapping goes.
 			f := k.Cache.CreateFile(uint64(16+rng.Intn(512)) * addr.PageSize)
 			p := procs[rng.Intn(len(procs))]
 			v, err := p.MMapFile(f, 0, f.Bytes)
@@ -90,6 +91,7 @@ func churnAndRecycle(rng *rand.Rand) error {
 					return err
 				}
 			}
+			files = append(files, f)
 		default:
 			if len(files) > 0 {
 				i := rng.Intn(len(files))

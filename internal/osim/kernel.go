@@ -354,9 +354,12 @@ func (p *Process) mmap(size uint64, kind vma.Kind, fileID int, fileOff uint64) (
 	return v, nil
 }
 
-// MUnmap tears down a VMA, releasing anonymous frames. Page-cache
-// frames stay in the cache (they outlive processes, §III-C). Its 4 KiB
-// frames go back through freeLater, its huge frames one block each.
+// MUnmap tears down a VMA, releasing every frame its unmapping leaves
+// unreferenced. Page-cache frames stay in the cache (they outlive
+// processes, §III-C), which holds a reference of its own, so a
+// file-backed frame is freed here only when the cache dropped it while
+// it was mapped. Its 4 KiB frames go back through freeLater, its huge
+// frames one block each.
 // The VMA's shell goes to the kernel's free list for a later mmap or
 // fork to reuse, so the caller must not use v after the next mmap or
 // fork in this kernel.
@@ -367,7 +370,7 @@ func (p *Process) MUnmap(v *vma.VMA) {
 		f := k.Machine.Frames.Get(l.PTE.PFN)
 		f.MapCount--
 		p.RSSPages -= l.Pages
-		if f.MapCount > 0 || v.Kind != vma.Anonymous {
+		if f.MapCount > 0 {
 			return
 		}
 		if l.Pages == 1 {

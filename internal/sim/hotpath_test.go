@@ -119,7 +119,8 @@ func TestWalkSpansCountEveryMiss(t *testing.T) {
 
 // TestRunZeroAllocs pins the zero-allocation property of the
 // steady-state access loop for every translation backend, schemes
-// included on the default one: once the machine is warm, step must not
+// included on the default one: once the machine is warm, neither step
+// (Engine's per-access path) nor stepBlock (Run's run-level path) may
 // touch the heap. The tracing layer must preserve it in both disabled
 // states — never attached, and attached then detached — so
 // instrumentation really is branch-only when off.
@@ -173,6 +174,16 @@ func TestRunZeroAllocs(t *testing.T) {
 				})
 				if avg != 0 {
 					t.Fatalf("steady-state step allocates %.2f objects per access, want 0", avg)
+				}
+				j := 0
+				avg = testing.AllocsPerRun(len(accs)/blockLen, func() {
+					if err := m.stepBlock(accs[j%(len(accs)/blockLen)*blockLen:][:blockLen]); err != nil {
+						t.Fatal(err)
+					}
+					j++
+				})
+				if avg != 0 {
+					t.Fatalf("steady-state stepBlock allocates %.2f objects per block, want 0", avg)
 				}
 			})
 		}

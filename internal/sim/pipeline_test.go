@@ -17,10 +17,11 @@ import (
 	"repro/internal/workloads"
 )
 
-// lockStep is the reference Run checks generate-ahead against: one
-// goroutine that refills an accessBatch buffer and steps each access
-// before asking the stream for more.
-func lockStep(t *testing.T, env *workloads.Env, s workloads.Stream, cfg Config) Result {
+// perAccessRun is the reference Run is checked against: one goroutine
+// that fills an accessBatch span from the stream, steps each access of
+// it through step (one backend Lookup per access) before asking the
+// stream for more, and traces each span as Run does.
+func perAccessRun(t *testing.T, env *workloads.Env, s workloads.Stream, cfg Config) Result {
 	t.Helper()
 	m, err := newMachine(env, cfg.withDefaults())
 	if err != nil {
@@ -30,20 +31,32 @@ func lockStep(t *testing.T, env *workloads.Env, s workloads.Stream, cfg Config) 
 	bs := workloads.Batched(s)
 	buf := make([]workloads.Access, accessBatch)
 	for {
-		n := bs.Fill(buf)
+		n := 0
+		for n < len(buf) {
+			k := bs.Fill(buf[n:])
+			if k == 0 {
+				break
+			}
+			n += k
+		}
 		if n == 0 {
 			return m.finish()
 		}
+		start := m.tr.Start()
 		for _, a := range buf[:n] {
 			if err := m.step(a); err != nil {
 				t.Fatal(err)
 			}
 		}
+		if m.tr != nil {
+			m.tr.EmitSpan(trace.EvSimBatch, start, uint64(n), m.res.Misses, m.res.Faults)
+			m.env.TraceSample()
+		}
 	}
 }
 
 // TestGenerateAheadMatchesLockStep runs every workload through Run and
-// through the lock-step reference, on the native and nested paged
+// through the lock-step, per-access reference, on the native and nested paged
 // stacks with every scheme and on each alternate backend, at stream
 // lengths that put block and span boundaries on both sides of the
 // end: the two Results must be identical field for field.
@@ -72,7 +85,7 @@ func TestGenerateAheadMatchesLockStep(t *testing.T) {
 			}
 			for _, c := range cells {
 				for _, n := range lengths {
-					want := lockStep(t, c.env, w.Stream(rand.New(rand.NewSource(2)), n), c.cfg)
+					want := perAccessRun(t, c.env, w.Stream(rand.New(rand.NewSource(2)), n), c.cfg)
 					got, err := Run(c.env, w.Stream(rand.New(rand.NewSource(2)), n), c.cfg)
 					if err != nil {
 						t.Fatal(err)

@@ -151,9 +151,9 @@ func putBlock(b *block) {
 	}
 }
 
-// machine bundles the hardware state of one simulation run. Its step
-// method is the steady-state per-access hot loop and performs zero
-// heap allocations (pinned by TestRunZeroAllocs across every backend
+// machine bundles the hardware state of one simulation run. Its
+// stepBlock and step methods are the steady-state hot loop and perform
+// zero heap allocations (pinned by TestRunZeroAllocs across every backend
 // and the BenchmarkRun* allocation reports); everything that allocates
 // happens in newMachine or on the rare fault/error paths.
 type machine struct {
@@ -293,16 +293,27 @@ func generate(bs workloads.BatchStream, empty <-chan *block, full chan<- *block,
 	}
 }
 
-// stepBlock steps the machine over one block in accessBatch spans.
+// stepBlock steps the machine over one block in accessBatch spans. It
+// pays one backend call per run of hits (Backend.LookupRun) and the
+// miss path for the access that ends each run, which leaves the
+// machine, its counters and its trace exactly as stepping each access
+// would.
 func (m *machine) stepBlock(accs []workloads.Access) error {
 	for len(accs) > 0 {
 		span := accs[:min(len(accs), accessBatch)]
 		accs = accs[len(span):]
 		start := m.tr.Start()
-		for i := range span {
-			if err := m.step(span[i]); err != nil {
+		for run := span; len(run) > 0; {
+			k := m.be.LookupRun(run)
+			if k == len(run) {
+				m.res.Accesses += uint64(k)
+				break
+			}
+			m.res.Accesses += uint64(k) + 1
+			if err := m.miss(run[k]); err != nil {
 				return err
 			}
+			run = run[k+1:]
 		}
 		if m.tr != nil {
 			m.tr.EmitSpan(trace.EvSimBatch, start, uint64(len(span)), m.res.Misses, m.res.Faults)
@@ -320,14 +331,20 @@ func (m *machine) finish() Result {
 	return m.res
 }
 
-// step processes one access: backend fast-path probe, and on a miss
-// the backend translation, the demand-fault retry, and the per-scheme
-// emulation.
+// step processes one access: the backend's fast-path probe, and on a
+// miss the miss path.
 func (m *machine) step(a workloads.Access) error {
 	m.res.Accesses++
 	if m.be.Lookup(a.VA) {
 		return nil
 	}
+	return m.miss(a)
+}
+
+// miss serves an access the backend's fast path missed: the backend
+// translation, the demand-fault retry, the TLB fill and the per-scheme
+// emulation.
+func (m *machine) miss(a workloads.Access) error {
 	m.res.Misses++
 
 	w := m.be.Translate(a.VA)

@@ -364,33 +364,22 @@ type Workload interface {
 	Stream(rng *rand.Rand, n uint64) Stream
 }
 
-// funcStream adapts a generator function to Stream.
-type funcStream struct {
-	n    uint64
-	i    uint64
-	next func() Access
+// streamLen is the length bookkeeping of the generators' streams: n
+// accesses in all, i of them produced so far. Each generator is a
+// native fill loop over the slice take returns, and its Next fills a
+// one-slot buffer, so Next and Fill produce one sequence.
+type streamLen struct {
+	n, i uint64
 }
 
-func (s *funcStream) Next() (Access, bool) {
-	if s.i >= s.n {
-		return Access{}, false
+// take clips buf to the accesses the stream has left and counts them
+// as produced.
+func (s *streamLen) take(buf []Access) []Access {
+	if rem := s.n - s.i; uint64(len(buf)) > rem {
+		buf = buf[:rem]
 	}
-	s.i++
-	return s.next(), true
-}
-
-// Fill implements BatchStream natively: one generator call per slot,
-// in exactly the order Next would have produced.
-func (s *funcStream) Fill(buf []Access) int {
-	n := uint64(len(buf))
-	if rem := s.n - s.i; rem < n {
-		n = rem
-	}
-	for i := uint64(0); i < n; i++ {
-		buf[i] = s.next()
-	}
-	s.i += n
-	return int(n)
+	s.i += uint64(len(buf))
+	return buf
 }
 
 // region is a populated VMA the stream generators index into.

@@ -141,28 +141,54 @@ func (s *SVM) Setup(env *Env, rng *rand.Rand) error {
 func (s *SVM) Stream(rng *rand.Rand, n uint64) Stream {
 	// Sparse row strides: larger than a huge page, so nearly every
 	// reference of these PCs lands on a fresh 2 MiB region.
-	strideA := &seqWalker{r: s.features}
-	strideB := &seqWalker{r: s.features, pos: s.features.pages / 3}
-	small := newBounded(len(s.small))
-	return &funcStream{n: n, next: func() Access {
+	return &svmStream{
+		streamLen: streamLen{n: n},
+		rng:       rng,
+		w:         s,
+		strideA:   seqWalker{r: s.features},
+		strideB:   seqWalker{r: s.features, pos: s.features.pages / 3},
+		small:     newBounded(len(s.small)),
+	}
+}
+
+// svmStream is SVM's measured-phase stream.
+type svmStream struct {
+	streamLen
+	rng              *rand.Rand
+	w                *SVM
+	strideA, strideB seqWalker
+	small            bounded
+}
+
+func (st *svmStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := st.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (st *svmStream) Fill(buf []Access) int {
+	buf = st.take(buf)
+	rng, s, small := st.rng, st.w, st.small
+	for i := range buf {
 		switch x := draw1000.draw(rng); {
 		case x < 5: // sparse row scan, instruction A
-			strideA.pos += 700
-			return Access{PC: pc(1, 0), VA: strideA.next()}
+			st.strideA.pos += 700
+			buf[i] = Access{PC: pc(1, 0), VA: st.strideA.next()}
 		case x < 9: // sparse row scan, instruction B
-			strideB.pos += 1300
-			return Access{PC: pc(1, 1), VA: strideB.next()}
+			st.strideB.pos += 1300
+			buf[i] = Access{PC: pc(1, 1), VA: st.strideB.next()}
 		case x < 100: // dense in-row accesses (page-sequential)
-			return Access{PC: pc(1, 5), VA: strideA.r.pageVA(strideA.pos + uint64(draw8.draw(rng)))}
+			buf[i] = Access{PC: pc(1, 5), VA: st.strideA.r.pageVA(st.strideA.pos + uint64(draw8.draw(rng)))}
 		case x < 985: // hot model vector (TLB resident)
-			return Access{PC: pc(1, 2), VA: s.model.pageVA(uint64(draw8.draw(rng))), Write: true}
+			buf[i] = Access{PC: pc(1, 2), VA: s.model.pageVA(uint64(draw8.draw(rng))), Write: true}
 		case x < 996: // random feature gather
-			return Access{PC: pc(1, 3), VA: s.features.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(1, 3), VA: s.features.pageVA(rng.Uint64())}
 		default: // irregular hops across scattered small VMAs
 			r := s.small[small.draw(rng)]
-			return Access{PC: pc(1, 4), VA: r.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(1, 4), VA: r.pageVA(rng.Uint64())}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // ----------------------------------------------------------- PageRank
@@ -227,19 +253,39 @@ func (p *PageRank) Setup(env *Env, rng *rand.Rand) error {
 
 // Stream implements Workload.
 func (p *PageRank) Stream(rng *rand.Rand, n uint64) Stream {
-	seq := &seqWalker{r: p.edges}
-	hot := uint64(0)
-	return &funcStream{n: n, next: func() Access {
+	return &pagerankStream{streamLen: streamLen{n: n}, rng: rng, w: p, seq: seqWalker{r: p.edges}}
+}
+
+// pagerankStream is PageRank's measured-phase stream.
+type pagerankStream struct {
+	streamLen
+	rng *rand.Rand
+	w   *PageRank
+	seq seqWalker
+	hot uint64
+}
+
+func (st *pagerankStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := st.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (st *pagerankStream) Fill(buf []Access) int {
+	buf = st.take(buf)
+	rng, verts := st.rng, st.w.vertices
+	for i := range buf {
 		switch x := draw1000.draw(rng); {
 		case x < 300: // edge stream
-			return Access{PC: pc(2, 0), VA: seq.next()}
+			buf[i] = Access{PC: pc(2, 0), VA: st.seq.next()}
 		case x < 318: // random vertex ranks (one big mapping)
-			return Access{PC: pc(2, 1), VA: p.vertices.pageVA(rng.Uint64()), Write: true}
+			buf[i] = Access{PC: pc(2, 1), VA: verts.pageVA(rng.Uint64()), Write: true}
 		default: // hot frontier/accumulator pages
-			hot++
-			return Access{PC: pc(2, 2), VA: p.vertices.pageVA(hot % 8), Write: true}
+			st.hot++
+			buf[i] = Access{PC: pc(2, 2), VA: verts.pageVA(st.hot % 8), Write: true}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // ----------------------------------------------------------- hashjoin
@@ -287,18 +333,39 @@ func (h *HashJoin) Setup(env *Env, rng *rand.Rand) error {
 // Stream implements Workload: 10 interleaved "threads", each with its
 // own probe instruction, all uniformly random over the whole table.
 func (h *HashJoin) Stream(rng *rand.Rand, n uint64) Stream {
-	thread := 0
-	return &funcStream{n: n, next: func() Access {
+	return &hashjoinStream{streamLen: streamLen{n: n}, rng: rng, w: h}
+}
+
+// hashjoinStream is HashJoin's measured-phase stream.
+type hashjoinStream struct {
+	streamLen
+	rng    *rand.Rand
+	w      *HashJoin
+	thread int
+}
+
+func (st *hashjoinStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := st.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (st *hashjoinStream) Fill(buf []Access) int {
+	buf = st.take(buf)
+	rng, table, out, thread := st.rng, st.w.table, st.w.buf, st.thread
+	for i := range buf {
 		thread = (thread + 1) % 10
 		switch x := draw1000.draw(rng); {
 		case x < 7: // random probe, thread-specific PC
-			return Access{PC: pc(3, thread), VA: h.table.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(3, thread), VA: table.pageVA(rng.Uint64())}
 		case x < 10: // chained bucket walk (second dependent load)
-			return Access{PC: pc(3, 10+thread), VA: h.table.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(3, 10+thread), VA: table.pageVA(rng.Uint64())}
 		default: // per-thread output buffer (hot)
-			return Access{PC: pc(3, 20+thread), VA: h.buf.pageVA(uint64(thread)), Write: true}
+			buf[i] = Access{PC: pc(3, 20+thread), VA: out.pageVA(uint64(thread)), Write: true}
 		}
-	}}
+	}
+	st.thread = thread
+	return len(buf)
 }
 
 // ------------------------------------------------------------ XSBench
@@ -342,16 +409,36 @@ func (x *XSBench) Setup(env *Env, rng *rand.Rand) error {
 
 // Stream implements Workload.
 func (x *XSBench) Stream(rng *rand.Rand, n uint64) Stream {
-	return &funcStream{n: n, next: func() Access {
+	return &xsbenchStream{streamLen: streamLen{n: n}, rng: rng, w: x}
+}
+
+// xsbenchStream is XSBench's measured-phase stream.
+type xsbenchStream struct {
+	streamLen
+	rng *rand.Rand
+	w   *XSBench
+}
+
+func (st *xsbenchStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := st.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (st *xsbenchStream) Fill(buf []Access) int {
+	buf = st.take(buf)
+	rng, grids, uni := st.rng, st.w.grids, st.w.unionized
+	for i := range buf {
 		switch v := draw1000.draw(rng); {
 		case v < 12: // random nuclide grid lookup
-			return Access{PC: pc(4, draw10.draw(rng)), VA: x.grids.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(4, draw10.draw(rng)), VA: grids.pageVA(rng.Uint64())}
 		case v < 14: // unionized grid binary-search probes
-			return Access{PC: pc(4, 20), VA: x.unionized.pageVA(rng.Uint64())}
+			buf[i] = Access{PC: pc(4, 20), VA: uni.pageVA(rng.Uint64())}
 		default: // per-particle hot state
-			return Access{PC: pc(4, 30), VA: x.unionized.pageVA(uint64(v % 4)), Write: true}
+			buf[i] = Access{PC: pc(4, 30), VA: uni.pageVA(uint64(v % 4)), Write: true}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // ----------------------------------------------------------------- BT
@@ -407,29 +494,50 @@ func (b *BT) Setup(env *Env, rng *rand.Rand) error {
 
 // Stream implements Workload.
 func (b *BT) Stream(rng *rand.Rand, n uint64) Stream {
+	st := &btStream{streamLen: streamLen{n: n}, rng: rng, w: b}
+	for i := range st.seqs {
+		st.seqs[i] = seqWalker{r: b.arrays[i]}
+	}
+	return st
+}
+
+// btStream is BT's measured-phase stream.
+type btStream struct {
+	streamLen
+	rng  *rand.Rand
+	w    *BT
+	zpos [btArrays]uint64
+	seqs [btArrays]seqWalker
+}
+
+func (st *btStream) Next() (Access, bool) {
+	var a [1]Access
+	ok := st.Fill(a[:]) == 1
+	return a[0], ok
+}
+
+func (st *btStream) Fill(buf []Access) int {
 	// Plane stride for the z sweep: 4096 pages (16 MiB planes) — at or
 	// above the size of the fragments CA produces for BT, so the
 	// sweeping instructions hop mappings on almost every miss. Their
 	// offsets never gain confidence: SpOT abstains (no-prediction)
 	// instead of flushing the pipeline, the §IV-C behaviour.
 	const plane = 4096
-	zpos := make([]uint64, btArrays)
-	seqs := make([]*seqWalker, btArrays)
-	for i := range seqs {
-		seqs[i] = &seqWalker{r: b.arrays[i]}
-	}
-	return &funcStream{n: n, next: func() Access {
+	buf = st.take(buf)
+	rng, arrays := st.rng, st.w.arrays
+	for i := range buf {
 		a := drawArrays.draw(rng)
 		switch x := draw1000.draw(rng); {
 		case x < 6: // z sweep: plane-strided, misses constantly
-			zpos[a] += plane
-			return Access{PC: pc(5, a), VA: b.arrays[a].pageVA(zpos[a]), Write: true}
+			st.zpos[a] += plane
+			buf[i] = Access{PC: pc(5, a), VA: arrays[a].pageVA(st.zpos[a]), Write: true}
 		case x < 150: // x sweep: sequential
-			return Access{PC: pc(5, 10+a), VA: seqs[a].next()}
+			buf[i] = Access{PC: pc(5, 10+a), VA: st.seqs[a].next()}
 		default: // stencil locals (hot)
-			return Access{PC: pc(5, 20+a), VA: b.arrays[a].pageVA(uint64(x % 4))}
+			buf[i] = Access{PC: pc(5, 20+a), VA: arrays[a].pageVA(uint64(x % 4))}
 		}
-	}}
+	}
+	return len(buf)
 }
 
 // All returns the five paper workloads in Table III order.

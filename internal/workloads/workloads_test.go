@@ -199,8 +199,9 @@ func (n nextOnly) Next() (Access, bool) { return n.s.Next() }
 
 // TestFillMatchesNext pins the batching contract for every workload:
 // the sequence produced by repeated Fill calls — through the native
-// implementation and through the Next adapter, at buffer sizes that
-// never divide the stream evenly — is identical to a plain Next drain.
+// fill loop and through the Next adapter, at buffer sizes that never
+// divide the stream evenly, so the last Fill stops mid-buffer at the
+// stream's end — is identical to a plain Next drain.
 func TestFillMatchesNext(t *testing.T) {
 	for _, w := range All() {
 		w := w
@@ -232,12 +233,20 @@ func TestFillMatchesNext(t *testing.T) {
 					bs := Batched(s)
 					got := make([]Access, 0, n)
 					buf := make([]Access, bufLen)
+					short := false
 					for {
 						k := bs.Fill(buf)
 						if k == 0 {
 							break
 						}
+						if short {
+							t.Fatalf("bufLen %d adapter %v: Fill wrote %d after a short fill", bufLen, adapt, k)
+						}
+						short = k < bufLen
 						got = append(got, buf[:k]...)
+					}
+					if want := n%bufLen != 0; short != want {
+						t.Fatalf("bufLen %d adapter %v: last fill short = %v, want %v", bufLen, adapt, short, want)
 					}
 					if len(got) != len(want) {
 						t.Fatalf("bufLen %d adapter %v: %d accesses, want %d", bufLen, adapt, len(got), len(want))
