@@ -113,8 +113,3 @@ func BestAnchorCount(ms []metrics.Mapping, minK, maxK int) EntryCount {
 	}
 	return best
 }
-
-// CountFor returns the 99% entry count at one fixed anchor distance.
-func CountFor(ms []metrics.Mapping, distPages uint64) int {
-	return entriesFor(coverages(ms, distPages), 0.99)
-}

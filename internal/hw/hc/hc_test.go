@@ -15,11 +15,16 @@ func mk(vaPage, paPage, pages uint64) metrics.Mapping {
 	}
 }
 
+// countAt is the 99% entry count at one fixed anchor distance.
+func countAt(ms []metrics.Mapping, distPages uint64) int {
+	return entriesFor(coverages(ms, distPages), 0.99)
+}
+
 func TestAlignedMappingCoalescesPerfectly(t *testing.T) {
 	// One mapping of 4096 pages starting at an anchor-aligned VA: at
 	// distance 512 it needs exactly 4096/512 = 8 anchor entries.
 	ms := []metrics.Mapping{mk(512*4, 0, 4096)}
-	if got := CountFor(ms, 512); got != 8 {
+	if got := countAt(ms, 512); got != 8 {
 		t.Fatalf("aligned count = %d, want 8", got)
 	}
 }
@@ -33,8 +38,8 @@ func TestUnalignedMappingFractures(t *testing.T) {
 	// mapping is a single anchor entry; shifting it one page leaves no
 	// coverable window, so everything falls back to (2 MiB) regular
 	// entries.
-	aligned := CountFor([]metrics.Mapping{mk(4096, 0, 4096)}, 4096)
-	unaligned := CountFor([]metrics.Mapping{mk(4096+1, 1, 4096)}, 4096)
+	aligned := countAt([]metrics.Mapping{mk(4096, 0, 4096)}, 4096)
+	unaligned := countAt([]metrics.Mapping{mk(4096+1, 1, 4096)}, 4096)
 	if unaligned <= aligned {
 		t.Fatalf("unaligned (%d) should need more entries than aligned (%d)", unaligned, aligned)
 	}
@@ -58,7 +63,7 @@ func TestBestAnchorPicksGoodDistance(t *testing.T) {
 		ms = append(ms, mk(i*64*2, i*64*3+64, 64)) // 64-page aligned chunks with VA gaps
 	}
 	best := BestAnchorCount(ms, 3, 12)
-	atIdeal := CountFor(ms, 64)
+	atIdeal := countAt(ms, 64)
 	if best.EntriesFor99 > atIdeal {
 		t.Fatalf("best (%d @ %d pages) worse than fixed 64-page distance (%d)",
 			best.EntriesFor99, best.AnchorDistancePages, atIdeal)
@@ -66,7 +71,7 @@ func TestBestAnchorPicksGoodDistance(t *testing.T) {
 }
 
 func TestEmptyMappings(t *testing.T) {
-	if CountFor(nil, 512) != 0 {
+	if countAt(nil, 512) != 0 {
 		t.Fatal("empty mappings should need 0 entries")
 	}
 	best := BestAnchorCount(nil, 3, 8)
@@ -82,7 +87,7 @@ func TestSmallMappingsAllRegularEntries(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		ms = append(ms, mk(i*1000, i*2000, 1))
 	}
-	if got := CountFor(ms, 512); got != 99 {
+	if got := countAt(ms, 512); got != 99 {
 		t.Fatalf("singles count = %d, want 99", got)
 	}
 }

@@ -221,10 +221,3 @@ func (t *TLB) Reset() {
 	clear(t.entries)
 	*t = TLB{entries: t.entries, nsets: t.nsets, ways: t.ways}
 }
-
-// ResetStats clears the lookup/miss counters (e.g. after the population
-// phase, mirroring the paper's PAPI-delimited measurement region).
-func (t *TLB) ResetStats() {
-	t.lookups = 0
-	t.misses = 0
-}

@@ -75,9 +75,6 @@ func (v VirtAddr) HugeAligned() bool { return v&HugeMask == 0 }
 // PageDown rounds v down to a page boundary.
 func (v VirtAddr) PageDown() VirtAddr { return v &^ PageMask }
 
-// PageUp rounds v up to a page boundary.
-func (v VirtAddr) PageUp() VirtAddr { return (v + PageMask) &^ PageMask }
-
 // HugeDown rounds v down to a huge-page boundary.
 func (v VirtAddr) HugeDown() VirtAddr { return v &^ HugeMask }
 
@@ -134,9 +131,6 @@ func BytesToPages(bytes uint64) uint64 { return (bytes + PageMask) >> PageShift 
 // OrderPages returns the number of base pages in a block of the given
 // buddy order.
 func OrderPages(order int) uint64 { return 1 << uint(order) }
-
-// OrderBytes returns the byte size of a block of the given buddy order.
-func OrderBytes(order int) uint64 { return OrderPages(order) << PageShift }
 
 // OrderFor returns the smallest buddy order whose block holds at least
 // pages base pages, capped at MaxOrder.

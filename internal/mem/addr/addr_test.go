@@ -26,22 +26,19 @@ func TestConstants(t *testing.T) {
 func TestVirtAddrRounding(t *testing.T) {
 	cases := []struct {
 		in               VirtAddr
-		down, up         VirtAddr
+		down             VirtAddr
 		hugeDown, hugeUp VirtAddr
 	}{
-		{0, 0, 0, 0, 0},
-		{1, 0, PageSize, 0, HugeSize},
-		{PageSize, PageSize, PageSize, 0, HugeSize},
-		{PageSize + 5, PageSize, 2 * PageSize, 0, HugeSize},
-		{HugeSize, HugeSize, HugeSize, HugeSize, HugeSize},
-		{HugeSize - 1, HugeSize - PageSize, HugeSize, 0, HugeSize},
+		{0, 0, 0, 0},
+		{1, 0, 0, HugeSize},
+		{PageSize, PageSize, 0, HugeSize},
+		{PageSize + 5, PageSize, 0, HugeSize},
+		{HugeSize, HugeSize, HugeSize, HugeSize},
+		{HugeSize - 1, HugeSize - PageSize, 0, HugeSize},
 	}
 	for _, c := range cases {
 		if got := c.in.PageDown(); got != c.down {
 			t.Errorf("PageDown(%v) = %v, want %v", c.in, got, c.down)
-		}
-		if got := c.in.PageUp(); got != c.up {
-			t.Errorf("PageUp(%v) = %v, want %v", c.in, got, c.up)
 		}
 		if got := c.in.HugeDown(); got != c.hugeDown {
 			t.Errorf("HugeDown(%v) = %v, want %v", c.in, got, c.hugeDown)
@@ -139,9 +136,6 @@ func TestOffsetShiftInvarianceProperty(t *testing.T) {
 func TestOrderHelpers(t *testing.T) {
 	if OrderPages(0) != 1 || OrderPages(9) != 512 || OrderPages(10) != 1024 {
 		t.Fatal("OrderPages wrong")
-	}
-	if OrderBytes(9) != HugeSize {
-		t.Fatalf("OrderBytes(9) = %d, want HugeSize", OrderBytes(9))
 	}
 	cases := []struct {
 		pages uint64

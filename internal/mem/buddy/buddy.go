@@ -398,14 +398,14 @@ func (b *Buddy) AllocBlockAt(pfn addr.PFN, order int) error {
 //     suffix block therefore lands ahead of a prefix block of the same
 //     order; every other list entry keeps its place;
 //   - the mutation counter advances once per page, and the MAX_ORDER
-//     hooks fire once, when the block leaves its list.
-//
-// It emits no split events: a traced caller takes the per-page path.
+//     hooks fire once, when the block leaves its list;
+//   - a block of order > 0 emits one split event, not one per halving.
 func (b *Buddy) AllocRunAt(t addr.PFN, n uint64) uint64 {
 	head, bo, ok := b.findFreeBlock(t)
 	if !ok || n == 0 {
 		return 0
 	}
+	b.traceSplit(head, bo)
 	end := head + addr.PFN(addr.OrderPages(bo))
 	n = min(n, uint64(end-t))
 	b.listRemove(head, bo)
@@ -432,25 +432,15 @@ func (b *Buddy) AllocRunAt(t addr.PFN, n uint64) uint64 {
 // block at once, as order-0 allocations, and lists the unclaimed suffix
 // by its aligned blocks; the mutation counter advances once per frame
 // and the MAX_ORDER hooks fire once, when the block leaves its list.
-// With a tracer attached it runs the AllocBlock loop itself, so traced
-// runs emit the same split events.
+// Each block of order > 0 it breaks up emits one split event.
 func (b *Buddy) AllocN(out []addr.PFN) int {
-	if b.tr != nil {
-		for i := range out {
-			pfn, err := b.AllocBlock(0)
-			if err != nil {
-				return i
-			}
-			out[i] = pfn
-		}
-		return len(out)
-	}
 	done := 0
 	for done < len(out) && b.nonEmpty != 0 {
 		from := bits.TrailingZeros32(b.nonEmpty)
 		head := b.pfnAt(b.heads[from])
 		size := addr.OrderPages(from)
 		n := min(uint64(len(out)-done), size)
+		b.traceSplit(head, from)
 		b.listRemove(head, from)
 		b.insertRun(head+addr.PFN(n), size-n)
 		rel := uint64(head - b.base)
@@ -465,6 +455,14 @@ func (b *Buddy) AllocN(out []addr.PFN) int {
 		done += int(n)
 	}
 	return done
+}
+
+// traceSplit emits the split event of a run claim breaking up the free
+// block (head, order); an order-0 block is claimed whole.
+func (b *Buddy) traceSplit(head addr.PFN, order int) {
+	if b.tr != nil && order > 0 {
+		b.tr.Emit(trace.EvBuddySplit, b.zid, uint64(head), uint64(order))
+	}
 }
 
 // insertRun lists the free run [pfn, pfn+npages) as its aligned blocks,

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/mem/addr"
 	"repro/internal/mem/frame"
+	"repro/internal/trace"
 )
 
 // hookEvent is one MAX_ORDER hook call: a block joining (insert) or
@@ -292,5 +293,34 @@ func TestAllocNMatchesLoop(t *testing.T) {
 				t.Fatalf("seed %d sorted %v: %v", seed, sorted, err)
 			}
 		}
+	}
+}
+
+// TestRunClaimsTraceOneSplitPerBlock pins the split events of the run
+// claims: AllocN and AllocRunAt emit one (zone, head, order) event for
+// each free block of order > 0 they take frames from, and none for an
+// order-0 block.
+func TestRunClaimsTraceOneSplitPerBlock(t *testing.T) {
+	b, _ := newBuddy(t, 4)
+	tr := trace.New()
+	b.SetTracer(tr, 3)
+	out := make([]addr.PFN, 3)
+	b.AllocN(out) // frames h to h+2 of the first MAX_ORDER block (h, 10)
+	h := out[0]
+	b.AllocN(out[:1])    // the order-0 remainder, frame h+3
+	b.AllocN(out[:2])    // frames h+4 and h+5 of block (h+4, 2)
+	b.AllocRunAt(5, 3)   // inside block (0, 10)
+	b.AllocRunAt(h+6, 1) // block (h+6, 1), left by the third AllocN
+	b.AllocRunAt(h+7, 1) // the order-0 remainder, frame h+7
+	want := [][2]uint64{{uint64(h), 10}, {uint64(h) + 4, 2}, {0, 10}, {uint64(h) + 6, 1}}
+	var got [][2]uint64
+	for _, e := range tr.Events() {
+		if e.Kind != trace.EvBuddySplit || e.A != 3 {
+			t.Fatalf("unexpected event %+v", e)
+		}
+		got = append(got, [2]uint64{e.B, e.C})
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("split events %v, want %v", got, want)
 	}
 }

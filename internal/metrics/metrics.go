@@ -129,20 +129,6 @@ func Percentile(counts map[uint64]uint64, p float64) uint64 {
 	return xs[len(xs)-1]
 }
 
-// Mean returns the arithmetic mean of xs (0 for empty). It accumulates
-// in float64: a uint64 accumulator silently wraps on large cycle totals
-// (e.g. two samples of 2^63 summed to 0).
-func Mean(xs []uint64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += float64(x)
-	}
-	return sum / float64(len(xs))
-}
-
 // GeoMean returns the geometric mean of xs (0 for empty; zeros clamp
 // to 1 to stay defined, as the paper's geomeans do for counts).
 func GeoMean(xs []float64) float64 {

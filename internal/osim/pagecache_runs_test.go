@@ -12,7 +12,6 @@ import (
 	"repro/internal/mem/addr"
 	"repro/internal/mem/zone"
 	"repro/internal/osim"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -91,17 +90,34 @@ type cacheRig struct {
 	held  []addr.PFN // order-0 frames the script holds outside the cache
 }
 
-func newCacheRig(scenario int, seed int64, policy string, traced bool) *cacheRig {
+// pagePolicy is DefaultPolicy placing one cache frame per PlaceFile
+// call, with Machine.AllocBlock: the per-page reference for the run
+// fill DefaultPolicy makes with one Machine.AllocN call.
+type pagePolicy struct{ osim.DefaultPolicy }
+
+func (pagePolicy) PlaceFile(k *osim.Kernel, _ *osim.File, _ uint64, out []addr.PFN) (int, bool, error) {
+	pfn, err := k.Machine.AllocBlock(0, 0)
+	if err != nil {
+		return 0, false, osim.ErrOOM
+	}
+	out[0] = pfn
+	return 1, false, nil
+}
+
+// newCacheRig builds a comparison machine. A perPage rig fills the
+// cache one frame per PlaceFile call; CAPolicy places one page per call
+// itself, so its two rigs differ only in their histories.
+func newCacheRig(scenario int, seed int64, policy string, perPage bool) *cacheRig {
 	m := zone.NewMachine(zone.Config{ZonePages: []uint64{runZonePages, runZonePages}, SortedMaxOrder: policy == "ca"})
 	cacheScenarios[scenario].setup(m, rand.New(rand.NewSource(seed)))
 	var pl osim.Placement = osim.DefaultPolicy{}
-	if policy == "ca" {
+	switch {
+	case policy == "ca":
 		pl = osim.CAPolicy{}
+	case perPage:
+		pl = pagePolicy{}
 	}
 	k := osim.NewKernel(m, pl)
-	if traced {
-		k.SetTracer(trace.NewCapped(1 << 10))
-	}
 	r := &cacheRig{k: k, p: k.NewProcess(0)}
 	// Sizes: one page, short, not a page multiple, a readahead window
 	// and a bit, large, empty, and larger than the whole machine.
@@ -213,10 +229,11 @@ func (r *cacheRig) step(op int, a, b uint64) string {
 }
 
 // TestCacheRunsMatchPerPage runs the same page-cache script on two
-// machines, one with a tracer attached (page-cache fills and drops
-// take the page-at-a-time path) and one bare (one buddy call per run
-// of missing slots, one FreeRange per run of freed frames), and
-// requires the same outcome and the same state after every operation.
+// machines, one whose placement hands the cache a frame per call (the
+// page-at-a-time fill) and one with the policy's own PlaceFile (one
+// buddy call per run of missing slots), and requires the same outcome
+// and the same state after every operation. Both free by run;
+// TestFreeLaterMatchesFreeBlock checks that against FreeBlock per page.
 // The machines are aged and hog-fragmented, hand the cache frames in
 // descending order, or run a fill across a zone boundary; the script
 // covers partial and zero-length reads, OOM partway through a fill, a

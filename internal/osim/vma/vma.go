@@ -306,13 +306,6 @@ func (v *VMA) OffsetCount() int {
 	return len(v.offsets)
 }
 
-// ClearOffsets drops all tracked offsets (used by tests and teardown).
-func (v *VMA) ClearOffsets() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.offsets = nil
-}
-
 func dist(a, b addr.VirtAddr) uint64 {
 	if a > b {
 		return uint64(a - b)

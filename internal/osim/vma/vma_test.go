@@ -83,10 +83,6 @@ func TestNearestOffsetSelection(t *testing.T) {
 			t.Errorf("NearestOffset(%v) = %d, want %d", c.va, got, c.want)
 		}
 	}
-	v.ClearOffsets()
-	if v.OffsetCount() != 0 {
-		t.Fatal("ClearOffsets")
-	}
 }
 
 // nearestEntry is NearestOffset returning the index of the entry it

@@ -15,7 +15,7 @@ import (
 // already be set up on env.
 func benchAccesses(b testing.TB, w workloads.Workload, n uint64) []workloads.Access {
 	b.Helper()
-	s := workloads.Batched(w.Stream(rand.New(rand.NewSource(2)), n))
+	s := w.Stream(rand.New(rand.NewSource(2)), n)
 	buf := make([]workloads.Access, n)
 	total := 0
 	for total < len(buf) {

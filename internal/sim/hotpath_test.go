@@ -12,20 +12,16 @@ import (
 	"repro/internal/workloads"
 )
 
-// listStream replays a fixed access list through the legacy Next
-// interface.
+// listStream replays a fixed access list.
 type listStream struct {
 	accs []workloads.Access
 	i    int
 }
 
-func (s *listStream) Next() (workloads.Access, bool) {
-	if s.i >= len(s.accs) {
-		return workloads.Access{}, false
-	}
-	a := s.accs[s.i]
-	s.i++
-	return a, true
+func (s *listStream) Fill(buf []workloads.Access) int {
+	n := copy(buf, s.accs[s.i:])
+	s.i += n
+	return n
 }
 
 // sweepAccesses maps and populates `pages` 4K pages (THP off, so a sweep
@@ -187,41 +183,5 @@ func TestRunZeroAllocs(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// nextOnlyStream hides a stream's native Fill, forcing Run through the
-// Next-draining compatibility adapter.
-type nextOnlyStream struct{ s workloads.Stream }
-
-func (n nextOnlyStream) Next() (workloads.Access, bool) { return n.s.Next() }
-
-// TestBatchedRunMatchesNextOnly runs every workload once through the
-// native batched path and once through the legacy Next adapter: the
-// two Results must be identical field for field — batching is an
-// execution detail, never a semantic one.
-func TestBatchedRunMatchesNextOnly(t *testing.T) {
-	for _, w := range workloads.All() {
-		w := w
-		t.Run(w.Name(), func(t *testing.T) {
-			run := func(adapter bool) Result {
-				env := nativeEnv(t, osim.CAPolicy{})
-				if err := w.Setup(env, rand.New(rand.NewSource(1))); err != nil {
-					t.Fatal(err)
-				}
-				var s workloads.Stream = w.Stream(rand.New(rand.NewSource(2)), 30_000)
-				if adapter {
-					s = nextOnlyStream{s}
-				}
-				res, err := Run(env, s, Config{EnableSchemes: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			if batched, legacy := run(false), run(true); batched != legacy {
-				t.Fatalf("batched run diverged from Next-only run:\n%+v\n%+v", batched, legacy)
-			}
-		})
 	}
 }

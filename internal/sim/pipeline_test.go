@@ -28,12 +28,11 @@ func perAccessRun(t *testing.T, env *workloads.Env, s workloads.Stream, cfg Conf
 		t.Fatal(err)
 	}
 	defer m.be.Close()
-	bs := workloads.Batched(s)
 	buf := make([]workloads.Access, accessBatch)
 	for {
 		n := 0
 		for n < len(buf) {
-			k := bs.Fill(buf[n:])
+			k := s.Fill(buf[n:])
 			if k == 0 {
 				break
 			}
@@ -106,14 +105,6 @@ type faultingStream struct {
 	pages        uint64
 	i, n, bad    uint64
 	fills        atomic.Int64
-}
-
-func (s *faultingStream) Next() (workloads.Access, bool) {
-	var a [1]workloads.Access
-	if s.Fill(a[:]) == 0 {
-		return workloads.Access{}, false
-	}
-	return a[0], true
 }
 
 func (s *faultingStream) Fill(buf []workloads.Access) int {

@@ -249,7 +249,7 @@ func Run(env *workloads.Env, stream workloads.Stream, cfg Config) (Result, error
 		}
 	}()
 	stop := make(chan struct{})
-	go generate(workloads.Batched(stream), empty, full, stop)
+	go generate(stream, empty, full, stop)
 	for b := range full {
 		if err := m.stepBlock(b.accs[:b.n]); err != nil {
 			close(stop)
@@ -267,7 +267,7 @@ func Run(env *workloads.Env, stream workloads.Stream, cfg Config) (Result, error
 // a short Fill never moves a span boundary), and hands it to full. It
 // closes full when the stream ends or stop is closed; full has room
 // for every block, so the hand-off never blocks.
-func generate(bs workloads.BatchStream, empty <-chan *block, full chan<- *block, stop <-chan struct{}) {
+func generate(s workloads.Stream, empty <-chan *block, full chan<- *block, stop <-chan struct{}) {
 	defer close(full)
 	for {
 		var b *block
@@ -278,7 +278,7 @@ func generate(bs workloads.BatchStream, empty <-chan *block, full chan<- *block,
 		}
 		b.n = 0
 		for b.n < blockLen {
-			k := bs.Fill(b.accs[b.n:])
+			k := s.Fill(b.accs[b.n:])
 			if k == 0 {
 				break
 			}

@@ -63,8 +63,10 @@ const (
 	EvIngensEpoch
 	// EvRangerEpoch spans one Ranger defrag epoch (migrated, 0, clock).
 	EvRangerEpoch
-	// EvBuddySplit is one split step: an order-`order` block at pfn
-	// split into two halves (zone, pfn, order).
+	// EvBuddySplit is a free order-`order` block at pfn broken up
+	// (zone, pfn, order): one halving step of a block allocation, or
+	// the whole block a run claim (AllocN, AllocRunAt) takes frames
+	// from, once however many halvings the claim stands for.
 	EvBuddySplit
 	// EvBuddyCoalesce is one coalesce step: two buddies merged into the
 	// order-`order` block at pfn (zone, pfn, order).
@@ -213,13 +215,24 @@ func NewCapped(max int) *Tracer {
 	}
 }
 
-// record appends one event under the lock. ts == 0 means "stamp with
-// the next sequence value".
-func (t *Tracer) record(k Kind, ts, dur, a, b, c uint64) {
+// record appends one event under the lock (appendLocked).
+func (t *Tracer) record(k Kind, start, dur, a, b, c uint64) {
 	t.mu.Lock()
+	t.appendLocked(k, start, dur, a, b, c)
+	t.mu.Unlock()
+}
+
+// appendLocked advances the sequence, counts the event under its kind
+// and stores it, or counts it dropped once the buffer is full; t.mu
+// must be held. A span (start > 0) is stamped at start, or now if start
+// lies ahead, and lasts the sequence distance to now; any other event
+// is stamped now and lasts dur.
+func (t *Tracer) appendLocked(k Kind, start, dur, a, b, c uint64) {
 	t.seq++
-	if ts == 0 {
-		ts = t.seq
+	ts := t.seq
+	if start != 0 {
+		ts = min(start, t.seq)
+		dur = t.seq - ts
 	}
 	t.kindCount[k]++
 	if len(t.events) < t.max {
@@ -227,7 +240,6 @@ func (t *Tracer) record(k Kind, ts, dur, a, b, c uint64) {
 	} else {
 		t.dropped++
 	}
-	t.mu.Unlock()
 }
 
 // Emit records an instant event of kind k with arguments a, b, c.
@@ -259,19 +271,7 @@ func (t *Tracer) EmitSpan(k Kind, start, a, b, c uint64) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.seq++
-	ts := start
-	if ts == 0 || ts > t.seq {
-		ts = t.seq
-	}
-	t.kindCount[k]++
-	if len(t.events) < t.max {
-		t.events = append(t.events, Event{TS: ts, Dur: t.seq - ts, A: a, B: b, C: c, Kind: k})
-	} else {
-		t.dropped++
-	}
-	t.mu.Unlock()
+	t.record(k, start, 0, a, b, c)
 }
 
 // EmitDur records a span at the current timestamp with an explicit
@@ -296,17 +296,7 @@ func (t *Tracer) EmitPhase(name string, start uint64) {
 		t.phases = append(t.phases, name)
 		t.phaseIdx[name] = id
 	}
-	t.seq++
-	ts := start
-	if ts == 0 || ts > t.seq {
-		ts = t.seq
-	}
-	t.kindCount[EvPhase]++
-	if len(t.events) < t.max {
-		t.events = append(t.events, Event{TS: ts, Dur: t.seq - ts, A: uint64(id), Kind: EvPhase})
-	} else {
-		t.dropped++
-	}
+	t.appendLocked(EvPhase, start, 0, uint64(id), 0, 0)
 	t.mu.Unlock()
 }
 

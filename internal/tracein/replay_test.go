@@ -265,9 +265,8 @@ func TestReplayStop(t *testing.T) {
 
 // TestReplayGauges pins the tracer integration: EvReplayBatch spans
 // and replay.* gauges appear, and attaching a tracer does not change
-// the digest. Under CA paging it is also a differential net for the
-// kernel's extent paths: the traced replay faults and frees page by
-// page, the bare one by run, and both must reach the same digest.
+// the digest, under the default policy and under CA paging, whose
+// extent faults and run frees emit events too.
 func TestReplayGauges(t *testing.T) {
 	evs := Synth(SynthConfig{Seed: 6, Events: 3000, Tenants: 4})
 	for _, policy := range []string{check.PolicyDefault, check.PolicyCA} {

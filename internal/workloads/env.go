@@ -300,56 +300,24 @@ type Access struct {
 	Write bool
 }
 
-// Stream generates the measured phase's access sequence. Next returns
-// false when the stream is exhausted.
+// Stream generates the measured phase's access sequence. Fill writes
+// up to len(buf) accesses and returns how many it wrote; 0 means the
+// stream is exhausted, and a Fill may return fewer than len(buf) before
+// the end. The sequence does not depend on the buffer lengths: batching
+// is an execution detail, never a semantic one.
 //
 // A stream is a pure generator of its seed and of the regions Setup
 // mapped: it must not read or write simulation state (page tables,
-// allocators, the tracer). sim.Run pulls it from another goroutine,
+// allocators, the tracer). sim.Run calls Fill from another goroutine,
 // up to three blocks of accesses ahead of the machine, so a stream
 // that watched the simulation would race with it and see it early.
 type Stream interface {
-	Next() (Access, bool)
-}
-
-// BatchStream is a Stream that can refill a caller-owned buffer in one
-// call, amortizing the per-access interface dispatch of Next. Fill
-// writes up to len(buf) accesses and returns how many it wrote; 0 means
-// exhausted. The sequence produced by repeated Fill calls is identical
-// to the sequence repeated Next calls would produce — batching is an
-// execution detail, never a semantic one. The Stream contract applies:
-// sim.Run calls Fill from another goroutine, up to three blocks ahead,
-// and Fill may return fewer than len(buf) before the end.
-type BatchStream interface {
-	Stream
 	Fill(buf []Access) int
 }
 
-// Batched returns a batch-refill view of s: the stream itself when it
-// implements BatchStream natively, or a compatibility adapter that
-// drains Next into the buffer for legacy generators.
-func Batched(s Stream) BatchStream {
-	if b, ok := s.(BatchStream); ok {
-		return b
-	}
-	return &nextAdapter{s: s}
-}
-
-// nextAdapter lifts a Next-only Stream to BatchStream.
-type nextAdapter struct{ s Stream }
-
-func (a *nextAdapter) Next() (Access, bool) { return a.s.Next() }
-
-func (a *nextAdapter) Fill(buf []Access) int {
-	for i := range buf {
-		acc, ok := a.s.Next()
-		if !ok {
-			return i
-		}
-		buf[i] = acc
-	}
-	return len(buf)
-}
+// Batched returns s. Every Stream fills a buffer natively; Batched
+// stays only because the perfbench module still calls it.
+func Batched(s Stream) Stream { return s }
 
 // Workload is one of the paper's benchmarks.
 type Workload interface {
@@ -366,8 +334,7 @@ type Workload interface {
 
 // streamLen is the length bookkeeping of the generators' streams: n
 // accesses in all, i of them produced so far. Each generator is a
-// native fill loop over the slice take returns, and its Next fills a
-// one-slot buffer, so Next and Fill produce one sequence.
+// fill loop over the slice take returns.
 type streamLen struct {
 	n, i uint64
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/osim/daemon"
 	"repro/internal/osim/pagetable"
 	"repro/internal/osim/vma"
+	"repro/internal/trace"
 	"repro/internal/virt"
 )
 
@@ -351,49 +352,86 @@ func TestPopulateRangeMatchesTouchLoop(t *testing.T) {
 // with the number of distinct latencies, not with the number of faults:
 // a 100k-page CA populate (4 KiB faults, per page and by extent) leaves
 // one entry per distinct latency, summing to the fault count, and one
-// FaultRun of n pages adds n to the 4 KiB count alone.
+// FaultRun of n pages adds n to the 4 KiB count alone. Traced, the
+// kernel takes the same extent path, its event counts equal the fault
+// and target-hit counts, and FaultRun emits a target-hit and a 4 KiB
+// fault event per page, at ascending VAs and clocks.
 func TestFaultLatencyCounts(t *testing.T) {
-	const pages = 100_000
-	m := zone.NewMachine(zone.Config{ZonePages: []uint64{128 * addr.MaxOrderPages}})
-	k := osim.NewKernel(m, osim.CAPolicy{})
-	k.THPEnabled = false
-	env := NewNativeEnv(k, 0)
-	v, err := env.Proc.MMap(pages * addr.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := env.PopulateRange(v, v.Start, v.Size()); err != nil {
-		t.Fatal(err)
-	}
-	lat4K := uint64(osim.FaultBaseNs + osim.ZeroPageNs)
-	lats := k.Stats.FaultLatencies
-	var total uint64
-	for lat, n := range lats {
-		if lat != lat4K && lat != lat4K+osim.PlacementNs {
-			t.Errorf("latency %d ns counted %d times, want only %d or %d", lat, n, lat4K, lat4K+osim.PlacementNs)
+	for _, traced := range []bool{false, true} {
+		const pages = 100_000
+		m := zone.NewMachine(zone.Config{ZonePages: []uint64{128 * addr.MaxOrderPages}})
+		k := osim.NewKernel(m, osim.CAPolicy{})
+		k.THPEnabled = false
+		var tr *trace.Tracer
+		if traced {
+			tr = trace.New()
+			k.SetTracer(tr)
 		}
-		total += n
-	}
-	if total != pages || k.Stats.TotalFaults() != pages {
-		t.Fatalf("counts sum to %d over %d faults, want %d", total, k.Stats.TotalFaults(), pages)
-	}
+		env := NewNativeEnv(k, 0)
+		v, err := env.Proc.MMap(pages * addr.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.PopulateRange(v, v.Start, v.Size()); err != nil {
+			t.Fatal(err)
+		}
+		lat4K := uint64(osim.FaultBaseNs + osim.ZeroPageNs)
+		lats := k.Stats.FaultLatencies
+		var total uint64
+		for lat, n := range lats {
+			if lat != lat4K && lat != lat4K+osim.PlacementNs {
+				t.Errorf("traced %v: latency %d ns counted %d times, want only %d or %d", traced, lat, n, lat4K, lat4K+osim.PlacementNs)
+			}
+			total += n
+		}
+		if total != pages || k.Stats.TotalFaults() != pages {
+			t.Fatalf("traced %v: counts sum to %d over %d faults, want %d", traced, total, k.Stats.TotalFaults(), pages)
+		}
 
-	w, err := env.Proc.MMap(64 * addr.PageSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := env.Proc.Touch(w.Start, true); err != nil { // places w
-		t.Fatal(err)
-	}
-	before, clock := maps.Clone(lats), k.Clock
-	n := env.Proc.FaultRun(w, w.Start.Add(addr.PageSize), 63)
-	if n == 0 {
-		t.Fatal("FaultRun declined a placed, unmapped run")
-	}
-	before[lat4K] += n
-	if !maps.Equal(lats, before) || k.Clock != clock+n*lat4K {
-		t.Fatalf("FaultRun of %d pages: counts %v, clock +%d; want %v, clock +%d",
-			n, lats, k.Clock-clock, before, n*lat4K)
+		w, err := env.Proc.MMap(64 * addr.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.Proc.Touch(w.Start, true); err != nil { // places w
+			t.Fatal(err)
+		}
+		before, clock := maps.Clone(lats), k.Clock
+		from := len(tr.Events())
+		n := env.Proc.FaultRun(w, w.Start.Add(addr.PageSize), 63)
+		if n == 0 {
+			t.Fatalf("traced %v: FaultRun declined a placed, unmapped run", traced)
+		}
+		before[lat4K] += n
+		if !maps.Equal(lats, before) || k.Clock != clock+n*lat4K {
+			t.Fatalf("traced %v: FaultRun of %d pages: counts %v, clock +%d; want %v, clock +%d",
+				traced, n, lats, k.Clock-clock, before, n*lat4K)
+		}
+		if !traced {
+			continue
+		}
+		if tr.Count(trace.EvFault4K) != k.Stats.Faults[osim.Fault4K] || tr.Count(trace.EvCATargetHit) != k.Stats.CATargetHits {
+			t.Fatalf("%d fault.4k and %d ca.target_hit events; want %d and %d", tr.Count(trace.EvFault4K),
+				tr.Count(trace.EvCATargetHit), k.Stats.Faults[osim.Fault4K], k.Stats.CATargetHits)
+		}
+		var faults, hits uint64
+		for _, e := range tr.Events()[from:] {
+			switch e.Kind {
+			case trace.EvCATargetHit:
+				if want := uint64(w.Start.Add((hits + 1) * addr.PageSize)); e.A != want {
+					t.Fatalf("target hit %d at va %#x, want %#x", hits, e.A, want)
+				}
+				hits++
+			case trace.EvFault4K:
+				faults++
+				va, at := uint64(w.Start.Add(faults*addr.PageSize)), clock+faults*lat4K
+				if e.A != va || e.B != lat4K || e.C != at {
+					t.Fatalf("fault %d: (va %#x, %d ns, clock %d), want (%#x, %d ns, clock %d)", faults-1, e.A, e.B, e.C, va, lat4K, at)
+				}
+			}
+		}
+		if faults != n || hits != n {
+			t.Fatalf("FaultRun of %d pages emitted %d fault.4k and %d ca.target_hit events", n, faults, hits)
+		}
 	}
 }
 

@@ -160,12 +160,6 @@ type svmStream struct {
 	small            bounded
 }
 
-func (st *svmStream) Next() (Access, bool) {
-	var a [1]Access
-	ok := st.Fill(a[:]) == 1
-	return a[0], ok
-}
-
 func (st *svmStream) Fill(buf []Access) int {
 	buf = st.take(buf)
 	rng, s, small := st.rng, st.w, st.small
@@ -265,12 +259,6 @@ type pagerankStream struct {
 	hot uint64
 }
 
-func (st *pagerankStream) Next() (Access, bool) {
-	var a [1]Access
-	ok := st.Fill(a[:]) == 1
-	return a[0], ok
-}
-
 func (st *pagerankStream) Fill(buf []Access) int {
 	buf = st.take(buf)
 	rng, verts := st.rng, st.w.vertices
@@ -344,12 +332,6 @@ type hashjoinStream struct {
 	thread int
 }
 
-func (st *hashjoinStream) Next() (Access, bool) {
-	var a [1]Access
-	ok := st.Fill(a[:]) == 1
-	return a[0], ok
-}
-
 func (st *hashjoinStream) Fill(buf []Access) int {
 	buf = st.take(buf)
 	rng, table, out, thread := st.rng, st.w.table, st.w.buf, st.thread
@@ -417,12 +399,6 @@ type xsbenchStream struct {
 	streamLen
 	rng *rand.Rand
 	w   *XSBench
-}
-
-func (st *xsbenchStream) Next() (Access, bool) {
-	var a [1]Access
-	ok := st.Fill(a[:]) == 1
-	return a[0], ok
 }
 
 func (st *xsbenchStream) Fill(buf []Access) int {
@@ -508,12 +484,6 @@ type btStream struct {
 	w    *BT
 	zpos [btArrays]uint64
 	seqs [btArrays]seqWalker
-}
-
-func (st *btStream) Next() (Access, bool) {
-	var a [1]Access
-	ok := st.Fill(a[:]) == 1
-	return a[0], ok
 }
 
 func (st *btStream) Fill(buf []Access) int {

@@ -34,12 +34,7 @@ func TestAllWorkloadsSetupNative(t *testing.T) {
 				t.Fatalf("RSS %d pages < footprint %d", env.Proc.RSSPages, wantPages)
 			}
 			// Streams only reference mapped memory.
-			st := w.Stream(rand.New(rand.NewSource(2)), 20000)
-			for {
-				a, ok := st.Next()
-				if !ok {
-					break
-				}
+			for _, a := range drain(w.Stream(rand.New(rand.NewSource(2)), 20000), 1024) {
 				if _, ok := env.Proc.PT.Translate(a.VA); !ok {
 					t.Fatalf("stream referenced unmapped VA %v (pc %#x)", a.VA, a.PC)
 				}
@@ -60,16 +55,7 @@ func TestStreamsAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := func(seed int64) []Access {
-		st := w.Stream(rand.New(rand.NewSource(seed)), 1000)
-		var out []Access
-		for {
-			a, ok := st.Next()
-			if !ok {
-				break
-			}
-			out = append(out, a)
-		}
-		return out
+		return drain(w.Stream(rand.New(rand.NewSource(seed)), 1000), 64)
 	}
 	a, b := collect(7), collect(7)
 	if len(a) != 1000 || len(b) != 1000 {
@@ -191,17 +177,21 @@ func TestHogDeterministic(t *testing.T) {
 	}
 }
 
-// nextOnly hides a stream's native Fill so Batched must fall back to
-// the compatibility adapter.
-type nextOnly struct{ s Stream }
-
-func (n nextOnly) Next() (Access, bool) { return n.s.Next() }
+// drain reads s to its end with Fill calls of bufLen accesses.
+func drain(s Stream, bufLen int) []Access {
+	var out []Access
+	buf := make([]Access, bufLen)
+	for k := s.Fill(buf); k > 0; k = s.Fill(buf) {
+		out = append(out, buf[:k]...)
+	}
+	return out
+}
 
 // TestFillMatchesNext pins the batching contract for every workload:
-// the sequence produced by repeated Fill calls — through the native
-// fill loop and through the Next adapter, at buffer sizes that never
-// divide the stream evenly, so the last Fill stops mid-buffer at the
-// stream's end — is identical to a plain Next drain.
+// repeated Fill calls at buffer lengths 1 (an access at a time), 7,
+// 1024 and n+1, all but the first of which never divide the stream
+// evenly, so the last Fill stops mid-buffer at the stream's end,
+// produce exactly the sequence of one Fill over the whole stream.
 func TestFillMatchesNext(t *testing.T) {
 	for _, w := range All() {
 		w := w
@@ -212,49 +202,36 @@ func TestFillMatchesNext(t *testing.T) {
 				t.Fatal(err)
 			}
 			const n = 10_000
-			want := make([]Access, 0, n)
+			want := make([]Access, n)
 			ref := w.Stream(rand.New(rand.NewSource(3)), n)
-			for {
-				a, ok := ref.Next()
-				if !ok {
-					break
-				}
-				want = append(want, a)
-			}
-			if len(want) != n {
-				t.Fatalf("Next drain produced %d accesses, want %d", len(want), n)
+			if got := ref.Fill(want); got != n || ref.Fill(want) != 0 {
+				t.Fatalf("one whole-stream Fill wrote %d accesses, want %d and then none", got, n)
 			}
 			for _, bufLen := range []int{1, 7, 1024, n + 1} {
-				for _, adapt := range []bool{false, true} {
-					var s Stream = w.Stream(rand.New(rand.NewSource(3)), n)
-					if adapt {
-						s = nextOnly{s}
+				s := w.Stream(rand.New(rand.NewSource(3)), n)
+				got := make([]Access, 0, n)
+				buf := make([]Access, bufLen)
+				short := false
+				for {
+					k := s.Fill(buf)
+					if k == 0 {
+						break
 					}
-					bs := Batched(s)
-					got := make([]Access, 0, n)
-					buf := make([]Access, bufLen)
-					short := false
-					for {
-						k := bs.Fill(buf)
-						if k == 0 {
-							break
-						}
-						if short {
-							t.Fatalf("bufLen %d adapter %v: Fill wrote %d after a short fill", bufLen, adapt, k)
-						}
-						short = k < bufLen
-						got = append(got, buf[:k]...)
+					if short {
+						t.Fatalf("bufLen %d: Fill wrote %d after a short fill", bufLen, k)
 					}
-					if want := n%bufLen != 0; short != want {
-						t.Fatalf("bufLen %d adapter %v: last fill short = %v, want %v", bufLen, adapt, short, want)
-					}
-					if len(got) != len(want) {
-						t.Fatalf("bufLen %d adapter %v: %d accesses, want %d", bufLen, adapt, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("bufLen %d adapter %v: access %d = %+v, want %+v", bufLen, adapt, i, got[i], want[i])
-						}
+					short = k < bufLen
+					got = append(got, buf[:k]...)
+				}
+				if want := n%bufLen != 0; short != want {
+					t.Fatalf("bufLen %d: last fill short = %v, want %v", bufLen, short, want)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("bufLen %d: %d accesses, want %d", bufLen, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("bufLen %d: access %d = %+v, want %+v", bufLen, i, got[i], want[i])
 					}
 				}
 			}
@@ -277,7 +254,7 @@ func BenchmarkFill(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s := Batched(w.Stream(rand.New(rand.NewSource(2)), n))
+				s := w.Stream(rand.New(rand.NewSource(2)), n)
 				for s.Fill(buf) > 0 {
 				}
 			}
